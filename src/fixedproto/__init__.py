@@ -8,9 +8,9 @@ relevance decompositions.
 
 __version__ = "0.1.0"
 
-from .data import Dataset, Sample, SynthConfig, generate_synthetic, joint_probability_table, load_table, save_dataset, split, true_levels
+from .data import Dataset, SynthConfig, generate_synthetic, joint_probability_table, load_table, save_dataset, split, true_levels
 from .explain import Explanation, explain_sample, zero_block_activity
-from .linalg import OrthonormalBasis, gram_schmidt, jlt_apply, jlt_create, random_orthonormal_basis
+from .linalg import OrthonormalBasis, gram_schmidt, jlt_create, random_orthonormal_basis
 from .metrics import DisentanglementReport, SeparationReport, accuracy, disentanglement_report, separation_report
 from .model import (
     ClassifierParams,
@@ -29,11 +29,9 @@ from .prototypes import (
     FactorCoder,
     FactorLayout,
     class_orthogonal_extractor,
-    code_factor,
-    extract_prototype,
     extractor_from_json,
     extractor_to_json,
     factor_coded_extractor,
     fit_factor_coder,
 )
-from .training import Adam, DivergenceError, SGD, TrainConfig, TrainHistory, loss, mix_samples, mixup, train
+from .training import Adam, DivergenceError, SGD, TrainConfig, TrainHistory, loss, mix_rows, train

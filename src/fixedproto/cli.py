@@ -34,6 +34,7 @@ from .prototypes import (
     extractor_to_doc,
     factor_coded_extractor,
     fit_factor_coder,
+    json_field,
 )
 from .training import DivergenceError, TrainConfig, train
 
@@ -178,11 +179,34 @@ def _checkpoint_doc(embedder, classifier, dataset, config) -> dict:
 
 
 def _load_checkpoint(path):
+    """The checkpoint document and its model, with every field checked."""
     doc = _load_json(path)
-    if doc.get("format") != CHECKPOINT_FORMAT or doc.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"{path}: not a version-{CHECKPOINT_VERSION} checkpoint")
-    embedder = embedder_from_doc(doc["embedder"])
-    classifier = classifier_from_doc(doc["classifier"])
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+        raise ConfigError(f"{path}: not a {CHECKPOINT_FORMAT} document")
+    try:
+        if json_field(doc, "version", int) != CHECKPOINT_VERSION:
+            raise ValueError(f"not a version-{CHECKPOINT_VERSION} checkpoint")
+        for key in ("input_dim", "embedding_dim", "class_count", "seed"):
+            json_field(doc, key, int)
+        for key in ("class_names", "factor_names"):
+            if not all(type(name) is str for name in json_field(doc, key, list)):
+                raise TypeError(f"field {key!r} must list strings")
+        embedder = embedder_from_doc(json_field(doc, "embedder", dict))
+        classifier = classifier_from_doc(json_field(doc, "classifier", dict))
+    except KeyError as e:
+        raise ConfigError(f"{path}: checkpoint has no field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: {e}") from None
+    found = {
+        "input_dim": embedder.input_dim,
+        "embedding_dim": embedder.embedding_dim,
+        "class_count": classifier.class_count,
+    }
+    for key, value in found.items():
+        if doc[key] != value:
+            raise ConfigError(f"{path}: field {key!r} is {doc[key]}, the parameters give {value}")
+    if len(doc["class_names"]) != doc["class_count"]:
+        raise ConfigError(f"{path}: {len(doc['class_names'])} class names for {doc['class_count']} classes")
     return doc, embedder, classifier
 
 
@@ -195,7 +219,12 @@ def _load_extractor_for(checkpoint_path, override=None):
         if not os.path.exists(candidate):
             return None
         path = candidate
-    return extractor_from_doc(_load_json(path))
+    try:
+        return extractor_from_doc(_load_json(path))
+    except KeyError as e:
+        raise ConfigError(f"{path}: extractor document has no field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def _run_training(dataset: Dataset, config: TrainConfig):
@@ -269,12 +298,8 @@ def _eval_doc(doc, embedder, classifier, extractor, dataset: Dataset) -> dict:
         )
     trace = forward(embedder, classifier, dataset.X)
     acc = accuracy(trace.probs, dataset.Y)
-    prototypes = None
-    if extractor is not None:
-        if extractor.kind == "class-orthogonal":
-            prototypes = extractor.extract_batch(dataset.Y)
-        elif dataset.factors is not None:
-            prototypes = extractor.extract_batch(codes=extractor.coder.code(dataset.factors))
+    targets = None if extractor is None else extractor.targets(dataset.Y, dataset.factors)
+    prototypes = None if targets is None else extractor.extract_batch(targets)
     separation = separation_report(trace.z, dataset.Y, prototypes).to_dict()
     disentanglement = None
     joint = None
@@ -360,20 +385,20 @@ def cmd_explain(args) -> int:
         )
     layout = extractor.layout if extractor is not None and extractor.kind == "factor-coded" else None
     ids = _parse_selector(args.samples, dataset.n)
+    # Explained before the output directory exists: explain_sample raises if
+    # the relevance identity fails, and then nothing must have been written.
+    explanations = explain_sample(
+        embedder,
+        classifier,
+        dataset.X[ids],
+        sample_ids=ids,
+        layout=layout,
+        class_names=dataset.class_names,
+    )
     os.makedirs(args.out, exist_ok=True)
     outputs = []
-    for i in ids:
-        expl = explain_sample(
-            embedder,
-            classifier,
-            dataset.X[i],
-            sample_id=i,
-            layout=layout,
-            class_names=dataset.class_names,
-        )
-        if not np.array_equal(expl.gamma.sum(axis=0), expl.logits):
-            raise RuntimeError("relevance column sums diverged from logits")
-        base = f"sample_{i:05d}"
+    for expl in explanations:
+        base = f"sample_{expl.sample_id:05d}"
         _write_text(os.path.join(args.out, base + ".csv"), explanation_to_csv_text(expl))
         _write_json(os.path.join(args.out, base + ".json"), explanation_to_doc(expl))
         outputs.extend([base + ".csv", base + ".json"])
@@ -395,11 +420,8 @@ def _comparison_run(dataset: Dataset, config: TrainConfig, loss_kind: str, seed:
     run_config = TrainConfig.from_dict({**config.to_dict(), "loss": loss_kind, "seed": seed})
     embedder, classifier, history, extractor, val_set = _run_training(dataset, run_config)
     trace = forward(embedder, classifier, val_set.X)
-    prototypes = None
-    if extractor is not None and extractor.kind == "class-orthogonal":
-        prototypes = extractor.extract_batch(val_set.Y)
-    elif extractor is not None and val_set.factors is not None:
-        prototypes = extractor.extract_batch(codes=extractor.coder.code(val_set.factors))
+    targets = None if extractor is None else extractor.targets(val_set.Y, val_set.factors)
+    prototypes = None if targets is None else extractor.extract_batch(targets)
     sep = separation_report(trace.z, val_set.Y, prototypes)
     return {
         "seed": seed,

@@ -22,19 +22,6 @@ LABEL_SUM_TOL = 1e-9
 LEVEL_BANDS = ((-1.5, -0.5), (-0.5, 0.5), (0.5, 1.5))
 
 
-@dataclass
-class Sample:
-    """One observation: features, soft label, optional factor values.
-
-    ``factors`` holds raw per-factor values (m,) or soft level codes (m, 3);
-    ``None`` when the dataset has no factor columns.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    factors: np.ndarray | None = None
-
-
 @dataclass(eq=False)
 class Dataset:
     X: np.ndarray  # (n, p)
@@ -60,6 +47,10 @@ class Dataset:
                 raise ValueError("factors must be (n, m) with one row per sample")
             if len(self.factor_names) != F.shape[1]:
                 raise ValueError("one factor name per factor column required")
+            finite = np.all(np.isfinite(F), axis=0)
+            if not np.all(finite):
+                bad = self.factor_names[int(np.argmin(finite))]
+                raise ValueError(f"factor column {bad!r} contains non-finite values")
             self.factors = F
         elif self.factor_names:
             raise ValueError("factor names given but no factor values")
@@ -83,10 +74,6 @@ class Dataset:
     @property
     def factor_count(self) -> int:
         return 0 if self.factors is None else self.factors.shape[1]
-
-    def sample(self, i: int) -> Sample:
-        f = None if self.factors is None else self.factors[i]
-        return Sample(x=self.X[i], y=self.Y[i], factors=f)
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
@@ -327,13 +314,16 @@ def load_table(path, class_names=None) -> Dataset:
         Y[i, index[name]] = 1.0
 
     factors = np.array(rows_f) if factor_cols else None
-    return Dataset(
-        X=np.array(rows_x),
-        Y=Y,
-        factors=factors,
-        class_names=class_names,
-        factor_names=tuple(header[i] for i in factor_cols),
-    )
+    try:
+        return Dataset(
+            X=np.array(rows_x),
+            Y=Y,
+            factors=factors,
+            class_names=class_names,
+            factor_names=tuple(header[i] for i in factor_cols),
+        )
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def split(dataset: Dataset, train_fraction: float, seed) -> tuple:

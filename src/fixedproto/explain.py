@@ -1,4 +1,5 @@
-"""Per-prediction explanations from the relevance decomposition.
+"""Per-prediction explanations from the relevance decomposition, computed for
+a batch of rows in one forward pass.
 
 Each class logit is an exact sum of per-dimension contributions
 ``gamma[j, c] = weight[j, c] * z[j]``.  For factor-coded runs the rows carry
@@ -15,16 +16,9 @@ import numpy as np
 
 from .model import ClassifierParams, EmbedderParams, forward, relevance
 
-
-def dim_labels(layout, embedding_dim: int) -> list:
-    """Row labels for a relevance matrix; generic when no layout is given."""
-    if layout is None:
-        return [f"dim {j}" for j in range(embedding_dim)]
-    if layout.embedding_dim != embedding_dim:
-        raise ValueError(
-            f"layout embedding_dim {layout.embedding_dim} does not match {embedding_dim}"
-        )
-    return layout.dim_labels()
+# Largest gap allowed between relevance sums and the forward pass's logits
+# (acceptance criterion 7).
+RELEVANCE_TOL = 1e-9
 
 
 def _top_contributions(column: np.ndarray, count: int = 3):
@@ -50,33 +44,54 @@ class Explanation:
 def explain_sample(
     embedder: EmbedderParams,
     classifier: ClassifierParams,
-    x,
-    sample_id: int = 0,
+    X,
+    sample_ids=None,
     layout=None,
     class_names=None,
-) -> Explanation:
-    """Forward one sample and decompose its logits dimension by dimension."""
-    trace = forward(embedder, classifier, np.asarray(x, dtype=np.float64))
-    if not trace.single:
-        raise ValueError("explain_sample takes a single input vector")
+) -> list:
+    """Explain each row of ``X``: one forward pass, then every logit split by dimension.
+
+    Returns one :class:`Explanation` per row, labelled by ``sample_ids``
+    (default ``0..n-1``).  Raises ``RuntimeError`` when the relevance sums
+    miss the forward pass's own logits ``z @ W`` by more than
+    ``RELEVANCE_TOL``, so nothing built on a broken decomposition gets out.
+    """
+    trace = forward(embedder, classifier, X)
     rel = relevance(classifier, trace.z)
-    k, C = rel.gamma.shape
+    n, k, C = rel.gamma.shape
+    worst = float(np.max(np.abs(rel.gamma.sum(axis=1) - trace.logits), initial=0.0))
+    if not worst <= RELEVANCE_TOL:
+        raise RuntimeError(f"relevance sums are {worst:.3e} away from the forward logits")
+    sample_ids = range(n) if sample_ids is None else sample_ids
+    if len(sample_ids) != n:
+        raise ValueError(f"expected {n} sample ids, got {len(sample_ids)}")
     if class_names is None:
-        class_names = tuple(str(c) for c in range(C))
+        class_names = range(C)
+    class_names = tuple(str(c) for c in class_names)
     if len(class_names) != C:
         raise ValueError(f"expected {C} class names, got {len(class_names)}")
-    labels = dim_labels(layout, k)
-    tops = [_top_contributions(rel.gamma[:, c]) for c in range(C)]
-    return Explanation(
-        sample_id=int(sample_id),
-        class_names=tuple(str(c) for c in class_names),
-        probabilities=trace.probs,
-        gamma=rel.gamma,
-        logits=rel.logits,
-        row_labels=labels,
-        top_positive=[t[0] for t in tops],
-        top_negative=[t[1] for t in tops],
-    )
+    if layout is None:
+        labels = [f"dim {j}" for j in range(k)]
+    elif layout.embedding_dim != k:
+        raise ValueError(f"layout embedding_dim {layout.embedding_dim} does not match {k}")
+    else:
+        labels = layout.dim_labels()
+    explanations = []
+    for i, sample_id in enumerate(sample_ids):
+        tops = [_top_contributions(rel.gamma[i, :, c]) for c in range(C)]
+        explanations.append(
+            Explanation(
+                sample_id=int(sample_id),
+                class_names=class_names,
+                probabilities=trace.probs[i],
+                gamma=rel.gamma[i],
+                logits=rel.logits[i],
+                row_labels=labels,
+                top_positive=[t[0] for t in tops],
+                top_negative=[t[1] for t in tops],
+            )
+        )
+    return explanations
 
 
 def explanation_to_csv_text(expl: Explanation) -> str:

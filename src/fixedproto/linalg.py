@@ -93,7 +93,7 @@ def jlt_create(source_dim: int, target_dim: int, seed) -> np.ndarray:
 
     Entries are i.i.d. normal with standard deviation 1/sqrt(target_dim), so
     squared norms are preserved in expectation.  Shape is
-    ``(target_dim, source_dim)``; apply with :func:`jlt_apply`.
+    ``(target_dim, source_dim)``; project row vectors ``x`` as ``x @ T.T``.
     """
     if target_dim < 1:
         raise ValueError("target_dim must be >= 1")
@@ -105,15 +105,3 @@ def jlt_create(source_dim: int, target_dim: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.standard_normal((target_dim, source_dim)) / np.sqrt(target_dim)
 
-
-def jlt_apply(T: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply a projection matrix to a vector (or rows of a matrix)."""
-    T = np.asarray(T, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if T.ndim != 2:
-        raise ValueError("T must be 2-D")
-    if x.shape[-1] != T.shape[1]:
-        raise ValueError(f"input length {x.shape[-1]} does not match T columns {T.shape[1]}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite entries")
-    return x @ T.T

@@ -3,8 +3,9 @@ classifier head, exact reverse-mode gradients, and per-prediction relevance.
 
 The head has no bias on purpose: every class logit then decomposes exactly
 into per-dimension contributions (the relevance matrix), with nothing left
-over.  Forward and backward accept a single input vector or a batch matrix;
-batched backward returns gradients summed over the batch.
+over.  Forward, backward and relevance work on batches, one row per sample
+(a single sample is a 1-row batch); backward returns gradients summed over
+the batch.
 """
 
 from __future__ import annotations
@@ -120,9 +121,8 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 class ForwardTrace:
     """Everything the backward pass needs, plus the public outputs.
 
-    ``z``, ``logits`` and ``probs`` match the input's shape convention: 1-D
-    for a single sample, (n, .) for a batch.  The cached per-layer arrays are
-    always 2-D.
+    ``z`` is (n, embedding_dim); ``logits`` and ``probs`` are
+    (n, class_count), one row per input row.
     """
 
     embedder: EmbedderParams
@@ -132,16 +132,13 @@ class ForwardTrace:
     z: np.ndarray
     logits: np.ndarray
     probs: np.ndarray
-    single: bool
 
 
-def forward(embedder: EmbedderParams, classifier: ClassifierParams, x) -> ForwardTrace:
-    """Run the embedder and head, caching what backward needs."""
-    X = np.asarray(x, dtype=np.float64)
-    single = X.ndim == 1
-    A = np.atleast_2d(X)
-    if A.shape[1] != embedder.input_dim:
-        raise ValueError(f"input has length {A.shape[1]}, embedder expects {embedder.input_dim}")
+def forward(embedder: EmbedderParams, classifier: ClassifierParams, X) -> ForwardTrace:
+    """Run the embedder and head on a batch (n, input_dim), caching what backward needs."""
+    A = np.asarray(X, dtype=np.float64)
+    if A.ndim != 2 or A.shape[1] != embedder.input_dim:
+        raise ValueError(f"input has shape {A.shape}, embedder expects (n, {embedder.input_dim})")
     if classifier.embedding_dim != embedder.embedding_dim:
         raise ValueError("classifier embedding_dim does not match embedder output")
     inputs = []
@@ -151,19 +148,15 @@ def forward(embedder: EmbedderParams, classifier: ClassifierParams, x) -> Forwar
         S = A @ layer.weight.T + layer.bias
         pres.append(S)
         A = np.maximum(S, 0.0) if layer.activation == "relu" else S
-    z2d = A
-    logits2d = z2d @ classifier.weight
-    probs2d = softmax(logits2d)
-    squeeze = (lambda a: a[0]) if single else (lambda a: a)
+    logits = A @ classifier.weight
     return ForwardTrace(
         embedder=embedder,
         classifier=classifier,
         inputs=inputs,
         pre_activations=pres,
-        z=squeeze(z2d),
-        logits=squeeze(logits2d),
-        probs=squeeze(probs2d),
-        single=single,
+        z=A,
+        logits=logits,
+        probs=softmax(logits),
     )
 
 
@@ -197,24 +190,22 @@ def backward(trace: ForwardTrace, grad_logits, grad_z_extra=None) -> ModelGrads:
     """Exact reverse-mode gradients for all parameters.
 
     ``grad_logits`` and ``grad_z_extra`` are the partials of a scalar loss
-    with respect to the logits and (directly) the embedding; for a batched
-    trace they carry one row per sample and the returned gradients are the
-    sums over the batch.  ``grad_z_extra=None`` means the loss has no direct
-    embedding term.
+    with respect to the logits and (directly) the embedding, one row per
+    sample; the returned gradients are the sums over the batch.
+    ``grad_z_extra=None`` means the loss has no direct embedding term.
     """
-    gL = np.atleast_2d(np.asarray(grad_logits, dtype=np.float64))
+    gL = np.asarray(grad_logits, dtype=np.float64)
     n = trace.inputs[0].shape[0]
     C = trace.classifier.class_count
     if gL.shape != (n, C):
         raise ValueError(f"grad_logits has shape {gL.shape}, expected ({n}, {C})")
-    z2d = np.atleast_2d(trace.z)
     gZ = gL @ trace.classifier.weight.T
     if grad_z_extra is not None:
-        gE = np.atleast_2d(np.asarray(grad_z_extra, dtype=np.float64))
-        if gE.shape != z2d.shape:
-            raise ValueError(f"grad_z_extra has shape {gE.shape}, expected {z2d.shape}")
+        gE = np.asarray(grad_z_extra, dtype=np.float64)
+        if gE.shape != trace.z.shape:
+            raise ValueError(f"grad_z_extra has shape {gE.shape}, expected {trace.z.shape}")
         gZ = gZ + gE
-    d_clf = z2d.T @ gL
+    d_clf = trace.z.T @ gL
     layer_grads = []
     gA = gZ
     for layer, A_in, S in zip(
@@ -231,23 +222,24 @@ def backward(trace: ForwardTrace, grad_logits, grad_z_extra=None) -> ModelGrads:
 
 @dataclass(frozen=True, eq=False)
 class RelevanceMatrix:
-    """Per-dimension logit contributions for one embedding.
+    """Per-dimension logit contributions for a batch of embeddings.
 
-    ``gamma[j, c] = weight[j, c] * z[j]``; ``logits`` holds the column sums,
-    so the decomposition is exact by construction (same accumulation order).
+    ``gamma[i, j, c] = weight[j, c] * z[i, j]``; ``logits`` holds the sums
+    over ``j``, so the decomposition is exact by construction (same
+    accumulation order).
     """
 
-    gamma: np.ndarray  # (embedding_dim, class_count)
-    logits: np.ndarray  # (class_count,)
+    gamma: np.ndarray  # (n, embedding_dim, class_count)
+    logits: np.ndarray  # (n, class_count)
 
 
-def relevance(classifier: ClassifierParams, z) -> RelevanceMatrix:
-    """Relevance matrix of one embedding under the bias-free head."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.shape[0] != classifier.embedding_dim:
-        raise ValueError(f"z must be 1-D of length {classifier.embedding_dim}")
-    gamma = classifier.weight * z[:, None]
-    return RelevanceMatrix(gamma=gamma, logits=gamma.sum(axis=0))
+def relevance(classifier: ClassifierParams, Z) -> RelevanceMatrix:
+    """Relevance matrices of a batch of embeddings (n, k) under the bias-free head."""
+    Z = np.asarray(Z, dtype=np.float64)
+    if Z.ndim != 2 or Z.shape[1] != classifier.embedding_dim:
+        raise ValueError(f"embeddings have shape {Z.shape}, expected (n, {classifier.embedding_dim})")
+    gamma = classifier.weight[None] * Z[:, :, None]
+    return RelevanceMatrix(gamma=gamma, logits=gamma.sum(axis=1))
 
 
 def embedder_to_doc(embedder: EmbedderParams) -> dict:

@@ -1,8 +1,10 @@
 """Fixed (non-trainable) prototype extractors.
 
-A prototype extractor maps a (soft) class label and optional factor values to
-a target point in embedding space.  It is frozen at construction and never
-updated by training.  Two constructions are provided:
+A prototype extractor maps rows of (soft) class labels or factor level codes
+to target points in embedding space.  It is frozen at construction and never
+updated by training.  ``targets(Y, factors)`` picks and checks, once per
+dataset, the rows an extractor reads; ``extract_batch`` maps a batch of such
+rows to prototypes.  Two constructions are provided:
 
 * class-orthogonal: one prototype per class.  When the embedding has room
   (k >= C) the prototypes are mutually orthonormal; otherwise orthonormal
@@ -13,8 +15,8 @@ updated by training.  Two constructions are provided:
   concatenated and padded with a zero block.  Labels are ignored; the zero
   block leaves the trailing dimensions free for factors nobody named.
 
-Both kinds are linear in the soft label / soft level-code inputs, so a convex
-mix of inputs yields the same convex mix of prototypes.  That is what makes
+Both kinds are linear in the soft label / soft level-code rows, so a convex
+mix of rows yields the same convex mix of prototypes.  That is what makes
 label-mixing augmentation compatible with prototype matching.
 """
 
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import LABEL_SUM_TOL
 from .linalg import jlt_create, random_orthonormal_basis
 
 LEVELS_PER_FACTOR = 3
@@ -38,22 +41,18 @@ QUANTILE_METHOD = "interpolated_inverted_cdf"
 EXTRACTOR_FORMAT = "prototype-extractor"
 EXTRACTOR_VERSION = 1
 
-LABEL_SUM_TOL = 1e-9
 
+def json_field(doc: dict, key: str, *types):
+    """``doc[key]``, required to be exactly one of ``types`` (so a bool is no int).
 
-def _validate_simplex(vec: np.ndarray, what: str, length: int | None = None) -> np.ndarray:
-    v = np.asarray(vec, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{what} must be 1-D, got shape {v.shape}")
-    if length is not None and v.shape[0] != length:
-        raise ValueError(f"{what} has length {v.shape[0]}, expected {length}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{what} contains non-finite entries")
-    if np.any(v < 0):
-        raise ValueError(f"{what} has negative entries")
-    if abs(float(v.sum()) - 1.0) > LABEL_SUM_TOL:
-        raise ValueError(f"{what} must sum to 1 (got {float(v.sum())!r})")
-    return v
+    Raises ``KeyError`` when the field is missing and ``TypeError`` when it
+    has another type.
+    """
+    value = doc[key]
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"field {key!r} must be {names}, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +76,8 @@ class FactorCoder:
             raise ValueError("lower and upper must be 1-D arrays of equal length")
         if len(self.names) != lo.shape[0]:
             raise ValueError("one name per factor required")
+        if lo.shape[0] == 0:
+            raise ValueError("at least one factor required")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("thresholds must be finite")
         if np.any(lo > hi):
@@ -114,8 +115,6 @@ def fit_factor_coder(values_per_factor, names=None) -> FactorCoder:
     values.
     """
     columns = [np.asarray(col, dtype=np.float64) for col in values_per_factor]
-    if not columns:
-        raise ValueError("at least one factor required")
     if names is None:
         names = tuple(f"alpha_{i}" for i in range(len(columns)))
     names = tuple(str(n) for n in names)
@@ -136,21 +135,6 @@ def fit_factor_coder(values_per_factor, names=None) -> FactorCoder:
         lower[i] = np.quantile(col, 1.0 / 3.0, method=QUANTILE_METHOD)
         upper[i] = np.quantile(col, 2.0 / 3.0, method=QUANTILE_METHOD)
     return FactorCoder(names=names, lower=lower, upper=upper)
-
-
-def code_factor(coder: FactorCoder, factor_index: int, value: float) -> np.ndarray:
-    """Code a single raw value as (1,0,0), (0,1,0) or (0,0,1).
-
-    Ties fall into the lower bin: a value exactly equal to a threshold codes
-    as the bin below it.
-    """
-    if not 0 <= factor_index < coder.factor_count:
-        raise ValueError(f"factor_index {factor_index} out of range [0, {coder.factor_count})")
-    value = float(value)
-    level = int(value > coder.lower[factor_index]) + int(value > coder.upper[factor_index])
-    out = np.zeros(LEVELS_PER_FACTOR)
-    out[level] = 1.0
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,17 +213,30 @@ class ClassOrthogonalExtractor:
     def kind(self) -> str:
         return "class-orthogonal"
 
-    def extract(self, label, factors=None) -> np.ndarray:
-        """Prototype for a (soft) label: the label-weighted mix of class rows.
+    def targets(self, Y, factors=None) -> np.ndarray:
+        """The rows :meth:`extract_batch` takes for these samples: the labels.
 
-        Linear in the label and constant in ``factors`` (accepted and
-        ignored).
+        Checks that ``Y`` is (n, class_count), finite and nonnegative, with
+        each row summing to 1 within ``LABEL_SUM_TOL``.  ``factors`` is
+        ignored.
         """
-        y = _validate_simplex(label, "label", self.class_count)
-        return self.table.T @ y
+        Y = np.asarray(Y, dtype=np.float64)
+        if Y.ndim != 2:
+            raise ValueError(f"labels must be 2-D (n, {self.class_count}), got shape {Y.shape}")
+        if Y.shape[1] != self.class_count:
+            raise ValueError(f"extractor has {self.class_count} classes, labels have {Y.shape[1]}")
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("labels contain non-finite entries")
+        if np.any(Y < 0):
+            raise ValueError("labels have negative entries")
+        worst = float(np.max(np.abs(Y.sum(axis=1) - 1.0), initial=0.0))
+        if worst > LABEL_SUM_TOL:
+            raise ValueError(f"label rows must sum to 1 (worst row is off by {worst!r})")
+        return Y
 
-    def extract_batch(self, labels, codes=None) -> np.ndarray:
-        labels = np.asarray(labels, dtype=np.float64)
+    def extract_batch(self, targets) -> np.ndarray:
+        """Prototypes for (soft) label rows (n, C): label-weighted mixes of the class rows."""
+        labels = np.asarray(targets, dtype=np.float64)
         if labels.ndim != 2 or labels.shape[1] != self.class_count:
             raise ValueError(f"labels must have shape (n, {self.class_count})")
         return labels @ self.table
@@ -266,45 +263,33 @@ class FactorCodedExtractor:
     def embedding_dim(self) -> int:
         return self.layout.embedding_dim
 
-    def _codes_from(self, factors) -> np.ndarray:
-        m = self.layout.factor_count
-        f = np.asarray(factors, dtype=np.float64)
-        if f.ndim == 1:
-            if f.shape[0] != m:
-                raise ValueError(f"expected {m} factor values, got {f.shape[0]}")
-            return self.coder.code(f)
-        if f.ndim == 2:
-            if f.shape != (m, LEVELS_PER_FACTOR):
-                raise ValueError(f"soft level codes must have shape ({m}, {LEVELS_PER_FACTOR})")
-            for i in range(m):
-                _validate_simplex(f[i], f"level code for factor {self.layout.names[i]!r}")
-            return f
-        raise ValueError("factors must be raw values (m,) or level codes (m, 3)")
+    def targets(self, Y, factors=None) -> np.ndarray | None:
+        """The rows :meth:`extract_batch` takes: hard level codes (n, m, 3).
 
-    def extract(self, label=None, factors=None) -> np.ndarray:
-        """Prototype from raw factor values or (soft) level codes.
-
-        The coded dimensions carry the level codes in factor order; the
-        remaining dimensions are exactly zero.  Linear in soft level codes
-        and constant in the label.
+        Codes the raw factor values (n, m) after checking their shape and
+        that they are finite.  ``None`` when there are no factor values;
+        ``Y`` is ignored.
         """
         if factors is None:
-            raise ValueError("factor-coded extractor requires factor values or level codes")
-        if label is not None:
-            _validate_simplex(label, "label")
-        codes = self._codes_from(factors)
-        out = np.zeros(self.layout.embedding_dim)
-        out[: self.layout.coded_dim] = codes.ravel()
-        return out
+            return None
+        F = np.asarray(factors, dtype=np.float64)
+        m = self.layout.factor_count
+        if F.ndim != 2 or F.shape[1] != m:
+            raise ValueError(f"factor values have shape {F.shape}, extractor expects (n, {m})")
+        if not np.all(np.isfinite(F)):
+            raise ValueError("factor values contain non-finite entries")
+        return self.coder.code(F)
 
-    def extract_batch(self, labels=None, codes=None) -> np.ndarray:
-        """Prototypes for pre-coded (possibly soft) level codes (n, m, 3)."""
-        if codes is None:
-            raise ValueError("factor-coded extractor requires level codes")
-        c = np.asarray(codes, dtype=np.float64)
+    def extract_batch(self, targets) -> np.ndarray:
+        """Prototypes for (possibly soft) level codes (n, m, 3).
+
+        The coded dimensions carry the level codes in factor order; the
+        remaining dimensions are exactly zero.
+        """
+        c = np.asarray(targets, dtype=np.float64)
         m = self.layout.factor_count
         if c.ndim != 3 or c.shape[1:] != (m, LEVELS_PER_FACTOR):
-            raise ValueError(f"codes must have shape (n, {m}, {LEVELS_PER_FACTOR})")
+            raise ValueError(f"level codes must have shape (n, {m}, {LEVELS_PER_FACTOR})")
         out = np.zeros((c.shape[0], self.layout.embedding_dim))
         out[:, : self.layout.coded_dim] = c.reshape(c.shape[0], -1)
         return out
@@ -351,11 +336,6 @@ def factor_coded_extractor(coder: FactorCoder, factor_count: int, embedding_dim:
     return FactorCodedExtractor(coder=coder, layout=layout)
 
 
-def extract_prototype(extractor, label, factors=None) -> np.ndarray:
-    """Prototype for one sample; dispatches on extractor kind."""
-    return extractor.extract(label, factors)
-
-
 def extractor_to_doc(extractor) -> dict:
     """Serialize an extractor to a versioned, JSON-ready document."""
     if isinstance(extractor, ClassOrthogonalExtractor):
@@ -388,27 +368,35 @@ def extractor_to_doc(extractor) -> dict:
 
 
 def extractor_from_doc(doc: dict):
-    """Rebuild an extractor from its serialized document."""
+    """Rebuild an extractor from its serialized document.
+
+    Every field is checked: a missing one raises ``KeyError``, one of the
+    wrong type ``TypeError``, and a bad value ``ValueError``.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("an extractor document must be a JSON object")
     if doc.get("format") != EXTRACTOR_FORMAT:
         raise ValueError(f"not a prototype extractor document: {doc.get('format')!r}")
-    if doc.get("version") != EXTRACTOR_VERSION:
-        raise ValueError(f"unsupported extractor document version {doc.get('version')!r}")
+    if json_field(doc, "version", int) != EXTRACTOR_VERSION:
+        raise ValueError(f"unsupported extractor document version {doc['version']!r}")
     kind = doc.get("kind")
     if kind == "class-orthogonal":
         return ClassOrthogonalExtractor(
-            class_count=int(doc["class_count"]),
-            embedding_dim=int(doc["embedding_dim"]),
-            seed=int(doc["seed"]),
-            table=np.array(doc["table"], dtype=np.float64),
+            class_count=json_field(doc, "class_count", int),
+            embedding_dim=json_field(doc, "embedding_dim", int),
+            seed=json_field(doc, "seed", int),
+            table=np.array(json_field(doc, "table", list), dtype=np.float64),
         )
     if kind == "factor-coded":
-        factors = doc["factors"]
+        if doc.get("quantile_method") != QUANTILE_METHOD:
+            raise ValueError(f"unsupported quantile_method {doc.get('quantile_method')!r}")
+        factors = json_field(doc, "factors", list)
         coder = FactorCoder(
-            names=tuple(f["name"] for f in factors),
-            lower=np.array([f["lower"] for f in factors], dtype=np.float64),
-            upper=np.array([f["upper"] for f in factors], dtype=np.float64),
+            names=tuple(json_field(f, "name", str) for f in factors),
+            lower=np.array([json_field(f, "lower", float, int) for f in factors], dtype=np.float64),
+            upper=np.array([json_field(f, "upper", float, int) for f in factors], dtype=np.float64),
         )
-        return factor_coded_extractor(coder, len(factors), int(doc["embedding_dim"]))
+        return factor_coded_extractor(coder, len(factors), json_field(doc, "embedding_dim", int))
     raise ValueError(f"unknown extractor kind {kind!r}")
 
 

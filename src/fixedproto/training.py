@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Sample
+from .data import Dataset
 from .metrics import accuracy
 from .model import (
     backward,
@@ -133,8 +133,8 @@ class TrainConfig:
 class LossResult:
     """Loss values and the partials the backward pass needs.
 
-    Scalars for a single sample, per-sample vectors for a batched trace.
-    ``grad_z_extra`` is None when there is no prototype term.
+    One entry (or row) per sample of the batch.  ``grad_z_extra`` is None
+    when there is no prototype term.
     """
 
     total: np.ndarray
@@ -174,34 +174,16 @@ def loss(y, trace, prototype, lambda_p: float) -> LossResult:
     )
 
 
-def mix_samples(sample_a: Sample, sample_b: Sample, lam: float) -> Sample:
-    """Convex combination of two samples with a known coefficient.
+def mix_rows(a: np.ndarray, lam: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Mixup of a batch with itself.
 
-    Factors must be pre-coded (soft level codes) to mix; mixing raw factor
-    values and re-discretizing would break linearity of the prototypes.
+    Row ``i`` becomes ``lam[i] * a[i] + (1 - lam[i]) * a[perm[i]]``.  Works
+    on inputs, labels and (soft) level codes alike.  Factors must be coded
+    before mixing: mixing raw values and re-discretizing would break the
+    linearity of the prototypes.
     """
-    lam = float(lam)
-    x = lam * sample_a.x + (1.0 - lam) * sample_b.x
-    y = lam * sample_a.y + (1.0 - lam) * sample_b.y
-    fa, fb = sample_a.factors, sample_b.factors
-    if fa is None and fb is None:
-        factors = None
-    elif fa is None or fb is None:
-        raise ValueError("cannot mix a sample with factors against one without")
-    else:
-        fa = np.asarray(fa, dtype=np.float64)
-        fb = np.asarray(fb, dtype=np.float64)
-        if fa.ndim != 2 or fb.ndim != 2:
-            raise ValueError("factors must be coded as (m, 3) level codes before mixing")
-        factors = lam * fa + (1.0 - lam) * fb
-    return Sample(x=x, y=y, factors=factors)
-
-
-def mixup(sample_a: Sample, sample_b: Sample, alpha: float, rng) -> Sample:
-    """Mix two samples with lambda drawn from Beta(alpha, alpha)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    return mix_samples(sample_a, sample_b, rng.beta(alpha, alpha))
+    lam = lam.reshape((-1,) + (1,) * (a.ndim - 1))
+    return lam * a + (1.0 - lam) * a[perm]
 
 
 class SGD:
@@ -305,11 +287,13 @@ class TrainHistory:
 def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None = None):
     """Minibatch training; returns (embedder, classifier, history).
 
-    Per batch: forward all samples, look up their fixed prototypes, average
-    the per-sample losses, and take one optimizer step on the exact batch
-    gradient.  The extractor is read-only throughout.  Runs are deterministic
-    for a fixed config seed: initialization, shuffling and mixup draw from
-    independent child streams of it, in a fixed order.
+    The extractor's ``targets`` are looked up and checked once.  Per batch:
+    mix the rows (with mixup), forward all samples, look up their fixed
+    prototypes, average the per-sample losses, and take one optimizer step
+    on the exact batch gradient.  The extractor is read-only throughout.
+    Runs are deterministic for a fixed config seed: initialization,
+    shuffling and mixup draw from independent child streams of it, in a
+    fixed order.
     """
     if dataset.n == 0:
         raise ValueError("dataset is empty")
@@ -318,27 +302,16 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
     if use_proto and extractor is None:
         raise ValueError("prototype loss requires an extractor")
 
-    codes = None
+    targets = None
     if use_proto:
         if extractor.embedding_dim != config.embedding_dim:
             raise ValueError(
                 f"extractor embedding_dim {extractor.embedding_dim} "
                 f"does not match config embedding_dim {config.embedding_dim}"
             )
-        if extractor.kind == "factor-coded":
-            if dataset.factors is None:
-                raise ValueError("factor-coded extractor needs a dataset with factor values")
-            if dataset.factor_count != extractor.layout.factor_count:
-                raise ValueError(
-                    f"dataset has {dataset.factor_count} factors, "
-                    f"extractor expects {extractor.layout.factor_count}"
-                )
-            codes = extractor.coder.code(dataset.factors)  # (n, m, 3)
-        elif extractor.class_count != dataset.class_count:
-            raise ValueError(
-                f"extractor has {extractor.class_count} classes, "
-                f"dataset has {dataset.class_count}"
-            )
+        targets = extractor.targets(dataset.Y, dataset.factors)
+        if targets is None:
+            raise ValueError(f"{extractor.kind} extractor needs a dataset with factor values")
 
     emb_seed, clf_seed, shuffle_seed, mix_seed = np.random.SeedSequence(config.seed).spawn(4)
     embedder = init_embedder(dataset.input_dim, config.hidden_dims, config.embedding_dim, emb_seed)
@@ -358,16 +331,15 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
         for batch_i, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
             xb, yb = X[idx], Y[idx]
-            cb = None if codes is None else codes[idx]
+            tb = None if targets is None else targets[idx]
             if config.mixup_alpha > 0:
                 perm = rng_mix.permutation(idx.size)
                 lam = rng_mix.beta(config.mixup_alpha, config.mixup_alpha, size=idx.size)
-                xb = lam[:, None] * xb + (1.0 - lam)[:, None] * xb[perm]
-                yb = lam[:, None] * yb + (1.0 - lam)[:, None] * yb[perm]
-                if cb is not None:
-                    cb = lam[:, None, None] * cb + (1.0 - lam)[:, None, None] * cb[perm]
+                xb, yb = mix_rows(xb, lam, perm), mix_rows(yb, lam, perm)
+                if tb is not None:
+                    tb = mix_rows(tb, lam, perm)
             trace = forward(embedder, classifier, xb)
-            proto = extractor.extract_batch(yb, cb) if use_proto else None
+            proto = extractor.extract_batch(tb) if use_proto else None
             res = loss(yb, trace, proto, lambda_p if use_proto else 0.0)
             batch_mean = float(np.mean(res.total))
             if not np.isfinite(batch_mean):

@@ -104,20 +104,20 @@ def test_criterion_2_multilinearity():
     coder = fit_factor_coder([rng.standard_normal(50) for _ in range(m)])
     factor_ex = factor_coded_extractor(coder, m, k)
     worst = 0.0
-    for _ in range(1000):
-        ya, yb = rng.dirichlet(np.ones(C)), rng.dirichlet(np.ones(C))
+    for _ in range(1000):  # each trial on 1-row batches
+        ya, yb = rng.dirichlet(np.ones(C), size=1), rng.dirichlet(np.ones(C), size=1)
         a = rng.random()
         b = 1.0 - a
-        lhs = class_ex.extract(a * ya + b * yb)
-        rhs = a * class_ex.extract(ya) + b * class_ex.extract(yb)
+        lhs = class_ex.extract_batch(a * ya + b * yb)
+        rhs = a * class_ex.extract_batch(ya) + b * class_ex.extract_batch(yb)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     for _ in range(1000):
-        ca = rng.dirichlet(np.ones(3), size=m)
-        cb = rng.dirichlet(np.ones(3), size=m)
+        ca = rng.dirichlet(np.ones(3), size=m)[None]
+        cb = rng.dirichlet(np.ones(3), size=m)[None]
         a = rng.random()
         b = 1.0 - a
-        lhs = factor_ex.extract(factors=a * ca + b * cb)
-        rhs = a * factor_ex.extract(factors=ca) + b * factor_ex.extract(factors=cb)
+        lhs = factor_ex.extract_batch(a * ca + b * cb)
+        rhs = a * factor_ex.extract_batch(ca) + b * factor_ex.extract_batch(cb)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst < 1e-12, f"max deviation {worst:.3e}"
     assert time.time() - start < 1.0
@@ -165,7 +165,7 @@ def test_criterion_5_disentanglement_claim(factor_runs):
         assert probe.designated_accuracy >= 0.90, (
             f"{probe.name}: designated probe {probe.designated_accuracy:.3f}"
         )
-    prototypes = extractor.extract_batch(codes=extractor.coder.code(va.factors))
+    prototypes = extractor.extract_batch(extractor.targets(va.Y, va.factors))
     coded = extractor.layout.coded_dim
     dist = float(np.mean(np.linalg.norm(trace.z[:, :coded] - prototypes[:, :coded], axis=1)))
     assert dist < 0.5, f"designated-dim prototype distance {dist:.3f}"
@@ -185,12 +185,12 @@ def test_criterion_7_relevance_identity(factor_runs):
     embedder, classifier, _, extractor, va = factor_runs[("proto", 0)]
     rng = np.random.default_rng(0)
     ids = rng.choice(va.n, size=100, replace=False)
-    for i in ids:
-        expl = explain_sample(embedder, classifier, va.X[i], sample_id=int(i),
-                              layout=extractor.layout, class_names=va.class_names)
-        reference = forward(embedder, classifier, va.X[i]).logits
+    explanations = explain_sample(embedder, classifier, va.X[ids], sample_ids=ids,
+                                  layout=extractor.layout, class_names=va.class_names)
+    for i, expl in zip(ids, explanations):
+        reference = forward(embedder, classifier, va.X[i : i + 1]).logits[0]  # a 1-row batch
         assert np.max(np.abs(expl.gamma.sum(axis=0) - reference)) < 1e-9
-    expl = explain_sample(embedder, classifier, va.X[0], layout=extractor.layout)
+    expl = explanations[0]
     factor_rows = [l for l in expl.row_labels if not l.startswith("other factor")]
     free_rows = [l for l in expl.row_labels if l.startswith("other factor")]
     assert len(factor_rows) == 9

@@ -5,10 +5,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fixedproto.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
-from fixedproto.model import forward
+from fixedproto.data import load_table
+from fixedproto.model import RelevanceMatrix, forward
 from fixedproto.cli import _load_checkpoint
+from fixedproto.prototypes import extractor_to_doc, factor_coded_extractor, fit_factor_coder
 
 
 def write_json(path, doc):
@@ -189,6 +193,40 @@ class TestEval:
         err = capsys.readouterr().err
         assert "6" in err and "2" in err
 
+    def test_nan_factor_value_rejected(self, tmp_path, trained_run, capsys):
+        data = tmp_path / "nan.csv"
+        header = ",".join([f"f{j}" for j in range(6)] + ["label", "alpha_0", "alpha_1"])
+        rows = [",".join(["0.5"] * 6 + [str(i % 2), "0.1", "nan" if i == 3 else "0.2"])
+                for i in range(6)]
+        data.write_text("\n".join([header] + rows) + "\n")
+        code = main(["eval", str(trained_run / "checkpoint.json"), str(data), "--quiet"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(data) in err and "'alpha_1'" in err
+
+    def test_checkpoint_without_classifier_rejected(self, tmp_path, blob_file, trained_run, capsys):
+        doc = json.loads((trained_run / "checkpoint.json").read_text())
+        del doc["classifier"]
+        broken = tmp_path / "broken.json"
+        write_json(broken, doc)
+        assert main(["eval", str(broken), str(blob_file), "--quiet",
+                     "--extractor", str(trained_run / "extractor.json")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(broken) in err and "classifier" in err
+
+    def test_checkpoint_that_is_a_list_rejected(self, tmp_path, blob_file, capsys):
+        broken = tmp_path / "list.json"
+        write_json(broken, [1, 2, 3])
+        assert main(["eval", str(broken), str(blob_file), "--quiet"]) == EXIT_CONFIG
+        assert str(broken) in capsys.readouterr().err
+
+    def test_extractor_that_is_a_list_rejected(self, tmp_path, blob_file, trained_run, capsys):
+        broken = tmp_path / "list.json"
+        write_json(broken, [1, 2, 3])
+        assert main(["eval", str(trained_run / "checkpoint.json"), str(blob_file), "--quiet",
+                     "--extractor", str(broken)]) == EXIT_CONFIG
+        assert str(broken) in capsys.readouterr().err
+
 
 class TestExplain:
     def test_single_sample_csv_layout(self, tmp_path, blob_file, trained_run):
@@ -210,15 +248,30 @@ class TestExplain:
         out = tmp_path / "expl0"
         main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
               "--samples", "0,3", "--out", str(out), "--quiet"])
-        from fixedproto.data import load_table
-
         doc, embedder, classifier = _load_checkpoint(trained_run / "checkpoint.json")
         dataset = load_table(blob_file, class_names=doc["class_names"])
         for i in (0, 3):
             lines = (out / f"sample_{i:05d}.csv").read_text().strip().splitlines()[1:]
             gamma = np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
-            logits = forward(embedder, classifier, dataset.X[i]).logits
+            logits = forward(embedder, classifier, dataset.X[i : i + 1]).logits[0]
             assert np.max(np.abs(gamma.sum(axis=0) - logits)) < 1e-9
+
+    def test_broken_relevance_fails_before_writing(self, tmp_path, blob_file, trained_run,
+                                                   monkeypatch):
+        import fixedproto.explain as explain_module
+
+        original = explain_module.relevance
+
+        def off_by_a_little(classifier, Z):
+            gamma = original(classifier, Z).gamma + 1e-6
+            return RelevanceMatrix(gamma=gamma, logits=gamma.sum(axis=-2))
+
+        monkeypatch.setattr(explain_module, "relevance", off_by_a_little)
+        out = tmp_path / "expl"
+        with pytest.raises(RuntimeError):
+            main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
+                  "--samples", "0,3", "--out", str(out), "--quiet"])
+        assert not out.exists() or not [f for f in os.listdir(out) if f.startswith("sample_")]
 
     def test_selector_out_of_range(self, tmp_path, blob_file, trained_run, capsys):
         code = main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
@@ -257,3 +310,67 @@ class TestCompare:
                      "--out", str(tmp_path / "c")])
         assert code == EXIT_CONFIG
         assert "train_fraction" in capsys.readouterr().err
+
+
+# A checkpoint and two extractor documents (one of each kind) that eval
+# accepts, for the malformed-document property below.
+@pytest.fixture(scope="module")
+def valid_documents(tmp_path_factory):
+    root = tmp_path_factory.mktemp("documents")
+    data = root / "data.csv"
+    config = gen_config(root, factor_count=1, input_dim=6)
+    assert main(["gen-data", "--config", str(config), "--out", str(data), "--quiet"]) == EXIT_OK
+    run = root / "run"
+    assert main(["train", str(data), "--config", str(train_config(root, epochs=2)),
+                 "--out", str(run), "--quiet"]) == EXIT_OK
+    factors = load_table(data).factors
+    coder = fit_factor_coder([factors[:, 0]], names=("alpha_0",))
+    return {
+        "data": data,
+        "checkpoint": json.loads((run / "checkpoint.json").read_text()),
+        "class-orthogonal": json.loads((run / "extractor.json").read_text()),
+        "factor-coded": extractor_to_doc(factor_coded_extractor(coder, 1, 8)),
+    }
+
+
+def eval_with(documents, tmp_dir, checkpoint=None, extractor=None):
+    ckpt, ext = tmp_dir / "checkpoint.json", tmp_dir / "extractor.json"
+    ckpt.write_text(json.dumps(documents["checkpoint"] if checkpoint is None else checkpoint))
+    ext.write_text(json.dumps(documents["class-orthogonal"] if extractor is None else extractor))
+    return main(["eval", str(ckpt), str(documents["data"]), "--extractor", str(ext), "--quiet"])
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=4),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def broken_copies(draw, doc):
+    """``doc`` with one top-level key dropped or given a value of another type."""
+    key = draw(st.sampled_from(sorted(doc)))
+    broken = dict(doc)
+    if draw(st.booleans()):
+        del broken[key]
+    else:
+        broken[key] = draw(JSON_VALUES.filter(lambda v: type(v) is not type(doc[key])))
+    return broken
+
+
+class TestMalformedDocuments:
+    def test_valid_documents_accepted(self, valid_documents, tmp_path):
+        assert eval_with(valid_documents, tmp_path) == EXIT_OK
+        assert eval_with(valid_documents, tmp_path, extractor=valid_documents["factor-coded"]) == EXIT_OK
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_broken_document_exits_2(self, valid_documents, tmp_path, data):
+        which = data.draw(st.sampled_from(["checkpoint", "class-orthogonal", "factor-coded"]))
+        broken = data.draw(broken_copies(valid_documents[which]))
+        if which == "checkpoint":
+            code = eval_with(valid_documents, tmp_path, checkpoint=broken)
+        else:
+            code = eval_with(valid_documents, tmp_path, extractor=broken)
+        assert code == EXIT_CONFIG

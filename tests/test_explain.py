@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fixedproto.explain import (
-    dim_labels,
     explain_sample,
     explanation_to_csv_text,
     explanation_to_doc,
@@ -18,11 +17,17 @@ def identity_embedder(dim):
     )
 
 
+def explain_one(embedder, classifier, x, **kwargs):
+    """The explanation of one sample, run as a 1-row batch."""
+    (expl,) = explain_sample(embedder, classifier, np.asarray(x, dtype=float)[None], **kwargs)
+    return expl
+
+
 class TestExplainSample:
     def test_zero_embedding_gives_zero_contributions_and_uniform_prediction(self):
         embedder = identity_embedder(3)
         classifier = ClassifierParams(weight=np.ones((3, 4)))
-        expl = explain_sample(embedder, classifier, np.zeros(3))
+        expl = explain_one(embedder, classifier, np.zeros(3))
         assert np.array_equal(expl.gamma, np.zeros((3, 4)))
         assert np.allclose(expl.probabilities, 0.25, atol=1e-15)
         assert expl.top_positive == [[], [], [], []]
@@ -32,7 +37,7 @@ class TestExplainSample:
         layout = FactorLayout(names=("alpha_0", "alpha_1", "alpha_2"), embedding_dim=16)
         embedder = identity_embedder(16)
         classifier = init_classifier(16, 4, seed=0)
-        expl = explain_sample(embedder, classifier, np.ones(16), layout=layout)
+        expl = explain_one(embedder, classifier, np.ones(16), layout=layout)
         factor_rows = [l for l in expl.row_labels if not l.startswith("other factor")]
         free_rows = [l for l in expl.row_labels if l.startswith("other factor")]
         assert len(factor_rows) == 9
@@ -44,7 +49,7 @@ class TestExplainSample:
         embedder = identity_embedder(6)
         classifier = ClassifierParams(weight=rng.standard_normal((6, 3)))
         x = rng.standard_normal(6)
-        expl = explain_sample(embedder, classifier, x)
+        expl = explain_one(embedder, classifier, x)
         gamma = classifier.weight * x[:, None]
         for c in range(3):
             best = max(range(6), key=lambda j: abs(gamma[j, c]))
@@ -56,7 +61,7 @@ class TestExplainSample:
     def test_top_lists_sorted_and_capped(self):
         embedder = identity_embedder(5)
         classifier = ClassifierParams(weight=np.ones((5, 1)))
-        expl = explain_sample(embedder, classifier, np.array([3.0, -4.0, 1.0, 2.0, -0.5]))
+        expl = explain_one(embedder, classifier, np.array([3.0, -4.0, 1.0, 2.0, -0.5]))
         pos = expl.top_positive[0]
         neg = expl.top_negative[0]
         assert [v for _, v in pos] == [3.0, 2.0, 1.0]
@@ -67,21 +72,34 @@ class TestExplainSample:
         rng = np.random.default_rng(1)
         embedder = init_embedder(4, (6,), 5, seed=0)
         classifier = init_classifier(5, 3, seed=1)
-        for _ in range(10):
-            expl = explain_sample(embedder, classifier, rng.standard_normal(4))
+        for expl in explain_sample(embedder, classifier, rng.standard_normal((10, 4))):
             assert np.array_equal(expl.gamma.sum(axis=0), expl.logits)
 
     def test_probabilities_sum_to_one(self):
         embedder = init_embedder(4, (6,), 5, seed=0)
         classifier = init_classifier(5, 3, seed=1)
-        expl = explain_sample(embedder, classifier, np.ones(4))
+        expl = explain_one(embedder, classifier, np.ones(4))
         assert abs(expl.probabilities.sum() - 1.0) < 1e-9
 
-    def test_batch_input_rejected(self):
+    def test_single_vector_input_rejected(self):
         embedder = identity_embedder(3)
         classifier = ClassifierParams(weight=np.ones((3, 2)))
         with pytest.raises(ValueError):
-            explain_sample(embedder, classifier, np.ones((2, 3)))
+            explain_sample(embedder, classifier, np.ones(3))
+
+    def test_batch_matches_one_row_batches(self):
+        rng = np.random.default_rng(2)
+        embedder = init_embedder(4, (6,), 5, seed=0)
+        classifier = init_classifier(5, 3, seed=1)
+        X = rng.standard_normal((7, 4))
+        batch = explain_sample(embedder, classifier, X, sample_ids=[10 + i for i in range(7)])
+        for i, expl in enumerate(batch):
+            alone = explain_one(embedder, classifier, X[i], sample_ids=[10 + i])
+            assert expl.sample_id == alone.sample_id == 10 + i
+            assert np.allclose(expl.gamma, alone.gamma, rtol=1e-12, atol=1e-12)
+            dims = lambda tops: [[j for j, _ in per_class] for per_class in tops]
+            assert dims(expl.top_positive) == dims(alone.top_positive)
+            assert dims(expl.top_negative) == dims(alone.top_negative)
 
 
 class TestExports:
@@ -89,7 +107,7 @@ class TestExports:
         layout = FactorLayout(names=("a",), embedding_dim=5)
         embedder = identity_embedder(5)
         classifier = ClassifierParams(weight=np.arange(10.0).reshape(5, 2))
-        return explain_sample(
+        return explain_one(
             embedder, classifier, np.array([1.0, 0.0, 0.0, 2.0, -1.0]),
             layout=layout, class_names=("neg", "pos"),
         )
@@ -115,12 +133,14 @@ class TestExports:
 
 class TestDimLabels:
     def test_generic_labels_without_layout(self):
-        assert dim_labels(None, 3) == ["dim 0", "dim 1", "dim 2"]
+        expl = explain_one(identity_embedder(3), ClassifierParams(weight=np.ones((3, 2))), np.ones(3))
+        assert expl.row_labels == ["dim 0", "dim 1", "dim 2"]
 
     def test_layout_mismatch_rejected(self):
         layout = FactorLayout(names=("a",), embedding_dim=5)
         with pytest.raises(ValueError):
-            dim_labels(layout, 7)
+            explain_one(identity_embedder(7), ClassifierParams(weight=np.ones((7, 2))), np.ones(7),
+                        layout=layout)
 
 
 class TestZeroBlockActivity:

@@ -60,9 +60,9 @@ class TestForward:
             layers=[Layer(weight=np.zeros((3, 4)), bias=np.zeros(3), activation="identity")]
         )
         classifier = ClassifierParams(weight=np.zeros((3, 5)))
-        trace = forward(embedder, classifier, np.ones(4))
-        assert np.array_equal(trace.logits, np.zeros(5))
-        assert np.allclose(trace.probs, np.full(5, 0.2), atol=1e-15)
+        trace = forward(embedder, classifier, np.ones((1, 4)))
+        assert np.array_equal(trace.logits, np.zeros((1, 5)))
+        assert np.allclose(trace.probs, np.full((1, 5), 0.2), atol=1e-15)
 
     def test_hand_computed_single_layer(self):
         # z = W x with W = [[1, 2], [3, 4]], x = (1, 1) -> z = (3, 7)
@@ -71,17 +71,16 @@ class TestForward:
                           activation="identity")]
         )
         classifier = ClassifierParams(weight=np.eye(2))
-        trace = forward(embedder, classifier, np.array([1.0, 1.0]))
-        assert np.array_equal(trace.z, [3.0, 7.0])
-        assert np.array_equal(trace.logits, [3.0, 7.0])
+        trace = forward(embedder, classifier, np.array([[1.0, 1.0]]))
+        assert np.array_equal(trace.z, [[3.0, 7.0]])
+        assert np.array_equal(trace.logits, [[3.0, 7.0]])
 
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(0)
         embedder, classifier = tiny_model()
-        for _ in range(10):
-            trace = forward(embedder, classifier, rng.standard_normal(4))
-            assert abs(trace.probs.sum() - 1.0) < 1e-12
-            assert np.all(trace.probs >= 0)
+        trace = forward(embedder, classifier, rng.standard_normal((10, 4)))
+        assert np.max(np.abs(trace.probs.sum(axis=1) - 1.0)) < 1e-12
+        assert np.all(trace.probs >= 0)
 
     def test_softmax_extreme_logits(self):
         probs = softmax(np.array([1e3, -1e3, 0.0]))
@@ -94,19 +93,21 @@ class TestForward:
         X = rng.standard_normal((5, 4))
         batch = forward(embedder, classifier, X)
         for i in range(5):
-            single = forward(embedder, classifier, X[i])
-            assert np.allclose(single.z, batch.z[i], atol=1e-12)
-            assert np.allclose(single.probs, batch.probs[i], atol=1e-12)
+            single = forward(embedder, classifier, X[i : i + 1])  # a 1-row batch
+            assert np.allclose(single.z[0], batch.z[i], atol=1e-12)
+            assert np.allclose(single.probs[0], batch.probs[i], atol=1e-12)
 
     def test_dimension_mismatch(self):
         embedder, classifier = tiny_model()
         with pytest.raises(ValueError):
-            forward(embedder, classifier, np.zeros(5))
+            forward(embedder, classifier, np.zeros((1, 5)))
+        with pytest.raises(ValueError):
+            forward(embedder, classifier, np.zeros(4))  # a vector, not a batch
 
     def test_no_parameter_side_effects(self):
         embedder, classifier = tiny_model()
         before = [a.copy() for a in model_param_arrays(embedder, classifier)]
-        forward(embedder, classifier, np.ones(4))
+        forward(embedder, classifier, np.ones((1, 4)))
         after = model_param_arrays(embedder, classifier)
         for b, a in zip(before, after):
             assert np.array_equal(b, a)
@@ -115,21 +116,21 @@ class TestForward:
 class TestBackward:
     def test_zero_grads_in_zero_grads_out(self):
         embedder, classifier = tiny_model()
-        trace = forward(embedder, classifier, np.ones(4))
-        grads = backward(trace, np.zeros(2), np.zeros(3))
+        trace = forward(embedder, classifier, np.ones((1, 4)))
+        grads = backward(trace, np.zeros((1, 2)), np.zeros((1, 3)))
         for g in grads.arrays():
             assert np.array_equal(g, np.zeros_like(g))
 
     def test_classifier_column_gradient_is_z(self):
         # d logits_c / d W[:, c] = z when grad_logits = e_c
         embedder, classifier = tiny_model(seed=3)
-        trace = forward(embedder, classifier, np.array([0.5, -1.0, 2.0, 0.1]))
+        trace = forward(embedder, classifier, np.array([[0.5, -1.0, 2.0, 0.1]]))
         for c in range(2):
-            e_c = np.zeros(2)
-            e_c[c] = 1.0
+            e_c = np.zeros((1, 2))
+            e_c[0, c] = 1.0
             grads = backward(trace, e_c)
             expected = np.zeros((3, 2))
-            expected[:, c] = trace.z
+            expected[:, c] = trace.z[0]
             assert np.allclose(grads.classifier_weight, expected, atol=1e-15)
 
     def test_gradients_match_finite_differences(self):
@@ -154,36 +155,37 @@ class TestBackward:
 
     def test_shape_mismatch_rejected(self):
         embedder, classifier = tiny_model()
-        trace = forward(embedder, classifier, np.ones(4))
+        trace = forward(embedder, classifier, np.ones((1, 4)))
         with pytest.raises(ValueError):
-            backward(trace, np.zeros(3))
+            backward(trace, np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            backward(trace, np.zeros(2), np.zeros(4))
+            backward(trace, np.zeros((1, 2)), np.zeros((1, 4)))
 
 
 class TestRelevance:
     def test_zero_embedding(self):
         classifier = ClassifierParams(weight=np.array([[1.0, 2.0], [3.0, 4.0]]))
-        rel = relevance(classifier, np.zeros(2))
-        assert np.array_equal(rel.gamma, np.zeros((2, 2)))
-        assert np.array_equal(rel.logits, np.zeros(2))
+        rel = relevance(classifier, np.zeros((1, 2)))
+        assert np.array_equal(rel.gamma, np.zeros((1, 2, 2)))
+        assert np.array_equal(rel.logits, np.zeros((1, 2)))
 
     def test_hand_example(self):
         classifier = ClassifierParams(weight=np.array([[1.0, 2.0], [3.0, 4.0]]))
-        rel = relevance(classifier, np.array([1.0, 1.0]))
-        assert np.array_equal(rel.gamma, [[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(rel.logits, [4.0, 6.0])
+        rel = relevance(classifier, np.array([[1.0, 1.0], [2.0, 0.0]]))
+        assert np.array_equal(rel.gamma, [[[1.0, 2.0], [3.0, 4.0]], [[2.0, 4.0], [0.0, 0.0]]])
+        assert np.array_equal(rel.logits, [[4.0, 6.0], [2.0, 4.0]])
 
     def test_column_sums_equal_stored_logits_exactly(self):
         rng = np.random.default_rng(4)
         embedder, classifier = tiny_model(seed=8)
-        for _ in range(20):
-            trace = forward(embedder, classifier, rng.standard_normal(4))
-            rel = relevance(classifier, trace.z)
-            assert np.array_equal(rel.gamma.sum(axis=0), rel.logits)
-            assert np.max(np.abs(rel.logits - trace.logits)) < 1e-12
+        trace = forward(embedder, classifier, rng.standard_normal((20, 4)))
+        rel = relevance(classifier, trace.z)
+        assert np.array_equal(rel.gamma.sum(axis=1), rel.logits)
+        assert np.max(np.abs(rel.logits - trace.logits)) < 1e-12
 
     def test_wrong_length_rejected(self):
         classifier = ClassifierParams(weight=np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            relevance(classifier, np.zeros(2))
+            relevance(classifier, np.zeros((1, 2)))
+        with pytest.raises(ValueError):
+            relevance(classifier, np.zeros(3))  # a vector, not a batch

@@ -5,8 +5,6 @@ from fixedproto.prototypes import (
     FactorCoder,
     FactorLayout,
     class_orthogonal_extractor,
-    code_factor,
-    extract_prototype,
     extractor_from_json,
     extractor_to_json,
     factor_coded_extractor,
@@ -15,6 +13,11 @@ from fixedproto.prototypes import (
 
 # Fixture seeds: the distance bound below holds for these specific draws.
 EXTRACTOR_JL_SEEDS = (0, 2, 3)
+
+
+def one_row(v):
+    """A single sample as a 1-row batch."""
+    return np.asarray(v, dtype=float)[None]
 
 
 def type4_quantile(values, q):
@@ -41,13 +44,14 @@ class TestClassOrthogonalExtractor:
         for j in range(4):
             label = np.zeros(4)
             label[j] = 1.0
-            assert np.allclose(extract_prototype(ex, label), ex.table[j], atol=1e-15)
+            proto = ex.extract_batch(ex.targets(one_row(label)))
+            assert np.allclose(proto[0], ex.table[j], atol=1e-15)
 
     def test_soft_label_mixes_rows(self):
         ex = class_orthogonal_extractor(4, 16, seed=1)
         label = np.array([0.5, 0.5, 0.0, 0.0])
         expected = 0.5 * ex.table[0] + 0.5 * ex.table[1]
-        assert np.max(np.abs(extract_prototype(ex, label) - expected)) < 1e-12
+        assert np.max(np.abs(ex.extract_batch(ex.targets(one_row(label)))[0] - expected)) < 1e-12
 
     @pytest.mark.parametrize("seed", EXTRACTOR_JL_SEEDS)
     def test_jlt_path_distance_distortion(self, seed):
@@ -73,17 +77,21 @@ class TestClassOrthogonalExtractor:
 
     def test_factors_are_ignored(self):
         ex = class_orthogonal_extractor(3, 8, seed=0)
-        label = np.array([0.2, 0.3, 0.5])
-        assert np.array_equal(ex.extract(label), ex.extract(label, factors=np.array([1.0, 2.0])))
+        labels = one_row([0.2, 0.3, 0.5])
+        assert np.array_equal(ex.targets(labels), ex.targets(labels, factors=one_row([1.0, 2.0])))
 
     def test_label_validation(self):
         ex = class_orthogonal_extractor(3, 8, seed=0)
         with pytest.raises(ValueError):
-            ex.extract(np.array([0.5, 0.5]))  # wrong length
+            ex.targets(one_row([0.5, 0.5]))  # wrong length
         with pytest.raises(ValueError):
-            ex.extract(np.array([0.7, 0.6, -0.3]))  # negative entry
+            ex.targets(one_row([0.7, 0.6, -0.3]))  # negative entry
         with pytest.raises(ValueError):
-            ex.extract(np.array([0.5, 0.4, 0.2]))  # sums to 1.1
+            ex.targets(one_row([0.5, 0.4, 0.2]))  # sums to 1.1
+        with pytest.raises(ValueError):
+            ex.targets(one_row([0.5, np.nan, 0.5]))  # non-finite entry
+        with pytest.raises(ValueError):
+            ex.targets(np.array([1.0, 0.0, 0.0]))  # not a batch
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -134,19 +142,18 @@ class TestFactorCoder:
 
     def test_code_factor_levels(self):
         coder = FactorCoder(names=("a",), lower=np.array([1.0]), upper=np.array([2.0]))
-        assert np.array_equal(code_factor(coder, 0, 0.5), [1, 0, 0])
-        assert np.array_equal(code_factor(coder, 0, 1.5), [0, 1, 0])
-        assert np.array_equal(code_factor(coder, 0, 3.0), [0, 0, 1])
+        codes = coder.code(np.array([[0.5], [1.5], [3.0]]))
+        assert np.array_equal(codes[:, 0], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_threshold_ties_fall_to_lower_bin(self):
         coder = FactorCoder(names=("a",), lower=np.array([1.0]), upper=np.array([2.0]))
-        assert np.array_equal(code_factor(coder, 0, 1.0), [1, 0, 0])
-        assert np.array_equal(code_factor(coder, 0, 2.0), [0, 1, 0])
+        codes = coder.code(np.array([[1.0], [2.0]]))
+        assert np.array_equal(codes[:, 0], [[1, 0, 0], [0, 1, 0]])
 
     def test_factor_index_checked(self):
         coder = FactorCoder(names=("a",), lower=np.array([1.0]), upper=np.array([2.0]))
         with pytest.raises(ValueError):
-            code_factor(coder, 1, 0.0)
+            coder.code(np.array([[0.0, 1.0]]))  # two factor values for a one-factor coder
 
 
 class TestFactorCodedExtractor:
@@ -160,22 +167,21 @@ class TestFactorCodedExtractor:
 
     def test_low_medium_high_prototype_layout(self):
         ex = self.make(m=3, k=16)
-        proto = ex.extract(factors=np.array([-1.0, 0.0, 1.0]))  # low, medium, high
+        proto = ex.extract_batch(ex.targets(None, one_row([-1.0, 0.0, 1.0])))  # low, medium, high
         expected = np.zeros(16)
         expected[:9] = [1, 0, 0, 0, 1, 0, 0, 0, 1]
-        assert np.array_equal(proto, expected)
+        assert np.array_equal(proto, [expected])
 
     def test_empty_zero_block_boundary(self):
         ex = self.make(m=1, k=3)
         assert ex.layout.zero_dim == 0
-        assert np.array_equal(ex.extract(factors=np.array([2.0])), [0, 0, 1])
+        assert np.array_equal(ex.extract_batch(ex.targets(None, one_row([2.0]))), [[0, 0, 1]])
 
     def test_zero_block_always_zero(self):
         ex = self.make(m=2, k=8)
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            proto = ex.extract(factors=rng.standard_normal(2))
-            assert np.array_equal(proto[6:], np.zeros(2))
+        proto = ex.extract_batch(ex.targets(None, rng.standard_normal((20, 2))))
+        assert np.array_equal(proto[:, 6:], np.zeros((20, 2)))
 
     def test_rejects_too_small_embedding(self):
         with pytest.raises(ValueError):
@@ -183,20 +189,25 @@ class TestFactorCodedExtractor:
 
     def test_soft_level_codes(self):
         ex = self.make(m=1, k=4)
-        codes = np.array([[0.5, 0.5, 0.0]])
-        proto = ex.extract(factors=codes)
-        assert np.array_equal(proto, [0.5, 0.5, 0.0, 0.0])
+        codes = np.array([[[0.5, 0.5, 0.0]]])
+        proto = ex.extract_batch(codes)
+        assert np.array_equal(proto, [[0.5, 0.5, 0.0, 0.0]])
 
     def test_missing_factors_rejected(self):
         ex = self.make()
+        assert ex.targets(one_row([1.0, 0.0]), None) is None
         with pytest.raises(ValueError, match="factor"):
-            ex.extract(label=np.array([1.0, 0.0]))
+            ex.targets(None, one_row([0.0, 1.0]))  # two factor values, three expected
+        with pytest.raises(ValueError, match="factor"):
+            ex.targets(None, one_row([0.0, np.nan, 1.0]))
+        with pytest.raises(ValueError, match="codes"):
+            ex.extract_batch(one_row([0.0, 0.0, 1.0]))  # raw values, not level codes
 
     def test_label_ignored(self):
         ex = self.make(m=2, k=6)
-        f = np.array([0.0, 1.0])
-        a = ex.extract(label=np.array([1.0, 0.0]), factors=f)
-        b = ex.extract(label=np.array([0.0, 1.0]), factors=f)
+        f = one_row([0.0, 1.0])
+        a = ex.targets(one_row([1.0, 0.0]), f)
+        b = ex.targets(one_row([0.0, 1.0]), f)
         assert np.array_equal(a, b)
 
     def test_layout_labels(self):
@@ -219,8 +230,8 @@ class TestMultilinearity:
             ya, yb = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5))
             a = rng.random()
             b = 1.0 - a
-            lhs = ex.extract(a * ya + b * yb)
-            rhs = a * ex.extract(ya) + b * ex.extract(yb)
+            lhs = ex.extract_batch(one_row(a * ya + b * yb))
+            rhs = a * ex.extract_batch(one_row(ya)) + b * ex.extract_batch(one_row(yb))
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         assert worst < 1e-12
 
@@ -234,8 +245,8 @@ class TestMultilinearity:
             cb = rng.dirichlet(np.ones(3), size=2)
             a = rng.random()
             b = 1.0 - a
-            lhs = ex.extract(factors=a * ca + b * cb)
-            rhs = a * ex.extract(factors=ca) + b * ex.extract(factors=cb)
+            lhs = ex.extract_batch(one_row(a * ca + b * cb))
+            rhs = a * ex.extract_batch(one_row(ca)) + b * ex.extract_batch(one_row(cb))
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         assert worst < 1e-12
 
@@ -261,8 +272,7 @@ class TestSerialization:
         ex = class_orthogonal_extractor(4, 6, seed=0)
         before = extractor_to_json(ex)
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            ex.extract(rng.dirichlet(np.ones(4)))
+        ex.extract_batch(ex.targets(rng.dirichlet(np.ones(4), size=50)))
         assert extractor_to_json(ex) == before
 
     def test_rejects_unknown_kind(self):

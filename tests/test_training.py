@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fixedproto.data import Sample, SynthConfig, generate_synthetic
+from fixedproto.data import SynthConfig, generate_synthetic
 from fixedproto.model import model_param_arrays
 from fixedproto.prototypes import (
     FactorCoder,
@@ -17,8 +17,7 @@ from fixedproto.training import (
     SGD,
     TrainConfig,
     loss,
-    mix_samples,
-    mixup,
+    mix_rows,
     train,
 )
 
@@ -26,10 +25,12 @@ from util import central_difference
 
 
 def fake_trace(logits, z):
-    logits = np.asarray(logits, dtype=float)
-    shifted = logits - logits.max()
+    """A trace of one sample, as a 1-row batch."""
+    logits = np.atleast_2d(np.asarray(logits, dtype=float))
+    shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return SimpleNamespace(logits=logits, probs=e / e.sum(), z=np.asarray(z, dtype=float))
+    return SimpleNamespace(logits=logits, probs=e / e.sum(axis=1, keepdims=True),
+                           z=np.atleast_2d(np.asarray(z, dtype=float)))
 
 
 def blob_dataset(seed=0, samples_per_class=100, noise=0.4, classes=2, dim=2):
@@ -79,12 +80,12 @@ class TestLoss:
 
         def scalar():
             trace = fake_trace(holder["logits"], holder["z"])
-            return float(loss(y, trace, p, lambda_p).total)
+            return float(loss(y, trace, p, lambda_p).total[0])
 
         num = central_difference(scalar, [holder["logits"], holder["z"]], step=1e-6)
         res = loss(y, fake_trace(logits, z), p, lambda_p)
-        assert np.allclose(res.grad_logits, num[0], atol=1e-8)
-        assert np.allclose(res.grad_z_extra, num[1], atol=1e-8)
+        assert np.allclose(res.grad_logits[0], num[0], atol=1e-8)
+        assert np.allclose(res.grad_z_extra[0], num[1], atol=1e-8)
 
     def test_prototype_requires_lambda(self):
         trace = fake_trace([0.0, 0.0], [0.0, 0.0])
@@ -94,63 +95,39 @@ class TestLoss:
 
 class TestMixup:
     def test_lambda_one_returns_first_sample(self):
-        a = Sample(x=np.array([1.0, 2.0]), y=np.array([1.0, 0.0]))
-        b = Sample(x=np.array([3.0, 4.0]), y=np.array([0.0, 1.0]))
-        mixed = mix_samples(a, b, 1.0)
-        assert np.array_equal(mixed.x, a.x)
-        assert np.array_equal(mixed.y, a.y)
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])
+        y = np.array([[1.0, 0.0], [0.0, 1.0]])
+        lam, perm = np.ones(2), np.array([1, 0])
+        assert np.array_equal(mix_rows(x, lam, perm), x)
+        assert np.array_equal(mix_rows(y, lam, perm), y)
 
     def test_half_mix_of_one_hot_labels(self):
-        a = Sample(x=np.zeros(2), y=np.array([1.0, 0.0]))
-        b = Sample(x=np.ones(2), y=np.array([0.0, 1.0]))
-        mixed = mix_samples(a, b, 0.5)
-        assert np.array_equal(mixed.y, [0.5, 0.5])
-        assert np.array_equal(mixed.x, [0.5, 0.5])
+        x = np.array([[0.0, 0.0], [1.0, 1.0]])
+        y = np.array([[1.0, 0.0], [0.0, 1.0]])
+        lam, perm = np.full(2, 0.5), np.array([1, 0])
+        assert np.array_equal(mix_rows(y, lam, perm), [[0.5, 0.5], [0.5, 0.5]])
+        assert np.array_equal(mix_rows(x, lam, perm), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_mixed_prototype_equals_mixed_prototypes(self):
         rng = np.random.default_rng(3)
         ex = class_orthogonal_extractor(4, 8, seed=0)
-        for _ in range(50):
-            ya, yb = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
-            lam = float(rng.beta(0.4, 0.4))
-            a = Sample(x=np.zeros(2), y=ya)
-            b = Sample(x=np.zeros(2), y=yb)
-            mixed = mix_samples(a, b, lam)
-            lhs = ex.extract(mixed.y)
-            rhs = lam * ex.extract(ya) + (1.0 - lam) * ex.extract(yb)
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_mixup_draws_lambda_from_beta(self):
-        rng = np.random.default_rng(0)
-        a = Sample(x=np.array([0.0]), y=np.array([1.0, 0.0]))
-        b = Sample(x=np.array([1.0]), y=np.array([0.0, 1.0]))
-        mixed = mixup(a, b, alpha=0.5, rng=rng)
-        lam = 1.0 - float(mixed.x[0])
-        assert 0.0 <= lam <= 1.0
-        assert np.allclose(mixed.y, [lam, 1.0 - lam], atol=1e-12)
+        Y = rng.dirichlet(np.ones(4), size=50)
+        lam = rng.beta(0.4, 0.4, size=50)
+        perm = rng.permutation(50)
+        lhs = ex.extract_batch(mix_rows(Y, lam, perm))
+        P = ex.extract_batch(Y)
+        rhs = lam[:, None] * P + (1.0 - lam)[:, None] * P[perm]
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_coded_factor_mixing(self):
         coder = FactorCoder(names=("a",), lower=np.array([-0.5]), upper=np.array([0.5]))
         ex = factor_coded_extractor(coder, 1, 5)
-        ca = coder.code(np.array([-1.0]))  # low
-        cb = coder.code(np.array([1.0]))  # high
-        a = Sample(x=np.zeros(2), y=np.array([1.0, 0.0]), factors=ca)
-        b = Sample(x=np.zeros(2), y=np.array([0.0, 1.0]), factors=cb)
-        mixed = mix_samples(a, b, 0.25)
-        lhs = ex.extract(factors=mixed.factors)
-        rhs = 0.25 * ex.extract(factors=ca) + 0.75 * ex.extract(factors=cb)
+        codes = ex.targets(None, np.array([[-1.0], [1.0]]))  # low, high
+        lam, perm = np.array([0.25, 0.6]), np.array([1, 0])
+        lhs = ex.extract_batch(mix_rows(codes, lam, perm))
+        P = ex.extract_batch(codes)
+        rhs = lam[:, None] * P + (1.0 - lam)[:, None] * P[perm]
         assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_raw_factors_refused(self):
-        a = Sample(x=np.zeros(2), y=np.array([1.0, 0.0]), factors=np.array([1.0]))
-        b = Sample(x=np.zeros(2), y=np.array([0.0, 1.0]), factors=np.array([2.0]))
-        with pytest.raises(ValueError, match="coded"):
-            mix_samples(a, b, 0.5)
-
-    def test_alpha_must_be_positive(self):
-        a = Sample(x=np.zeros(2), y=np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            mixup(a, a, alpha=0.0, rng=np.random.default_rng(0))
 
 
 class TestOptimizers:
