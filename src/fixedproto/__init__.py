@@ -18,6 +18,7 @@ from .model import (
     ForwardTrace,
     RelevanceMatrix,
     backward,
+    flat_params,
     forward,
     init_classifier,
     init_embedder,
@@ -29,8 +30,8 @@ from .prototypes import (
     FactorCoder,
     FactorLayout,
     class_orthogonal_extractor,
-    extractor_from_json,
-    extractor_to_json,
+    extractor_from_doc,
+    extractor_to_doc,
     factor_coded_extractor,
     fit_factor_coder,
 )

@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 config/validation error, 3 training divergence,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import json
 import os
@@ -360,19 +359,22 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _parse_selector(selector: str, n: int):
-    if selector == "all":
-        return list(range(n))
-    try:
-        ids = [int(s) for s in selector.split(",") if s.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"invalid sample selector {selector!r}") from None
+def _parse_ids(flag: str, text: str) -> list:
+    """The comma-separated integer ids given to ``flag``: at least one, none twice."""
+    ids = {}
+    for cell in text.split(","):
+        if cell.strip() == "":
+            continue
+        try:
+            i = int(cell)
+        except ValueError:
+            raise ConfigError(f"{flag}: {cell.strip()!r} is not an integer") from None
+        if i in ids:
+            raise ConfigError(f"{flag}: {i} is listed twice")
+        ids[i] = None
     if not ids:
-        raise ConfigError("empty sample selector")
-    for i in ids:
-        if not 0 <= i < n:
-            raise ConfigError(f"sample {i} out of range [0, {n})")
-    return ids
+        raise ConfigError(f"{flag}: empty list")
+    return list(ids)
 
 
 def cmd_explain(args) -> int:
@@ -384,7 +386,10 @@ def cmd_explain(args) -> int:
             f"checkpoint expects input_dim {doc['input_dim']}, dataset has {dataset.input_dim}"
         )
     layout = extractor.layout if extractor is not None and extractor.kind == "factor-coded" else None
-    ids = _parse_selector(args.samples, dataset.n)
+    ids = list(range(dataset.n)) if args.samples == "all" else _parse_ids("--samples", args.samples)
+    for i in ids:
+        if not 0 <= i < dataset.n:
+            raise ConfigError(f"--samples: sample {i} out of range [0, {dataset.n})")
     # Explained before the output directory exists: explain_sample raises if
     # the relevance identity fails, and then nothing must have been written.
     explanations = explain_sample(
@@ -432,30 +437,16 @@ def _comparison_run(dataset: Dataset, config: TrainConfig, loss_kind: str, seed:
     }
 
 
-def run_comparison(dataset: Dataset, config: TrainConfig, seeds, jobs: int = 1) -> dict:
+def run_comparison(dataset: Dataset, config: TrainConfig, seeds) -> dict:
     """Train the prototype loss and the CE baseline over the given seeds.
 
-    Each (loss, seed) run is independent and internally deterministic, so
-    the result does not depend on ``jobs``.
+    Each (loss, seed) run is independent and internally deterministic.
     """
     if config.train_fraction >= 1.0:
         raise ConfigError("compare needs train_fraction < 1 for a held-out split")
-    tasks = [(loss_kind, seed) for loss_kind in ("proto", "ce") for seed in seeds]
-    results = {}
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_comparison_run, dataset, config, loss_kind, seed): (loss_kind, seed)
-                for loss_kind, seed in tasks
-            }
-            for fut, key in futures.items():
-                results[key] = fut.result()
-    else:
-        for key in tasks:
-            results[key] = _comparison_run(dataset, config, *key)
     systems = {}
     for loss_kind, name in (("proto", "predefined-prototype"), ("ce", "cross-entropy")):
-        runs = [results[(loss_kind, seed)] for seed in seeds]
+        runs = [_comparison_run(dataset, config, loss_kind, seed) for seed in seeds]
         acc = np.array([r["accuracy"] for r in runs])
         cos = np.array([r["mean_abs_cos"] for r in runs])
         ddof = 1 if len(runs) > 1 else 0
@@ -484,13 +475,13 @@ def cmd_compare(args) -> int:
     except (ValueError, TypeError) as e:
         raise ConfigError(f"{args.config}: {e}") from None
     if args.seeds is not None:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
-        if not seeds:
-            raise ConfigError("empty seed list")
+        seeds = _parse_ids("--seeds", args.seeds)
+    elif args.num_seeds < 1:
+        raise ConfigError(f"--num-seeds: {args.num_seeds} is less than 1")
     else:
         seeds = [config.seed + i for i in range(args.num_seeds)]
     dataset = load_table(args.data)
-    comparison = run_comparison(dataset, config, seeds, jobs=args.jobs)
+    comparison = run_comparison(dataset, config, seeds)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "comparison.json"), comparison)
     manifest = _manifest(
@@ -568,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--seeds", default=None, help="comma-separated explicit seed list")
     p.add_argument("--num-seeds", type=int, default=3, help="number of seeds when --seeds is absent")
-    p.add_argument("--jobs", type=int, default=1, help="parallel training runs")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_compare)
 

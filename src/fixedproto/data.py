@@ -264,14 +264,15 @@ def load_table(path, class_names=None) -> Dataset:
     The header determines the schema: ``f*`` columns are features (in file
     order), ``label`` is the class column, ``alpha_*`` columns are factors.
     Row order is preserved; labels become one-hot rows.  When ``class_names``
-    is given it fixes the class order and unlisted names are rejected.
+    is given it fixes the class order and unlisted names are rejected.  Blank
+    lines are skipped; an error names the offending row by its line number
+    in the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    lines = [line for line in lines if line.strip()]
+        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
-    header = [c.strip() for c in lines[0].split(",")]
+    header = [c.strip() for c in lines[0][1].split(",")]
     try:
         label_col = header.index("label")
     except ValueError:
@@ -284,7 +285,7 @@ def load_table(path, class_names=None) -> Dataset:
         raise ValueError(f"{path}: no feature columns found")
 
     rows_x, rows_f, labels = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(header):
             raise ValueError(f"{path}: row {lineno}: expected {len(header)} cells, got {len(cells)}")
@@ -310,7 +311,7 @@ def load_table(path, class_names=None) -> Dataset:
     Y = np.zeros((len(labels), len(class_names)))
     for i, name in enumerate(labels):
         if name not in index:
-            raise ValueError(f"{path}: row {i + 2}: unknown class name {name!r}")
+            raise ValueError(f"{path}: row {lines[i + 1][0]}: unknown class name {name!r}")
         Y[i, index[name]] = 1.0
 
     factors = np.array(rows_f) if factor_cols else None

@@ -4,8 +4,12 @@ classifier head, exact reverse-mode gradients, and per-prediction relevance.
 The head has no bias on purpose: every class logit then decomposes exactly
 into per-dimension contributions (the relevance matrix), with nothing left
 over.  Forward, backward and relevance work on batches, one row per sample
-(a single sample is a 1-row batch); backward returns gradients summed over
-the batch.
+(a single sample is a 1-row batch).
+
+Training keeps every parameter in one contiguous vector (``flat_params``):
+the layer weights and biases and the head weight are views of it, and
+``backward`` returns the batch-summed gradient as one vector in the same
+layout, so an optimizer step is a few whole-vector operations.
 """
 
 from __future__ import annotations
@@ -160,38 +164,31 @@ def forward(embedder: EmbedderParams, classifier: ClassifierParams, X) -> Forwar
     )
 
 
-@dataclass
-class ModelGrads:
-    """Gradients in parameter order: per-layer (weight, bias), then head weight."""
+def flat_params(embedder: EmbedderParams, classifier: ClassifierParams) -> np.ndarray:
+    """All parameters as one contiguous float64 vector, shared with the model.
 
-    layer_grads: list  # [(dW, db), ...]
-    classifier_weight: np.ndarray
-
-    def arrays(self) -> list:
-        out = []
-        for dw, db in self.layer_grads:
-            out.append(dw)
-            out.append(db)
-        out.append(self.classifier_weight)
-        return out
-
-
-def model_param_arrays(embedder: EmbedderParams, classifier: ClassifierParams) -> list:
-    """Live parameter arrays in the same order as ``ModelGrads.arrays``."""
-    out = []
-    for layer in embedder.layers:
-        out.append(layer.weight)
-        out.append(layer.bias)
-    out.append(classifier.weight)
-    return out
+    The layout is each layer's weight then its bias, in layer order, then the
+    head weight, each flattened row-major; ``backward`` returns gradients in
+    the same layout.  The model's arrays are rebound as views of the vector,
+    so updating the vector in place updates the model.
+    """
+    owners = [(layer, name) for layer in embedder.layers for name in ("weight", "bias")]
+    owners.append((classifier, "weight"))
+    arrays = [getattr(owner, name) for owner, name in owners]
+    flat = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
+    end = 0
+    for (owner, name), a in zip(owners, arrays):
+        start, end = end, end + a.size
+        setattr(owner, name, flat[start:end].reshape(a.shape))
+    return flat
 
 
-def backward(trace: ForwardTrace, grad_logits, grad_z_extra=None) -> ModelGrads:
-    """Exact reverse-mode gradients for all parameters.
+def backward(trace: ForwardTrace, grad_logits, grad_z_extra=None) -> np.ndarray:
+    """Exact reverse-mode gradient of all parameters, in the ``flat_params`` layout.
 
     ``grad_logits`` and ``grad_z_extra`` are the partials of a scalar loss
     with respect to the logits and (directly) the embedding, one row per
-    sample; the returned gradients are the sums over the batch.
+    sample; the returned gradient is the sum over the batch.
     ``grad_z_extra=None`` means the loss has no direct embedding term.
     """
     gL = np.asarray(grad_logits, dtype=np.float64)
@@ -205,19 +202,15 @@ def backward(trace: ForwardTrace, grad_logits, grad_z_extra=None) -> ModelGrads:
         if gE.shape != trace.z.shape:
             raise ValueError(f"grad_z_extra has shape {gE.shape}, expected {trace.z.shape}")
         gZ = gZ + gE
-    d_clf = trace.z.T @ gL
-    layer_grads = []
+    parts = [trace.z.T @ gL]  # collected back to front
     gA = gZ
     for layer, A_in, S in zip(
         reversed(trace.embedder.layers), reversed(trace.inputs), reversed(trace.pre_activations)
     ):
         gS = gA * (S > 0) if layer.activation == "relu" else gA
-        dW = gS.T @ A_in
-        db = gS.sum(axis=0)
+        parts += [gS.sum(axis=0), gS.T @ A_in]
         gA = gS @ layer.weight
-        layer_grads.append((dW, db))
-    layer_grads.reverse()
-    return ModelGrads(layer_grads=layer_grads, classifier_weight=d_clf)
+    return np.concatenate([part.ravel() for part in reversed(parts)])
 
 
 @dataclass(frozen=True, eq=False)

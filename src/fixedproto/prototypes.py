@@ -22,7 +22,6 @@ label-mixing augmentation compatible with prototype matching.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -398,11 +397,3 @@ def extractor_from_doc(doc: dict):
         )
         return factor_coded_extractor(coder, len(factors), json_field(doc, "embedding_dim", int))
     raise ValueError(f"unknown extractor kind {kind!r}")
-
-
-def extractor_to_json(extractor) -> str:
-    return json.dumps(extractor_to_doc(extractor), indent=2) + "\n"
-
-
-def extractor_from_json(text: str):
-    return extractor_from_doc(json.loads(text))

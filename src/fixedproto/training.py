@@ -17,14 +17,7 @@ import numpy as np
 
 from .data import Dataset
 from .metrics import accuracy
-from .model import (
-    backward,
-    forward,
-    init_classifier,
-    init_embedder,
-    log_softmax,
-    model_param_arrays,
-)
+from .model import backward, flat_params, forward, init_classifier, init_embedder, log_softmax
 
 OPTIMIZERS = ("adam", "sgd")
 LOSS_KINDS = ("proto", "ce")
@@ -187,18 +180,21 @@ def mix_rows(a: np.ndarray, lam: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 
 class SGD:
-    """Plain gradient descent: p <- p - lr * g, in place."""
+    """Plain gradient descent on the parameter vector: p <- p - lr * g, in place."""
 
     def __init__(self, learning_rate: float):
         self.learning_rate = float(learning_rate)
 
-    def step(self, params, grads) -> None:
-        for p, g in zip(params, grads):
-            p -= self.learning_rate * g
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        params -= self.learning_rate * grads
 
 
 class Adam:
-    """Adam with bias correction; moment state is created lazily."""
+    """Adam with bias correction on the parameter vector, in place.
+
+    The first and second moments are one vector each, shaped like the
+    parameters and created at the first step.
+    """
 
     def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.learning_rate = float(learning_rate)
@@ -209,19 +205,18 @@ class Adam:
         self.m = None
         self.v = None
 
-    def step(self, params, grads) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+            self.m = np.zeros_like(params)
+            self.v = np.zeros_like(params)
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grads
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * (grads * grads)
+        params -= self.learning_rate * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
 
 
 def make_optimizer(config: TrainConfig):
@@ -290,7 +285,9 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
     The extractor's ``targets`` are looked up and checked once.  Per batch:
     mix the rows (with mixup), forward all samples, look up their fixed
     prototypes, average the per-sample losses, and take one optimizer step
-    on the exact batch gradient.  The extractor is read-only throughout.
+    on the exact batch gradient.  The optimizer steps the one parameter
+    vector from ``flat_params``, which the returned embedder and classifier
+    view.  The extractor is read-only throughout.
     Runs are deterministic for a fixed config seed: initialization,
     shuffling and mixup draw from independent child streams of it, in a
     fixed order.
@@ -318,7 +315,7 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
     classifier = init_classifier(config.embedding_dim, dataset.class_count, clf_seed)
     rng_shuffle = np.random.default_rng(shuffle_seed)
     rng_mix = np.random.default_rng(mix_seed)
-    params = model_param_arrays(embedder, classifier)
+    params = flat_params(embedder, classifier)
     opt = make_optimizer(config)
 
     X, Y = dataset.X, dataset.Y
@@ -348,8 +345,7 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
             proto_sum += float(np.sum(res.proto_sq))
             scale = 1.0 / idx.size
             extra = None if res.grad_z_extra is None else res.grad_z_extra * scale
-            grads = backward(trace, res.grad_logits * scale, extra)
-            opt.step(params, grads.arrays())
+            opt.step(params, backward(trace, res.grad_logits * scale, extra))
         ce_mean = ce_sum / n
         proto_mean = proto_sum / n
         total_mean = ce_mean + (lambda_p if use_proto else 0.0) * proto_mean

@@ -16,7 +16,7 @@ from fixedproto.cli import main, run_comparison
 from fixedproto.data import SynthConfig, generate_synthetic, save_dataset, split, true_levels
 from fixedproto.explain import explain_sample
 from fixedproto.metrics import disentanglement_report
-from fixedproto.model import backward, forward, init_classifier, init_embedder, model_param_arrays
+from fixedproto.model import backward, flat_params, forward, init_classifier, init_embedder
 from fixedproto.prototypes import (
     class_orthogonal_extractor,
     factor_coded_extractor,
@@ -80,17 +80,17 @@ def test_criterion_1_gradient_correctness():
     X = rng.standard_normal((8, p))
     Y = np.identity(C)[rng.integers(0, C, size=8)]
     P = extractor.extract_batch(Y)
-    params = model_param_arrays(embedder, classifier)
+    params = flat_params(embedder, classifier)
 
     def scalar_loss():
         trace = forward(embedder, classifier, X)
         return float(np.mean(loss(Y, trace, P, lambda_p).total))
 
-    numeric = central_difference(scalar_loss, params, step=1e-5)
+    numeric = central_difference(scalar_loss, [params], step=1e-5)
     trace = forward(embedder, classifier, X)
     res = loss(Y, trace, P, lambda_p)
-    analytic = backward(trace, res.grad_logits / 8.0, res.grad_z_extra / 8.0).arrays()
-    worst = max_rel_error(analytic, numeric)
+    analytic = backward(trace, res.grad_logits / 8.0, res.grad_z_extra / 8.0)
+    worst = max_rel_error([analytic], numeric)
     assert worst < 1e-5, f"worst relative error {worst:.3e}"
     assert time.time() - start < 5.0
 
@@ -145,7 +145,7 @@ def test_criterion_4_separation_claim():
     start = time.time()
     dataset = generate_synthetic(SynthConfig(**SEPARATION_DATA))
     config = TrainConfig(**SEPARATION_TRAIN, seed=0)
-    comparison = run_comparison(dataset, config, seeds=list(RUN_SEEDS), jobs=1)
+    comparison = run_comparison(dataset, config, seeds=list(RUN_SEEDS))
     proto = comparison["systems"]["predefined-prototype"]
     ce = comparison["systems"]["cross-entropy"]
     cos_gap = ce["mean_abs_cos_mean"] - proto["mean_abs_cos_mean"]
@@ -220,7 +220,7 @@ def cli_workspace(tmp_path_factory):
 
 
 def test_criterion_8_reproducibility(cli_workspace):
-    """Identical seeds give bit-identical checkpoints; jobs do not matter."""
+    """Identical seeds give bit-identical checkpoints and comparisons."""
     root, data_path, config_path = cli_workspace
     for name in ("rep1", "rep2"):
         code = main(["train", str(data_path), "--config", str(config_path),
@@ -228,9 +228,9 @@ def test_criterion_8_reproducibility(cli_workspace):
         assert code == 0
     assert (root / "rep1" / "checkpoint.json").read_bytes() == \
         (root / "rep2" / "checkpoint.json").read_bytes()
-    for name, jobs in (("cmp1", "1"), ("cmp2", "3")):
+    for name in ("cmp1", "cmp2"):
         code = main(["compare", str(data_path), "--config", str(config_path),
-                     "--out", str(root / name), "--seeds", "0,1,2", "--jobs", jobs, "--quiet"])
+                     "--out", str(root / name), "--seeds", "0,1,2", "--quiet"])
         assert code == 0
     assert (root / "cmp1" / "comparison.json").read_bytes() == \
         (root / "cmp2" / "comparison.json").read_bytes()

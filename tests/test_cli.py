@@ -279,6 +279,14 @@ class TestExplain:
         assert code == EXIT_CONFIG
         assert "out of range" in capsys.readouterr().err
 
+    def test_repeated_sample_rejected_before_writing(self, tmp_path, blob_file, trained_run, capsys):
+        out = tmp_path / "x"
+        code = main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
+                     "--samples", "3,3", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--samples: 3 is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_structure_and_determinism(self, tmp_path, blob_file):
@@ -295,14 +303,23 @@ class TestCompare:
             assert len(system["runs"]) == 2
         assert (out1 / "comparison.json").read_bytes() == (out2 / "comparison.json").read_bytes()
 
-    def test_jobs_do_not_change_output(self, tmp_path, blob_file):
-        config = train_config(tmp_path, train_fraction=0.8, epochs=10)
-        out1, out2 = tmp_path / "j1", tmp_path / "j2"
-        main(["compare", str(blob_file), "--config", str(config), "--out", str(out1),
-              "--seeds", "0,1", "--jobs", "1", "--quiet"])
-        main(["compare", str(blob_file), "--config", str(config), "--out", str(out2),
-              "--seeds", "0,1", "--jobs", "2", "--quiet"])
-        assert (out1 / "comparison.json").read_bytes() == (out2 / "comparison.json").read_bytes()
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seeds", "0,0"], "--seeds: 0 is listed twice"),
+            (["--seeds", "a"], "--seeds: 'a' is not an integer"),
+            (["--seeds", ","], "--seeds: empty list"),
+            (["--num-seeds", "0"], "--num-seeds: 0 is less than 1"),
+        ],
+        ids=["repeated", "not-an-integer", "empty", "no-seeds"],
+    )
+    def test_bad_seed_list_rejected_before_writing(self, tmp_path, blob_file, capsys, flags, message):
+        config = train_config(tmp_path, train_fraction=0.8, epochs=2)
+        out = tmp_path / "c"
+        code = main(["compare", str(blob_file), "--config", str(config), "--out", str(out), *flags])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (out / "comparison.json").exists()
 
     def test_requires_holdout_split(self, tmp_path, blob_file, capsys):
         config = train_config(tmp_path, train_fraction=1.0)

@@ -118,6 +118,15 @@ class TestFileRoundTrip:
         with pytest.raises(ValueError, match="unknown class name 'c'"):
             load_table(path, class_names=("a", "b"))
 
+    def test_errors_name_file_lines_past_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n1.0,2.0,a\n\n\n3.0,oops,a\n")
+        with pytest.raises(ValueError, match=r"row 5, column 'f1'"):
+            load_table(path)
+        path.write_text("f0,label\n1.0,a\n\n\n2.0,c\n")
+        with pytest.raises(ValueError, match=r"row 5: unknown class name 'c'"):
+            load_table(path, class_names=("a", "b"))
+
     def test_numeric_class_names_sort_numerically(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("f0,label\n" + "".join(f"1.0,{c}\n" for c in (10, 2, 1)))

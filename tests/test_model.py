@@ -6,10 +6,10 @@ from fixedproto.model import (
     EmbedderParams,
     Layer,
     backward,
+    flat_params,
     forward,
     init_classifier,
     init_embedder,
-    model_param_arrays,
     relevance,
     softmax,
 )
@@ -106,20 +106,40 @@ class TestForward:
 
     def test_no_parameter_side_effects(self):
         embedder, classifier = tiny_model()
-        before = [a.copy() for a in model_param_arrays(embedder, classifier)]
+        before = flat_params(embedder, classifier).copy()
         forward(embedder, classifier, np.ones((1, 4)))
-        after = model_param_arrays(embedder, classifier)
-        for b, a in zip(before, after):
-            assert np.array_equal(b, a)
+        assert np.array_equal(flat_params(embedder, classifier), before)
+
+
+class TestFlatParams:
+    def test_layout_and_values(self):
+        embedder, classifier = tiny_model()
+        arrays = [embedder.layers[0].weight, embedder.layers[0].bias,
+                  embedder.layers[1].weight, embedder.layers[1].bias, classifier.weight]
+        expected = np.concatenate([a.ravel() for a in arrays])
+        flat = flat_params(embedder, classifier)
+        assert flat.dtype == np.float64 and flat.flags.c_contiguous
+        assert np.array_equal(flat, expected)
+
+    def test_model_arrays_are_views(self):
+        embedder, classifier = tiny_model()
+        X = np.random.default_rng(3).standard_normal((5, 4))
+        flat = flat_params(embedder, classifier)
+        before = forward(embedder, classifier, X).logits
+        flat[:] = 0.0
+        assert np.array_equal(forward(embedder, classifier, X).logits, np.zeros((5, 2)))
+        flat += 0.5
+        assert np.all(embedder.layers[1].bias == 0.5) and np.all(classifier.weight == 0.5)
+        assert not np.array_equal(forward(embedder, classifier, X).logits, before)
 
 
 class TestBackward:
     def test_zero_grads_in_zero_grads_out(self):
         embedder, classifier = tiny_model()
         trace = forward(embedder, classifier, np.ones((1, 4)))
-        grads = backward(trace, np.zeros((1, 2)), np.zeros((1, 3)))
-        for g in grads.arrays():
-            assert np.array_equal(g, np.zeros_like(g))
+        grad = backward(trace, np.zeros((1, 2)), np.zeros((1, 3)))
+        assert grad.shape == flat_params(embedder, classifier).shape
+        assert np.array_equal(grad, np.zeros_like(grad))
 
     def test_classifier_column_gradient_is_z(self):
         # d logits_c / d W[:, c] = z when grad_logits = e_c
@@ -128,10 +148,10 @@ class TestBackward:
         for c in range(2):
             e_c = np.zeros((1, 2))
             e_c[0, c] = 1.0
-            grads = backward(trace, e_c)
+            grad = backward(trace, e_c)
             expected = np.zeros((3, 2))
             expected[:, c] = trace.z[0]
-            assert np.allclose(grads.classifier_weight, expected, atol=1e-15)
+            assert np.allclose(grad[-6:].reshape(3, 2), expected, atol=1e-15)  # head weight is last
 
     def test_gradients_match_finite_differences(self):
         # full loss (cross-entropy plus prototype penalty) on a small batch
@@ -141,17 +161,17 @@ class TestBackward:
         Y = np.identity(2)[rng.integers(0, 2, size=4)]
         P = rng.standard_normal((4, 3))
         lambda_p = 1.0 / 3.0
-        params = model_param_arrays(embedder, classifier)
+        params = flat_params(embedder, classifier)
 
         def scalar_loss():
             trace = forward(embedder, classifier, X)
             return float(np.mean(loss(Y, trace, P, lambda_p).total))
 
-        numeric = central_difference(scalar_loss, params, step=1e-5)
+        numeric = central_difference(scalar_loss, [params], step=1e-5)
         trace = forward(embedder, classifier, X)
         res = loss(Y, trace, P, lambda_p)
-        analytic = backward(trace, res.grad_logits / 4.0, res.grad_z_extra / 4.0).arrays()
-        assert max_rel_error(analytic, numeric) < 1e-5
+        analytic = backward(trace, res.grad_logits / 4.0, res.grad_z_extra / 4.0)
+        assert max_rel_error([analytic], numeric) < 1e-5
 
     def test_shape_mismatch_rejected(self):
         embedder, classifier = tiny_model()

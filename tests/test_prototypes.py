@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from fixedproto.prototypes import (
     FactorCoder,
     FactorLayout,
     class_orthogonal_extractor,
-    extractor_from_json,
-    extractor_to_json,
+    extractor_from_doc,
+    extractor_to_doc,
     factor_coded_extractor,
     fit_factor_coder,
 )
@@ -254,15 +256,14 @@ class TestMultilinearity:
 class TestSerialization:
     def test_class_orthogonal_round_trip(self):
         ex = class_orthogonal_extractor(7, 16, seed=11)
-        text = extractor_to_json(ex)
-        back = extractor_from_json(text)
+        back = extractor_from_doc(json.loads(json.dumps(extractor_to_doc(ex))))
         assert np.array_equal(back.table, ex.table)
         assert back.class_count == 7 and back.embedding_dim == 16 and back.seed == 11
 
     def test_factor_coded_round_trip(self):
         coder = fit_factor_coder([np.arange(9.0), np.arange(0.0, 18, 2)], names=("a", "b"))
         ex = factor_coded_extractor(coder, 2, 10)
-        back = extractor_from_json(extractor_to_json(ex))
+        back = extractor_from_doc(json.loads(json.dumps(extractor_to_doc(ex))))
         assert back.coder.names == ("a", "b")
         assert np.array_equal(back.coder.lower, ex.coder.lower)
         assert np.array_equal(back.coder.upper, ex.coder.upper)
@@ -270,14 +271,14 @@ class TestSerialization:
 
     def test_extract_does_not_mutate(self):
         ex = class_orthogonal_extractor(4, 6, seed=0)
-        before = extractor_to_json(ex)
+        before = extractor_to_doc(ex)
         rng = np.random.default_rng(2)
         ex.extract_batch(ex.targets(rng.dirichlet(np.ones(4), size=50)))
-        assert extractor_to_json(ex) == before
+        assert extractor_to_doc(ex) == before
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
-            extractor_from_json('{"format": "prototype-extractor", "version": 1, "kind": "nope"}')
+            extractor_from_doc({"format": "prototype-extractor", "version": 1, "kind": "nope"})
 
 
 class TestFactorLayout:

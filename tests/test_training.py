@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from fixedproto.data import SynthConfig, generate_synthetic
-from fixedproto.model import model_param_arrays
+from fixedproto.model import backward, flat_params, forward, init_classifier, init_embedder
 from fixedproto.prototypes import (
     FactorCoder,
     class_orthogonal_extractor,
-    extractor_to_json,
+    extractor_to_doc,
     factor_coded_extractor,
 )
 from fixedproto.training import (
@@ -130,26 +130,82 @@ class TestMixup:
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+class PerArraySGD:
+    """Reference: gradient descent as one in-place update per parameter array."""
+
+    def __init__(self, learning_rate):
+        self.learning_rate = learning_rate
+
+    def step(self, arrays, grads):
+        for p, g in zip(arrays, grads):
+            p -= self.learning_rate * g
+
+
+class PerArrayAdam:
+    """Reference: Adam with per-array moments, updated one array at a time."""
+
+    def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.learning_rate, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
+        self.t = 0
+        self.m = self.v = None
+
+    def step(self, arrays, grads):
+        if self.m is None:
+            self.m = [np.zeros_like(p) for p in arrays]
+            self.v = [np.zeros_like(p) for p in arrays]
+        self.t += 1
+        c1 = 1.0 - self.beta1**self.t
+        c2 = 1.0 - self.beta2**self.t
+        for p, g, m, v in zip(arrays, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
 class TestOptimizers:
     def test_sgd_step(self):
         p = np.array([1.0])
-        SGD(learning_rate=0.1).step([p], [np.array([1.0])])
+        SGD(learning_rate=0.1).step(p, np.array([1.0]))
         assert p[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_zero_gradient_is_identity(self):
         p_sgd = np.array([1.0, -2.0])
-        SGD(0.5).step([p_sgd], [np.zeros(2)])
+        SGD(0.5).step(p_sgd, np.zeros(2))
         assert np.array_equal(p_sgd, [1.0, -2.0])
         p_adam = np.array([1.0, -2.0])
-        Adam(0.5).step([p_adam], [np.zeros(2)])
+        Adam(0.5).step(p_adam, np.zeros(2))
         assert np.array_equal(p_adam, [1.0, -2.0])
 
     def test_adam_first_step_magnitude_is_lr(self):
         # bias-corrected first step: lr * g / (|g| + eps) ~= lr * sign(g)
         for g in (1.0, 100.0, 1e-4):
             p = np.array([0.0])
-            Adam(learning_rate=0.01).step([p], [np.array([g])])
+            Adam(learning_rate=0.01).step(p, np.array([g]))
             assert p[0] == pytest.approx(-0.01, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "flat_opt, reference",
+        [(SGD(0.05), PerArraySGD(0.05)), (Adam(0.01), PerArrayAdam(0.01))],
+        ids=["sgd", "adam"],
+    )
+    def test_flat_step_matches_per_array_loop(self, flat_opt, reference):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((6, 5))
+        embedder, classifier = init_embedder(5, (7,), 3, seed=0), init_classifier(3, 2, seed=1)
+        ref_embedder, ref_classifier = init_embedder(5, (7,), 3, seed=0), init_classifier(3, 2, seed=1)
+        ref_arrays = [a for layer in ref_embedder.layers for a in (layer.weight, layer.bias)]
+        ref_arrays.append(ref_classifier.weight)
+        ends = np.cumsum([a.size for a in ref_arrays])
+        params = flat_params(embedder, classifier)
+        for _ in range(3):
+            grad_logits = rng.standard_normal((6, 2))
+            flat_opt.step(params, backward(forward(embedder, classifier, X), grad_logits))
+            ref_grad = backward(forward(ref_embedder, ref_classifier, X), grad_logits)
+            ref_grads = [g.reshape(a.shape) for g, a in zip(np.split(ref_grad, ends[:-1]), ref_arrays)]
+            reference.step(ref_arrays, ref_grads)
+        assert params.tobytes() == np.concatenate([a.ravel() for a in ref_arrays]).tobytes()
 
     def test_adam_matches_hand_rolled_two_steps(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
@@ -159,7 +215,7 @@ class TestOptimizers:
         m = v = 0.0
         expect = 1.0
         for t, g in enumerate(grads, start=1):
-            opt.step([p], [g])
+            opt.step(p, g)
             m = b1 * m + (1 - b1) * g[0]
             v = b2 * v + (1 - b2) * g[0] ** 2
             expect -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
@@ -190,8 +246,7 @@ class TestTrain:
         ex = class_orthogonal_extractor(2, 8, seed=1)
         e1, c1, h1 = train(ds, ex, config)
         e2, c2, h2 = train(ds, ex, config)
-        for a, b in zip(model_param_arrays(e1, c1), model_param_arrays(e2, c2)):
-            assert a.tobytes() == b.tobytes()
+        assert flat_params(e1, c1).tobytes() == flat_params(e2, c2).tobytes()
         assert h1.to_csv_text() == h2.to_csv_text()
 
     def test_lambda_zero_matches_ce_baseline_bitwise(self):
@@ -202,8 +257,7 @@ class TestTrain:
         ce_cfg = TrainConfig(epochs=4, embedding_dim=8, hidden_dims=(8,), seed=3, loss="ce")
         e1, c1, _ = train(ds, ex, proto_cfg)
         e2, c2, _ = train(ds, None, ce_cfg)
-        for a, b in zip(model_param_arrays(e1, c1), model_param_arrays(e2, c2)):
-            assert a.tobytes() == b.tobytes()
+        assert flat_params(e1, c1).tobytes() == flat_params(e2, c2).tobytes()
 
     def test_loss_decomposition_identity(self):
         ds = blob_dataset(samples_per_class=30)
@@ -217,10 +271,10 @@ class TestTrain:
     def test_extractor_untouched_by_training(self):
         ds = blob_dataset(samples_per_class=30)
         ex = class_orthogonal_extractor(2, 8, seed=5)
-        before = extractor_to_json(ex)
+        before = extractor_to_doc(ex)
         config = TrainConfig(epochs=2, embedding_dim=8, hidden_dims=(8,), seed=0)
         train(ds, ex, config)
-        assert extractor_to_json(ex) == before
+        assert extractor_to_doc(ex) == before
 
     def test_divergence_raises_with_location(self):
         ds = blob_dataset(samples_per_class=30)
