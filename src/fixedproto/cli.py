@@ -2,6 +2,9 @@
 
 Every command writes a run manifest holding the config snapshot, seeds and
 output inventory, so a run can be reproduced exactly from its manifest.
+A checkpoint stands alone: it holds the trained model and the frozen
+prototype extractor it was trained against, so ``eval`` and ``explain``
+read only the checkpoint and the data file.
 Exit codes: 0 success, 2 config/validation error, 3 training divergence,
 4 I/O failure.
 """
@@ -43,7 +46,7 @@ EXIT_DIVERGENCE = 3
 EXIT_IO = 4
 
 CHECKPOINT_FORMAT = "model-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -83,10 +86,10 @@ def _write_text(path, text) -> None:
         fh.write(text)
 
 
-def _manifest(command: str, config_doc, seeds: dict, inputs: dict, outputs, extractor_doc=None) -> dict:
+def _manifest(command: str, config_doc, seeds: dict, inputs: dict, outputs) -> dict:
     return {
         "format": "run-manifest",
-        "version": 1,
+        "version": 2,
         "command": command,
         "package_version": __version__,
         "created_utc": _utc_now(),
@@ -94,7 +97,6 @@ def _manifest(command: str, config_doc, seeds: dict, inputs: dict, outputs, extr
         "seeds": seeds,
         "inputs": inputs,
         "outputs": list(outputs),
-        "extractor": extractor_doc,
     }
 
 
@@ -142,8 +144,11 @@ def cmd_gen_data(args) -> int:
 
 
 def _build_extractor(config: TrainConfig, train_set: Dataset):
-    """Extractor per config; the factor coder is fit on the training split."""
-    if config.loss == "ce":
+    """Extractor per config, or None when training uses no prototypes.
+
+    The factor coder is fit on the training split.
+    """
+    if not config.uses_prototypes:
         return None
     kind = config.extractor.get("kind")
     if kind == "class-orthogonal":
@@ -160,9 +165,10 @@ def _build_extractor(config: TrainConfig, train_set: Dataset):
     raise ConfigError(f"unknown extractor kind {kind!r}")
 
 
-def _checkpoint_doc(embedder, classifier, dataset, config) -> dict:
-    # Only what defines the trained predictor; the extractor and loss
-    # settings live in extractor.json / manifest.json alongside it.
+def _checkpoint_doc(embedder, classifier, extractor, dataset, config) -> dict:
+    # The trained predictor and the frozen extractor it was trained against
+    # (null when training used no prototypes); the loss settings live in
+    # manifest.json alongside it.
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -174,17 +180,24 @@ def _checkpoint_doc(embedder, classifier, dataset, config) -> dict:
         "seed": config.seed,
         "embedder": embedder_to_doc(embedder),
         "classifier": classifier_to_doc(classifier),
+        "extractor": None if extractor is None else extractor_to_doc(extractor),
     }
 
 
 def _load_checkpoint(path):
-    """The checkpoint document and its model, with every field checked."""
+    """The checkpoint document, its model and its extractor, every field checked.
+
+    Returns (doc, embedder, classifier, extractor); the extractor is None
+    for a model trained without prototypes.
+    """
     doc = _load_json(path)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"{path}: not a {CHECKPOINT_FORMAT} document")
     try:
-        if json_field(doc, "version", int) != CHECKPOINT_VERSION:
-            raise ValueError(f"not a version-{CHECKPOINT_VERSION} checkpoint")
+        version = json_field(doc, "version", int)
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"checkpoint version {version} is not supported, "
+                             f"only version {CHECKPOINT_VERSION}; retrain to write one")
         for key in ("input_dim", "embedding_dim", "class_count", "seed"):
             json_field(doc, key, int)
         for key in ("class_names", "factor_names"):
@@ -192,8 +205,10 @@ def _load_checkpoint(path):
                 raise TypeError(f"field {key!r} must list strings")
         embedder = embedder_from_doc(json_field(doc, "embedder", dict))
         classifier = classifier_from_doc(json_field(doc, "classifier", dict))
+        extractor_doc = json_field(doc, "extractor", dict, type(None))
+        extractor = None if extractor_doc is None else extractor_from_doc(extractor_doc)
     except KeyError as e:
-        raise ConfigError(f"{path}: checkpoint has no field {e}") from None
+        raise ConfigError(f"{path}: missing field {e}") from None
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from None
     found = {
@@ -206,24 +221,37 @@ def _load_checkpoint(path):
             raise ConfigError(f"{path}: field {key!r} is {doc[key]}, the parameters give {value}")
     if len(doc["class_names"]) != doc["class_count"]:
         raise ConfigError(f"{path}: {len(doc['class_names'])} class names for {doc['class_count']} classes")
-    return doc, embedder, classifier
+    if extractor is not None:
+        found = {"embedding_dim": extractor.embedding_dim}
+        if extractor.kind == "class-orthogonal":
+            found["class_count"] = extractor.class_count
+        else:
+            found["factor_names"] = list(extractor.layout.names)
+        for key, value in found.items():
+            if doc[key] != value:
+                raise ConfigError(f"{path}: field {key!r} is {doc[key]}, the extractor gives {value}")
+    return doc, embedder, classifier, extractor
 
 
-def _load_extractor_for(checkpoint_path, override=None):
-    """The extractor serialized next to a checkpoint, if any."""
-    path = override
-    if path is None:
-        candidate = os.path.join(os.path.dirname(os.path.abspath(str(checkpoint_path))),
-                                 "extractor.json")
-        if not os.path.exists(candidate):
-            return None
-        path = candidate
-    try:
-        return extractor_from_doc(_load_json(path))
-    except KeyError as e:
-        raise ConfigError(f"{path}: extractor document has no field {e}") from None
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path}: {e}") from None
+def _load_model_and_data(checkpoint_path, data_path):
+    """A checked checkpoint and the data file read against it.
+
+    Returns (doc, embedder, classifier, extractor, dataset).
+    """
+    doc, embedder, classifier, extractor = _load_checkpoint(checkpoint_path)
+    dataset = load_table(data_path, class_names=doc["class_names"])
+    if dataset.input_dim != doc["input_dim"]:
+        raise ConfigError(
+            f"checkpoint expects input_dim {doc['input_dim']}, dataset has {dataset.input_dim}"
+        )
+    return doc, embedder, classifier, extractor, dataset
+
+
+def _prototypes(extractor, dataset: Dataset):
+    """The fixed prototypes of the dataset's rows; None without an extractor
+    or, for a factor-coded one, without factor values."""
+    targets = None if extractor is None else extractor.targets(dataset.Y, dataset.factors)
+    return None if targets is None else extractor.extract_batch(targets)
 
 
 def _run_training(dataset: Dataset, config: TrainConfig):
@@ -258,24 +286,18 @@ def cmd_train(args) -> int:
     embedder, classifier, history, extractor, _ = _run_training(dataset, config)
 
     os.makedirs(args.out, exist_ok=True)
-    extractor_doc = None if extractor is None else extractor_to_doc(extractor)
-    outputs = ["checkpoint.json", "history.csv", "history.json", "manifest.json"]
     _write_json(
         os.path.join(args.out, "checkpoint.json"),
-        _checkpoint_doc(embedder, classifier, dataset, config),
+        _checkpoint_doc(embedder, classifier, extractor, dataset, config),
     )
     _write_text(os.path.join(args.out, "history.csv"), history.to_csv_text())
     _write_json(os.path.join(args.out, "history.json"), history.to_doc())
-    if extractor_doc is not None:
-        _write_json(os.path.join(args.out, "extractor.json"), extractor_doc)
-        outputs.insert(3, "extractor.json")
     manifest = _manifest(
         "train",
         config.to_dict(),
         {"seed": config.seed},
         {"config": str(args.config), "data": str(args.data)},
-        outputs,
-        extractor_doc,
+        ["checkpoint.json", "history.csv", "history.json", "manifest.json"],
     )
     _write_json(os.path.join(args.out, "manifest.json"), manifest)
     final = history.final
@@ -286,20 +308,10 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_doc(doc, embedder, classifier, extractor, dataset: Dataset) -> dict:
-    if dataset.input_dim != doc["input_dim"]:
-        raise ConfigError(
-            f"checkpoint expects input_dim {doc['input_dim']}, dataset has {dataset.input_dim}"
-        )
-    if dataset.class_count != doc["class_count"]:
-        raise ConfigError(
-            f"checkpoint expects {doc['class_count']} classes, dataset has {dataset.class_count}"
-        )
+def _eval_doc(embedder, classifier, extractor, dataset: Dataset) -> dict:
     trace = forward(embedder, classifier, dataset.X)
     acc = accuracy(trace.probs, dataset.Y)
-    targets = None if extractor is None else extractor.targets(dataset.Y, dataset.factors)
-    prototypes = None if targets is None else extractor.extract_batch(targets)
-    separation = separation_report(trace.z, dataset.Y, prototypes).to_dict()
+    separation = separation_report(trace.z, dataset.Y, _prototypes(extractor, dataset)).to_dict()
     disentanglement = None
     joint = None
     zero_block = None
@@ -348,10 +360,8 @@ def _print_eval(args, report: dict) -> None:
 
 
 def cmd_eval(args) -> int:
-    doc, embedder, classifier = _load_checkpoint(args.checkpoint)
-    extractor = _load_extractor_for(args.checkpoint, args.extractor)
-    dataset = load_table(args.data, class_names=doc["class_names"])
-    report = _eval_doc(doc, embedder, classifier, extractor, dataset)
+    _, embedder, classifier, extractor, dataset = _load_model_and_data(args.checkpoint, args.data)
+    report = _eval_doc(embedder, classifier, extractor, dataset)
     _print_eval(args, report)
     if args.out is not None:
         _write_json(args.out, report)
@@ -378,13 +388,7 @@ def _parse_ids(flag: str, text: str) -> list:
 
 
 def cmd_explain(args) -> int:
-    doc, embedder, classifier = _load_checkpoint(args.checkpoint)
-    extractor = _load_extractor_for(args.checkpoint, args.extractor)
-    dataset = load_table(args.data, class_names=doc["class_names"])
-    if dataset.input_dim != doc["input_dim"]:
-        raise ConfigError(
-            f"checkpoint expects input_dim {doc['input_dim']}, dataset has {dataset.input_dim}"
-        )
+    doc, embedder, classifier, extractor, dataset = _load_model_and_data(args.checkpoint, args.data)
     layout = extractor.layout if extractor is not None and extractor.kind == "factor-coded" else None
     ids = list(range(dataset.n)) if args.samples == "all" else _parse_ids("--samples", args.samples)
     for i in ids:
@@ -413,7 +417,6 @@ def cmd_explain(args) -> int:
         {"seed": doc["seed"]},
         {"checkpoint": str(args.checkpoint), "data": str(args.data)},
         outputs,
-        None if extractor is None else extractor_to_doc(extractor),
     )
     _write_json(os.path.join(args.out, "manifest.json"), manifest)
     _say(args, f"wrote {len(ids)} explanation(s) to {args.out}")
@@ -425,9 +428,7 @@ def _comparison_run(dataset: Dataset, config: TrainConfig, loss_kind: str, seed:
     run_config = TrainConfig.from_dict({**config.to_dict(), "loss": loss_kind, "seed": seed})
     embedder, classifier, history, extractor, val_set = _run_training(dataset, run_config)
     trace = forward(embedder, classifier, val_set.X)
-    targets = None if extractor is None else extractor.targets(val_set.Y, val_set.factors)
-    prototypes = None if targets is None else extractor.extract_batch(targets)
-    sep = separation_report(trace.z, val_set.Y, prototypes)
+    sep = separation_report(trace.z, val_set.Y, _prototypes(extractor, val_set))
     return {
         "seed": seed,
         "accuracy": accuracy(trace.probs, val_set.Y),
@@ -441,9 +442,15 @@ def run_comparison(dataset: Dataset, config: TrainConfig, seeds) -> dict:
     """Train the prototype loss and the CE baseline over the given seeds.
 
     Each (loss, seed) run is independent and internally deterministic.
+    Raises ``ValueError`` for an empty seed list or a repeated seed.
     """
     if config.train_fraction >= 1.0:
         raise ConfigError("compare needs train_fraction < 1 for a held-out split")
+    if not seeds:
+        raise ValueError("compare needs at least one seed")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ValueError(f"seed {seed} is listed twice")
     systems = {}
     for loss_kind, name in (("proto", "predefined-prototype"), ("ce", "cross-entropy")):
         runs = [_comparison_run(dataset, config, loss_kind, seed) for seed in seeds]
@@ -537,8 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint", help="checkpoint.json from train")
     p.add_argument("data", help="dataset file")
     p.add_argument("--out", default=None, help="write the metrics JSON here")
-    p.add_argument("--extractor", default=None,
-                   help="extractor JSON (default: extractor.json next to the checkpoint)")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_eval)
 
@@ -547,8 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="dataset file")
     p.add_argument("--samples", default="0", help="'all' or comma-separated sample indices")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--extractor", default=None,
-                   help="extractor JSON (default: extractor.json next to the checkpoint)")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_explain)
 

@@ -8,7 +8,7 @@ optional.  Floats are written with ``repr`` so save/load round-trips exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -140,16 +140,7 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SynthConfig":
-        known = {
-            "class_count",
-            "input_dim",
-            "samples_per_class",
-            "factor_count",
-            "factor_tables",
-            "class_separation",
-            "noise_scale",
-            "seed",
-        }
+        known = {f.name for f in fields(cls)}
         unknown = set(doc) - known - {"schema_version"}
         if unknown:
             raise ValueError(f"unknown generator config fields: {sorted(unknown)}")
@@ -159,18 +150,10 @@ class SynthConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        tables = None if self.factor_tables is None else self.factor_tables.tolist()
-        return {
-            "schema_version": 1,
-            "class_count": self.class_count,
-            "input_dim": self.input_dim,
-            "samples_per_class": self.samples_per_class,
-            "factor_count": self.factor_count,
-            "factor_tables": tables,
-            "class_separation": self.class_separation,
-            "noise_scale": self.noise_scale,
-            "seed": self.seed,
-        }
+        doc = {"schema_version": 1, **{f.name: getattr(self, f.name) for f in fields(self)}}
+        if self.factor_tables is not None:
+            doc["factor_tables"] = self.factor_tables.tolist()
+        return doc
 
 
 def generate_synthetic(config: SynthConfig) -> Dataset:

@@ -204,12 +204,13 @@ def backward(trace: ForwardTrace, grad_logits, grad_z_extra=None) -> np.ndarray:
         gZ = gZ + gE
     parts = [trace.z.T @ gL]  # collected back to front
     gA = gZ
-    for layer, A_in, S in zip(
-        reversed(trace.embedder.layers), reversed(trace.inputs), reversed(trace.pre_activations)
-    ):
-        gS = gA * (S > 0) if layer.activation == "relu" else gA
-        parts += [gS.sum(axis=0), gS.T @ A_in]
-        gA = gS @ layer.weight
+    layers = trace.embedder.layers
+    for i in reversed(range(len(layers))):
+        layer = layers[i]
+        gS = gA * (trace.pre_activations[i] > 0) if layer.activation == "relu" else gA
+        parts += [gS.sum(axis=0), gS.T @ trace.inputs[i]]
+        if i > 0:  # the input gradient of the first layer is not needed
+            gA = gS @ layer.weight
     return np.concatenate([part.ravel() for part in reversed(parts)])
 
 

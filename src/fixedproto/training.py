@@ -11,7 +11,7 @@ parameters for the same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -76,50 +76,24 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        known = {
-            "epochs",
-            "batch_size",
-            "learning_rate",
-            "optimizer",
-            "adam_beta1",
-            "adam_beta2",
-            "adam_eps",
-            "mixup_alpha",
-            "lambda_p",
-            "loss",
-            "hidden_dims",
-            "embedding_dim",
-            "train_fraction",
-            "seed",
-            "extractor",
-        }
+        known = {f.name for f in fields(cls)}
         unknown = set(doc) - known - {"schema_version"}
         if unknown:
             raise ValueError(f"unknown training config fields: {sorted(unknown)}")
         return cls(**{k: doc[k] for k in known if k in doc})
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "optimizer": self.optimizer,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
-            "mixup_alpha": self.mixup_alpha,
-            "lambda_p": self.lambda_p,
-            "loss": self.loss,
-            "hidden_dims": list(self.hidden_dims),
-            "embedding_dim": self.embedding_dim,
-            "train_fraction": self.train_fraction,
-            "seed": self.seed,
-            "extractor": self.extractor,
-        }
+        doc = {"schema_version": 1, **{f.name: getattr(self, f.name) for f in fields(self)}}
+        doc["hidden_dims"] = list(self.hidden_dims)
+        return doc
 
     def effective_lambda(self) -> float:
         return 1.0 / self.embedding_dim if self.lambda_p is None else float(self.lambda_p)
+
+    @property
+    def uses_prototypes(self) -> bool:
+        """Whether training has a prototype term: the proto loss with nonzero weight."""
+        return self.loss == "proto" and self.effective_lambda() != 0.0
 
 
 @dataclass
@@ -295,7 +269,7 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
     if dataset.n == 0:
         raise ValueError("dataset is empty")
     lambda_p = config.effective_lambda()
-    use_proto = config.loss == "proto" and lambda_p != 0.0
+    use_proto = config.uses_prototypes
     if use_proto and extractor is None:
         raise ValueError("prototype loss requires an extractor")
 

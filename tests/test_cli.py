@@ -8,11 +8,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fixedproto.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
+import fixedproto
+from fixedproto.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, _load_checkpoint, main, run_comparison
 from fixedproto.data import load_table
 from fixedproto.model import RelevanceMatrix, forward
-from fixedproto.cli import _load_checkpoint
-from fixedproto.prototypes import extractor_to_doc, factor_coded_extractor, fit_factor_coder
+from fixedproto.prototypes import (
+    FactorCoder,
+    class_orthogonal_extractor,
+    extractor_to_doc,
+    factor_coded_extractor,
+    fit_factor_coder,
+)
+from fixedproto.training import TrainConfig
 
 
 def write_json(path, doc):
@@ -100,9 +107,9 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", str(blob_file), "--config", str(config),
                      "--out", str(out), "--quiet"]) == EXIT_OK
-        for name in ("checkpoint.json", "history.csv", "history.json",
-                     "extractor.json", "manifest.json"):
-            assert (out / name).exists()
+        assert sorted(os.listdir(out)) == ["checkpoint.json", "history.csv", "history.json",
+                                           "manifest.json"]
+        assert json.loads((out / "checkpoint.json").read_text())["extractor"]["kind"] == "class-orthogonal"
         last = (out / "history.csv").read_text().strip().splitlines()[-1]
         train_acc = float(last.split(",")[4])
         assert train_acc >= 0.99
@@ -135,11 +142,15 @@ class TestTrain:
     def test_repeat_run_is_bit_identical_across_processes(self, tmp_path, blob_file):
         config = train_config(tmp_path, epochs=8)
         out1, out2 = tmp_path / "p1", tmp_path / "p2"
+        # The child imports the same package as this process, installed or not.
+        src = os.path.dirname(os.path.dirname(fixedproto.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         for out in (out1, out2):
             proc = subprocess.run(
                 [sys.executable, "-m", "fixedproto.cli", "train", str(blob_file),
                  "--config", str(config), "--out", str(out), "--quiet"],
                 capture_output=True,
+                env=env,
             )
             assert proc.returncode == EXIT_OK, proc.stderr.decode()
         assert (out1 / "checkpoint.json").read_bytes() == (out2 / "checkpoint.json").read_bytes()
@@ -209,10 +220,18 @@ class TestEval:
         del doc["classifier"]
         broken = tmp_path / "broken.json"
         write_json(broken, doc)
-        assert main(["eval", str(broken), str(blob_file), "--quiet",
-                     "--extractor", str(trained_run / "extractor.json")]) == EXIT_CONFIG
+        assert main(["eval", str(broken), str(blob_file), "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert str(broken) in err and "classifier" in err
+
+    def test_checkpoint_without_extractor_field_rejected(self, tmp_path, blob_file, trained_run, capsys):
+        doc = json.loads((trained_run / "checkpoint.json").read_text())
+        del doc["extractor"]
+        broken = tmp_path / "broken.json"
+        write_json(broken, doc)
+        assert main(["eval", str(broken), str(blob_file), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(broken) in err and "'extractor'" in err
 
     def test_checkpoint_that_is_a_list_rejected(self, tmp_path, blob_file, capsys):
         broken = tmp_path / "list.json"
@@ -221,11 +240,60 @@ class TestEval:
         assert str(broken) in capsys.readouterr().err
 
     def test_extractor_that_is_a_list_rejected(self, tmp_path, blob_file, trained_run, capsys):
+        doc = json.loads((trained_run / "checkpoint.json").read_text())
+        doc["extractor"] = [1, 2, 3]
         broken = tmp_path / "list.json"
-        write_json(broken, [1, 2, 3])
-        assert main(["eval", str(trained_run / "checkpoint.json"), str(blob_file), "--quiet",
-                     "--extractor", str(broken)]) == EXIT_CONFIG
-        assert str(broken) in capsys.readouterr().err
+        write_json(broken, doc)
+        assert main(["eval", str(broken), str(blob_file), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(broken) in err and "'extractor'" in err
+
+    @pytest.mark.parametrize(
+        "field, extractor",
+        [
+            ("embedding_dim", class_orthogonal_extractor(2, 4, 0)),
+            ("class_count", class_orthogonal_extractor(3, 8, 0)),
+            ("factor_names", factor_coded_extractor(
+                FactorCoder(names=("alpha_0",), lower=[0.0], upper=[1.0]), 1, 8)),
+        ],
+        ids=["embedding_dim", "class_count", "factor_names"],
+    )
+    def test_mismatched_extractor_names_path_and_field(self, tmp_path, blob_file, trained_run,
+                                                       capsys, field, extractor):
+        doc = json.loads((trained_run / "checkpoint.json").read_text())
+        doc["extractor"] = extractor_to_doc(extractor)
+        broken = tmp_path / "mismatch.json"
+        write_json(broken, doc)
+        assert main(["eval", str(broken), str(blob_file), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(broken) in err and f"{field!r}" in err
+
+    def test_version_1_checkpoint_rejected(self, tmp_path, blob_file, trained_run, capsys):
+        doc = json.loads((trained_run / "checkpoint.json").read_text())
+        doc["version"] = 1
+        del doc["extractor"]
+        old = tmp_path / "v1.json"
+        write_json(old, doc)
+        assert main(["eval", str(old), str(blob_file), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(old) in err and "version 1" in err
+
+    def test_ce_retrain_into_same_directory_has_no_prototypes(self, tmp_path, blob_file, trained_run):
+        config = train_config(tmp_path, epochs=5)
+        assert main(["train", str(blob_file), "--config", str(config), "--out", str(trained_run),
+                     "--loss", "ce", "--quiet"]) == EXIT_OK
+        report_path = tmp_path / "eval.json"
+        assert main(["eval", str(trained_run / "checkpoint.json"), str(blob_file),
+                     "--out", str(report_path), "--quiet"]) == EXIT_OK
+        report = json.loads(report_path.read_text())
+        assert report["separation"]["mean_prototype_dist"] is None
+
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    def test_extractor_flag_refused(self, tmp_path, blob_file, trained_run, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(trained_run / "checkpoint.json"), str(blob_file),
+                  "--out", str(tmp_path / "x"), "--extractor", str(tmp_path / "e.json")])
+        assert exc.value.code == EXIT_CONFIG
 
 
 class TestExplain:
@@ -248,7 +316,7 @@ class TestExplain:
         out = tmp_path / "expl0"
         main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
               "--samples", "0,3", "--out", str(out), "--quiet"])
-        doc, embedder, classifier = _load_checkpoint(trained_run / "checkpoint.json")
+        doc, embedder, classifier, _ = _load_checkpoint(trained_run / "checkpoint.json")
         dataset = load_table(blob_file, class_names=doc["class_names"])
         for i in (0, 3):
             lines = (out / f"sample_{i:05d}.csv").read_text().strip().splitlines()[1:]
@@ -328,9 +396,20 @@ class TestCompare:
         assert code == EXIT_CONFIG
         assert "train_fraction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [([], "at least one seed"), ([0, 1, 0], "seed 0 is listed twice")],
+        ids=["empty", "repeated"],
+    )
+    def test_library_rejects_bad_seed_list(self, blob_file, seeds, message):
+        config = TrainConfig(train_fraction=0.8, epochs=1, hidden_dims=(4,), embedding_dim=4)
+        with pytest.raises(ValueError, match=message):
+            run_comparison(load_table(blob_file), config, seeds)
 
-# A checkpoint and two extractor documents (one of each kind) that eval
-# accepts, for the malformed-document property below.
+
+# A checkpoint without its extractor field and two extractor documents (one
+# of each kind) that eval accepts embedded in it, for the malformed-document
+# property below.
 @pytest.fixture(scope="module")
 def valid_documents(tmp_path_factory):
     root = tmp_path_factory.mktemp("documents")
@@ -340,21 +419,24 @@ def valid_documents(tmp_path_factory):
     run = root / "run"
     assert main(["train", str(data), "--config", str(train_config(root, epochs=2)),
                  "--out", str(run), "--quiet"]) == EXIT_OK
+    checkpoint = json.loads((run / "checkpoint.json").read_text())
     factors = load_table(data).factors
     coder = fit_factor_coder([factors[:, 0]], names=("alpha_0",))
     return {
         "data": data,
-        "checkpoint": json.loads((run / "checkpoint.json").read_text()),
-        "class-orthogonal": json.loads((run / "extractor.json").read_text()),
+        "class-orthogonal": checkpoint.pop("extractor"),
+        "checkpoint": checkpoint,
         "factor-coded": extractor_to_doc(factor_coded_extractor(coder, 1, 8)),
     }
 
 
 def eval_with(documents, tmp_dir, checkpoint=None, extractor=None):
-    ckpt, ext = tmp_dir / "checkpoint.json", tmp_dir / "extractor.json"
-    ckpt.write_text(json.dumps(documents["checkpoint"] if checkpoint is None else checkpoint))
-    ext.write_text(json.dumps(documents["class-orthogonal"] if extractor is None else extractor))
-    return main(["eval", str(ckpt), str(documents["data"]), "--extractor", str(ext), "--quiet"])
+    """Exit code of eval on ``checkpoint`` with ``extractor`` embedded in it."""
+    doc = dict(documents["checkpoint"] if checkpoint is None else checkpoint)
+    doc["extractor"] = documents["class-orthogonal"] if extractor is None else extractor
+    ckpt = tmp_dir / "checkpoint.json"
+    ckpt.write_text(json.dumps(doc))
+    return main(["eval", str(ckpt), str(documents["data"]), "--quiet"])
 
 
 JSON_VALUES = st.one_of(
