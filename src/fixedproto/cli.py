@@ -2,9 +2,13 @@
 
 Every command writes a run manifest holding the config snapshot, seeds and
 output inventory, so a run can be reproduced exactly from its manifest.
-A checkpoint stands alone: it holds the trained model and the frozen
-prototype extractor it was trained against, so ``eval`` and ``explain``
-read only the checkpoint and the data file.
+``gen-data``, ``train`` and ``compare`` read their config through one loader
+that applies the command-line overrides and names the config file in every
+error.  ``train`` writes ``checkpoint.json``, ``history.json`` and
+``manifest.json``.  A checkpoint stands alone: it holds the trained model and
+the frozen prototype extractor it was trained against, so ``eval`` and
+``explain`` read only the checkpoint and the data file, whose factor columns
+(if any) must be the checkpoint's, in its order.
 Exit codes: 0 success, 2 config/validation error, 3 training divergence,
 4 I/O failure.
 """
@@ -12,7 +16,9 @@ Exit codes: 0 success, 2 config/validation error, 3 training divergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
+import itertools
 import json
 import os
 import sys
@@ -65,14 +71,20 @@ def _load_json(path) -> dict:
             raise ConfigError(f"{path}: invalid JSON ({e})") from None
 
 
-def _load_config(path) -> dict:
+def _load_config(path, config_class, **overrides):
+    """The ``config_class`` config in the JSON file ``path``, with the
+    command-line overrides that were given (not None) applied."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     version = doc.get("schema_version", 1)
     if version != 1:
         raise ConfigError(f"{path}: unsupported schema_version {version!r}")
-    return doc
+    doc.update({key: value for key, value in overrides.items() if value is not None})
+    try:
+        return config_class.from_dict(doc)
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def _write_json(path, doc) -> None:
@@ -121,13 +133,7 @@ def _table(rows, header) -> str:
 
 
 def cmd_gen_data(args) -> int:
-    doc = _load_config(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    try:
-        config = SynthConfig.from_dict(doc)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{args.config}: {e}") from None
+    config = _load_config(args.config, SynthConfig, seed=args.seed)
     dataset = generate_synthetic(config)
     save_dataset(dataset, args.out)
     manifest = _manifest(
@@ -236,6 +242,8 @@ def _load_checkpoint(path):
 def _load_model_and_data(checkpoint_path, data_path):
     """A checked checkpoint and the data file read against it.
 
+    A data file with factor columns must name the checkpoint's factors in the
+    checkpoint's order; one without factor columns is read without factors.
     Returns (doc, embedder, classifier, extractor, dataset).
     """
     doc, embedder, classifier, extractor = _load_checkpoint(checkpoint_path)
@@ -244,6 +252,12 @@ def _load_model_and_data(checkpoint_path, data_path):
         raise ConfigError(
             f"checkpoint expects input_dim {doc['input_dim']}, dataset has {dataset.input_dim}"
         )
+    if dataset.factor_names:
+        pairs = itertools.zip_longest(dataset.factor_names, doc["factor_names"])
+        for i, (found, expected) in enumerate(pairs):
+            if found != expected:
+                raise ConfigError(f"{data_path}: factor column {i} is {found!r}, "
+                                  f"the checkpoint's is {expected!r}")
     return doc, embedder, classifier, extractor, dataset
 
 
@@ -269,17 +283,7 @@ def _run_training(dataset: Dataset, config: TrainConfig):
 
 
 def cmd_train(args) -> int:
-    doc = _load_config(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.lambda_p is not None:
-        doc["lambda_p"] = args.lambda_p
-    if args.loss is not None:
-        doc["loss"] = args.loss
-    try:
-        config = TrainConfig.from_dict(doc)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{args.config}: {e}") from None
+    config = _load_config(args.config, TrainConfig, seed=args.seed, lambda_p=args.lambda_p, loss=args.loss)
     dataset = load_table(args.data)
 
     # Validate everything before creating any output.
@@ -290,14 +294,13 @@ def cmd_train(args) -> int:
         os.path.join(args.out, "checkpoint.json"),
         _checkpoint_doc(embedder, classifier, extractor, dataset, config),
     )
-    _write_text(os.path.join(args.out, "history.csv"), history.to_csv_text())
     _write_json(os.path.join(args.out, "history.json"), history.to_doc())
     manifest = _manifest(
         "train",
         config.to_dict(),
         {"seed": config.seed},
         {"config": str(args.config), "data": str(args.data)},
-        ["checkpoint.json", "history.csv", "history.json", "manifest.json"],
+        ["checkpoint.json", "history.json", "manifest.json"],
     )
     _write_json(os.path.join(args.out, "manifest.json"), manifest)
     final = history.final
@@ -423,14 +426,13 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _comparison_run(dataset: Dataset, config: TrainConfig, loss_kind: str, seed: int) -> dict:
+def _comparison_run(dataset: Dataset, config: TrainConfig) -> dict:
     """One training run scored on its held-out split."""
-    run_config = TrainConfig.from_dict({**config.to_dict(), "loss": loss_kind, "seed": seed})
-    embedder, classifier, history, extractor, val_set = _run_training(dataset, run_config)
+    embedder, classifier, history, extractor, val_set = _run_training(dataset, config)
     trace = forward(embedder, classifier, val_set.X)
     sep = separation_report(trace.z, val_set.Y, _prototypes(extractor, val_set))
     return {
-        "seed": seed,
+        "seed": config.seed,
         "accuracy": accuracy(trace.probs, val_set.Y),
         "mean_abs_cos": sep.mean_abs_cos,
         "mean_prototype_dist": sep.mean_prototype_dist,
@@ -453,7 +455,8 @@ def run_comparison(dataset: Dataset, config: TrainConfig, seeds) -> dict:
             raise ValueError(f"seed {seed} is listed twice")
     systems = {}
     for loss_kind, name in (("proto", "predefined-prototype"), ("ce", "cross-entropy")):
-        runs = [_comparison_run(dataset, config, loss_kind, seed) for seed in seeds]
+        runs = [_comparison_run(dataset, dataclasses.replace(config, loss=loss_kind, seed=seed))
+                for seed in seeds]
         acc = np.array([r["accuracy"] for r in runs])
         cos = np.array([r["mean_abs_cos"] for r in runs])
         ddof = 1 if len(runs) > 1 else 0
@@ -474,13 +477,7 @@ def run_comparison(dataset: Dataset, config: TrainConfig, seeds) -> dict:
 
 
 def cmd_compare(args) -> int:
-    doc = _load_config(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    try:
-        config = TrainConfig.from_dict(doc)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{args.config}: {e}") from None
+    config = _load_config(args.config, TrainConfig, seed=args.seed)
     if args.seeds is not None:
         seeds = _parse_ids("--seeds", args.seeds)
     elif args.num_seeds < 1:

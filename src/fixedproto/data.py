@@ -8,6 +8,8 @@ optional.  Floats are written with ``repr`` so save/load round-trips exactly.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -90,6 +92,28 @@ class Dataset:
         return np.argmax(self.Y, axis=1)
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy int; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_types(config, ints=(), reals=()) -> None:
+    """Check the types of a config's fields, naming the first wrong one.
+
+    Integer fields take a Python or numpy int and are stored back as an int;
+    real fields take an int or a finite float.  A bool is neither.
+    """
+    for name in ints:
+        value = getattr(config, name)
+        if not is_integer(value):
+            raise TypeError(f"field {name!r} must be an integer, got {value!r}")
+        setattr(config, name, int(value))
+    for name in reals:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise TypeError(f"field {name!r} must be a finite number, got {value!r}")
+
+
 @dataclass
 class SynthConfig:
     """Generator settings.
@@ -111,6 +135,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_types(self, ints=("class_count", "input_dim", "samples_per_class", "factor_count", "seed"),
+                    reals=("class_separation", "noise_scale"))
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.class_count < 2:
             raise ValueError("class_count must be >= 2")
         if self.input_dim < 1 or self.samples_per_class < 1:

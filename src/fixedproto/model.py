@@ -4,7 +4,9 @@ classifier head, exact reverse-mode gradients, and per-prediction relevance.
 The head has no bias on purpose: every class logit then decomposes exactly
 into per-dimension contributions (the relevance matrix), with nothing left
 over.  Forward, backward and relevance work on batches, one row per sample
-(a single sample is a 1-row batch).
+(a single sample is a 1-row batch).  ``forward`` computes the probabilities
+and log-probabilities once, from the same max-shifted exponentials
+(``softmax`` returns both), and the loss reads them from the trace.
 
 Training keeps every parameter in one contiguous vector (``flat_params``):
 the layer weights and biases and the head weight are views of it, and
@@ -107,26 +109,25 @@ def init_classifier(embedding_dim: int, class_count: int, seed) -> ClassifierPar
     return ClassifierParams(weight=rng.uniform(-limit, limit, size=(embedding_dim, class_count)))
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis (max subtraction)."""
+def softmax(logits: np.ndarray) -> tuple:
+    """Numerically stable softmax over the last axis: ``(probs, log_probs)``.
+
+    Both come from the same max-shifted exponentials, so the log-probabilities
+    stay finite for logits of very large magnitude.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    total = e.sum(axis=-1, keepdims=True)
+    return e / total, shifted - np.log(total)
 
 
 @dataclass
 class ForwardTrace:
     """Everything the backward pass needs, plus the public outputs.
 
-    ``z`` is (n, embedding_dim); ``logits`` and ``probs`` are
-    (n, class_count), one row per input row.
+    ``z`` is (n, embedding_dim); ``logits``, ``probs`` and ``log_probs``
+    are (n, class_count), one row per input row.
     """
 
     embedder: EmbedderParams
@@ -136,6 +137,7 @@ class ForwardTrace:
     z: np.ndarray
     logits: np.ndarray
     probs: np.ndarray
+    log_probs: np.ndarray
 
 
 def forward(embedder: EmbedderParams, classifier: ClassifierParams, X) -> ForwardTrace:
@@ -153,6 +155,7 @@ def forward(embedder: EmbedderParams, classifier: ClassifierParams, X) -> Forwar
         pres.append(S)
         A = np.maximum(S, 0.0) if layer.activation == "relu" else S
     logits = A @ classifier.weight
+    probs, log_probs = softmax(logits)
     return ForwardTrace(
         embedder=embedder,
         classifier=classifier,
@@ -160,7 +163,8 @@ def forward(embedder: EmbedderParams, classifier: ClassifierParams, X) -> Forwar
         pre_activations=pres,
         z=A,
         logits=logits,
-        probs=softmax(logits),
+        probs=probs,
+        log_probs=log_probs,
     )
 
 

@@ -7,6 +7,10 @@ with ``p`` the fixed prototype for that sample's label/factors and
 prototype machinery is skipped entirely, so such a run executes exactly the
 same arithmetic as the plain cross-entropy baseline and yields bit-identical
 parameters for the same seed.
+
+``TrainHistory.to_doc`` is the one record of a run's epochs.  ``TrainConfig``
+checks every field's type (an integer field takes no bool or float), so a
+mistyped config fails naming the field before anything runs.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_types, is_integer
 from .metrics import accuracy
-from .model import backward, flat_params, forward, init_classifier, init_embedder, log_softmax
+from .model import backward, flat_params, forward, init_classifier, init_embedder
 
 OPTIMIZERS = ("adam", "sgd")
 LOSS_KINDS = ("proto", "ce")
@@ -52,6 +56,21 @@ class TrainConfig:
     extractor: dict = field(default_factory=lambda: {"kind": "class-orthogonal"})
 
     def __post_init__(self):
+        check_types(self, ints=("epochs", "batch_size", "embedding_dim", "seed"),
+                    reals=("learning_rate", "adam_beta1", "adam_beta2", "adam_eps",
+                           "mixup_alpha", "train_fraction"))
+        if self.lambda_p is not None:
+            check_types(self, reals=("lambda_p",))
+        if not isinstance(self.hidden_dims, (list, tuple)) or not all(map(is_integer, self.hidden_dims)):
+            raise TypeError(f"field 'hidden_dims' must be a list of integers, got {self.hidden_dims!r}")
+        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
+        if not isinstance(self.extractor, dict) or "kind" not in self.extractor:
+            raise TypeError(f"field 'extractor' must be an object with a 'kind' field, got {self.extractor!r}")
+        extractor_seed = self.extractor.get("seed", 0)
+        if not is_integer(extractor_seed) or extractor_seed < 0:
+            raise ValueError(f"field 'extractor' has seed {extractor_seed!r}, expected an integer >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -68,11 +87,10 @@ class TrainConfig:
             raise ValueError(f"loss must be one of {LOSS_KINDS}")
         if self.embedding_dim < 1:
             raise ValueError("embedding_dim must be >= 1")
+        if min(self.hidden_dims, default=1) < 1:
+            raise ValueError("hidden_dims entries must be >= 1")
         if not 0.0 < self.train_fraction <= 1.0:
             raise ValueError("train_fraction must be in (0, 1]")
-        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
-        if self.extractor is not None and "kind" not in self.extractor:
-            raise ValueError("extractor config needs a 'kind' field")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
@@ -116,12 +134,11 @@ def loss(y, trace, prototype, lambda_p: float) -> LossResult:
 
     ``prototype=None`` is allowed only with ``lambda_p == 0`` and drops the
     penalty term (and its gradient) entirely.  Cross-entropy is computed from
-    logits through log-softmax, so it stays finite for logits up to very
+    the trace's log-probabilities, so it stays finite for logits up to very
     large magnitudes.
     """
     y = np.asarray(y, dtype=np.float64)
-    logp = log_softmax(trace.logits)
-    ce = -(y * logp).sum(axis=-1)
+    ce = -(y * trace.log_probs).sum(axis=-1)
     grad_logits = trace.probs - y
     if prototype is None:
         if lambda_p != 0.0:
@@ -221,16 +238,6 @@ class TrainHistory:
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"non-finite history entry at epoch {row.epoch}")
 
-    def to_csv_text(self) -> str:
-        lines = ["epoch,total_loss,ce_loss,prototype_loss,train_accuracy,val_accuracy"]
-        for r in self.rows:
-            val = "" if r.val_accuracy is None else repr(r.val_accuracy)
-            lines.append(
-                f"{r.epoch},{r.total_loss!r},{r.ce_loss!r},{r.proto_loss!r},"
-                f"{r.train_accuracy!r},{val}"
-            )
-        return "\n".join(lines) + "\n"
-
     def to_doc(self) -> dict:
         return {
             "format": "train-history",
@@ -256,25 +263,24 @@ class TrainHistory:
 def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None = None):
     """Minibatch training; returns (embedder, classifier, history).
 
-    The extractor's ``targets`` are looked up and checked once.  Per batch:
-    mix the rows (with mixup), forward all samples, look up their fixed
-    prototypes, average the per-sample losses, and take one optimizer step
-    on the exact batch gradient.  The optimizer steps the one parameter
-    vector from ``flat_params``, which the returned embedder and classifier
-    view.  The extractor is read-only throughout.
-    Runs are deterministic for a fixed config seed: initialization,
-    shuffling and mixup draw from independent child streams of it, in a
-    fixed order.
+    The extractor's ``targets`` are looked up and checked once.  Each epoch
+    gathers the inputs, labels and targets once in shuffled order, and each
+    batch is a slice of them.  Per batch: mix the rows (with mixup), forward
+    all samples, look up their fixed prototypes, average the per-sample
+    losses, and take one optimizer step on the exact batch gradient.  The
+    optimizer steps the one parameter vector from ``flat_params``, which the
+    returned embedder and classifier view.  The extractor is read-only
+    throughout.  Runs are deterministic for a fixed config seed:
+    initialization, shuffling and mixup draw from independent child streams
+    of it, in a fixed order.
     """
     if dataset.n == 0:
         raise ValueError("dataset is empty")
-    lambda_p = config.effective_lambda()
-    use_proto = config.uses_prototypes
-    if use_proto and extractor is None:
-        raise ValueError("prototype loss requires an extractor")
-
+    lambda_p = config.effective_lambda() if config.uses_prototypes else 0.0
     targets = None
-    if use_proto:
+    if config.uses_prototypes:
+        if extractor is None:
+            raise ValueError("prototype loss requires an extractor")
         if extractor.embedding_dim != config.embedding_dim:
             raise ValueError(
                 f"extractor embedding_dim {extractor.embedding_dim} "
@@ -297,32 +303,35 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
     rows = []
     for epoch in range(config.epochs):
         order = rng_shuffle.permutation(n)
+        X_epoch, Y_epoch = X[order], Y[order]
+        T_epoch = None if targets is None else targets[order]
         ce_sum = 0.0
         proto_sum = 0.0
         for batch_i, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start : start + config.batch_size]
-            xb, yb = X[idx], Y[idx]
-            tb = None if targets is None else targets[idx]
+            batch = slice(start, start + config.batch_size)
+            xb, yb = X_epoch[batch], Y_epoch[batch]
+            tb = None if T_epoch is None else T_epoch[batch]
+            size = len(xb)
             if config.mixup_alpha > 0:
-                perm = rng_mix.permutation(idx.size)
-                lam = rng_mix.beta(config.mixup_alpha, config.mixup_alpha, size=idx.size)
+                perm = rng_mix.permutation(size)
+                lam = rng_mix.beta(config.mixup_alpha, config.mixup_alpha, size=size)
                 xb, yb = mix_rows(xb, lam, perm), mix_rows(yb, lam, perm)
                 if tb is not None:
                     tb = mix_rows(tb, lam, perm)
             trace = forward(embedder, classifier, xb)
-            proto = extractor.extract_batch(tb) if use_proto else None
-            res = loss(yb, trace, proto, lambda_p if use_proto else 0.0)
+            proto = None if tb is None else extractor.extract_batch(tb)
+            res = loss(yb, trace, proto, lambda_p)
             batch_mean = float(np.mean(res.total))
             if not np.isfinite(batch_mean):
                 raise DivergenceError(epoch, batch_i, batch_mean)
             ce_sum += float(np.sum(res.ce))
             proto_sum += float(np.sum(res.proto_sq))
-            scale = 1.0 / idx.size
+            scale = 1.0 / size
             extra = None if res.grad_z_extra is None else res.grad_z_extra * scale
             opt.step(params, backward(trace, res.grad_logits * scale, extra))
         ce_mean = ce_sum / n
         proto_mean = proto_sum / n
-        total_mean = ce_mean + (lambda_p if use_proto else 0.0) * proto_mean
+        total_mean = ce_mean + lambda_p * proto_mean
         train_acc = accuracy(forward(embedder, classifier, X).probs, Y)
         val_acc = None
         if val is not None:

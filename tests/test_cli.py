@@ -107,12 +107,11 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", str(blob_file), "--config", str(config),
                      "--out", str(out), "--quiet"]) == EXIT_OK
-        assert sorted(os.listdir(out)) == ["checkpoint.json", "history.csv", "history.json",
-                                           "manifest.json"]
+        assert sorted(os.listdir(out)) == ["checkpoint.json", "history.json", "manifest.json"]
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == sorted(os.listdir(out))
         assert json.loads((out / "checkpoint.json").read_text())["extractor"]["kind"] == "class-orthogonal"
-        last = (out / "history.csv").read_text().strip().splitlines()[-1]
-        train_acc = float(last.split(",")[4])
-        assert train_acc >= 0.99
+        last = json.loads((out / "history.json").read_text())["rows"][-1]
+        assert last["train_accuracy"] >= 0.99
 
     def test_factor_coded_without_factor_columns_leaves_no_outputs(self, tmp_path, blob_file, capsys):
         config = train_config(tmp_path, extractor={"kind": "factor-coded"})
@@ -137,7 +136,7 @@ class TestTrain:
         main(["train", str(blob_file), "--config", str(config), "--out", str(out1), "--quiet"])
         main(["train", str(blob_file), "--config", str(config), "--out", str(out2), "--quiet"])
         assert (out1 / "checkpoint.json").read_bytes() == (out2 / "checkpoint.json").read_bytes()
-        assert (out1 / "history.csv").read_bytes() == (out2 / "history.csv").read_bytes()
+        assert (out1 / "history.json").read_bytes() == (out2 / "history.json").read_bytes()
 
     def test_repeat_run_is_bit_identical_across_processes(self, tmp_path, blob_file):
         config = train_config(tmp_path, epochs=8)
@@ -185,9 +184,8 @@ class TestEval:
         assert main(["eval", str(trained_run / "checkpoint.json"), str(blob_file),
                      "--out", str(report_path), "--quiet"]) == EXIT_OK
         report = json.loads(report_path.read_text())
-        last = (trained_run / "history.csv").read_text().strip().splitlines()[-1]
-        train_acc = float(last.split(",")[4])
-        assert abs(report["accuracy"] - train_acc) < 1e-9
+        last = json.loads((trained_run / "history.json").read_text())["rows"][-1]
+        assert abs(report["accuracy"] - last["train_accuracy"]) < 1e-9
         assert report["separation"]["mean_prototype_dist"] is not None
 
     def test_eval_twice_identical(self, tmp_path, blob_file, trained_run):
@@ -294,6 +292,51 @@ class TestEval:
             main([command, str(trained_run / "checkpoint.json"), str(blob_file),
                   "--out", str(tmp_path / "x"), "--extractor", str(tmp_path / "e.json")])
         assert exc.value.code == EXIT_CONFIG
+
+
+@pytest.fixture
+def factor_run(tmp_path):
+    """A factor-coded checkpoint trained on a file with factors alpha_0 and alpha_1."""
+    data = tmp_path / "factors.csv"
+    config = gen_config(tmp_path, factor_count=2, input_dim=6)
+    assert main(["gen-data", "--config", str(config), "--out", str(data), "--quiet"]) == EXIT_OK
+    out = tmp_path / "factor_run"
+    config = train_config(tmp_path, epochs=2, extractor={"kind": "factor-coded"})
+    assert main(["train", str(data), "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_OK
+    return out / "checkpoint.json", data
+
+
+class TestFactorColumns:
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    def test_swapped_factor_headers_rejected(self, tmp_path, factor_run, capsys, command):
+        checkpoint, data = factor_run
+        lines = data.read_text().splitlines(keepends=True)
+        swapped = tmp_path / "swapped.csv"
+        swapped.write_text(lines[0].replace("alpha_0", "TMP").replace("alpha_1", "alpha_0")
+                           .replace("TMP", "alpha_1") + "".join(lines[1:]))
+        out = tmp_path / "out"
+        assert main([command, str(checkpoint), str(swapped), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(swapped) in err and "'alpha_1'" in err and "'alpha_0'" in err
+        assert not out.exists()
+
+    def test_missing_factor_column_rejected(self, tmp_path, factor_run, capsys):
+        checkpoint, data = factor_run
+        rows = [line.rsplit(",", 1)[0] for line in data.read_text().splitlines()]
+        cut = tmp_path / "cut.csv"
+        cut.write_text("\n".join(rows) + "\n")
+        assert main(["eval", str(checkpoint), str(cut), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(cut) in err and "'alpha_1'" in err
+
+    def test_file_without_factor_columns_accepted(self, tmp_path, factor_run):
+        checkpoint, data = factor_run
+        rows = [line.rsplit(",", 2)[0] for line in data.read_text().splitlines()]
+        bare = tmp_path / "bare.csv"
+        bare.write_text("\n".join(rows) + "\n")
+        report = tmp_path / "report.json"
+        assert main(["eval", str(checkpoint), str(bare), "--out", str(report), "--quiet"]) == EXIT_OK
+        assert json.loads(report.read_text())["disentanglement"] is None
 
 
 class TestExplain:
@@ -405,6 +448,44 @@ class TestCompare:
         config = TrainConfig(train_fraction=0.8, epochs=1, hidden_dims=(4,), embedding_dim=4)
         with pytest.raises(ValueError, match=message):
             run_comparison(load_table(blob_file), config, seeds)
+
+
+MISTYPED_CONFIGS = [
+    ("train", {"epochs": 2.5}, "epochs"),
+    ("train", {"batch_size": 2.5}, "batch_size"),
+    ("train", {"seed": 1.5}, "seed"),
+    ("train", {"seed": True}, "seed"),
+    ("train", {"seed": -1}, "seed"),
+    ("train", {"embedding_dim": 4.5}, "embedding_dim"),
+    ("train", {"learning_rate": True}, "learning_rate"),
+    ("train", {"hidden_dims": [4.7]}, "hidden_dims"),
+    ("train", {"extractor": None}, "extractor"),
+    ("train", {"extractor": {"kind": "class-orthogonal", "seed": "a"}}, "extractor"),
+    ("gen-data", {"class_count": 2.5}, "class_count"),
+    ("gen-data", {"samples_per_class": 2.5}, "samples_per_class"),
+    ("gen-data", {"seed": 2.5}, "seed"),
+    ("compare", {"epochs": 2.5}, "epochs"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    MISTYPED_CONFIGS,
+    ids=[f"{command}-{json.dumps(overrides, separators=(',', ':'))}" for command, overrides, _ in MISTYPED_CONFIGS],
+)
+def test_mistyped_config_value_exits_2(tmp_path, blob_file, capsys, command, overrides, field):
+    out = tmp_path / "out"
+    if command == "gen-data":
+        config = gen_config(tmp_path, **overrides)
+        argv = ["gen-data", "--config", str(config), "--out", str(out)]
+    else:
+        config = train_config(tmp_path, **{"train_fraction": 0.8, "epochs": 2, **overrides})
+        argv = [command, str(blob_file), "--config", str(config), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv + ["--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(config) in err and field in err
+    assert not out.exists()
 
 
 # A checkpoint without its extractor field and two extractor documents (one

@@ -83,8 +83,9 @@ class TestForward:
         assert np.all(trace.probs >= 0)
 
     def test_softmax_extreme_logits(self):
-        probs = softmax(np.array([1e3, -1e3, 0.0]))
+        probs, log_probs = softmax(np.array([1e3, -1e3, 0.0]))
         assert np.all(np.isfinite(probs))
+        assert np.all(np.isfinite(log_probs))
         assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_batch_matches_per_sample(self):

@@ -1,22 +1,27 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fixedproto.data import SynthConfig, generate_synthetic
-from fixedproto.model import backward, flat_params, forward, init_classifier, init_embedder
+from fixedproto.model import backward, flat_params, forward, init_classifier, init_embedder, softmax
 from fixedproto.prototypes import (
     FactorCoder,
     class_orthogonal_extractor,
     extractor_to_doc,
     factor_coded_extractor,
 )
+from fixedproto.metrics import accuracy
 from fixedproto.training import (
     Adam,
     DivergenceError,
+    EpochStats,
     SGD,
     TrainConfig,
+    TrainHistory,
     loss,
+    make_optimizer,
     mix_rows,
     train,
 )
@@ -27,9 +32,8 @@ from util import central_difference
 def fake_trace(logits, z):
     """A trace of one sample, as a 1-row batch."""
     logits = np.atleast_2d(np.asarray(logits, dtype=float))
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return SimpleNamespace(logits=logits, probs=e / e.sum(axis=1, keepdims=True),
+    probs, log_probs = softmax(logits)
+    return SimpleNamespace(logits=logits, probs=probs, log_probs=log_probs,
                            z=np.atleast_2d(np.asarray(z, dtype=float)))
 
 
@@ -247,7 +251,7 @@ class TestTrain:
         e1, c1, h1 = train(ds, ex, config)
         e2, c2, h2 = train(ds, ex, config)
         assert flat_params(e1, c1).tobytes() == flat_params(e2, c2).tobytes()
-        assert h1.to_csv_text() == h2.to_csv_text()
+        assert json.dumps(h1.to_doc()) == json.dumps(h2.to_doc())
 
     def test_lambda_zero_matches_ce_baseline_bitwise(self):
         ds = blob_dataset(samples_per_class=40)
@@ -314,8 +318,74 @@ class TestTrain:
         ex = class_orthogonal_extractor(2, 8, seed=0)
         _, _, history = train(ds, ex, config, val=val)
         assert history.final.val_accuracy is not None
-        text = history.to_csv_text()
-        assert text.splitlines()[0] == "epoch,total_loss,ce_loss,prototype_loss,train_accuracy,val_accuracy"
+        assert list(history.to_doc()["rows"][0]) == [
+            "epoch", "total_loss", "ce_loss", "prototype_loss", "train_accuracy", "val_accuracy"]
+
+
+def reference_train(dataset, extractor, config):
+    """Reference: the training loop with per-batch fancy indexing of the
+    inputs, labels and targets, and a log-softmax computed apart from the
+    forward pass.  Returns (parameter vector, history)."""
+    lambda_p = config.effective_lambda() if config.uses_prototypes else 0.0
+    targets = extractor.targets(dataset.Y, dataset.factors) if config.uses_prototypes else None
+    emb_seed, clf_seed, shuffle_seed, mix_seed = np.random.SeedSequence(config.seed).spawn(4)
+    embedder = init_embedder(dataset.input_dim, config.hidden_dims, config.embedding_dim, emb_seed)
+    classifier = init_classifier(config.embedding_dim, dataset.class_count, clf_seed)
+    rng_shuffle, rng_mix = np.random.default_rng(shuffle_seed), np.random.default_rng(mix_seed)
+    params = flat_params(embedder, classifier)
+    opt = make_optimizer(config)
+    X, Y, n = dataset.X, dataset.Y, dataset.n
+    rows = []
+    for epoch in range(config.epochs):
+        order = rng_shuffle.permutation(n)
+        ce_sum = proto_sum = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            xb, yb = X[idx], Y[idx]
+            tb = None if targets is None else targets[idx]
+            if config.mixup_alpha > 0:
+                perm = rng_mix.permutation(idx.size)
+                lam = rng_mix.beta(config.mixup_alpha, config.mixup_alpha, size=idx.size)
+                xb, yb = mix_rows(xb, lam, perm), mix_rows(yb, lam, perm)
+                if tb is not None:
+                    tb = mix_rows(tb, lam, perm)
+            trace = forward(embedder, classifier, xb)
+            shifted = trace.logits - trace.logits.max(axis=-1, keepdims=True)
+            logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+            ce = -(yb * logp).sum(axis=-1)
+            scale = 1.0 / idx.size
+            extra = None
+            if tb is not None:
+                diff = trace.z - extractor.extract_batch(tb)
+                proto_sum += float(np.sum((diff * diff).sum(axis=-1)))
+                extra = (2.0 * lambda_p) * diff * scale
+            ce_sum += float(np.sum(ce))
+            opt.step(params, backward(trace, (trace.probs - yb) * scale, extra))
+        ce_mean, proto_mean = ce_sum / n, proto_sum / n
+        rows.append(EpochStats(epoch=epoch, total_loss=ce_mean + lambda_p * proto_mean,
+                               ce_loss=ce_mean, proto_loss=proto_mean,
+                               train_accuracy=accuracy(forward(embedder, classifier, X).probs, Y),
+                               val_accuracy=None))
+    return params, TrainHistory(rows=rows)
+
+
+@pytest.mark.parametrize("mixup_alpha", [0.0, 0.2], ids=["no-mixup", "mixup"])
+@pytest.mark.parametrize("kind", ["class-orthogonal", "factor-coded"])
+def test_train_matches_reference_loop(kind, mixup_alpha):
+    ds = generate_synthetic(SynthConfig(class_count=3, input_dim=8, samples_per_class=30,
+                                        factor_count=2, noise_scale=0.5, seed=4))
+    if kind == "class-orthogonal":
+        ex = class_orthogonal_extractor(3, 8, seed=2)
+    else:
+        ex = factor_coded_extractor(FactorCoder(names=("alpha_0", "alpha_1"), lower=np.array([-0.5, -0.5]),
+                                                upper=np.array([0.5, 0.5])), 2, 8)
+    # 90 rows in batches of 16: the last batch is short.
+    config = TrainConfig(epochs=3, batch_size=16, learning_rate=1e-2, embedding_dim=8, hidden_dims=(8,),
+                         mixup_alpha=mixup_alpha, seed=5, extractor={"kind": kind})
+    embedder, classifier, history = train(ds, ex, config)
+    ref_params, ref_history = reference_train(ds, ex, config)
+    assert flat_params(embedder, classifier).tobytes() == ref_params.tobytes()
+    assert json.dumps(history.to_doc()) == json.dumps(ref_history.to_doc())
 
 
 class TestTrainConfig:
