@@ -156,19 +156,16 @@ def _build_extractor(config: TrainConfig, train_set: Dataset):
     """
     if not config.uses_prototypes:
         return None
-    kind = config.extractor.get("kind")
-    if kind == "class-orthogonal":
+    if config.extractor["kind"] == "class-orthogonal":
         seed = config.extractor.get("seed", config.seed)
         return class_orthogonal_extractor(train_set.class_count, config.embedding_dim, seed)
-    if kind == "factor-coded":
-        if train_set.factors is None:
-            raise ConfigError("factor-coded extractor needs a dataset with factor columns")
-        coder = fit_factor_coder(
-            [train_set.factors[:, i] for i in range(train_set.factor_count)],
-            names=train_set.factor_names,
-        )
-        return factor_coded_extractor(coder, train_set.factor_count, config.embedding_dim)
-    raise ConfigError(f"unknown extractor kind {kind!r}")
+    if train_set.factors is None:  # factor-coded, the one other kind TrainConfig accepts
+        raise ConfigError("factor-coded extractor needs a dataset with factor columns")
+    coder = fit_factor_coder(
+        [train_set.factors[:, i] for i in range(train_set.factor_count)],
+        names=train_set.factor_names,
+    )
+    return factor_coded_extractor(coder, train_set.factor_count, config.embedding_dim)
 
 
 def _checkpoint_doc(embedder, classifier, extractor, dataset, config) -> dict:

@@ -7,6 +7,8 @@ over.  Forward, backward and relevance work on batches, one row per sample
 (a single sample is a 1-row batch).  ``forward`` computes the probabilities
 and log-probabilities once, from the same max-shifted exponentials
 (``softmax`` returns both), and the loss reads them from the trace.
+``forward(..., into=trace)`` overwrites an earlier trace's arrays when the
+input shape matches, so a loop allocates them once.
 
 Training keeps every parameter in one contiguous vector (``flat_params``):
 the layer weights and biases and the head weight are views of it, and
@@ -140,21 +142,31 @@ class ForwardTrace:
     log_probs: np.ndarray
 
 
-def forward(embedder: EmbedderParams, classifier: ClassifierParams, X) -> ForwardTrace:
-    """Run the embedder and head on a batch (n, input_dim), caching what backward needs."""
+def forward(embedder: EmbedderParams, classifier: ClassifierParams, X, into=None) -> ForwardTrace:
+    """Run the embedder and head on a batch (n, input_dim), caching what backward needs.
+
+    If ``into`` is an earlier trace of this model on an input of this shape,
+    the layer arrays, ``z`` and ``logits`` are written into its arrays (same
+    values as fresh ones; ``into`` is stale afterwards); else they are new.
+    """
     A = np.asarray(X, dtype=np.float64)
     if A.ndim != 2 or A.shape[1] != embedder.input_dim:
         raise ValueError(f"input has shape {A.shape}, embedder expects (n, {embedder.input_dim})")
     if classifier.embedding_dim != embedder.embedding_dim:
         raise ValueError("classifier embedding_dim does not match embedder output")
+    reuse = (into is not None and into.embedder is embedder and into.classifier is classifier
+             and into.inputs[0].shape == A.shape)
+    pre_out = into.pre_activations if reuse else [None] * len(embedder.layers)
+    act_out = [*into.inputs[1:], into.z] if reuse else pre_out
     inputs = []
     pres = []
-    for layer in embedder.layers:
+    for layer, S_out, A_out in zip(embedder.layers, pre_out, act_out):
         inputs.append(A)
-        S = A @ layer.weight.T + layer.bias
+        S = np.matmul(A, layer.weight.T, out=S_out)
+        S += layer.bias
         pres.append(S)
-        A = np.maximum(S, 0.0) if layer.activation == "relu" else S
-    logits = A @ classifier.weight
+        A = np.maximum(S, 0.0, out=A_out) if layer.activation == "relu" else S
+    logits = np.matmul(A, classifier.weight, out=into.logits if reuse else None)
     probs, log_probs = softmax(logits)
     return ForwardTrace(
         embedder=embedder,

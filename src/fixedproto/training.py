@@ -25,6 +25,7 @@ from .model import backward, flat_params, forward, init_classifier, init_embedde
 
 OPTIMIZERS = ("adam", "sgd")
 LOSS_KINDS = ("proto", "ce")
+EXTRACTOR_KEYS = {"class-orthogonal": ("kind", "seed"), "factor-coded": ("kind",)}
 
 
 class DivergenceError(RuntimeError):
@@ -66,6 +67,14 @@ class TrainConfig:
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
         if not isinstance(self.extractor, dict) or "kind" not in self.extractor:
             raise TypeError(f"field 'extractor' must be an object with a 'kind' field, got {self.extractor!r}")
+        kind = self.extractor["kind"]
+        allowed = EXTRACTOR_KEYS.get(kind) if isinstance(kind, str) else None
+        if allowed is None:
+            raise ValueError(f"field 'extractor' has kind {kind!r}, expected one of {list(EXTRACTOR_KEYS)}")
+        unknown = [key for key in self.extractor if key not in allowed]
+        if unknown:
+            raise ValueError(f"field 'extractor' has unknown key {unknown[0]!r}; "
+                             f"a {kind} extractor takes {list(allowed)}")
         extractor_seed = self.extractor.get("seed", 0)
         if not is_integer(extractor_seed) or extractor_seed < 0:
             raise ValueError(f"field 'extractor' has seed {extractor_seed!r}, expected an integer >= 0")
@@ -184,7 +193,8 @@ class Adam:
     """Adam with bias correction on the parameter vector, in place.
 
     The first and second moments are one vector each, shaped like the
-    parameters and created at the first step.
+    parameters and created at the first step, with two scratch vectors for
+    the step's temporaries (the textbook operation order, so the same bits).
     """
 
     def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -195,19 +205,25 @@ class Adam:
         self.t = 0
         self.m = None
         self.v = None
+        self.scratch = None
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         if self.m is None:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
+            self.scratch = (np.empty_like(params), np.empty_like(params))
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
+        a, b = self.scratch
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grads
+        self.m += np.multiply(grads, 1.0 - self.beta1, out=a)
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * (grads * grads)
-        params -= self.learning_rate * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+        self.v += np.multiply(np.multiply(grads, grads, out=a), 1.0 - self.beta2, out=a)
+        # params -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        a = np.multiply(np.divide(self.m, c1, out=a), self.learning_rate, out=a)
+        b = np.add(np.sqrt(np.divide(self.v, c2, out=b), out=b), self.eps, out=b)
+        params -= np.divide(a, b, out=a)
 
 
 def make_optimizer(config: TrainConfig):
@@ -269,10 +285,11 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
     all samples, look up their fixed prototypes, average the per-sample
     losses, and take one optimizer step on the exact batch gradient.  The
     optimizer steps the one parameter vector from ``flat_params``, which the
-    returned embedder and classifier view.  The extractor is read-only
-    throughout.  Runs are deterministic for a fixed config seed:
-    initialization, shuffling and mixup draw from independent child streams
-    of it, in a fixed order.
+    returned embedder and classifier view.  The minibatch, full-set and
+    validation passes each reuse their previous trace (``forward(into=)``).
+    The extractor is read-only throughout.  Runs are deterministic for a
+    fixed config seed: initialization, shuffling and mixup draw from
+    independent child streams of it, in a fixed order.
     """
     if dataset.n == 0:
         raise ValueError("dataset is empty")
@@ -301,6 +318,7 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
     X, Y = dataset.X, dataset.Y
     n = dataset.n
     rows = []
+    trace = full_trace = val_trace = None
     for epoch in range(config.epochs):
         order = rng_shuffle.permutation(n)
         X_epoch, Y_epoch = X[order], Y[order]
@@ -318,7 +336,7 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
                 xb, yb = mix_rows(xb, lam, perm), mix_rows(yb, lam, perm)
                 if tb is not None:
                     tb = mix_rows(tb, lam, perm)
-            trace = forward(embedder, classifier, xb)
+            trace = forward(embedder, classifier, xb, into=trace)
             proto = None if tb is None else extractor.extract_batch(tb)
             res = loss(yb, trace, proto, lambda_p)
             batch_mean = float(np.mean(res.total))
@@ -332,10 +350,12 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
         ce_mean = ce_sum / n
         proto_mean = proto_sum / n
         total_mean = ce_mean + lambda_p * proto_mean
-        train_acc = accuracy(forward(embedder, classifier, X).probs, Y)
+        full_trace = forward(embedder, classifier, X, into=full_trace)
+        train_acc = accuracy(full_trace.probs, Y)
         val_acc = None
         if val is not None:
-            val_acc = accuracy(forward(embedder, classifier, val.X).probs, val.Y)
+            val_trace = forward(embedder, classifier, val.X, into=val_trace)
+            val_acc = accuracy(val_trace.probs, val.Y)
         rows.append(
             EpochStats(
                 epoch=epoch,

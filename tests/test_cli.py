@@ -461,6 +461,9 @@ MISTYPED_CONFIGS = [
     ("train", {"hidden_dims": [4.7]}, "hidden_dims"),
     ("train", {"extractor": None}, "extractor"),
     ("train", {"extractor": {"kind": "class-orthogonal", "seed": "a"}}, "extractor"),
+    ("train", {"extractor": {"kind": "class-orthogonal", "sed": 5}}, "'sed'"),
+    ("train", {"extractor": {"kind": "factor-coded", "seed": 7}}, "'seed'"),
+    ("train", {"extractor": {"kind": "nope"}}, "'nope'"),
     ("gen-data", {"class_count": 2.5}, "class_count"),
     ("gen-data", {"samples_per_class": 2.5}, "samples_per_class"),
     ("gen-data", {"seed": 2.5}, "seed"),

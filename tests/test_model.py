@@ -112,6 +112,60 @@ class TestForward:
         assert np.array_equal(flat_params(embedder, classifier), before)
 
 
+def owned_arrays(trace):
+    """The arrays ``forward`` made for a trace (``inputs[0]`` is the caller's)."""
+    return [*trace.pre_activations, *trace.inputs[1:], trace.z, trace.logits]
+
+
+class TestForwardInto:
+    OUTPUTS = ("z", "logits", "probs", "log_probs")
+
+    @pytest.fixture(params=["identity", "relu"], ids=["identity-output", "relu-output"])
+    def model(self, request):
+        # Two ReLU hidden layers; the output layer's activation varies, so that
+        # z is either the last pre-activation or an array of its own.
+        embedder, classifier = tiny_model(hidden=(6, 5))
+        embedder.layers[-1].activation = request.param
+        return embedder, classifier
+
+    def test_reused_trace_equals_fresh_and_shares_memory(self, model):
+        embedder, classifier = model
+        rng = np.random.default_rng(7)
+        X, X_next = rng.standard_normal((9, 4)), rng.standard_normal((9, 4))
+        earlier = forward(embedder, classifier, X)
+        earlier_arrays = owned_arrays(earlier)
+        reused = forward(embedder, classifier, X_next, into=earlier)
+        fresh = forward(embedder, classifier, X_next)
+        for name in self.OUTPUTS:
+            assert getattr(reused, name).tobytes() == getattr(fresh, name).tobytes(), name
+        for a, b in zip(owned_arrays(reused), earlier_arrays):
+            assert np.shares_memory(a, b)
+        grad_logits = rng.standard_normal((9, 2))
+        assert backward(reused, grad_logits).tobytes() == backward(fresh, grad_logits).tobytes()
+
+    def test_other_row_count_allocates(self, model):
+        embedder, classifier = model
+        X = np.random.default_rng(8).standard_normal((9, 4))
+        earlier = forward(embedder, classifier, X[:4])
+        earlier_bytes = [a.tobytes() for a in owned_arrays(earlier)]
+        reused = forward(embedder, classifier, X, into=earlier)
+        fresh = forward(embedder, classifier, X)
+        for name in self.OUTPUTS:
+            assert getattr(reused, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert not any(np.shares_memory(a, b) for a in owned_arrays(reused) for b in owned_arrays(earlier))
+        assert [a.tobytes() for a in owned_arrays(earlier)] == earlier_bytes
+
+    def test_trace_of_another_model_is_not_overwritten(self, model):
+        embedder, classifier = model
+        other_embedder, other_classifier = tiny_model(hidden=(6, 5))
+        X = np.random.default_rng(9).standard_normal((9, 4))
+        other = forward(other_embedder, other_classifier, X)
+        other_bytes = [a.tobytes() for a in owned_arrays(other)]
+        reused = forward(embedder, classifier, X, into=other)
+        assert reused.logits.tobytes() == forward(embedder, classifier, X).logits.tobytes()
+        assert [a.tobytes() for a in owned_arrays(other)] == other_bytes
+
+
 class TestFlatParams:
     def test_layout_and_values(self):
         embedder, classifier = tiny_model()

@@ -211,6 +211,22 @@ class TestOptimizers:
             reference.step(ref_arrays, ref_grads)
         assert params.tobytes() == np.concatenate([a.ravel() for a in ref_arrays]).tobytes()
 
+    def test_adam_update_is_the_allocating_expression_to_the_bit(self):
+        # Each step starts from zero parameters, so the update itself is compared
+        # (added to parameters of size ~1, a last-bit difference would vanish).
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(5)
+        opt = Adam(lr, b1, b2, eps)
+        m = v = np.zeros(500)
+        for t in range(1, 6):
+            g = rng.standard_normal(500) * 10.0 ** rng.integers(-3, 3, size=500)
+            p = np.zeros(500)
+            opt.step(p, g)
+            m = m * b1 + (1.0 - b1) * g
+            v = v * b2 + (1.0 - b2) * (g * g)
+            expect = -(lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps))
+            assert p.tobytes() == expect.tobytes(), t
+
     def test_adam_matches_hand_rolled_two_steps(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         opt = Adam(lr, b1, b2, eps)
@@ -322,10 +338,11 @@ class TestTrain:
             "epoch", "total_loss", "ce_loss", "prototype_loss", "train_accuracy", "val_accuracy"]
 
 
-def reference_train(dataset, extractor, config):
+def reference_train(dataset, extractor, config, val=None):
     """Reference: the training loop with per-batch fancy indexing of the
-    inputs, labels and targets, and a log-softmax computed apart from the
-    forward pass.  Returns (parameter vector, history)."""
+    inputs, labels and targets, a log-softmax computed apart from the
+    forward pass, and a fresh forward pass (no ``into``) for every batch and
+    accuracy.  Returns (parameter vector, history)."""
     lambda_p = config.effective_lambda() if config.uses_prototypes else 0.0
     targets = extractor.targets(dataset.Y, dataset.factors) if config.uses_prototypes else None
     emb_seed, clf_seed, shuffle_seed, mix_seed = np.random.SeedSequence(config.seed).spawn(4)
@@ -362,10 +379,11 @@ def reference_train(dataset, extractor, config):
             ce_sum += float(np.sum(ce))
             opt.step(params, backward(trace, (trace.probs - yb) * scale, extra))
         ce_mean, proto_mean = ce_sum / n, proto_sum / n
+        val_accuracy = None if val is None else accuracy(forward(embedder, classifier, val.X).probs, val.Y)
         rows.append(EpochStats(epoch=epoch, total_loss=ce_mean + lambda_p * proto_mean,
                                ce_loss=ce_mean, proto_loss=proto_mean,
                                train_accuracy=accuracy(forward(embedder, classifier, X).probs, Y),
-                               val_accuracy=None))
+                               val_accuracy=val_accuracy))
     return params, TrainHistory(rows=rows)
 
 
@@ -374,6 +392,8 @@ def reference_train(dataset, extractor, config):
 def test_train_matches_reference_loop(kind, mixup_alpha):
     ds = generate_synthetic(SynthConfig(class_count=3, input_dim=8, samples_per_class=30,
                                         factor_count=2, noise_scale=0.5, seed=4))
+    val = generate_synthetic(SynthConfig(class_count=3, input_dim=8, samples_per_class=10,
+                                         factor_count=2, noise_scale=0.5, seed=5))
     if kind == "class-orthogonal":
         ex = class_orthogonal_extractor(3, 8, seed=2)
     else:
@@ -382,9 +402,10 @@ def test_train_matches_reference_loop(kind, mixup_alpha):
     # 90 rows in batches of 16: the last batch is short.
     config = TrainConfig(epochs=3, batch_size=16, learning_rate=1e-2, embedding_dim=8, hidden_dims=(8,),
                          mixup_alpha=mixup_alpha, seed=5, extractor={"kind": kind})
-    embedder, classifier, history = train(ds, ex, config)
-    ref_params, ref_history = reference_train(ds, ex, config)
+    embedder, classifier, history = train(ds, ex, config, val=val)
+    ref_params, ref_history = reference_train(ds, ex, config, val=val)
     assert flat_params(embedder, classifier).tobytes() == ref_params.tobytes()
+    assert all(row.val_accuracy is not None for row in history.rows)
     assert json.dumps(history.to_doc()) == json.dumps(ref_history.to_doc())
 
 
