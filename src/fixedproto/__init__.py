@@ -16,7 +16,6 @@ from .model import (
     ClassifierParams,
     EmbedderParams,
     ForwardTrace,
-    RelevanceMatrix,
     backward,
     flat_params,
     forward,
@@ -32,7 +31,6 @@ from .prototypes import (
     class_orthogonal_extractor,
     extractor_from_doc,
     extractor_to_doc,
-    factor_coded_extractor,
     fit_factor_coder,
 )
 from .training import Adam, DivergenceError, SGD, TrainConfig, TrainHistory, loss, mix_rows, train

@@ -1,11 +1,14 @@
 """Command-line interface: gen-data, train, eval, explain, compare.
 
-Every command writes a run manifest holding the config snapshot, seeds and
-output inventory, so a run can be reproduced exactly from its manifest.
+``gen-data`` writes ``<out>`` and ``<out>.manifest.json``.  ``train`` writes
+``checkpoint.json``, ``history.json`` and ``manifest.json`` into ``--out``,
+``explain`` a CSV and a JSON file per sample and ``manifest.json``, and
+``compare`` ``comparison.json`` and ``manifest.json``.  ``eval`` writes no
+manifest, only its report and only with ``--out``.  A manifest holds the
+config snapshot, seeds and output inventory, enough to reproduce the run.
 ``gen-data``, ``train`` and ``compare`` read their config through one loader
 that applies the command-line overrides and names the config file in every
-error.  ``train`` writes ``checkpoint.json``, ``history.json`` and
-``manifest.json``.  A checkpoint stands alone: it holds the trained model and
+error.  A checkpoint stands alone: it holds the trained model and
 the frozen prototype extractor it was trained against, so ``eval`` and
 ``explain`` read only the checkpoint and the data file, whose factor columns
 (if any) must be the checkpoint's, in its order.
@@ -37,10 +40,10 @@ from .model import (
     forward,
 )
 from .prototypes import (
+    FactorCodedExtractor,
     class_orthogonal_extractor,
     extractor_from_doc,
     extractor_to_doc,
-    factor_coded_extractor,
     fit_factor_coder,
     json_field,
 )
@@ -165,7 +168,7 @@ def _build_extractor(config: TrainConfig, train_set: Dataset):
         [train_set.factors[:, i] for i in range(train_set.factor_count)],
         names=train_set.factor_names,
     )
-    return factor_coded_extractor(coder, train_set.factor_count, config.embedding_dim)
+    return FactorCodedExtractor(coder, config.embedding_dim)
 
 
 def _checkpoint_doc(embedder, classifier, extractor, dataset, config) -> dict:
@@ -229,7 +232,7 @@ def _load_checkpoint(path):
         if extractor.kind == "class-orthogonal":
             found["class_count"] = extractor.class_count
         else:
-            found["factor_names"] = list(extractor.layout.names)
+            found["factor_names"] = list(extractor.coder.names)
         for key, value in found.items():
             if doc[key] != value:
                 raise ConfigError(f"{path}: field {key!r} is {doc[key]}, the extractor gives {value}")

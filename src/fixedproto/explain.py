@@ -57,9 +57,10 @@ def explain_sample(
     ``RELEVANCE_TOL``, so nothing built on a broken decomposition gets out.
     """
     trace = forward(embedder, classifier, X)
-    rel = relevance(classifier, trace.z)
-    n, k, C = rel.gamma.shape
-    worst = float(np.max(np.abs(rel.gamma.sum(axis=1) - trace.logits), initial=0.0))
+    gamma = relevance(classifier, trace.z)
+    n, k, C = gamma.shape
+    logits = gamma.sum(axis=1)
+    worst = float(np.max(np.abs(logits - trace.logits), initial=0.0))
     if not worst <= RELEVANCE_TOL:
         raise RuntimeError(f"relevance sums are {worst:.3e} away from the forward logits")
     sample_ids = range(n) if sample_ids is None else sample_ids
@@ -78,14 +79,14 @@ def explain_sample(
         labels = layout.dim_labels()
     explanations = []
     for i, sample_id in enumerate(sample_ids):
-        tops = [_top_contributions(rel.gamma[i, :, c]) for c in range(C)]
+        tops = [_top_contributions(gamma[i, :, c]) for c in range(C)]
         explanations.append(
             Explanation(
                 sample_id=int(sample_id),
                 class_names=class_names,
                 probabilities=trace.probs[i],
-                gamma=rel.gamma[i],
-                logits=rel.logits[i],
+                gamma=gamma[i],
+                logits=logits[i],
                 row_labels=labels,
                 top_positive=[t[0] for t in tops],
                 top_negative=[t[1] for t in tops],

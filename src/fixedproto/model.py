@@ -230,26 +230,16 @@ def backward(trace: ForwardTrace, grad_logits, grad_z_extra=None) -> np.ndarray:
     return np.concatenate([part.ravel() for part in reversed(parts)])
 
 
-@dataclass(frozen=True, eq=False)
-class RelevanceMatrix:
-    """Per-dimension logit contributions for a batch of embeddings.
+def relevance(classifier: ClassifierParams, Z) -> np.ndarray:
+    """Relevance matrices of a batch of embeddings (n, k) under the bias-free head.
 
-    ``gamma[i, j, c] = weight[j, c] * z[i, j]``; ``logits`` holds the sums
-    over ``j``, so the decomposition is exact by construction (same
-    accumulation order).
+    Returns ``gamma`` (n, k, C) with ``gamma[i, j, c] = weight[j, c] * z[i, j]``;
+    its sums over ``j`` are the logits.
     """
-
-    gamma: np.ndarray  # (n, embedding_dim, class_count)
-    logits: np.ndarray  # (n, class_count)
-
-
-def relevance(classifier: ClassifierParams, Z) -> RelevanceMatrix:
-    """Relevance matrices of a batch of embeddings (n, k) under the bias-free head."""
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != classifier.embedding_dim:
         raise ValueError(f"embeddings have shape {Z.shape}, expected (n, {classifier.embedding_dim})")
-    gamma = classifier.weight[None] * Z[:, :, None]
-    return RelevanceMatrix(gamma=gamma, logits=gamma.sum(axis=1))
+    return classifier.weight[None] * Z[:, :, None]
 
 
 def embedder_to_doc(embedder: EmbedderParams) -> dict:

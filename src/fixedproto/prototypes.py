@@ -4,25 +4,27 @@ A prototype extractor maps rows of (soft) class labels or factor level codes
 to target points in embedding space.  It is frozen at construction and never
 updated by training.  ``targets(Y, factors)`` picks and checks, once per
 dataset, the rows an extractor reads; ``extract_batch`` maps a batch of such
-rows to prototypes.  Two constructions are provided:
+rows to prototypes.  Both kinds are one fixed linear map, a read-only
+``table``: ``extract_batch(rows)`` is ``rows.reshape(n, -1) @ table``.
 
-* class-orthogonal: one prototype per class.  When the embedding has room
-  (k >= C) the prototypes are mutually orthonormal; otherwise orthonormal
-  vectors in R^C are pushed through a Johnson-Lindenstrauss projection into
-  R^k, which nearly preserves their pairwise distances.
-* factor-coded: prototypes encode named, human-meaningful factors as
-  three-level one-hot codes (low/medium/high by training-set terciles),
-  concatenated and padded with a zero block.  Labels are ignored; the zero
-  block leaves the trailing dimensions free for factors nobody named.
+* class-orthogonal: a C x k table, one prototype row per class.  When the
+  embedding has room (k >= C) the rows are mutually orthonormal; otherwise
+  orthonormal vectors in R^C are pushed through a Johnson-Lindenstrauss
+  projection into R^k, which nearly preserves their pairwise distances.
+* factor-coded: the table ``eye(3m, k)``.  Prototypes encode m named,
+  human-meaningful factors as three-level one-hot codes (low/medium/high by
+  training-set terciles), concatenated and padded with a zero block.  Labels
+  are ignored; the zero block leaves the trailing dimensions free for
+  factors nobody named.
 
-Both kinds are linear in the soft label / soft level-code rows, so a convex
-mix of rows yields the same convex mix of prototypes.  That is what makes
-label-mixing augmentation compatible with prototype matching.
+So a convex mix of soft label / soft level-code rows yields the same convex
+mix of prototypes.  That is what makes label-mixing augmentation compatible
+with prototype matching.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -183,6 +185,14 @@ class FactorLayout:
         return labels
 
 
+def _table_map(table: np.ndarray, rows, what: str, row_shape: tuple) -> np.ndarray:
+    """Prototypes of a batch of ``row_shape`` rows: each row, flattened, times ``table``."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.shape[1:] != row_shape:
+        raise ValueError(f"{what} must have shape (n, {', '.join(map(str, row_shape))})")
+    return rows.reshape(rows.shape[0], -1) @ table
+
+
 @dataclass(frozen=True, eq=False)
 class ClassOrthogonalExtractor:
     """Prototype per class; orthonormal rows when k >= C, JLT images otherwise."""
@@ -235,32 +245,32 @@ class ClassOrthogonalExtractor:
 
     def extract_batch(self, targets) -> np.ndarray:
         """Prototypes for (soft) label rows (n, C): label-weighted mixes of the class rows."""
-        labels = np.asarray(targets, dtype=np.float64)
-        if labels.ndim != 2 or labels.shape[1] != self.class_count:
-            raise ValueError(f"labels must have shape (n, {self.class_count})")
-        return labels @ self.table
+        return _table_map(self.table, targets, "labels", (self.class_count,))
 
 
 @dataclass(frozen=True, eq=False)
 class FactorCodedExtractor:
-    """Prototype from factor level codes; labels are accepted and ignored."""
+    """Prototype from factor level codes; labels are accepted and ignored.
+
+    ``table`` is ``eye(3m, embedding_dim)``: the codes in factor order, then
+    the zero block (possibly empty) that ``layout`` names.
+    """
 
     coder: FactorCoder
-    layout: FactorLayout
+    embedding_dim: int
+    layout: FactorLayout = field(init=False)
+    table: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.coder.factor_count != self.layout.factor_count:
-            raise ValueError("coder and layout disagree on factor count")
-        if self.coder.names != self.layout.names:
-            raise ValueError("coder and layout disagree on factor names")
+        layout = FactorLayout(self.coder.names, self.embedding_dim)
+        table = np.eye(layout.coded_dim, self.embedding_dim)
+        table.setflags(write=False)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "table", table)
 
     @property
     def kind(self) -> str:
         return "factor-coded"
-
-    @property
-    def embedding_dim(self) -> int:
-        return self.layout.embedding_dim
 
     def targets(self, Y, factors=None) -> np.ndarray | None:
         """The rows :meth:`extract_batch` takes: hard level codes (n, m, 3).
@@ -272,7 +282,7 @@ class FactorCodedExtractor:
         if factors is None:
             return None
         F = np.asarray(factors, dtype=np.float64)
-        m = self.layout.factor_count
+        m = self.coder.factor_count
         if F.ndim != 2 or F.shape[1] != m:
             raise ValueError(f"factor values have shape {F.shape}, extractor expects (n, {m})")
         if not np.all(np.isfinite(F)):
@@ -280,18 +290,8 @@ class FactorCodedExtractor:
         return self.coder.code(F)
 
     def extract_batch(self, targets) -> np.ndarray:
-        """Prototypes for (possibly soft) level codes (n, m, 3).
-
-        The coded dimensions carry the level codes in factor order; the
-        remaining dimensions are exactly zero.
-        """
-        c = np.asarray(targets, dtype=np.float64)
-        m = self.layout.factor_count
-        if c.ndim != 3 or c.shape[1:] != (m, LEVELS_PER_FACTOR):
-            raise ValueError(f"level codes must have shape (n, {m}, {LEVELS_PER_FACTOR})")
-        out = np.zeros((c.shape[0], self.layout.embedding_dim))
-        out[:, : self.layout.coded_dim] = c.reshape(c.shape[0], -1)
-        return out
+        """Prototypes for (possibly soft) level codes (n, m, 3)."""
+        return _table_map(self.table, targets, "level codes", (self.coder.factor_count, LEVELS_PER_FACTOR))
 
 
 def class_orthogonal_extractor(class_count: int, embedding_dim: int, seed: int) -> ClassOrthogonalExtractor:
@@ -316,23 +316,6 @@ def class_orthogonal_extractor(class_count: int, embedding_dim: int, seed: int) 
     return ClassOrthogonalExtractor(
         class_count=class_count, embedding_dim=embedding_dim, seed=int(seed), table=table
     )
-
-
-def factor_coded_extractor(coder: FactorCoder, factor_count: int, embedding_dim: int) -> FactorCodedExtractor:
-    """Build the factor-coded extractor over a fitted coder.
-
-    Requires ``embedding_dim >= 3 * factor_count``; the leftover dimensions
-    form the zero block (possibly empty).
-    """
-    if factor_count != coder.factor_count:
-        raise ValueError(f"factor_count {factor_count} does not match coder ({coder.factor_count})")
-    if embedding_dim < LEVELS_PER_FACTOR * factor_count:
-        raise ValueError(
-            f"embedding_dim {embedding_dim} is too small for {factor_count} factors "
-            f"(needs >= {LEVELS_PER_FACTOR * factor_count})"
-        )
-    layout = FactorLayout(names=coder.names, embedding_dim=embedding_dim)
-    return FactorCodedExtractor(coder=coder, layout=layout)
 
 
 def extractor_to_doc(extractor) -> dict:
@@ -395,5 +378,5 @@ def extractor_from_doc(doc: dict):
             lower=np.array([json_field(f, "lower", float, int) for f in factors], dtype=np.float64),
             upper=np.array([json_field(f, "upper", float, int) for f in factors], dtype=np.float64),
         )
-        return factor_coded_extractor(coder, len(factors), json_field(doc, "embedding_dim", int))
+        return FactorCodedExtractor(coder, json_field(doc, "embedding_dim", int))
     raise ValueError(f"unknown extractor kind {kind!r}")

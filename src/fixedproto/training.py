@@ -29,10 +29,12 @@ EXTRACTOR_KEYS = {"class-orthogonal": ("kind", "seed"), "factor-coded": ("kind",
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a batch loss stops being finite."""
+    """Raised when a batch loss, or the parameters after an epoch's last step,
+    stop being finite; ``value`` is the loss, or None for the parameters."""
 
-    def __init__(self, epoch: int, batch: int, value: float):
-        super().__init__(f"non-finite loss {value!r} at epoch {epoch}, batch {batch}")
+    def __init__(self, epoch: int, batch: int, value: float | None):
+        what = "the parameters went non-finite" if value is None else f"non-finite loss {value!r}"
+        super().__init__(f"{what} at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
         self.value = value
@@ -347,6 +349,8 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
             scale = 1.0 / size
             extra = None if res.grad_z_extra is None else res.grad_z_extra * scale
             opt.step(params, backward(trace, res.grad_logits * scale, extra))
+        if not np.isfinite(params).all():  # the last step's loss was finite, its update need not be
+            raise DivergenceError(epoch, batch_i, None)
         ce_mean = ce_sum / n
         proto_mean = proto_sum / n
         total_mean = ce_mean + lambda_p * proto_mean

@@ -18,8 +18,8 @@ from fixedproto.explain import explain_sample
 from fixedproto.metrics import disentanglement_report
 from fixedproto.model import backward, flat_params, forward, init_classifier, init_embedder
 from fixedproto.prototypes import (
+    FactorCodedExtractor,
     class_orthogonal_extractor,
-    factor_coded_extractor,
     fit_factor_coder,
 )
 from fixedproto.training import TrainConfig, loss, train
@@ -53,7 +53,7 @@ def train_factor_run(dataset, seed, loss_kind):
     if loss_kind == "proto":
         coder = fit_factor_coder([tr.factors[:, i] for i in range(3)],
                                  names=dataset.factor_names)
-        extractor = factor_coded_extractor(coder, 3, FACTOR_TRAIN["embedding_dim"])
+        extractor = FactorCodedExtractor(coder, FACTOR_TRAIN["embedding_dim"])
     config = TrainConfig(**FACTOR_TRAIN, seed=seed, loss=loss_kind)
     embedder, classifier, history = train(tr, extractor, config, val=va)
     return embedder, classifier, history, extractor, va
@@ -102,7 +102,7 @@ def test_criterion_2_multilinearity():
     C, k, m = 6, 16, 3
     class_ex = class_orthogonal_extractor(C, k, seed=0)
     coder = fit_factor_coder([rng.standard_normal(50) for _ in range(m)])
-    factor_ex = factor_coded_extractor(coder, m, k)
+    factor_ex = FactorCodedExtractor(coder, k)
     worst = 0.0
     for _ in range(1000):  # each trial on 1-row batches
         ya, yb = rng.dirichlet(np.ones(C), size=1), rng.dirichlet(np.ones(C), size=1)

@@ -5,8 +5,10 @@ import importlib.util
 import math
 from pathlib import Path
 
+import pytest
+
 from fixedproto.data import SynthConfig, generate_synthetic
-from fixedproto.prototypes import class_orthogonal_extractor
+from fixedproto.prototypes import FactorCodedExtractor, class_orthogonal_extractor, fit_factor_coder
 from fixedproto.training import TrainConfig, train
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -25,22 +27,38 @@ def test_every_wrap_target_exists():
     assert tracer.absent_metrics() == []
 
 
-def test_training_forward_passes_are_traced_by_role():
+def extractor_for(kind, ds, embedding_dim):
+    if kind == "class-orthogonal":
+        return class_orthogonal_extractor(ds.class_count, embedding_dim, seed=0)
+    return FactorCodedExtractor(fit_factor_coder([ds.factors[:, 0]], ds.factor_names), embedding_dim)
+
+
+@pytest.mark.parametrize("kind", ["class-orthogonal", "factor-coded"])
+def test_training_forward_passes_are_traced_by_role(kind):
     # The benchmark tells a full-set forward pass from a minibatch one by the
     # row count of the third positional argument; a refactor that passed X
     # another way, or dropped a pass, would move or lose model.forward_full.
+    # Prototypes are looked up once per step, and coded once per run.
     spans = load_spans()
-    ds = generate_synthetic(SynthConfig(class_count=2, input_dim=4, samples_per_class=20, seed=0))
-    val = generate_synthetic(SynthConfig(class_count=2, input_dim=4, samples_per_class=6, seed=1))
-    config = TrainConfig(epochs=3, batch_size=8, embedding_dim=4, hidden_dims=(4,), seed=0)
+    factor_count = 1 if kind == "factor-coded" else 0
+    ds = generate_synthetic(SynthConfig(class_count=2, input_dim=4, samples_per_class=20,
+                                        factor_count=factor_count, seed=0))
+    val = generate_synthetic(SynthConfig(class_count=2, input_dim=4, samples_per_class=6,
+                                         factor_count=factor_count, seed=1))
+    config = TrainConfig(epochs=3, batch_size=8, embedding_dim=4, hidden_dims=(4,), seed=0,
+                         extractor={"kind": kind})
     steps = config.epochs * math.ceil(ds.n / config.batch_size)
+    extractor = extractor_for(kind, ds, config.embedding_dim)
     tracer = spans.Tracer(config.batch_size)
     tracer.install()
     try:
-        train(ds, class_orthogonal_extractor(2, 4, seed=0), config, val=val)
+        train(ds, extractor, config, val=val)
     finally:
         tracer.uninstall()
     metrics = spans.summarize(tracer.spans)
     assert metrics["model.forward_full.calls"] == 2 * config.epochs
     assert metrics["model.forward_batch.calls"] == steps
     assert metrics["training.optimizer.calls"] == steps
+    assert metrics["prototypes.extract_batch.calls"] == steps
+    codes = sum(1 for span in tracer.spans if span[0] == "prototypes.code")
+    assert codes == (1 if kind == "factor-coded" else 0)

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 import fixedproto
 from fixedproto.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, _load_checkpoint, main, run_comparison
 from fixedproto.data import load_table
-from fixedproto.model import RelevanceMatrix, forward
+from fixedproto.model import forward
 from fixedproto.prototypes import (
+    FactorCodedExtractor,
     FactorCoder,
     class_orthogonal_extractor,
     extractor_to_doc,
-    factor_coded_extractor,
     fit_factor_coder,
 )
 from fixedproto.training import TrainConfig
@@ -162,6 +162,22 @@ class TestTrain:
                          "--out", str(out), "--quiet"])
         assert code == EXIT_DIVERGENCE
 
+    def test_last_step_overflow_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # One epoch of one batch: the only loss is finite, the step after it
+        # overflows, and no later loss would show it.
+        data = tmp_path / "data.csv"
+        config = gen_config(tmp_path, class_count=3, input_dim=5, samples_per_class=10, seed=1)
+        assert main(["gen-data", "--config", str(config), "--out", str(data), "--quiet"]) == EXIT_OK
+        config = train_config(tmp_path, epochs=1, batch_size=64, learning_rate=1e308, optimizer="sgd",
+                              hidden_dims=[4], embedding_dim=4)
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            code = main(["train", str(data), "--config", str(config), "--out", str(out), "--quiet"])
+        assert code == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert "parameters went non-finite at epoch 0, batch 0" in err
+        assert not out.exists()
+
     def test_unknown_config_field_rejected(self, tmp_path, blob_file, capsys):
         config = train_config(tmp_path, epoch=20)
         code = main(["train", str(blob_file), "--config", str(config), "--out", str(tmp_path / "x")])
@@ -251,8 +267,8 @@ class TestEval:
         [
             ("embedding_dim", class_orthogonal_extractor(2, 4, 0)),
             ("class_count", class_orthogonal_extractor(3, 8, 0)),
-            ("factor_names", factor_coded_extractor(
-                FactorCoder(names=("alpha_0",), lower=[0.0], upper=[1.0]), 1, 8)),
+            ("factor_names", FactorCodedExtractor(
+                FactorCoder(names=("alpha_0",), lower=[0.0], upper=[1.0]), 8)),
         ],
         ids=["embedding_dim", "class_count", "factor_names"],
     )
@@ -374,8 +390,7 @@ class TestExplain:
         original = explain_module.relevance
 
         def off_by_a_little(classifier, Z):
-            gamma = original(classifier, Z).gamma + 1e-6
-            return RelevanceMatrix(gamma=gamma, logits=gamma.sum(axis=-2))
+            return original(classifier, Z) + 1e-6
 
         monkeypatch.setattr(explain_module, "relevance", off_by_a_little)
         out = tmp_path / "expl"
@@ -510,7 +525,7 @@ def valid_documents(tmp_path_factory):
         "data": data,
         "class-orthogonal": checkpoint.pop("extractor"),
         "checkpoint": checkpoint,
-        "factor-coded": extractor_to_doc(factor_coded_extractor(coder, 1, 8)),
+        "factor-coded": extractor_to_doc(FactorCodedExtractor(coder, 8)),
     }
 
 

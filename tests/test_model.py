@@ -13,6 +13,7 @@ from fixedproto.model import (
     relevance,
     softmax,
 )
+from fixedproto.explain import explain_sample
 from fixedproto.training import loss
 
 from util import central_difference, max_rel_error
@@ -240,23 +241,26 @@ class TestBackward:
 class TestRelevance:
     def test_zero_embedding(self):
         classifier = ClassifierParams(weight=np.array([[1.0, 2.0], [3.0, 4.0]]))
-        rel = relevance(classifier, np.zeros((1, 2)))
-        assert np.array_equal(rel.gamma, np.zeros((1, 2, 2)))
-        assert np.array_equal(rel.logits, np.zeros((1, 2)))
+        gamma = relevance(classifier, np.zeros((1, 2)))
+        assert np.array_equal(gamma, np.zeros((1, 2, 2)))
+        assert np.array_equal(gamma.sum(axis=1), np.zeros((1, 2)))
 
     def test_hand_example(self):
         classifier = ClassifierParams(weight=np.array([[1.0, 2.0], [3.0, 4.0]]))
-        rel = relevance(classifier, np.array([[1.0, 1.0], [2.0, 0.0]]))
-        assert np.array_equal(rel.gamma, [[[1.0, 2.0], [3.0, 4.0]], [[2.0, 4.0], [0.0, 0.0]]])
-        assert np.array_equal(rel.logits, [[4.0, 6.0], [2.0, 4.0]])
+        gamma = relevance(classifier, np.array([[1.0, 1.0], [2.0, 0.0]]))
+        assert np.array_equal(gamma, [[[1.0, 2.0], [3.0, 4.0]], [[2.0, 4.0], [0.0, 0.0]]])
+        assert np.array_equal(gamma.sum(axis=1), [[4.0, 6.0], [2.0, 4.0]])
 
     def test_column_sums_equal_stored_logits_exactly(self):
         rng = np.random.default_rng(4)
         embedder, classifier = tiny_model(seed=8)
-        trace = forward(embedder, classifier, rng.standard_normal((20, 4)))
-        rel = relevance(classifier, trace.z)
-        assert np.array_equal(rel.gamma.sum(axis=1), rel.logits)
-        assert np.max(np.abs(rel.logits - trace.logits)) < 1e-12
+        X = rng.standard_normal((20, 4))
+        trace = forward(embedder, classifier, X)
+        gamma = relevance(classifier, trace.z)
+        # explain_sample stores the column sums as each explanation's logits
+        stored = np.array([expl.logits for expl in explain_sample(embedder, classifier, X)])
+        assert np.array_equal(gamma.sum(axis=1), stored)
+        assert np.max(np.abs(stored - trace.logits)) < 1e-12
 
     def test_wrong_length_rejected(self):
         classifier = ClassifierParams(weight=np.zeros((3, 2)))

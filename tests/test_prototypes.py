@@ -2,16 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixedproto.prototypes import (
+    FactorCodedExtractor,
     FactorCoder,
     FactorLayout,
     class_orthogonal_extractor,
     extractor_from_doc,
     extractor_to_doc,
-    factor_coded_extractor,
     fit_factor_coder,
 )
+from fixedproto.training import mix_rows
 
 # Fixture seeds: the distance bound below holds for these specific draws.
 EXTRACTOR_JL_SEEDS = (0, 2, 3)
@@ -165,7 +168,7 @@ class TestFactorCodedExtractor:
             lower=np.zeros(m) - 0.5,
             upper=np.zeros(m) + 0.5,
         )
-        return factor_coded_extractor(coder, m, k)
+        return FactorCodedExtractor(coder, k)
 
     def test_low_medium_high_prototype_layout(self):
         ex = self.make(m=3, k=16)
@@ -223,6 +226,30 @@ class TestFactorCodedExtractor:
         assert labels[15] == "other factor 6"
 
 
+@st.composite
+def factor_cases(draw):
+    """(m, k, levels (n, m), lam, perm): factor values on levels 0/1/2 and a mixup draw."""
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(3 * m, 3 * m + 5))
+    n = draw(st.integers(1, 40))
+    levels = np.array(draw(st.lists(st.integers(0, 2), min_size=n * m, max_size=n * m)), dtype=float)
+    lam = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    perm = np.array(draw(st.permutations(range(n))))
+    return m, k, levels.reshape(n, m), lam, perm
+
+
+class TestFactorCodedTable:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=factor_cases())
+    def test_table_map_is_the_zero_padded_codes_to_the_bit(self, case):
+        m, k, levels, lam, perm = case
+        coder = FactorCoder(names=tuple(f"f{i}" for i in range(m)), lower=np.full(m, 0.5), upper=np.full(m, 1.5))
+        ex = FactorCodedExtractor(coder, k)
+        codes = mix_rows(ex.targets(None, levels), lam, perm)  # soft codes, as training mixes them
+        expected = np.zeros((len(codes), k))
+        expected[:, : 3 * m] = codes.reshape(len(codes), -1)
+        assert ex.extract_batch(codes).tobytes() == expected.tobytes()
+
 class TestMultilinearity:
     def test_label_side(self):
         rng = np.random.default_rng(0)
@@ -240,7 +267,7 @@ class TestMultilinearity:
     def test_factor_side(self):
         rng = np.random.default_rng(1)
         coder = FactorCoder(names=("u", "v"), lower=np.array([0.0, 0.0]), upper=np.array([1.0, 1.0]))
-        ex = factor_coded_extractor(coder, 2, 8)
+        ex = FactorCodedExtractor(coder, 8)
         worst = 0.0
         for _ in range(200):
             ca = rng.dirichlet(np.ones(3), size=2)
@@ -262,7 +289,7 @@ class TestSerialization:
 
     def test_factor_coded_round_trip(self):
         coder = fit_factor_coder([np.arange(9.0), np.arange(0.0, 18, 2)], names=("a", "b"))
-        ex = factor_coded_extractor(coder, 2, 10)
+        ex = FactorCodedExtractor(coder, 10)
         back = extractor_from_doc(json.loads(json.dumps(extractor_to_doc(ex))))
         assert back.coder.names == ("a", "b")
         assert np.array_equal(back.coder.lower, ex.coder.lower)

@@ -7,10 +7,10 @@ import pytest
 from fixedproto.data import SynthConfig, generate_synthetic
 from fixedproto.model import backward, flat_params, forward, init_classifier, init_embedder, softmax
 from fixedproto.prototypes import (
+    FactorCodedExtractor,
     FactorCoder,
     class_orthogonal_extractor,
     extractor_to_doc,
-    factor_coded_extractor,
 )
 from fixedproto.metrics import accuracy
 from fixedproto.training import (
@@ -125,7 +125,7 @@ class TestMixup:
 
     def test_coded_factor_mixing(self):
         coder = FactorCoder(names=("a",), lower=np.array([-0.5]), upper=np.array([0.5]))
-        ex = factor_coded_extractor(coder, 1, 5)
+        ex = FactorCodedExtractor(coder, 5)
         codes = ex.targets(None, np.array([[-1.0], [1.0]]))  # low, high
         lam, perm = np.array([0.25, 0.6]), np.array([1, 0])
         lhs = ex.extract_batch(mix_rows(codes, lam, perm))
@@ -312,7 +312,7 @@ class TestTrain:
                              factor_count=1, class_separation=4.0, noise_scale=0.3, seed=0)
         ds = generate_synthetic(config)
         coder = FactorCoder(names=("alpha_0",), lower=np.array([-0.5]), upper=np.array([0.5]))
-        ex = factor_coded_extractor(coder, 1, 6)
+        ex = FactorCodedExtractor(coder, 6)
         cfg = TrainConfig(epochs=10, embedding_dim=6, hidden_dims=(16,), seed=0,
                           mixup_alpha=0.2, extractor={"kind": "factor-coded"})
         _, _, history = train(ds, ex, cfg)
@@ -322,7 +322,7 @@ class TestTrain:
     def test_factor_coded_requires_factors(self):
         ds = blob_dataset(samples_per_class=20)
         coder = FactorCoder(names=("a",), lower=np.array([0.0]), upper=np.array([1.0]))
-        ex = factor_coded_extractor(coder, 1, 8)
+        ex = FactorCodedExtractor(coder, 8)
         config = TrainConfig(epochs=1, embedding_dim=8, seed=0)
         with pytest.raises(ValueError, match="factor"):
             train(ds, ex, config)
@@ -397,8 +397,8 @@ def test_train_matches_reference_loop(kind, mixup_alpha):
     if kind == "class-orthogonal":
         ex = class_orthogonal_extractor(3, 8, seed=2)
     else:
-        ex = factor_coded_extractor(FactorCoder(names=("alpha_0", "alpha_1"), lower=np.array([-0.5, -0.5]),
-                                                upper=np.array([0.5, 0.5])), 2, 8)
+        ex = FactorCodedExtractor(FactorCoder(names=("alpha_0", "alpha_1"), lower=np.array([-0.5, -0.5]),
+                                             upper=np.array([0.5, 0.5])), 8)
     # 90 rows in batches of 16: the last batch is short.
     config = TrainConfig(epochs=3, batch_size=16, learning_rate=1e-2, embedding_dim=8, hidden_dims=(8,),
                          mixup_alpha=mixup_alpha, seed=5, extractor={"kind": kind})
