@@ -4,6 +4,8 @@ tabular file ingestion, and deterministic stratified splits.
 The file format is delimiter-separated text with a header row naming the
 columns ``f0..f{p-1}, label, alpha_0..alpha_{m-1}``; factor columns are
 optional.  Floats are written with ``repr`` so save/load round-trips exactly.
+The numeric columns are read with one ``np.loadtxt`` call; when it fails, a
+cell-by-cell ``float`` pass names the first bad cell's line and column.
 """
 
 from __future__ import annotations
@@ -247,16 +249,12 @@ def true_levels(factors) -> np.ndarray:
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write the documented tabular text format (hard labels only)."""
-    p = dataset.input_dim
-    header = [f"f{j}" for j in range(p)] + ["label"] + list(dataset.factor_names)
-    class_idx = dataset.class_indices()
+    header = [f"f{j}" for j in range(dataset.input_dim)] + ["label"] + list(dataset.factor_names)
+    labels = [dataset.class_names[c] for c in dataset.class_indices().tolist()]
+    factors = [[]] * dataset.n if dataset.factors is None else dataset.factors.tolist()
     lines = [",".join(header)]
-    for i in range(dataset.n):
-        cells = [repr(float(v)) for v in dataset.X[i]]
-        cells.append(dataset.class_names[class_idx[i]])
-        if dataset.factors is not None:
-            cells.extend(repr(float(v)) for v in dataset.factors[i])
-        lines.append(",".join(cells))
+    for x, label, f in zip(dataset.X.tolist(), labels, factors):
+        lines.append(",".join([*map(repr, x), label, *map(repr, f)]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -269,37 +267,13 @@ def _ordered_class_names(names) -> tuple:
         return tuple(sorted(names))
 
 
-def load_table(path, class_names=None) -> Dataset:
-    """Load a dataset from the documented tabular text format.
-
-    The header determines the schema: ``f*`` columns are features (in file
-    order), ``label`` is the class column, ``alpha_*`` columns are factors.
-    Row order is preserved; labels become one-hot rows.  When ``class_names``
-    is given it fixes the class order and unlisted names are rejected.  Blank
-    lines are skipped; an error names the offending row by its line number
-    in the file.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    header = [c.strip() for c in lines[0][1].split(",")]
-    try:
-        label_col = header.index("label")
-    except ValueError:
-        raise ValueError(f"{path}: header has no 'label' column") from None
-    feature_cols = [i for i, name in enumerate(header) if name.startswith("f")]
-    factor_cols = [i for i, name in enumerate(header) if name.startswith("alpha_")]
-    if [header[i] for i in feature_cols] != [f"f{j}" for j in range(len(feature_cols))]:
-        raise ValueError(f"{path}: feature columns must be named f0..f{{p-1}} in order")
-    if not feature_cols:
-        raise ValueError(f"{path}: no feature columns found")
-
-    rows_x, rows_f, labels = [], [], []
-    for lineno, line in lines[1:]:
+def _parse_cells(path, header, rows, cols) -> np.ndarray:
+    """The ``cols`` cells of each ``(lineno, line)`` row through ``float``, naming
+    the first cell that is not a number: the fallback when ``np.loadtxt`` fails,
+    which also reads spellings only ``float`` takes (``1_0``, non-ASCII digits)."""
+    values = []
+    for lineno, line in rows:
         cells = [c.strip() for c in line.split(",")]
-        if len(cells) != len(header):
-            raise ValueError(f"{path}: row {lineno}: expected {len(header)} cells, got {len(cells)}")
 
         def parse(col):
             try:
@@ -310,9 +284,63 @@ def load_table(path, class_names=None) -> Dataset:
                     f"could not parse {cells[col]!r} as a number"
                 ) from None
 
-        rows_x.append([parse(c) for c in feature_cols])
-        rows_f.append([parse(c) for c in factor_cols])
-        labels.append(cells[label_col])
+        values.append([parse(c) for c in cols])
+    return np.array(values, dtype=np.float64)
+
+
+def load_table(path, class_names=None) -> Dataset:
+    """Load a dataset from the documented tabular text format.
+
+    The header determines the schema: ``f*`` columns are features (in file
+    order), ``label`` is the class column, ``alpha_*`` columns are factors;
+    any other name, or a name given twice, is refused.  Row order is
+    preserved; labels become one-hot rows.  When ``class_names`` is given it
+    fixes the class order and unlisted names are rejected.  Blank lines are
+    skipped; an error names the offending row by its line number in the file
+    and, for a cell, its column.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    header = [c.strip() for c in lines[0][1].split(",")]
+    for i, name in enumerate(header):
+        if name != "label" and not name.startswith(("f", "alpha_")):
+            raise ValueError(f"{path}: column {name!r} is not f<j>, 'label' or alpha_<name>")
+        if name in header[:i]:
+            raise ValueError(f"{path}: column {name!r} is named twice in the header")
+    try:
+        label_col = header.index("label")
+    except ValueError:
+        raise ValueError(f"{path}: header has no 'label' column") from None
+    feature_cols = [i for i, name in enumerate(header) if name.startswith("f")]
+    factor_cols = [i for i, name in enumerate(header) if name.startswith("alpha_")]
+    if [header[i] for i in feature_cols] != [f"f{j}" for j in range(len(feature_cols))]:
+        raise ValueError(f"{path}: feature columns must be named f0..f{{p-1}} in order")
+    if not feature_cols:
+        raise ValueError(f"{path}: no feature columns found")
+    rows = lines[1:]
+    if not rows:
+        raise ValueError(f"{path}: the file has no data rows")
+
+    labels = []
+    for lineno, line in rows:
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}: row {lineno}: expected {len(header)} cells, got {len(cells)}")
+        labels.append(cells[label_col].strip())
+        if not labels[-1]:
+            raise ValueError(f"{path}: row {lineno}: empty label")
+    cols = feature_cols + factor_cols
+    try:
+        values = np.loadtxt([line for _, line in rows], delimiter=",", usecols=cols,
+                            comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        values = _parse_cells(path, header, rows, cols)
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        cell = rows[i][1].split(",")[cols[j]].strip()
+        raise ValueError(f"{path}: row {rows[i][0]}, column {header[cols[j]]!r}: {cell!r} is not finite")
 
     if class_names is None:
         class_names = _ordered_class_names(labels)
@@ -322,20 +350,17 @@ def load_table(path, class_names=None) -> Dataset:
     Y = np.zeros((len(labels), len(class_names)))
     for i, name in enumerate(labels):
         if name not in index:
-            raise ValueError(f"{path}: row {lines[i + 1][0]}: unknown class name {name!r}")
+            raise ValueError(f"{path}: row {rows[i][0]}: unknown class name {name!r}")
         Y[i, index[name]] = 1.0
 
-    factors = np.array(rows_f) if factor_cols else None
-    try:
-        return Dataset(
-            X=np.array(rows_x),
-            Y=Y,
-            factors=factors,
-            class_names=class_names,
-            factor_names=tuple(header[i] for i in factor_cols),
-        )
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    p = len(feature_cols)
+    return Dataset(
+        X=values[:, :p],
+        Y=Y,
+        factors=values[:, p:] if factor_cols else None,
+        class_names=class_names,
+        factor_names=tuple(header[i] for i in factor_cols),
+    )
 
 
 def split(dataset: Dataset, train_fraction: float, seed) -> tuple:

@@ -178,6 +178,25 @@ class TestTrain:
         assert "parameters went non-finite at epoch 0, batch 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("f0,label,alpha_0,alpha_0\n1,a,0,0\n2,b,0,0\n", "column 'alpha_0' is named twice"),
+        ("f0,label,label\n1,a,a\n2,b,b\n", "column 'label' is named twice"),
+        ("f0,label,alpah_0\n1,a,0\n2,b,0\n", "column 'alpah_0' is not"),
+        ("f0,label\n", "no data rows"),
+        ("f0,label\n1,\n2,\n3,b\n4,b\n", "row 2: empty label"),
+        ("f0,label\n1,a\n1e400,b\n", "row 3, column 'f0': '1e400' is not finite"),
+    ], ids=["repeated-factor", "repeated-label", "unknown-column", "header-only", "empty-label",
+            "overflowing-feature"])
+    def test_malformed_data_file_exits_2(self, tmp_path, capsys, text, message):
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        out = tmp_path / "run"
+        code = main(["train", str(data), "--config", str(train_config(tmp_path)), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(data) in err and message in err
+        assert not out.exists()
+
     def test_unknown_config_field_rejected(self, tmp_path, blob_file, capsys):
         config = train_config(tmp_path, epoch=20)
         code = main(["train", str(blob_file), "--config", str(config), "--out", str(tmp_path / "x")])

@@ -1,6 +1,14 @@
+import math
+import re
+import struct
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from fixedproto import data as data_module
 from fixedproto.data import (
     Dataset,
     SynthConfig,
@@ -138,6 +146,132 @@ class TestFileRoundTrip:
         path.write_text("f0,label\n1.0,a\n2.0,b\n")
         ds = load_table(path)
         assert ds.factors is None and ds.factor_names == ()
+
+    @pytest.mark.parametrize("header, row, message", [
+        ("f0,f0,label", "1,2,a", "column 'f0' is named twice"),
+        ("f0,label,extra", "1,a,0", "column 'extra' is not"),
+        ("f0,label,", "1,a,", "column '' is not"),
+    ])
+    def test_malformed_header_names_column(self, tmp_path, header, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load_table(path)
+
+    @pytest.mark.parametrize("cell", ["1e400", "-1e400", "nan", "inf"])
+    @pytest.mark.parametrize("column", ["f1", "alpha_0"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell, column):
+        path = tmp_path / "bad.csv"
+        f1, alpha = (cell, "0") if column == "f1" else ("2", cell)
+        path.write_text(f"f0,f1,label,alpha_0\n1,2,a,0\n\n1,{f1},b,{alpha}\n")
+        with pytest.raises(ValueError, match=f"row 4, column '{column}': '{cell}' is not finite"):
+            load_table(path)
+
+    def test_comment_sign_is_a_bad_cell(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,label\n1,a\n#5,b\n")
+        with pytest.raises(ValueError, match=r"row 3, column 'f0': could not parse '#5'"):
+            load_table(path)
+
+    def test_extra_cell_names_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,label\n1,a\n2,b,3\n")
+        with pytest.raises(ValueError, match="row 3: expected 2 cells, got 3"):
+            load_table(path)
+
+    def test_spellings_only_float_reads(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("f0,label\n1_0,a\n４２,b\n 1.5 ,a\r\n")
+        assert load_table(path).X.ravel().tolist() == [10.0, 42.0, 1.5]
+
+
+# Finite float64 values by bit pattern, with the edge cases always in reach.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308,
+               sys.float_info.min, sys.float_info.max, -sys.float_info.max]
+FINITE_FLOATS = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", b.to_bytes(8, "little"))[0])
+    .filter(math.isfinite),
+)
+
+
+@st.composite
+def datasets(draw):
+    n, p, m = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    X = draw(st.lists(FINITE_FLOATS, min_size=n * p, max_size=n * p))
+    F = draw(st.lists(FINITE_FLOATS, min_size=n * m, max_size=n * m))
+    classes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return Dataset(
+        X=np.array(X).reshape(n, p),
+        Y=np.identity(3)[classes],
+        factors=np.array(F).reshape(n, m) if m else None,
+        class_names=("a", "b", "c"),
+        factor_names=tuple(f"alpha_{i}" for i in range(m)),
+    )
+
+
+# Cell texts for the bulk/fallback agreement: ordinary numbers, then cells
+# that parse only with ``float``, are not finite, are not numbers at all, or
+# are empty.
+GOOD_CELLS = ["0.5", " 1.5 ", "-0.0", "5e-324", "1e-400", "\t2\t", "+3", ".5", "1.7976931348623157e+308"]
+ODD_CELLS = ["1_0", "４２", "#5", "", " ", "nan", "1e400", "-inf", "x", "0x10", "1 2"]
+AGREEMENT_HEADER = ["f0", "f1", "label", "alpha_0"]
+
+
+@st.composite
+def table_texts(draw):
+    n = draw(st.integers(1, 3))
+    rows = [[draw(st.sampled_from(GOOD_CELLS)) for _ in range(2)] + [draw(st.sampled_from(["a", " b "]))]
+            + [draw(st.sampled_from(GOOD_CELLS))] for _ in range(n)]
+    for i, j, cell in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 3),
+                                              st.sampled_from(ODD_CELLS)), max_size=2)):
+        rows[i][j] = cell
+    lines = [",".join(row) for row in rows]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=1)):
+        lines[i] += ",9"
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\n\n"]), min_size=n + 1, max_size=n + 1))
+    return "".join(line + end for line, end in zip([",".join(AGREEMENT_HEADER)] + lines, endings))
+
+
+def load_outcome(path):
+    """What ``load_table`` gives for ``path``: the arrays' bytes, or the error message."""
+    try:
+        ds = load_table(path)
+    except ValueError as e:
+        return str(e)
+    return ds.X.tobytes(), ds.Y.tobytes(), ds.factors.tobytes(), ds.class_names
+
+
+class TestFileProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ds=datasets())
+    def test_save_load_round_trip_is_bit_exact(self, tmp_path, ds):
+        path = tmp_path / "data.csv"
+        save_dataset(ds, path)
+        back = load_table(path)
+        assert back.X.tobytes() == ds.X.tobytes()
+        assert (back.factors is None) == (ds.factors is None)
+        if ds.factors is not None:
+            assert back.factors.tobytes() == ds.factors.tobytes()
+        names = [back.class_names[c] for c in back.class_indices()]
+        assert names == [ds.class_names[c] for c in ds.class_indices()]
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=table_texts())
+    def test_bulk_parse_agrees_with_cell_by_cell_fallback(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        bulk = load_outcome(path)
+
+        def fail(*args, **kwargs):
+            raise ValueError("bulk parse forced to fail")
+
+        with monkeypatch.context() as m:
+            m.setattr(data_module.np, "loadtxt", fail)
+            fallback = load_outcome(path)
+        assert bulk == fallback
 
 
 class TestSplit:
