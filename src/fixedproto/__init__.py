@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .data import Dataset, SynthConfig, generate_synthetic, joint_probability_table, load_table, save_dataset, split, true_levels
 from .explain import Explanation, explain_sample, zero_block_activity
 from .linalg import OrthonormalBasis, gram_schmidt, jlt_create, random_orthonormal_basis
-from .metrics import DisentanglementReport, SeparationReport, accuracy, disentanglement_report, separation_report
+from .metrics import accuracy, disentanglement_report, separation_report
 from .model import (
     ClassifierParams,
     EmbedderParams,
@@ -33,4 +33,4 @@ from .prototypes import (
     extractor_to_doc,
     fit_factor_coder,
 )
-from .training import Adam, DivergenceError, SGD, TrainConfig, TrainHistory, loss, mix_rows, train
+from .training import Adam, DivergenceError, SGD, TrainConfig, loss, mix_rows, train

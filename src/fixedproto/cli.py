@@ -29,7 +29,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .data import Dataset, SynthConfig, generate_synthetic, joint_probability_table, load_table, save_dataset, split
+from .data import (Dataset, SynthConfig, config_from_doc, config_to_doc, generate_synthetic,
+                   joint_probability_table, json_field, load_table, save_dataset, split)
 from .explain import explain_sample, explanation_to_csv_text, explanation_to_doc, zero_block_activity
 from .metrics import accuracy, disentanglement_report, separation_report
 from .model import (
@@ -45,7 +46,6 @@ from .prototypes import (
     extractor_from_doc,
     extractor_to_doc,
     fit_factor_coder,
-    json_field,
 )
 from .training import DivergenceError, TrainConfig, train
 
@@ -85,7 +85,7 @@ def _load_config(path, config_class, **overrides):
         raise ConfigError(f"{path}: unsupported schema_version {version!r}")
     doc.update({key: value for key, value in overrides.items() if value is not None})
     try:
-        return config_class.from_dict(doc)
+        return config_from_doc(config_class, doc)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"{path}: {e}") from None
 
@@ -141,7 +141,7 @@ def cmd_gen_data(args) -> int:
     save_dataset(dataset, args.out)
     manifest = _manifest(
         "gen-data",
-        config.to_dict(),
+        config_to_doc(config),
         {"seed": config.seed},
         {"config": str(args.config)},
         [os.path.basename(str(args.out))],
@@ -294,33 +294,31 @@ def cmd_train(args) -> int:
         os.path.join(args.out, "checkpoint.json"),
         _checkpoint_doc(embedder, classifier, extractor, dataset, config),
     )
-    _write_json(os.path.join(args.out, "history.json"), history.to_doc())
+    _write_json(os.path.join(args.out, "history.json"), history)
     manifest = _manifest(
         "train",
-        config.to_dict(),
+        config_to_doc(config),
         {"seed": config.seed},
         {"config": str(args.config), "data": str(args.data)},
         ["checkpoint.json", "history.json", "manifest.json"],
     )
     _write_json(os.path.join(args.out, "manifest.json"), manifest)
-    final = history.final
-    val_part = "" if final.val_accuracy is None else f", val_accuracy={final.val_accuracy:.4f}"
-    _say(args, f"trained {config.epochs} epochs: loss={final.total_loss:.4f}, "
-               f"train_accuracy={final.train_accuracy:.4f}{val_part}")
+    final = history["rows"][-1]
+    val_part = "" if final["val_accuracy"] is None else f", val_accuracy={final['val_accuracy']:.4f}"
+    _say(args, f"trained {config.epochs} epochs: loss={final['total_loss']:.4f}, "
+               f"train_accuracy={final['train_accuracy']:.4f}{val_part}")
     _say(args, f"outputs in {args.out}")
     return EXIT_OK
 
 
 def _eval_doc(embedder, classifier, extractor, dataset: Dataset) -> dict:
     trace = forward(embedder, classifier, dataset.X)
-    acc = accuracy(trace.probs, dataset.Y)
-    separation = separation_report(trace.z, dataset.Y, _prototypes(extractor, dataset)).to_dict()
     disentanglement = None
     joint = None
     zero_block = None
     if extractor is not None and extractor.kind == "factor-coded" and dataset.factors is not None:
         levels = extractor.coder.level_indices(dataset.factors)
-        disentanglement = disentanglement_report(trace.z, levels, extractor.layout).to_dict()
+        disentanglement = disentanglement_report(trace.z, levels, extractor.layout)
         joint = joint_probability_table(dataset, extractor.coder).tolist()
         if extractor.layout.zero_dim > 0:
             zero_block = zero_block_activity(trace.z, extractor.layout).tolist()
@@ -328,8 +326,8 @@ def _eval_doc(embedder, classifier, extractor, dataset: Dataset) -> dict:
         "format": "eval-report",
         "version": 1,
         "n_samples": dataset.n,
-        "accuracy": acc,
-        "separation": separation,
+        "accuracy": accuracy(trace.probs, dataset.Y),
+        "separation": separation_report(trace.z, dataset.Y, _prototypes(extractor, dataset)),
         "disentanglement": disentanglement,
         "zero_block_mean_abs_per_dim": zero_block,
         "joint_probabilities": joint,
@@ -434,9 +432,9 @@ def _comparison_run(dataset: Dataset, config: TrainConfig) -> dict:
     return {
         "seed": config.seed,
         "accuracy": accuracy(trace.probs, val_set.Y),
-        "mean_abs_cos": sep.mean_abs_cos,
-        "mean_prototype_dist": sep.mean_prototype_dist,
-        "final_train_accuracy": history.final.train_accuracy,
+        "mean_abs_cos": sep["mean_abs_cos"],
+        "mean_prototype_dist": sep["mean_prototype_dist"],
+        "final_train_accuracy": history["rows"][-1]["train_accuracy"],
     }
 
 
@@ -471,7 +469,7 @@ def run_comparison(dataset: Dataset, config: TrainConfig, seeds) -> dict:
         "format": "comparison",
         "version": 1,
         "seeds": list(seeds),
-        "config": config.to_dict(),
+        "config": config_to_doc(config),
         "systems": systems,
     }
 
@@ -490,7 +488,7 @@ def cmd_compare(args) -> int:
     _write_json(os.path.join(args.out, "comparison.json"), comparison)
     manifest = _manifest(
         "compare",
-        config.to_dict(),
+        config_to_doc(config),
         {"seeds": seeds},
         {"config": str(args.config), "data": str(args.data)},
         ["comparison.json", "manifest.json"],

@@ -41,6 +41,8 @@ class Dataset:
             raise ValueError("X and Y must be 2-D with matching row counts")
         if not np.all(np.isfinite(X)):
             raise ValueError("features contain non-finite entries")
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("labels contain non-finite entries")
         if np.any(Y < 0) or np.max(np.abs(Y.sum(axis=1) - 1.0), initial=0.0) > LABEL_SUM_TOL:
             raise ValueError("labels must be nonnegative and sum to 1 per row")
         if len(self.class_names) != Y.shape[1]:
@@ -116,6 +118,54 @@ def check_types(config, ints=(), reals=()) -> None:
             raise TypeError(f"field {name!r} must be a finite number, got {value!r}")
 
 
+def config_from_doc(config_class, doc: dict):
+    """A ``config_class`` from a config document; ``schema_version`` is skipped
+    (the caller checks it), any other field the class lacks is refused."""
+    known = [f.name for f in fields(config_class)]
+    unknown = set(doc) - set(known) - {"schema_version"}
+    if unknown:
+        raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    return config_class(**{k: doc[k] for k in known if k in doc})
+
+
+def config_to_doc(config) -> dict:
+    """A config as a version-1 JSON document; arrays become nested lists."""
+    doc = {"schema_version": 1}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return doc
+
+
+def json_field(doc: dict, key: str, *types):
+    """``doc[key]``, required to be exactly one of ``types`` (so a bool is no int).
+
+    Raises ``KeyError`` when the field is missing and ``TypeError`` when it
+    has another type.
+    """
+    value = doc[key]
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"field {key!r} must be {names}, got {type(value).__name__}")
+    return value
+
+
+def json_numbers(value, name: str, ndim: int) -> np.ndarray:
+    """The JSON list (``ndim`` 1) or list of lists (2) ``value`` as float64.
+
+    Its entries must be ints or floats, never bools or strings, and fit a
+    float; else ``TypeError`` or ``ValueError`` names the field ``name``.
+    """
+    rows = [value] if ndim == 1 else value
+    if type(rows) is not list or any(type(row) is not list or not {int, float}.issuperset(map(type, row))
+                                     for row in rows):
+        raise TypeError(f"field {name!r} must be a list{' of lists' * (ndim - 1)} of numbers")
+    try:
+        return np.array(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"field {name!r} holds an integer too large for a float") from None
+
+
 @dataclass
 class SynthConfig:
     """Generator settings.
@@ -167,23 +217,6 @@ class SynthConfig:
                 if np.any(T[f] < 0) or np.max(np.abs(rows - 1.0)) > 1e-9:
                     raise ValueError(f"factor {f}: probability table rows must sum to 1")
             self.factor_tables = T
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SynthConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known - {"schema_version"}
-        if unknown:
-            raise ValueError(f"unknown generator config fields: {sorted(unknown)}")
-        kwargs = {k: doc[k] for k in known if k in doc}
-        if kwargs.get("factor_tables") is not None:
-            kwargs["factor_tables"] = np.asarray(kwargs["factor_tables"], dtype=np.float64)
-        return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        doc = {"schema_version": 1, **{f.name: getattr(self, f.name) for f in fields(self)}}
-        if self.factor_tables is not None:
-            doc["factor_tables"] = self.factor_tables.tolist()
-        return doc
 
 
 def generate_synthetic(config: SynthConfig) -> Dataset:
@@ -247,8 +280,24 @@ def true_levels(factors) -> np.ndarray:
     return (a >= LEVEL_BANDS[0][1]).astype(np.int64) + (a >= LEVEL_BANDS[1][1]).astype(np.int64)
 
 
+def _check_names(names, what: str, prefix: str = "") -> None:
+    """Refuse names the text format cannot carry as they are."""
+    for i, name in enumerate(names):
+        if not name or name != name.strip() or any(c in name for c in ",\n\r"):
+            raise ValueError(f"{what} {name!r} cannot be written: it is empty, holds a comma "
+                             f"or a line break, or has leading or trailing whitespace")
+        if not name.startswith(prefix):
+            raise ValueError(f"{what} {name!r} cannot be written: it is not {prefix}<name>")
+        if name in names[:i]:
+            raise ValueError(f"{what} {name!r} is given twice")
+
+
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write the documented tabular text format (hard labels only)."""
+    """Write the documented tabular text format (hard labels only); a class or
+    factor name that would not load back as it is raises ``ValueError``
+    before the file is created."""
+    _check_names(dataset.class_names, "class name")
+    _check_names(dataset.factor_names, "factor name", prefix="alpha_")
     header = [f"f{j}" for j in range(dataset.input_dim)] + ["label"] + list(dataset.factor_names)
     labels = [dataset.class_names[c] for c in dataset.class_indices().tolist()]
     factors = [[]] * dataset.n if dataset.factors is None else dataset.factors.tolist()

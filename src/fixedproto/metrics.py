@@ -11,8 +11,6 @@ accuracy equals that level's rate in the eval half.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -28,30 +26,13 @@ def accuracy(predictions, truth) -> float:
     return float(np.mean(np.argmax(pred, axis=1) == t_idx))
 
 
-@dataclass
-class SeparationReport:
-    centroids: np.ndarray  # (C, k)
-    mean_abs_cos: float
-    max_abs_cos: float
-    mean_within_class_dist: float
-    mean_prototype_dist: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_abs_cos": self.mean_abs_cos,
-            "max_abs_cos": self.max_abs_cos,
-            "mean_within_class_dist": self.mean_within_class_dist,
-            "mean_prototype_dist": self.mean_prototype_dist,
-            "centroids": self.centroids.tolist(),
-        }
-
-
-def separation_report(embeddings, labels, prototypes=None) -> SeparationReport:
+def separation_report(embeddings, labels, prototypes=None) -> dict:
     """How far apart the classes sit in embedding space.
 
     ``labels`` are (n, C) rows on the class simplex; every class must occur.
     Cosines are measured between class centroids; ``prototypes`` (n, k), when
     given, adds the mean distance from each embedding to its own prototype.
+    Returns the report document; the centroids (C, k) are nested lists.
     """
     Z = np.asarray(embeddings, dtype=np.float64)
     Y = np.asarray(labels, dtype=np.float64)
@@ -73,20 +54,19 @@ def separation_report(embeddings, labels, prototypes=None) -> SeparationReport:
     cos = unit @ unit.T
     iu = np.triu_indices(C, k=1)
     abs_cos = np.abs(cos[iu])
-    within = float(np.mean(np.linalg.norm(Z - centroids[cls], axis=1)))
     proto_dist = None
     if prototypes is not None:
         P = np.asarray(prototypes, dtype=np.float64)
         if P.shape != Z.shape:
             raise ValueError("prototypes must be per-sample, same shape as embeddings")
         proto_dist = float(np.mean(np.linalg.norm(Z - P, axis=1)))
-    return SeparationReport(
-        centroids=centroids,
-        mean_abs_cos=float(abs_cos.mean()),
-        max_abs_cos=float(abs_cos.max()),
-        mean_within_class_dist=within,
-        mean_prototype_dist=proto_dist,
-    )
+    return {
+        "mean_abs_cos": float(abs_cos.mean()),
+        "max_abs_cos": float(abs_cos.max()),
+        "mean_within_class_dist": float(np.mean(np.linalg.norm(Z - centroids[cls], axis=1))),
+        "mean_prototype_dist": proto_dist,
+        "centroids": centroids.tolist(),
+    }
 
 
 def _probe_accuracy(train_x, train_levels, eval_x, eval_levels, n_levels: int = 3) -> float:
@@ -105,42 +85,15 @@ def _probe_accuracy(train_x, train_levels, eval_x, eval_levels, n_levels: int = 
     return float(np.mean(pred == eval_levels))
 
 
-@dataclass
-class FactorProbe:
-    name: str
-    designated_accuracy: float
-    zero_block_accuracy: float | None
-    other_factors_accuracy: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "designated_accuracy": self.designated_accuracy,
-            "zero_block_accuracy": self.zero_block_accuracy,
-            "other_factors_accuracy": self.other_factors_accuracy,
-        }
-
-
-@dataclass
-class DisentanglementReport:
-    factors: list
-    zero_block_mean_abs: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "factors": [f.to_dict() for f in self.factors],
-            "zero_block_mean_abs": self.zero_block_mean_abs,
-        }
-
-
-def disentanglement_report(embeddings, factor_levels, layout) -> DisentanglementReport:
+def disentanglement_report(embeddings, factor_levels, layout) -> dict:
     """Can each factor's level be read off its designated dimensions, and
     only those?
 
     For every factor, probes predict its true level from (a) its own 3
     dimensions, (b) the zero-block dimensions, and (c) all other factors'
     dimensions; (b) and (c) are None when the respective group is empty.
-    Also reports the mean absolute activation over the zero block.
+    Also reports the mean absolute activation over the zero block.  Returns
+    the report document, with one probe document per factor.
     """
     Z = np.asarray(embeddings, dtype=np.float64)
     L = np.asarray(factor_levels, dtype=np.int64)
@@ -174,13 +127,13 @@ def disentanglement_report(embeddings, factor_levels, layout) -> Disentanglement
             )
             other = Z[:, cols]
             other_acc = _probe_accuracy(other[train_sel], lv[train_sel], other[eval_sel], lv[eval_sel])
-        probes.append(
-            FactorProbe(
-                name=layout.names[f],
-                designated_accuracy=designated,
-                zero_block_accuracy=zb_acc,
-                other_factors_accuracy=other_acc,
-            )
-        )
-    zb_mean = float(np.mean(np.abs(Z[:, zero]))) if layout.zero_dim > 0 else None
-    return DisentanglementReport(factors=probes, zero_block_mean_abs=zb_mean)
+        probes.append({
+            "name": layout.names[f],
+            "designated_accuracy": designated,
+            "zero_block_accuracy": zb_acc,
+            "other_factors_accuracy": other_acc,
+        })
+    return {
+        "factors": probes,
+        "zero_block_mean_abs": float(np.mean(np.abs(Z[:, zero]))) if layout.zero_dim > 0 else None,
+    }

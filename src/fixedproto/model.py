@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import json_field, json_numbers
+
 ACTIVATIONS = ("relu", "identity")
 
 
@@ -259,11 +261,11 @@ def embedder_from_doc(doc: dict) -> EmbedderParams:
     return EmbedderParams(
         layers=[
             Layer(
-                weight=np.array(d["weight"], dtype=np.float64),
-                bias=np.array(d["bias"], dtype=np.float64),
+                weight=json_numbers(d["weight"], f"embedder.layers[{i}].weight", 2),
+                bias=json_numbers(d["bias"], f"embedder.layers[{i}].bias", 1),
                 activation=d["activation"],
             )
-            for d in doc["layers"]
+            for i, d in enumerate(json_field(doc, "layers", list))
         ]
     )
 
@@ -273,4 +275,4 @@ def classifier_to_doc(classifier: ClassifierParams) -> dict:
 
 
 def classifier_from_doc(doc: dict) -> ClassifierParams:
-    return ClassifierParams(weight=np.array(doc["weight"], dtype=np.float64))
+    return ClassifierParams(weight=json_numbers(doc["weight"], "classifier.weight", 2))

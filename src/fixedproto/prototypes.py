@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LABEL_SUM_TOL
+from .data import LABEL_SUM_TOL, json_field, json_numbers
 from .linalg import jlt_create, random_orthonormal_basis
 
 LEVELS_PER_FACTOR = 3
@@ -41,19 +41,6 @@ QUANTILE_METHOD = "interpolated_inverted_cdf"
 
 EXTRACTOR_FORMAT = "prototype-extractor"
 EXTRACTOR_VERSION = 1
-
-
-def json_field(doc: dict, key: str, *types):
-    """``doc[key]``, required to be exactly one of ``types`` (so a bool is no int).
-
-    Raises ``KeyError`` when the field is missing and ``TypeError`` when it
-    has another type.
-    """
-    value = doc[key]
-    if type(value) not in types:
-        names = " or ".join(t.__name__ for t in types)
-        raise TypeError(f"field {key!r} must be {names}, got {type(value).__name__}")
-    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +354,7 @@ def extractor_from_doc(doc: dict):
             class_count=json_field(doc, "class_count", int),
             embedding_dim=json_field(doc, "embedding_dim", int),
             seed=json_field(doc, "seed", int),
-            table=np.array(json_field(doc, "table", list), dtype=np.float64),
+            table=json_numbers(doc["table"], "table", 2),
         )
     if kind == "factor-coded":
         if doc.get("quantile_method") != QUANTILE_METHOD:
@@ -375,8 +362,8 @@ def extractor_from_doc(doc: dict):
         factors = json_field(doc, "factors", list)
         coder = FactorCoder(
             names=tuple(json_field(f, "name", str) for f in factors),
-            lower=np.array([json_field(f, "lower", float, int) for f in factors], dtype=np.float64),
-            upper=np.array([json_field(f, "upper", float, int) for f in factors], dtype=np.float64),
+            lower=json_numbers([json_field(f, "lower", float, int) for f in factors], "lower", 1),
+            upper=json_numbers([json_field(f, "upper", float, int) for f in factors], "upper", 1),
         )
         return FactorCodedExtractor(coder, json_field(doc, "embedding_dim", int))
     raise ValueError(f"unknown extractor kind {kind!r}")

@@ -8,14 +8,15 @@ prototype machinery is skipped entirely, so such a run executes exactly the
 same arithmetic as the plain cross-entropy baseline and yields bit-identical
 parameters for the same seed.
 
-``TrainHistory.to_doc`` is the one record of a run's epochs.  ``TrainConfig``
-checks every field's type (an integer field takes no bool or float), so a
-mistyped config fails naming the field before anything runs.
+``train`` returns the ``train-history`` document, the one record of a run's
+epochs.  ``TrainConfig`` checks every field's type (an integer field takes
+no bool or float), so a mistyped config fails naming the field before
+anything runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,19 +103,6 @@ class TrainConfig:
             raise ValueError("hidden_dims entries must be >= 1")
         if not 0.0 < self.train_fraction <= 1.0:
             raise ValueError("train_fraction must be in (0, 1]")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known - {"schema_version"}
-        if unknown:
-            raise ValueError(f"unknown training config fields: {sorted(unknown)}")
-        return cls(**{k: doc[k] for k in known if k in doc})
-
-    def to_dict(self) -> dict:
-        doc = {"schema_version": 1, **{f.name: getattr(self, f.name) for f in fields(self)}}
-        doc["hidden_dims"] = list(self.hidden_dims)
-        return doc
 
     def effective_lambda(self) -> float:
         return 1.0 / self.embedding_dim if self.lambda_p is None else float(self.lambda_p)
@@ -234,52 +222,11 @@ def make_optimizer(config: TrainConfig):
     return Adam(config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps)
 
 
-@dataclass
-class EpochStats:
-    epoch: int
-    total_loss: float
-    ce_loss: float
-    proto_loss: float
-    train_accuracy: float
-    val_accuracy: float | None
-
-
-@dataclass
-class TrainHistory:
-    rows: list
-
-    def __post_init__(self):
-        for row in self.rows:
-            vals = [row.total_loss, row.ce_loss, row.proto_loss, row.train_accuracy]
-            if row.val_accuracy is not None:
-                vals.append(row.val_accuracy)
-            if not np.all(np.isfinite(vals)):
-                raise ValueError(f"non-finite history entry at epoch {row.epoch}")
-
-    def to_doc(self) -> dict:
-        return {
-            "format": "train-history",
-            "version": 1,
-            "rows": [
-                {
-                    "epoch": r.epoch,
-                    "total_loss": r.total_loss,
-                    "ce_loss": r.ce_loss,
-                    "prototype_loss": r.proto_loss,
-                    "train_accuracy": r.train_accuracy,
-                    "val_accuracy": r.val_accuracy,
-                }
-                for r in self.rows
-            ],
-        }
-
-    @property
-    def final(self) -> EpochStats:
-        return self.rows[-1]
-
-
 def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None = None):
     """Minibatch training; returns (embedder, classifier, history).
+
+    ``history`` is the ``train-history`` document, one row per epoch; a
+    non-finite row raises ``ValueError``.
 
     The extractor's ``targets`` are looked up and checked once.  Each epoch
     gathers the inputs, labels and targets once in shuffled order, and each
@@ -353,21 +300,25 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
             raise DivergenceError(epoch, batch_i, None)
         ce_mean = ce_sum / n
         proto_mean = proto_sum / n
-        total_mean = ce_mean + lambda_p * proto_mean
         full_trace = forward(embedder, classifier, X, into=full_trace)
         train_acc = accuracy(full_trace.probs, Y)
         val_acc = None
         if val is not None:
             val_trace = forward(embedder, classifier, val.X, into=val_trace)
             val_acc = accuracy(val_trace.probs, val.Y)
-        rows.append(
-            EpochStats(
-                epoch=epoch,
-                total_loss=total_mean,
-                ce_loss=ce_mean,
-                proto_loss=proto_mean,
-                train_accuracy=train_acc,
-                val_accuracy=val_acc,
-            )
-        )
-    return embedder, classifier, TrainHistory(rows=rows)
+        row = {
+            "epoch": epoch,
+            "total_loss": ce_mean + lambda_p * proto_mean,
+            "ce_loss": ce_mean,
+            "prototype_loss": proto_mean,
+            "train_accuracy": train_acc,
+            "val_accuracy": val_acc,
+        }
+        if not np.all(np.isfinite([v for v in row.values() if v is not None])):
+            raise ValueError(f"non-finite history entry at epoch {epoch}")
+        rows.append(row)
+    return embedder, classifier, {
+        "format": "train-history",
+        "version": 1,
+        "rows": rows,
+    }

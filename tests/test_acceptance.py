@@ -161,9 +161,9 @@ def test_criterion_5_disentanglement_claim(factor_runs):
     embedder, classifier, _, extractor, va = factor_runs[("proto", 0)]
     trace = forward(embedder, classifier, va.X)
     report = disentanglement_report(trace.z, true_levels(va.factors), extractor.layout)
-    for probe in report.factors:
-        assert probe.designated_accuracy >= 0.90, (
-            f"{probe.name}: designated probe {probe.designated_accuracy:.3f}"
+    for probe in report["factors"]:
+        assert probe["designated_accuracy"] >= 0.90, (
+            f"{probe['name']}: designated probe {probe['designated_accuracy']:.3f}"
         )
     prototypes = extractor.extract_batch(extractor.targets(va.Y, va.factors))
     coded = extractor.layout.coded_dim
@@ -174,8 +174,8 @@ def test_criterion_5_disentanglement_claim(factor_runs):
 
 def test_criterion_6_accuracy_parity(factor_runs):
     """Factor-coded prototypes cost at most 2 accuracy points vs plain CE."""
-    proto_acc = np.mean([factor_runs[("proto", s)][2].final.val_accuracy for s in RUN_SEEDS])
-    ce_acc = np.mean([factor_runs[("ce", s)][2].final.val_accuracy for s in RUN_SEEDS])
+    proto_acc = np.mean([factor_runs[("proto", s)][2]["rows"][-1]["val_accuracy"] for s in RUN_SEEDS])
+    ce_acc = np.mean([factor_runs[("ce", s)][2]["rows"][-1]["val_accuracy"] for s in RUN_SEEDS])
     gap_points = abs(proto_acc - ce_acc) * 100.0
     assert gap_points <= 2.0, f"accuracy gap {gap_points:.2f} points"
 

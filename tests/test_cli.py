@@ -301,6 +301,30 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(broken) in err and f"{field!r}" in err
 
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("classifier", "weight", 0), ["0.12"] * 2, "classifier.weight"),
+            (("embedder", "layers", 0, "bias", 3), True, "embedder.layers[0].bias"),
+            (("embedder", "layers", 1, "weight", 0), 0.5, "embedder.layers[1].weight"),
+            (("extractor", "table", 1, 0), None, "table"),
+            (("classifier", "weight", 1, 1), 10**400, "classifier.weight"),
+        ],
+        ids=["string-head-row", "true-bias", "number-for-a-row", "null-in-table", "int-too-large"],
+    )
+    def test_non_number_parameters_name_file_and_field(self, tmp_path, blob_file, trained_run, capsys,
+                                                       path, value, field):
+        doc = json.loads((trained_run / "checkpoint.json").read_text())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        broken = tmp_path / "broken.json"
+        write_json(broken, doc)
+        assert main(["eval", str(broken), str(blob_file), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(broken) in err and f"field {field!r}" in err
+
     def test_version_1_checkpoint_rejected(self, tmp_path, blob_file, trained_run, capsys):
         doc = json.loads((trained_run / "checkpoint.json").read_text())
         doc["version"] = 1
@@ -372,6 +396,59 @@ class TestFactorColumns:
         report = tmp_path / "report.json"
         assert main(["eval", str(checkpoint), str(bare), "--out", str(report), "--quiet"]) == EXIT_OK
         assert json.loads(report.read_text())["disentanglement"] is None
+
+
+def key_paths(doc, prefix=""):
+    """Every key of a JSON document as a dotted path, in document order; a
+    list of objects is read through its first item, as ``name[]``."""
+    paths = []
+    for key, value in doc.items():
+        path = prefix + key
+        paths.append(path)
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            value, path = value[0], path + "[]"
+        if isinstance(value, dict):
+            paths += key_paths(value, path + ".")
+    return paths
+
+
+def test_document_layouts_are_pinned(tmp_path, factor_run):
+    """The nested key order of report.json (factor-coded, with a zero block),
+    history.json and comparison.json."""
+    checkpoint, data = factor_run
+    report = tmp_path / "report.json"
+    assert main(["eval", str(checkpoint), str(data), "--out", str(report), "--quiet"]) == EXIT_OK
+    assert key_paths(json.loads(report.read_text())) == [
+        "format", "version", "n_samples", "accuracy",
+        "separation", "separation.mean_abs_cos", "separation.max_abs_cos",
+        "separation.mean_within_class_dist", "separation.mean_prototype_dist", "separation.centroids",
+        "disentanglement", "disentanglement.factors", "disentanglement.factors[].name",
+        "disentanglement.factors[].designated_accuracy", "disentanglement.factors[].zero_block_accuracy",
+        "disentanglement.factors[].other_factors_accuracy", "disentanglement.zero_block_mean_abs",
+        "zero_block_mean_abs_per_dim", "joint_probabilities",
+    ]
+    assert key_paths(json.loads((checkpoint.parent / "history.json").read_text())) == [
+        "format", "version", "rows", "rows[].epoch", "rows[].total_loss", "rows[].ce_loss",
+        "rows[].prototype_loss", "rows[].train_accuracy", "rows[].val_accuracy",
+    ]
+    config = train_config(tmp_path, epochs=2, train_fraction=0.8, extractor={"kind": "factor-coded"})
+    out = tmp_path / "compare"
+    assert main(["compare", str(data), "--config", str(config), "--out", str(out),
+                 "--seeds", "0", "--quiet"]) == EXIT_OK
+    system = ["", ".accuracy_mean", ".accuracy_std", ".mean_abs_cos_mean", ".mean_abs_cos_std", ".runs",
+              ".runs[].seed", ".runs[].accuracy", ".runs[].mean_abs_cos", ".runs[].mean_prototype_dist",
+              ".runs[].final_train_accuracy"]
+    assert key_paths(json.loads((out / "comparison.json").read_text())) == [
+        "format", "version", "seeds",
+        "config", "config.schema_version", "config.epochs", "config.batch_size", "config.learning_rate",
+        "config.optimizer", "config.adam_beta1", "config.adam_beta2", "config.adam_eps",
+        "config.mixup_alpha", "config.lambda_p", "config.loss", "config.hidden_dims",
+        "config.embedding_dim", "config.train_fraction", "config.seed", "config.extractor",
+        "config.extractor.kind",
+        "systems",
+        *[f"systems.predefined-prototype{key}" for key in system],
+        *[f"systems.cross-entropy{key}" for key in system],
+    ]
 
 
 class TestExplain:

@@ -147,6 +147,33 @@ class TestFileRoundTrip:
         ds = load_table(path)
         assert ds.factors is None and ds.factor_names == ()
 
+    @pytest.mark.parametrize("class_names, factor_names, name", [
+        (("a,b", "c"), (), "class name 'a,b'"),
+        ((" a", "c"), (), "class name ' a'"),
+        (("a", "c\t"), (), "class name 'c\\t'"),
+        (("", "c"), (), "class name ''"),
+        (("a\nb", "c"), (), "class name 'a\\nb'"),
+        (("a", "a"), (), "class name 'a' is given twice"),
+        (("a", "c"), ("size",), "factor name 'size'"),
+        (("a", "c"), ("alpha_x,y",), "factor name 'alpha_x,y'"),
+    ], ids=["comma", "leading-space", "trailing-tab", "empty", "line-break", "twice", "no-alpha", "factor-comma"])
+    def test_unwritable_names_refused_before_the_file_exists(self, tmp_path, class_names, factor_names, name):
+        ds = Dataset(X=np.zeros((2, 1)), Y=np.identity(2),
+                     factors=np.zeros((2, len(factor_names))) if factor_names else None,
+                     class_names=class_names, factor_names=factor_names)
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match=re.escape(name)):
+            save_dataset(ds, path)
+        assert not path.exists()
+
+    def test_names_with_inner_spaces_round_trip(self, tmp_path):
+        ds = Dataset(X=np.zeros((2, 1)), Y=np.identity(2), factors=np.zeros((2, 1)),
+                     class_names=("big cat", "small-dog"), factor_names=("alpha_body size",))
+        path = tmp_path / "data.csv"
+        save_dataset(ds, path)
+        back = load_table(path)
+        assert back.class_names == ds.class_names and back.factor_names == ds.factor_names
+
     @pytest.mark.parametrize("header, row, message", [
         ("f0,f0,label", "1,2,a", "column 'f0' is named twice"),
         ("f0,label,extra", "1,a,0", "column 'extra' is not"),
@@ -272,6 +299,14 @@ class TestFileProperties:
             m.setattr(data_module.np, "loadtxt", fail)
             fallback = load_outcome(path)
         assert bulk == fallback
+
+
+class TestDataset:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_labels_rejected(self, bad):
+        with pytest.raises(ValueError, match="labels contain non-finite entries"):
+            Dataset(X=np.zeros((2, 2)), Y=[[bad, bad], [1, 0]], factors=None,
+                    class_names=("a", "b"), factor_names=())
 
 
 class TestSplit:

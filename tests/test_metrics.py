@@ -39,23 +39,23 @@ class TestSeparationReport:
         labels = np.identity(3)[np.repeat(np.arange(3), 4)]
         Z = protos[np.repeat(np.arange(3), 4)]
         report = separation_report(Z, labels, prototypes=Z)
-        assert report.mean_abs_cos == 0.0
-        assert report.mean_prototype_dist == 0.0
-        assert report.mean_within_class_dist == 0.0
+        assert report["mean_abs_cos"] == 0.0
+        assert report["mean_prototype_dist"] == 0.0
+        assert report["mean_within_class_dist"] == 0.0
 
     def test_identical_embeddings_have_cosine_one(self):
         Z = np.tile(np.array([1.0, 1.0]), (6, 1))
         labels = np.identity(2)[np.tile([0, 1], 3)]
         report = separation_report(Z, labels)
-        assert report.mean_abs_cos == pytest.approx(1.0, abs=1e-12)
-        assert report.max_abs_cos == pytest.approx(1.0, abs=1e-12)
+        assert report["mean_abs_cos"] == pytest.approx(1.0, abs=1e-12)
+        assert report["max_abs_cos"] == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_built_orthogonal_centroids(self):
         Z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         labels = np.identity(2)[[0, 0, 1, 1]]
         report = separation_report(Z, labels)
-        assert report.mean_abs_cos == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(report.centroids, [[1.0, 0.0], [0.0, 1.0]])
+        assert report["mean_abs_cos"] == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(report["centroids"], [[1.0, 0.0], [0.0, 1.0]])
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
@@ -66,8 +66,8 @@ class TestSeparationReport:
         base = separation_report(Z, labels)
         perm = rng.permutation(30)
         shuffled = separation_report(Z[perm], labels[perm])
-        assert shuffled.mean_abs_cos == pytest.approx(base.mean_abs_cos, abs=1e-12)
-        assert shuffled.mean_within_class_dist == pytest.approx(base.mean_within_class_dist, abs=1e-12)
+        assert shuffled["mean_abs_cos"] == pytest.approx(base["mean_abs_cos"], abs=1e-12)
+        assert shuffled["mean_within_class_dist"] == pytest.approx(base["mean_within_class_dist"], abs=1e-12)
 
     def test_absent_class_rejected(self):
         Z = np.zeros((4, 2))
@@ -81,10 +81,10 @@ class TestSeparationReport:
         labels = np.identity(4)[np.repeat(np.arange(4), 10)]
         P = rng.standard_normal((40, 6))
         report = separation_report(Z, labels, prototypes=P)
-        assert -1.0 <= report.mean_abs_cos <= 1.0
-        assert -1.0 <= report.max_abs_cos <= 1.0
-        assert report.mean_within_class_dist >= 0.0
-        assert report.mean_prototype_dist >= 0.0
+        assert -1.0 <= report["mean_abs_cos"] <= 1.0
+        assert -1.0 <= report["max_abs_cos"] <= 1.0
+        assert report["mean_within_class_dist"] >= 0.0
+        assert report["mean_prototype_dist"] >= 0.0
 
 
 def prototype_exact_embeddings(n_per_combo=4, m=2, k=8, seed=0):
@@ -106,42 +106,42 @@ class TestDisentanglementReport:
         Z, levels = prototype_exact_embeddings()
         layout = FactorLayout(names=("a", "b"), embedding_dim=8)
         report = disentanglement_report(Z, levels, layout)
-        for probe in report.factors:
-            assert probe.designated_accuracy == 1.0
+        for probe in report["factors"]:
+            assert probe["designated_accuracy"] == 1.0
 
     def test_constant_zero_block_probes_fall_back_to_majority(self):
         Z, levels = prototype_exact_embeddings(n_per_combo=40)
         layout = FactorLayout(names=("a", "b"), embedding_dim=8)
         report = disentanglement_report(Z, levels, layout)
-        for f, probe in enumerate(report.factors):
+        for f, probe in enumerate(report["factors"]):
             train_levels = levels[0::2, f]
             eval_levels = levels[1::2, f]
             counts = np.bincount(train_levels, minlength=3)
             majority = int(np.argmax(counts))
             expected = float(np.mean(eval_levels == majority))
-            assert probe.zero_block_accuracy == expected
+            assert probe["zero_block_accuracy"] == expected
             # balanced levels: the fallback sits near chance
-            assert abs(probe.zero_block_accuracy - 1.0 / 3.0) < 0.1
+            assert abs(probe["zero_block_accuracy"] - 1.0 / 3.0) < 0.1
 
     def test_zero_block_mean_abs(self):
         Z, levels = prototype_exact_embeddings()
         layout = FactorLayout(names=("a", "b"), embedding_dim=8)
         report = disentanglement_report(Z, levels, layout)
-        assert report.zero_block_mean_abs == 0.0
+        assert report["zero_block_mean_abs"] == 0.0
 
     def test_independent_factors_do_not_leak(self):
         Z, levels = prototype_exact_embeddings(n_per_combo=8)
         layout = FactorLayout(names=("a", "b"), embedding_dim=8)
         report = disentanglement_report(Z, levels, layout)
-        for probe in report.factors:
-            assert probe.other_factors_accuracy < 0.6
+        for probe in report["factors"]:
+            assert probe["other_factors_accuracy"] < 0.6
 
     def test_empty_zero_block_reports_none(self):
         Z, levels = prototype_exact_embeddings(k=6)
         layout = FactorLayout(names=("a", "b"), embedding_dim=6)
         report = disentanglement_report(Z, levels, layout)
-        assert report.zero_block_mean_abs is None
-        assert all(p.zero_block_accuracy is None for p in report.factors)
+        assert report["zero_block_mean_abs"] is None
+        assert all(p["zero_block_accuracy"] is None for p in report["factors"])
 
     def test_single_factor_has_no_other_dims(self):
         Z = np.zeros((20, 5))
@@ -150,8 +150,8 @@ class TestDisentanglementReport:
         Z[np.arange(20), levels[:, 0]] = 1.0
         layout = FactorLayout(names=("solo",), embedding_dim=5)
         report = disentanglement_report(Z, levels, layout)
-        assert report.factors[0].other_factors_accuracy is None
-        assert report.factors[0].designated_accuracy == 1.0
+        assert report["factors"][0]["other_factors_accuracy"] is None
+        assert report["factors"][0]["designated_accuracy"] == 1.0
 
     def test_degenerate_factor_rejected(self):
         Z = np.zeros((10, 5))

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fixedproto.data import SynthConfig, generate_synthetic
+from fixedproto.data import SynthConfig, config_from_doc, config_to_doc, generate_synthetic
 from fixedproto.model import backward, flat_params, forward, init_classifier, init_embedder, softmax
 from fixedproto.prototypes import (
     FactorCodedExtractor,
@@ -16,10 +16,8 @@ from fixedproto.metrics import accuracy
 from fixedproto.training import (
     Adam,
     DivergenceError,
-    EpochStats,
     SGD,
     TrainConfig,
-    TrainHistory,
     loss,
     make_optimizer,
     mix_rows,
@@ -249,7 +247,7 @@ class TestTrain:
                              embedding_dim=8, hidden_dims=(16,), seed=0)
         ex = class_orthogonal_extractor(2, 8, seed=0)
         _, _, history = train(ds, ex, config)
-        assert history.final.train_accuracy >= 0.99
+        assert history["rows"][-1]["train_accuracy"] >= 0.99
 
     def test_tiny_learning_rate_keeps_loss_flat(self):
         ds = blob_dataset(samples_per_class=30)
@@ -257,7 +255,7 @@ class TestTrain:
                              hidden_dims=(8,), seed=0)
         ex = class_orthogonal_extractor(2, 8, seed=0)
         _, _, history = train(ds, ex, config)
-        losses = [r.total_loss for r in history.rows]
+        losses = [r["total_loss"] for r in history["rows"]]
         assert max(losses) - min(losses) < 1e-6
 
     def test_deterministic_runs(self):
@@ -267,7 +265,7 @@ class TestTrain:
         e1, c1, h1 = train(ds, ex, config)
         e2, c2, h2 = train(ds, ex, config)
         assert flat_params(e1, c1).tobytes() == flat_params(e2, c2).tobytes()
-        assert json.dumps(h1.to_doc()) == json.dumps(h2.to_doc())
+        assert json.dumps(h1) == json.dumps(h2)
 
     def test_lambda_zero_matches_ce_baseline_bitwise(self):
         ds = blob_dataset(samples_per_class=40)
@@ -285,8 +283,8 @@ class TestTrain:
         ex = class_orthogonal_extractor(2, 8, seed=0)
         _, _, history = train(ds, ex, config)
         lam = config.effective_lambda()
-        for row in history.rows:
-            assert row.total_loss == row.ce_loss + lam * row.proto_loss
+        for row in history["rows"]:
+            assert row["total_loss"] == row["ce_loss"] + lam * row["prototype_loss"]
 
     def test_extractor_untouched_by_training(self):
         ds = blob_dataset(samples_per_class=30)
@@ -316,8 +314,8 @@ class TestTrain:
         cfg = TrainConfig(epochs=10, embedding_dim=6, hidden_dims=(16,), seed=0,
                           mixup_alpha=0.2, extractor={"kind": "factor-coded"})
         _, _, history = train(ds, ex, cfg)
-        assert np.isfinite(history.final.total_loss)
-        assert history.final.train_accuracy > 0.9
+        assert np.isfinite(history["rows"][-1]["total_loss"])
+        assert history["rows"][-1]["train_accuracy"] > 0.9
 
     def test_factor_coded_requires_factors(self):
         ds = blob_dataset(samples_per_class=20)
@@ -333,8 +331,8 @@ class TestTrain:
         config = TrainConfig(epochs=2, embedding_dim=8, hidden_dims=(8,), seed=0)
         ex = class_orthogonal_extractor(2, 8, seed=0)
         _, _, history = train(ds, ex, config, val=val)
-        assert history.final.val_accuracy is not None
-        assert list(history.to_doc()["rows"][0]) == [
+        assert history["rows"][-1]["val_accuracy"] is not None
+        assert list(history["rows"][0]) == [
             "epoch", "total_loss", "ce_loss", "prototype_loss", "train_accuracy", "val_accuracy"]
 
 
@@ -380,11 +378,11 @@ def reference_train(dataset, extractor, config, val=None):
             opt.step(params, backward(trace, (trace.probs - yb) * scale, extra))
         ce_mean, proto_mean = ce_sum / n, proto_sum / n
         val_accuracy = None if val is None else accuracy(forward(embedder, classifier, val.X).probs, val.Y)
-        rows.append(EpochStats(epoch=epoch, total_loss=ce_mean + lambda_p * proto_mean,
-                               ce_loss=ce_mean, proto_loss=proto_mean,
-                               train_accuracy=accuracy(forward(embedder, classifier, X).probs, Y),
-                               val_accuracy=val_accuracy))
-    return params, TrainHistory(rows=rows)
+        rows.append({"epoch": epoch, "total_loss": ce_mean + lambda_p * proto_mean,
+                     "ce_loss": ce_mean, "prototype_loss": proto_mean,
+                     "train_accuracy": accuracy(forward(embedder, classifier, X).probs, Y),
+                     "val_accuracy": val_accuracy})
+    return params, {"format": "train-history", "version": 1, "rows": rows}
 
 
 @pytest.mark.parametrize("mixup_alpha", [0.0, 0.2], ids=["no-mixup", "mixup"])
@@ -405,19 +403,19 @@ def test_train_matches_reference_loop(kind, mixup_alpha):
     embedder, classifier, history = train(ds, ex, config, val=val)
     ref_params, ref_history = reference_train(ds, ex, config, val=val)
     assert flat_params(embedder, classifier).tobytes() == ref_params.tobytes()
-    assert all(row.val_accuracy is not None for row in history.rows)
-    assert json.dumps(history.to_doc()) == json.dumps(ref_history.to_doc())
+    assert all(row["val_accuracy"] is not None for row in history["rows"])
+    assert json.dumps(history) == json.dumps(ref_history)
 
 
 class TestTrainConfig:
     def test_round_trip(self):
         config = TrainConfig(epochs=5, seed=2, hidden_dims=(4, 4))
-        back = TrainConfig.from_dict(config.to_dict())
+        back = config_from_doc(TrainConfig, config_to_doc(config))
         assert back == config
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
-            TrainConfig.from_dict({"epoch": 5})
+            config_from_doc(TrainConfig, {"epoch": 5})
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
