@@ -31,8 +31,8 @@ import numpy as np
 from . import __version__
 from .data import (Dataset, SynthConfig, config_from_doc, config_to_doc, generate_synthetic,
                    joint_probability_table, json_field, load_table, save_dataset, split)
-from .explain import explain_sample, explanation_to_csv_text, explanation_to_doc, zero_block_activity
-from .metrics import accuracy, disentanglement_report, separation_report
+from .explain import explain_sample, explanation_to_csv_text, explanation_to_doc
+from .metrics import accuracy, disentanglement_report, separation_report, zero_block_activity
 from .model import (
     classifier_from_doc,
     classifier_to_doc,
@@ -362,7 +362,14 @@ def _print_eval(args, report: dict) -> None:
 
 def cmd_eval(args) -> int:
     _, embedder, classifier, extractor, dataset = _load_model_and_data(args.checkpoint, args.data)
-    report = _eval_doc(embedder, classifier, extractor, dataset)
+    for name, count in zip(dataset.class_names, dataset.Y.sum(axis=0)):
+        if count == 0:
+            raise ConfigError(f"{args.data}: class {name!r} has no rows; eval needs every class "
+                              f"of the checkpoint")
+    try:
+        report = _eval_doc(embedder, classifier, extractor, dataset)
+    except ValueError as e:  # a data file the metrics cannot score, such as one too small to probe
+        raise ConfigError(f"{args.data}: {e}") from None
     _print_eval(args, report)
     if args.out is not None:
         _write_json(args.out, report)

@@ -151,14 +151,19 @@ def json_field(doc: dict, key: str, *types):
 
 
 def json_numbers(value, name: str, ndim: int) -> np.ndarray:
-    """The JSON list (``ndim`` 1) or list of lists (2) ``value`` as float64.
+    """The JSON list ``value``, nested ``ndim`` deep (1, 2 or 3), as float64.
 
     Its entries must be ints or floats, never bools or strings, and fit a
     float; else ``TypeError`` or ``ValueError`` names the field ``name``.
     """
-    rows = [value] if ndim == 1 else value
-    if type(rows) is not list or any(type(row) is not list or not {int, float}.issuperset(map(type, row))
-                                     for row in rows):
+    def numbers(v, depth):
+        if type(v) is not list:
+            return False
+        if depth == 1:
+            return {int, float}.issuperset(map(type, v))
+        return all(numbers(item, depth - 1) for item in v)
+
+    if not numbers(value, ndim):
         raise TypeError(f"field {name!r} must be a list{' of lists' * (ndim - 1)} of numbers")
     try:
         return np.array(value, dtype=np.float64)
@@ -171,10 +176,10 @@ class SynthConfig:
     """Generator settings.
 
     ``factor_tables`` gives, per factor, a (class_count, 3) row-stochastic
-    table of level probabilities conditioned on the class; ``None`` means
-    uniform levels for every class.  Requires ``input_dim >= class_count +
-    factor_count`` so class and factor signal directions can be mutually
-    orthogonal.
+    table of level probabilities conditioned on the class, as a numeric
+    array or as JSON lists of numbers; ``None`` means uniform levels for
+    every class.  Requires ``input_dim >= class_count + factor_count`` so
+    class and factor signal directions can be mutually orthogonal.
     """
 
     class_count: int
@@ -207,7 +212,10 @@ class SynthConfig:
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be >= 0")
         if self.factor_tables is not None:
-            T = np.asarray(self.factor_tables, dtype=np.float64)
+            T = self.factor_tables
+            if not (isinstance(T, np.ndarray) and T.dtype.kind in "iuf"):
+                T = json_numbers(T, "factor_tables", 3)
+            T = np.asarray(T, dtype=np.float64)
             if T.shape != (self.factor_count, self.class_count, 3):
                 raise ValueError(
                     f"factor_tables must have shape ({self.factor_count}, {self.class_count}, 3)"
@@ -235,7 +243,7 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     C, p, m = config.class_count, config.input_dim, config.factor_count
     n = C * config.samples_per_class
     dir_seed, draw_seed = np.random.SeedSequence(config.seed).spawn(2)
-    directions = random_orthonormal_basis(C + m, p, dir_seed).vectors
+    directions = random_orthonormal_basis(C + m, p, dir_seed)
     centroids = config.class_separation * directions[:C]
     rng = np.random.default_rng(draw_seed)
 
@@ -293,13 +301,26 @@ def _check_names(names, what: str, prefix: str = "") -> None:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write the documented tabular text format (hard labels only); a class or
-    factor name that would not load back as it is raises ``ValueError``
-    before the file is created."""
+    """Write the documented tabular text format (hard labels only).
+
+    What would not load back as it is raises ``ValueError`` before the file
+    is created: a class or factor name the format cannot carry, a label row
+    that is not one-hot, or classes that :func:`load_table` would put in
+    another order.  A class without rows is not written, so it is not read
+    back either.
+    """
     _check_names(dataset.class_names, "class name")
     _check_names(dataset.factor_names, "factor name", prefix="alpha_")
-    header = [f"f{j}" for j in range(dataset.input_dim)] + ["label"] + list(dataset.factor_names)
+    soft = np.flatnonzero(((dataset.Y != 0.0) & (dataset.Y != 1.0)).any(axis=1))
+    if soft.size:
+        raise ValueError(f"label row {soft[0]} is not one-hot; the file format holds hard labels only")
     labels = [dataset.class_names[c] for c in dataset.class_indices().tolist()]
+    written = set(labels)
+    order = tuple(name for name in dataset.class_names if name in written)
+    loaded = _ordered_class_names(labels)
+    if loaded != order:
+        raise ValueError(f"classes {order} would load back in the order {loaded}")
+    header = [f"f{j}" for j in range(dataset.input_dim)] + ["label"] + list(dataset.factor_names)
     factors = [[]] * dataset.n if dataset.factors is None else dataset.factors.tolist()
     lines = [",".join(header)]
     for x, label, f in zip(dataset.X.tolist(), labels, factors):

@@ -121,18 +121,3 @@ def explanation_to_doc(expl: Explanation) -> dict:
             for name, entries in zip(expl.class_names, expl.top_negative)
         },
     }
-
-
-def zero_block_activity(embeddings, layout) -> np.ndarray:
-    """Mean absolute activation of each zero-block dimension.
-
-    Values near zero say the named factors explain the predictions almost
-    entirely; values well away from zero say unnamed factors carry weight
-    too.
-    """
-    if layout.zero_dim == 0:
-        raise ValueError("layout has an empty zero block")
-    Z = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    if Z.shape[1] != layout.embedding_dim:
-        raise ValueError(f"embeddings have width {Z.shape[1]}, layout expects {layout.embedding_dim}")
-    return np.abs(Z[:, layout.zero_slice]).mean(axis=0)

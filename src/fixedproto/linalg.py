@@ -8,48 +8,13 @@ deterministic for a fixed seed, so results are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-ORTHONORMAL_TOL = 1e-10
 RANK_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class OrthonormalBasis:
-    """Mutually orthonormal row vectors in R^dim.
-
-    Unit norms and zero pairwise dot products (within ``ORTHONORMAL_TOL``)
-    are checked at construction; the vector array is frozen afterwards.
-    """
-
-    dim: int
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        vecs = np.ascontiguousarray(np.asarray(self.vectors, dtype=np.float64))
-        if vecs.ndim != 2:
-            raise ValueError("vectors must be a 2-D array, one vector per row")
-        if vecs.shape[1] != self.dim:
-            raise ValueError(f"vector length {vecs.shape[1]} does not match dim {self.dim}")
-        if vecs.shape[0] > self.dim:
-            raise ValueError(f"{vecs.shape[0]} vectors cannot be orthonormal in dimension {self.dim}")
-        if not np.all(np.isfinite(vecs)):
-            raise ValueError("vectors contain non-finite entries")
-        gram = vecs @ vecs.T
-        if np.max(np.abs(gram - np.eye(vecs.shape[0]))) > ORTHONORMAL_TOL:
-            raise ValueError("vectors are not orthonormal")
-        vecs.setflags(write=False)
-        object.__setattr__(self, "vectors", vecs)
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
-
-def gram_schmidt(vectors) -> OrthonormalBasis:
-    """Orthonormalize row vectors with modified Gram-Schmidt.
+def gram_schmidt(vectors) -> np.ndarray:
+    """Orthonormalize row vectors with modified Gram-Schmidt into an (n, dim) array.
 
     A second projection pass per vector guards against loss of orthogonality
     for nearly dependent inputs.  Raises ``ValueError`` when a residual norm
@@ -69,11 +34,11 @@ def gram_schmidt(vectors) -> OrthonormalBasis:
         if norm < RANK_TOL:
             raise ValueError(f"rank deficiency: vector {i} has residual norm {norm:.3e}")
         out[i] /= norm
-    return OrthonormalBasis(dim=dim, vectors=out)
+    return out
 
 
-def random_orthonormal_basis(n: int, dim: int, seed) -> OrthonormalBasis:
-    """Return ``n`` orthonormal vectors in R^dim, deterministic per seed.
+def random_orthonormal_basis(n: int, dim: int, seed) -> np.ndarray:
+    """Return ``n`` orthonormal rows in R^dim as an (n, dim) array, deterministic per seed.
 
     Built by orthonormalizing a seeded Gaussian matrix, which is almost
     surely full rank.

@@ -15,15 +15,14 @@ import numpy as np
 
 
 def accuracy(predictions, truth) -> float:
-    """Fraction of argmax agreements; argmax ties go to the lowest index."""
+    """Fraction of argmax agreements between (n, C) rows; argmax ties go to the lowest index."""
     pred = np.asarray(predictions, dtype=np.float64)
     if pred.ndim != 2 or pred.shape[0] == 0:
         raise ValueError("predictions must be a non-empty (n, C) array")
     t = np.asarray(truth)
-    t_idx = np.argmax(t, axis=1) if t.ndim == 2 else t.astype(np.int64)
-    if t_idx.shape[0] != pred.shape[0]:
-        raise ValueError("predictions and truth lengths differ")
-    return float(np.mean(np.argmax(pred, axis=1) == t_idx))
+    if t.shape != pred.shape:
+        raise ValueError(f"truth has shape {t.shape}, predictions {pred.shape}")
+    return float(np.mean(np.argmax(pred, axis=1) == np.argmax(t, axis=1)))
 
 
 def separation_report(embeddings, labels, prototypes=None) -> dict:
@@ -137,3 +136,17 @@ def disentanglement_report(embeddings, factor_levels, layout) -> dict:
         "factors": probes,
         "zero_block_mean_abs": float(np.mean(np.abs(Z[:, zero]))) if layout.zero_dim > 0 else None,
     }
+
+
+def zero_block_activity(embeddings, layout) -> np.ndarray:
+    """Mean absolute activation of each zero-block dimension over (n, k) ``embeddings``.
+
+    Near zero, the named factors explain the predictions almost entirely; well
+    away from zero, unnamed factors carry weight too.
+    """
+    if layout.zero_dim == 0:
+        raise ValueError("layout has an empty zero block")
+    Z = np.asarray(embeddings, dtype=np.float64)
+    if Z.ndim != 2 or Z.shape[1] != layout.embedding_dim:
+        raise ValueError(f"embeddings have shape {Z.shape}, layout expects (n, {layout.embedding_dim})")
+    return np.abs(Z[:, layout.zero_slice]).mean(axis=0)

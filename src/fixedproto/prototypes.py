@@ -42,6 +42,8 @@ QUANTILE_METHOD = "interpolated_inverted_cdf"
 EXTRACTOR_FORMAT = "prototype-extractor"
 EXTRACTOR_VERSION = 1
 
+ORTHONORMAL_TOL = 1e-10  # largest |table @ table.T - I| entry of a class-orthogonal table, k >= C
+
 
 @dataclass(frozen=True, eq=False)
 class FactorCoder:
@@ -200,7 +202,7 @@ class ClassOrthogonalExtractor:
             raise ValueError("prototype table contains non-finite entries")
         if self.embedding_dim >= self.class_count:
             gram = table @ table.T
-            if np.max(np.abs(gram - np.eye(self.class_count))) > 1e-10:
+            if np.max(np.abs(gram - np.eye(self.class_count))) > ORTHONORMAL_TOL:
                 raise ValueError("prototype table rows must be orthonormal when k >= C")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
@@ -294,12 +296,12 @@ def class_orthogonal_extractor(class_count: int, embedding_dim: int, seed: int) 
     if embedding_dim < 1:
         raise ValueError("embedding_dim must be >= 1")
     if embedding_dim >= class_count:
-        table = random_orthonormal_basis(class_count, embedding_dim, seed).vectors
+        table = random_orthonormal_basis(class_count, embedding_dim, seed)
     else:
         basis_seed, jlt_seed = np.random.SeedSequence(seed).spawn(2)
         basis = random_orthonormal_basis(class_count, class_count, basis_seed)
         T = jlt_create(class_count, embedding_dim, jlt_seed)
-        table = basis.vectors @ T.T
+        table = basis @ T.T
     return ClassOrthogonalExtractor(
         class_count=class_count, embedding_dim=embedding_dim, seed=int(seed), table=table
     )

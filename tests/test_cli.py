@@ -95,6 +95,18 @@ class TestGenData:
         assert "factor 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tables", [
+        [[["0.2", "0.3", "0.5"], [1.0, 0.0, 0.0]]],
+        [[[0.2, 0.3, 0.5], [True, False, 0]]],
+    ], ids=["string", "bool"])
+    def test_non_number_factor_tables_name_config_and_field(self, tmp_path, capsys, tables):
+        config = gen_config(tmp_path, factor_count=1, input_dim=8, factor_tables=tables)
+        out = tmp_path / "data.csv"
+        assert main(["gen-data", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(config) in err and "'factor_tables'" in err
+        assert not out.exists()
+
     def test_missing_config_is_io_error(self, tmp_path):
         out = tmp_path / "data.csv"
         code = main(["gen-data", "--config", str(tmp_path / "nope.json"), "--out", str(out)])
@@ -228,6 +240,14 @@ class TestEval:
         main(["eval", str(trained_run / "checkpoint.json"), str(blob_file), "--out", str(p1), "--quiet"])
         main(["eval", str(trained_run / "checkpoint.json"), str(blob_file), "--out", str(p2), "--quiet"])
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_absent_class_names_file_and_class(self, tmp_path, blob_file, trained_run, capsys):
+        lines = blob_file.read_text().splitlines()
+        one_class = tmp_path / "one_class.csv"
+        one_class.write_text("\n".join(line for line in lines if not line.endswith(",1")) + "\n")
+        assert main(["eval", str(trained_run / "checkpoint.json"), str(one_class), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(one_class) in err and "class '1'" in err
 
     def test_input_dim_mismatch_names_both(self, tmp_path, trained_run, capsys):
         other = tmp_path / "other.csv"
@@ -387,6 +407,17 @@ class TestFactorColumns:
         assert main(["eval", str(checkpoint), str(cut), "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert str(cut) in err and "'alpha_1'" in err
+
+    def test_too_few_rows_to_probe_names_file(self, tmp_path, factor_run, capsys):
+        checkpoint, data = factor_run
+        lines = data.read_text().splitlines()
+        small = tmp_path / "small.csv"
+        small.write_text("\n".join([lines[0], lines[1], lines[2], lines[-1]]) + "\n")
+        out = tmp_path / "report.json"
+        assert main(["eval", str(checkpoint), str(small), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(small) in err and "at least 4 samples" in err
+        assert not out.exists()
 
     def test_file_without_factor_columns_accepted(self, tmp_path, factor_run):
         checkpoint, data = factor_run

@@ -166,6 +166,26 @@ class TestFileRoundTrip:
             save_dataset(ds, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("class_names, classes, loaded", [
+        (("b", "a"), [0, 1], "('a', 'b')"),
+        (("01", "1"), [1, 0], "('1', '01')"),
+    ], ids=["unsorted", "same-integer"])
+    def test_class_order_that_would_not_load_back_refused(self, tmp_path, class_names, classes, loaded):
+        ds = Dataset(X=np.zeros((2, 1)), Y=np.identity(2)[classes], factors=None,
+                     class_names=class_names, factor_names=())
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match=re.escape(loaded)):
+            save_dataset(ds, path)
+        assert not path.exists()
+
+    def test_soft_label_refused(self, tmp_path):
+        ds = Dataset(X=np.zeros((2, 1)), Y=[[0.0, 1.0], [0.6, 0.4]], factors=None,
+                     class_names=("a", "b"), factor_names=())
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match="label row 1 is not one-hot"):
+            save_dataset(ds, path)
+        assert not path.exists()
+
     def test_names_with_inner_spaces_round_trip(self, tmp_path):
         ds = Dataset(X=np.zeros((2, 1)), Y=np.identity(2), factors=np.zeros((2, 1)),
                      class_names=("big cat", "small-dog"), factor_names=("alpha_body size",))

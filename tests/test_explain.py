@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from fixedproto.explain import (
-    explain_sample,
-    explanation_to_csv_text,
-    explanation_to_doc,
-    zero_block_activity,
-)
+from fixedproto.explain import explain_sample, explanation_to_csv_text, explanation_to_doc
+from fixedproto.metrics import zero_block_activity
 from fixedproto.model import ClassifierParams, EmbedderParams, Layer, init_classifier, init_embedder
 from fixedproto.prototypes import FactorLayout
 
@@ -153,7 +149,7 @@ class TestZeroBlockActivity:
         assert np.array_equal(zero_block_activity(Z, self.layout()), np.zeros(2))
 
     def test_single_sample(self):
-        z = np.array([0.0, 1.0, 0.0, 1.0, -2.0])
+        z = np.array([[0.0, 1.0, 0.0, 1.0, -2.0]])
         assert np.array_equal(zero_block_activity(z, self.layout()), [1.0, 2.0])
 
     def test_standard_normal_mean_absolute(self):

@@ -13,20 +13,20 @@ class TestAccuracy:
 
     def test_three_of_four(self):
         preds = np.array([[0.9, 0.1], [0.9, 0.1], [0.9, 0.1], [0.1, 0.9]])
-        truth = np.array([0, 0, 1, 1])
+        truth = np.identity(2)[[0, 0, 1, 1]]
         assert accuracy(preds, truth) == 0.75
 
     def test_uniform_random_predictions_near_chance(self):
         rng = np.random.default_rng(0)
         n, C = 40000, 4
         preds = rng.random((n, C))
-        truth = rng.integers(0, C, size=n)
+        truth = np.identity(C)[rng.integers(0, C, size=n)]
         assert accuracy(preds, truth) == pytest.approx(0.25, abs=0.02)
 
     def test_argmax_ties_go_to_lowest_index(self):
         preds = np.array([[0.5, 0.5]])
-        assert accuracy(preds, np.array([0])) == 1.0
-        assert accuracy(preds, np.array([1])) == 0.0
+        assert accuracy(preds, np.array([[1.0, 0.0]])) == 1.0
+        assert accuracy(preds, np.array([[0.0, 1.0]])) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

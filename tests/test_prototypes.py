@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixedproto.prototypes import (
+    ClassOrthogonalExtractor,
     FactorCodedExtractor,
     FactorCoder,
     FactorLayout,
@@ -108,6 +109,16 @@ class TestClassOrthogonalExtractor:
         a = class_orthogonal_extractor(6, 16, seed=3)
         b = class_orthogonal_extractor(6, 16, seed=3)
         assert np.array_equal(a.table, b.table)
+
+    def test_rejects_non_orthonormal_rows(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            ClassOrthogonalExtractor(class_count=2, embedding_dim=2, seed=0,
+                                     table=np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+    def test_table_is_frozen(self):
+        ex = class_orthogonal_extractor(2, 4, seed=0)
+        with pytest.raises(ValueError):
+            ex.table[0, 0] = 5.0
 
 
 class TestFactorCoder:
