@@ -3,9 +3,11 @@
 ``gen-data`` writes ``<out>`` and ``<out>.manifest.json``.  ``train`` writes
 ``checkpoint.json``, ``history.json`` and ``manifest.json`` into ``--out``,
 ``explain`` a CSV and a JSON file per sample and ``manifest.json``, and
-``compare`` ``comparison.json`` and ``manifest.json``.  ``eval`` writes no
-manifest, only its report and only with ``--out``.  A manifest holds the
-config snapshot, seeds and output inventory, enough to reproduce the run.
+``compare`` ``comparison.json`` and ``manifest.json``; one writer creates
+each ``--out`` directory and writes its files and manifest.  ``eval`` writes
+no manifest, only its report and only with ``--out``.  A manifest holds the
+config snapshot, seeds and the names of every file its command wrote, itself
+included: enough to reproduce the run.
 ``gen-data``, ``train`` and ``compare`` read their config through one loader
 that applies the command-line overrides and names the config file in every
 error.  A checkpoint stands alone: it holds the trained model and
@@ -72,6 +74,8 @@ def _load_json(path) -> dict:
             return json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid JSON ({e})") from None
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text ({e})") from None
 
 
 def _load_config(path, config_class, **overrides):
@@ -81,7 +85,7 @@ def _load_config(path, config_class, **overrides):
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     version = doc.get("schema_version", 1)
-    if version != 1:
+    if type(version) is not int or version != 1:
         raise ConfigError(f"{path}: unsupported schema_version {version!r}")
     doc.update({key: value for key, value in overrides.items() if value is not None})
     try:
@@ -90,18 +94,15 @@ def _load_config(path, config_class, **overrides):
         raise ConfigError(f"{path}: {e}") from None
 
 
-def _write_json(path, doc) -> None:
+def _write(path, content) -> None:
+    """Write a str as it is, anything else as an indented JSON document."""
+    if not isinstance(content, str):
+        content = json.dumps(content, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(content)
 
 
-def _write_text(path, text) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _manifest(command: str, config_doc, seeds: dict, inputs: dict, outputs) -> dict:
+def _manifest(command: str, config_doc, seeds: dict, inputs: dict, outputs: list) -> dict:
     return {
         "format": "run-manifest",
         "version": 2,
@@ -111,8 +112,21 @@ def _manifest(command: str, config_doc, seeds: dict, inputs: dict, outputs) -> d
         "config": config_doc,
         "seeds": seeds,
         "inputs": inputs,
-        "outputs": list(outputs),
+        "outputs": outputs,
     }
+
+
+def _write_run(out, files, command: str, config_doc, seeds: dict, inputs: dict) -> None:
+    """Create the directory ``out`` and write each ``(name, JSON document or
+    text)`` of ``files`` into it, then ``manifest.json``, whose ``outputs``
+    are the names written and its own."""
+    os.makedirs(out, exist_ok=True)
+    outputs = []
+    for name, content in files:
+        _write(os.path.join(out, name), content)
+        outputs.append(name)
+    outputs.append("manifest.json")
+    _write(os.path.join(out, "manifest.json"), _manifest(command, config_doc, seeds, inputs, outputs))
 
 
 def _say(args, message: str) -> None:
@@ -139,14 +153,10 @@ def cmd_gen_data(args) -> int:
     config = _load_config(args.config, SynthConfig, seed=args.seed)
     dataset = generate_synthetic(config)
     save_dataset(dataset, args.out)
-    manifest = _manifest(
-        "gen-data",
-        config_to_doc(config),
-        {"seed": config.seed},
-        {"config": str(args.config)},
-        [os.path.basename(str(args.out))],
-    )
-    _write_json(str(args.out) + ".manifest.json", manifest)
+    manifest = str(args.out) + ".manifest.json"
+    outputs = [os.path.basename(str(args.out)), os.path.basename(manifest)]
+    _write(manifest, _manifest("gen-data", config_to_doc(config), {"seed": config.seed},
+                               {"config": str(args.config)}, outputs))
     _say(args, f"wrote {dataset.n} samples ({dataset.class_count} classes, "
                f"{dataset.factor_count} factors) to {args.out}")
     return EXIT_OK
@@ -232,7 +242,7 @@ def _load_checkpoint(path):
         if extractor.kind == "class-orthogonal":
             found["class_count"] = extractor.class_count
         else:
-            found["factor_names"] = list(extractor.coder.names)
+            found["factor_names"] = list(extractor.names)
         for key, value in found.items():
             if doc[key] != value:
                 raise ConfigError(f"{path}: field {key!r} is {doc[key]}, the extractor gives {value}")
@@ -289,20 +299,10 @@ def cmd_train(args) -> int:
     # Validate everything before creating any output.
     embedder, classifier, history, extractor, _ = _run_training(dataset, config)
 
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(
-        os.path.join(args.out, "checkpoint.json"),
-        _checkpoint_doc(embedder, classifier, extractor, dataset, config),
-    )
-    _write_json(os.path.join(args.out, "history.json"), history)
-    manifest = _manifest(
-        "train",
-        config_to_doc(config),
-        {"seed": config.seed},
-        {"config": str(args.config), "data": str(args.data)},
-        ["checkpoint.json", "history.json", "manifest.json"],
-    )
-    _write_json(os.path.join(args.out, "manifest.json"), manifest)
+    files = [("checkpoint.json", _checkpoint_doc(embedder, classifier, extractor, dataset, config)),
+             ("history.json", history)]
+    _write_run(args.out, files, "train", config_to_doc(config), {"seed": config.seed},
+               {"config": str(args.config), "data": str(args.data)})
     final = history["rows"][-1]
     val_part = "" if final["val_accuracy"] is None else f", val_accuracy={final['val_accuracy']:.4f}"
     _say(args, f"trained {config.epochs} epochs: loss={final['total_loss']:.4f}, "
@@ -316,12 +316,12 @@ def _eval_doc(embedder, classifier, extractor, dataset: Dataset) -> dict:
     disentanglement = None
     joint = None
     zero_block = None
-    if extractor is not None and extractor.kind == "factor-coded" and dataset.factors is not None:
+    if isinstance(extractor, FactorCodedExtractor) and dataset.factors is not None:
         levels = extractor.coder.level_indices(dataset.factors)
-        disentanglement = disentanglement_report(trace.z, levels, extractor.layout)
+        disentanglement = disentanglement_report(trace.z, levels, extractor)
         joint = joint_probability_table(dataset, extractor.coder).tolist()
-        if extractor.layout.zero_dim > 0:
-            zero_block = zero_block_activity(trace.z, extractor.layout).tolist()
+        if extractor.zero_dim > 0:
+            zero_block = zero_block_activity(trace.z, extractor).tolist()
     return {
         "format": "eval-report",
         "version": 1,
@@ -372,7 +372,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"{args.data}: {e}") from None
     _print_eval(args, report)
     if args.out is not None:
-        _write_json(args.out, report)
+        _write(args.out, report)
         _say(args, f"report written to {args.out}")
     return EXIT_OK
 
@@ -397,7 +397,6 @@ def _parse_ids(flag: str, text: str) -> list:
 
 def cmd_explain(args) -> int:
     doc, embedder, classifier, extractor, dataset = _load_model_and_data(args.checkpoint, args.data)
-    layout = extractor.layout if extractor is not None and extractor.kind == "factor-coded" else None
     ids = list(range(dataset.n)) if args.samples == "all" else _parse_ids("--samples", args.samples)
     for i in ids:
         if not 0 <= i < dataset.n:
@@ -409,24 +408,14 @@ def cmd_explain(args) -> int:
         classifier,
         dataset.X[ids],
         sample_ids=ids,
-        layout=layout,
+        layout=extractor if isinstance(extractor, FactorCodedExtractor) else None,
         class_names=dataset.class_names,
     )
-    os.makedirs(args.out, exist_ok=True)
-    outputs = []
-    for expl in explanations:
-        base = f"sample_{expl.sample_id:05d}"
-        _write_text(os.path.join(args.out, base + ".csv"), explanation_to_csv_text(expl))
-        _write_json(os.path.join(args.out, base + ".json"), explanation_to_doc(expl))
-        outputs.extend([base + ".csv", base + ".json"])
-    manifest = _manifest(
-        "explain",
-        {"samples": args.samples},
-        {"seed": doc["seed"]},
-        {"checkpoint": str(args.checkpoint), "data": str(args.data)},
-        outputs,
-    )
-    _write_json(os.path.join(args.out, "manifest.json"), manifest)
+    # A generator: each file is serialized only as it is written, so all of them are never held at once.
+    files = ((f"sample_{expl.sample_id:05d}{ext}", serialize(expl)) for expl in explanations
+             for ext, serialize in ((".csv", explanation_to_csv_text), (".json", explanation_to_doc)))
+    _write_run(args.out, files, "explain", {"samples": args.samples}, {"seed": doc["seed"]},
+               {"checkpoint": str(args.checkpoint), "data": str(args.data)})
     _say(args, f"wrote {len(ids)} explanation(s) to {args.out}")
     return EXIT_OK
 
@@ -491,16 +480,8 @@ def cmd_compare(args) -> int:
         seeds = [config.seed + i for i in range(args.num_seeds)]
     dataset = load_table(args.data)
     comparison = run_comparison(dataset, config, seeds)
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "comparison.json"), comparison)
-    manifest = _manifest(
-        "compare",
-        config_to_doc(config),
-        {"seeds": seeds},
-        {"config": str(args.config), "data": str(args.data)},
-        ["comparison.json", "manifest.json"],
-    )
-    _write_json(os.path.join(args.out, "manifest.json"), manifest)
+    _write_run(args.out, [("comparison.json", comparison)], "compare", config_to_doc(config),
+               {"seeds": seeds}, {"config": str(args.config), "data": str(args.data)})
     if not args.quiet:
         rows = []
         for name, s in comparison["systems"].items():

@@ -10,8 +10,8 @@ cell-by-cell ``float`` pass names the first bad cell's line and column.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -105,7 +105,8 @@ def check_types(config, ints=(), reals=()) -> None:
     """Check the types of a config's fields, naming the first wrong one.
 
     Integer fields take a Python or numpy int and are stored back as an int;
-    real fields take an int or a finite float.  A bool is neither.
+    real fields take a finite float or an int that fits a float.  A bool is
+    neither.
     """
     for name in ints:
         value = getattr(config, name)
@@ -114,7 +115,9 @@ def check_types(config, ints=(), reals=()) -> None:
         setattr(config, name, int(value))
     for name in reals:
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        # An exact comparison: NaN, infinities and ints too large for a float fail it.
+        finite = isinstance(value, numbers.Real) and -sys.float_info.max <= value <= sys.float_info.max
+        if isinstance(value, bool) or not finite:
             raise TypeError(f"field {name!r} must be a finite number, got {value!r}")
 
 
@@ -154,7 +157,8 @@ def json_numbers(value, name: str, ndim: int) -> np.ndarray:
     """The JSON list ``value``, nested ``ndim`` deep (1, 2 or 3), as float64.
 
     Its entries must be ints or floats, never bools or strings, and fit a
-    float; else ``TypeError`` or ``ValueError`` names the field ``name``.
+    float, and the lists at each depth must be of one length; else
+    ``TypeError`` or ``ValueError`` names the field ``name``.
     """
     def numbers(v, depth):
         if type(v) is not list:
@@ -165,6 +169,12 @@ def json_numbers(value, name: str, ndim: int) -> np.ndarray:
 
     if not numbers(value, ndim):
         raise TypeError(f"field {name!r} must be a list{' of lists' * (ndim - 1)} of numbers")
+    level = value
+    for depth in range(1, ndim):
+        lengths = sorted({len(v) for v in level})
+        if len(lengths) > 1:
+            raise ValueError(f"field {name!r} is ragged: its lists at depth {depth} have lengths {lengths}")
+        level = [item for v in level for item in v]
     try:
         return np.array(value, dtype=np.float64)
     except OverflowError:
@@ -222,7 +232,7 @@ class SynthConfig:
                 )
             for f in range(self.factor_count):
                 rows = T[f].sum(axis=1)
-                if np.any(T[f] < 0) or np.max(np.abs(rows - 1.0)) > 1e-9:
+                if np.any(T[f] < 0) or not np.max(np.abs(rows - 1.0)) <= 1e-9:  # NaN fails too
                     raise ValueError(f"factor {f}: probability table rows must sum to 1")
             self.factor_tables = T
 
@@ -369,8 +379,11 @@ def load_table(path, class_names=None) -> Dataset:
     skipped; an error names the offending row by its line number in the file
     and, for a cell, its column.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text ({e})") from None
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = [c.strip() for c in lines[0][1].split(",")]

@@ -52,9 +52,11 @@ def explain_sample(
     """Explain each row of ``X``: one forward pass, then every logit split by dimension.
 
     Returns one :class:`Explanation` per row, labelled by ``sample_ids``
-    (default ``0..n-1``).  Raises ``RuntimeError`` when the relevance sums
-    miss the forward pass's own logits ``z @ W`` by more than
-    ``RELEVANCE_TOL``, so nothing built on a broken decomposition gets out.
+    (default ``0..n-1``).  ``layout``, a factor-coded extractor, names the
+    dimensions by factor slot; without it they are ``dim j``.  Raises
+    ``RuntimeError`` when the relevance sums miss the forward pass's own
+    logits ``z @ W`` by more than ``RELEVANCE_TOL``, so nothing built on a
+    broken decomposition gets out.
     """
     trace = forward(embedder, classifier, X)
     gamma = relevance(classifier, trace.z)

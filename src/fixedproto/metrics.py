@@ -84,13 +84,13 @@ def _probe_accuracy(train_x, train_levels, eval_x, eval_levels, n_levels: int = 
     return float(np.mean(pred == eval_levels))
 
 
-def disentanglement_report(embeddings, factor_levels, layout) -> dict:
+def disentanglement_report(embeddings, factor_levels, extractor) -> dict:
     """Can each factor's level be read off its designated dimensions, and
     only those?
 
-    For every factor, probes predict its true level from (a) its own 3
-    dimensions, (b) the zero-block dimensions, and (c) all other factors'
-    dimensions; (b) and (c) are None when the respective group is empty.
+    For every factor of the factor-coded ``extractor``, probes predict its
+    true level from (a) its own 3 dimensions, (b) the zero-block dimensions,
+    and (c) all other factors' dimensions; (b) and (c) are None when the respective group is empty.
     Also reports the mean absolute activation over the zero block.  Returns
     the report document, with one probe document per factor.
     """
@@ -98,55 +98,56 @@ def disentanglement_report(embeddings, factor_levels, layout) -> dict:
     L = np.asarray(factor_levels, dtype=np.int64)
     if Z.ndim != 2 or L.ndim != 2 or Z.shape[0] != L.shape[0]:
         raise ValueError("embeddings and factor_levels must be 2-D with matching row counts")
-    if Z.shape[1] != layout.embedding_dim:
-        raise ValueError(f"embeddings have width {Z.shape[1]}, layout expects {layout.embedding_dim}")
-    if L.shape[1] != layout.factor_count:
-        raise ValueError(f"levels have {L.shape[1]} factors, layout expects {layout.factor_count}")
+    if Z.shape[1] != extractor.embedding_dim:
+        raise ValueError(f"embeddings have width {Z.shape[1]}, extractor expects {extractor.embedding_dim}")
+    if L.shape[1] != extractor.factor_count:
+        raise ValueError(f"levels have {L.shape[1]} factors, extractor expects {extractor.factor_count}")
     if Z.shape[0] < 4:
         raise ValueError("need at least 4 samples to fit and evaluate probes")
     train_sel = slice(0, None, 2)
     eval_sel = slice(1, None, 2)
-    zero = layout.zero_slice
+    zero = extractor.zero_slice
     probes = []
-    for f in range(layout.factor_count):
+    for f in range(extractor.factor_count):
         lv = L[:, f]
         if np.unique(lv).size < 2:
-            raise ValueError(f"factor {layout.names[f]!r} has fewer than 2 distinct levels")
-        own = Z[:, layout.factor_slice(f)]
+            raise ValueError(f"factor {extractor.names[f]!r} has fewer than 2 distinct levels")
+        own = Z[:, extractor.factor_slice(f)]
         designated = _probe_accuracy(own[train_sel], lv[train_sel], own[eval_sel], lv[eval_sel])
         zb_acc = None
-        if layout.zero_dim > 0:
+        if extractor.zero_dim > 0:
             zb = Z[:, zero]
             zb_acc = _probe_accuracy(zb[train_sel], lv[train_sel], zb[eval_sel], lv[eval_sel])
         other_acc = None
-        if layout.factor_count > 1:
+        if extractor.factor_count > 1:
             cols = np.concatenate(
-                [np.arange(layout.embedding_dim)[layout.factor_slice(g)]
-                 for g in range(layout.factor_count) if g != f]
+                [np.arange(extractor.embedding_dim)[extractor.factor_slice(g)]
+                 for g in range(extractor.factor_count) if g != f]
             )
             other = Z[:, cols]
             other_acc = _probe_accuracy(other[train_sel], lv[train_sel], other[eval_sel], lv[eval_sel])
         probes.append({
-            "name": layout.names[f],
+            "name": extractor.names[f],
             "designated_accuracy": designated,
             "zero_block_accuracy": zb_acc,
             "other_factors_accuracy": other_acc,
         })
     return {
         "factors": probes,
-        "zero_block_mean_abs": float(np.mean(np.abs(Z[:, zero]))) if layout.zero_dim > 0 else None,
+        "zero_block_mean_abs": float(np.mean(np.abs(Z[:, zero]))) if extractor.zero_dim > 0 else None,
     }
 
 
-def zero_block_activity(embeddings, layout) -> np.ndarray:
-    """Mean absolute activation of each zero-block dimension over (n, k) ``embeddings``.
+def zero_block_activity(embeddings, extractor) -> np.ndarray:
+    """Mean absolute activation of each dimension in the factor-coded
+    ``extractor``'s zero block over (n, k) ``embeddings``.
 
     Near zero, the named factors explain the predictions almost entirely; well
     away from zero, unnamed factors carry weight too.
     """
-    if layout.zero_dim == 0:
-        raise ValueError("layout has an empty zero block")
+    if extractor.zero_dim == 0:
+        raise ValueError("extractor has an empty zero block")
     Z = np.asarray(embeddings, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] != layout.embedding_dim:
-        raise ValueError(f"embeddings have shape {Z.shape}, layout expects (n, {layout.embedding_dim})")
-    return np.abs(Z[:, layout.zero_slice]).mean(axis=0)
+    if Z.ndim != 2 or Z.shape[1] != extractor.embedding_dim:
+        raise ValueError(f"embeddings have shape {Z.shape}, extractor expects (n, {extractor.embedding_dim})")
+    return np.abs(Z[:, extractor.zero_slice]).mean(axis=0)

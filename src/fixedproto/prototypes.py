@@ -127,53 +127,6 @@ def fit_factor_coder(values_per_factor, names=None) -> FactorCoder:
     return FactorCoder(names=names, lower=lower, upper=upper)
 
 
-@dataclass(frozen=True, eq=False)
-class FactorLayout:
-    """Which embedding dimensions belong to which factor.
-
-    Factor ``i`` owns dimensions ``[3i, 3i+3)``; the trailing
-    ``embedding_dim - 3m`` dimensions form the zero block.
-    """
-
-    names: tuple
-    embedding_dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(str(n) for n in self.names))
-        if self.coded_dim > self.embedding_dim:
-            raise ValueError(
-                f"embedding_dim {self.embedding_dim} is too small for "
-                f"{self.factor_count} factors (needs >= {self.coded_dim})"
-            )
-
-    @property
-    def factor_count(self) -> int:
-        return len(self.names)
-
-    @property
-    def coded_dim(self) -> int:
-        return LEVELS_PER_FACTOR * self.factor_count
-
-    @property
-    def zero_dim(self) -> int:
-        return self.embedding_dim - self.coded_dim
-
-    def factor_slice(self, i: int) -> slice:
-        if not 0 <= i < self.factor_count:
-            raise ValueError(f"factor index {i} out of range")
-        return slice(LEVELS_PER_FACTOR * i, LEVELS_PER_FACTOR * (i + 1))
-
-    @property
-    def zero_slice(self) -> slice:
-        return slice(self.coded_dim, self.embedding_dim)
-
-    def dim_labels(self) -> list:
-        """One human-readable label per embedding dimension."""
-        labels = [f"{name}:{level}" for name in self.names for level in LEVEL_NAMES]
-        labels += [f"other factor {j}" for j in range(self.zero_dim)]
-        return labels
-
-
 def _table_map(table: np.ndarray, rows, what: str, row_shape: tuple) -> np.ndarray:
     """Prototypes of a batch of ``row_shape`` rows: each row, flattened, times ``table``."""
     rows = np.asarray(rows, dtype=np.float64)
@@ -241,25 +194,60 @@ class ClassOrthogonalExtractor:
 class FactorCodedExtractor:
     """Prototype from factor level codes; labels are accepted and ignored.
 
-    ``table`` is ``eye(3m, embedding_dim)``: the codes in factor order, then
-    the zero block (possibly empty) that ``layout`` names.
+    ``table`` is ``eye(3m, embedding_dim)``, which fixes the layout: factor
+    ``i`` (in the coder's order) owns dimensions ``[3i, 3i+3)``, and the
+    trailing ``embedding_dim - 3m`` dimensions form the zero block (possibly
+    empty).
     """
 
     coder: FactorCoder
     embedding_dim: int
-    layout: FactorLayout = field(init=False)
     table: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        layout = FactorLayout(self.coder.names, self.embedding_dim)
-        table = np.eye(layout.coded_dim, self.embedding_dim)
+        if self.coded_dim > self.embedding_dim:
+            raise ValueError(
+                f"embedding_dim {self.embedding_dim} is too small for "
+                f"{self.factor_count} factors (needs >= {self.coded_dim})"
+            )
+        table = np.eye(self.coded_dim, self.embedding_dim)
         table.setflags(write=False)
-        object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "table", table)
 
     @property
     def kind(self) -> str:
         return "factor-coded"
+
+    @property
+    def names(self) -> tuple:
+        return self.coder.names
+
+    @property
+    def factor_count(self) -> int:
+        return self.coder.factor_count
+
+    @property
+    def coded_dim(self) -> int:
+        return LEVELS_PER_FACTOR * self.factor_count
+
+    @property
+    def zero_dim(self) -> int:
+        return self.embedding_dim - self.coded_dim
+
+    def factor_slice(self, i: int) -> slice:
+        if not 0 <= i < self.factor_count:
+            raise ValueError(f"factor index {i} out of range")
+        return slice(LEVELS_PER_FACTOR * i, LEVELS_PER_FACTOR * (i + 1))
+
+    @property
+    def zero_slice(self) -> slice:
+        return slice(self.coded_dim, self.embedding_dim)
+
+    def dim_labels(self) -> list:
+        """One human-readable label per embedding dimension."""
+        labels = [f"{name}:{level}" for name in self.names for level in LEVEL_NAMES]
+        labels += [f"other factor {j}" for j in range(self.zero_dim)]
+        return labels
 
     def targets(self, Y, factors=None) -> np.ndarray | None:
         """The rows :meth:`extract_batch` takes: hard level codes (n, m, 3).
@@ -271,7 +259,7 @@ class FactorCodedExtractor:
         if factors is None:
             return None
         F = np.asarray(factors, dtype=np.float64)
-        m = self.coder.factor_count
+        m = self.factor_count
         if F.ndim != 2 or F.shape[1] != m:
             raise ValueError(f"factor values have shape {F.shape}, extractor expects (n, {m})")
         if not np.all(np.isfinite(F)):
@@ -280,7 +268,7 @@ class FactorCodedExtractor:
 
     def extract_batch(self, targets) -> np.ndarray:
         """Prototypes for (possibly soft) level codes (n, m, 3)."""
-        return _table_map(self.table, targets, "level codes", (self.coder.factor_count, LEVELS_PER_FACTOR))
+        return _table_map(self.table, targets, "level codes", (self.factor_count, LEVELS_PER_FACTOR))
 
 
 def class_orthogonal_extractor(class_count: int, embedding_dim: int, seed: int) -> ClassOrthogonalExtractor:

@@ -160,13 +160,13 @@ def test_criterion_5_disentanglement_claim(factor_runs):
     start = time.time()
     embedder, classifier, _, extractor, va = factor_runs[("proto", 0)]
     trace = forward(embedder, classifier, va.X)
-    report = disentanglement_report(trace.z, true_levels(va.factors), extractor.layout)
+    report = disentanglement_report(trace.z, true_levels(va.factors), extractor)
     for probe in report["factors"]:
         assert probe["designated_accuracy"] >= 0.90, (
             f"{probe['name']}: designated probe {probe['designated_accuracy']:.3f}"
         )
     prototypes = extractor.extract_batch(extractor.targets(va.Y, va.factors))
-    coded = extractor.layout.coded_dim
+    coded = extractor.coded_dim
     dist = float(np.mean(np.linalg.norm(trace.z[:, :coded] - prototypes[:, :coded], axis=1)))
     assert dist < 0.5, f"designated-dim prototype distance {dist:.3f}"
     assert time.time() - start < 120.0
@@ -186,7 +186,7 @@ def test_criterion_7_relevance_identity(factor_runs):
     rng = np.random.default_rng(0)
     ids = rng.choice(va.n, size=100, replace=False)
     explanations = explain_sample(embedder, classifier, va.X[ids], sample_ids=ids,
-                                  layout=extractor.layout, class_names=va.class_names)
+                                  layout=extractor, class_names=va.class_names)
     for i, expl in zip(ids, explanations):
         reference = forward(embedder, classifier, va.X[i : i + 1]).logits[0]  # a 1-row batch
         assert np.max(np.abs(expl.gamma.sum(axis=0) - reference)) < 1e-9

@@ -9,8 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fixedproto
-from fixedproto.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, _load_checkpoint, main, run_comparison
-from fixedproto.data import load_table
+from fixedproto.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, ConfigError, _load_checkpoint,
+                            _load_config, main, run_comparison)
+from fixedproto.data import SynthConfig, load_table
 from fixedproto.model import forward
 from fixedproto.prototypes import (
     FactorCodedExtractor,
@@ -98,13 +99,23 @@ class TestGenData:
     @pytest.mark.parametrize("tables", [
         [[["0.2", "0.3", "0.5"], [1.0, 0.0, 0.0]]],
         [[[0.2, 0.3, 0.5], [True, False, 0]]],
-    ], ids=["string", "bool"])
+        [[[0.2, 0.3, 0.5], [1.0, 0.0]]],
+    ], ids=["string", "bool", "ragged"])
     def test_non_number_factor_tables_name_config_and_field(self, tmp_path, capsys, tables):
         config = gen_config(tmp_path, factor_count=1, input_dim=8, factor_tables=tables)
         out = tmp_path / "data.csv"
         assert main(["gen-data", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert str(config) in err and "'factor_tables'" in err
+        assert not out.exists()
+
+    def test_nan_probability_names_config_and_factor(self, tmp_path, capsys):
+        tables = [[[0.2, 0.3, 0.5], [1.0, 0.0, float("nan")]]]
+        config = gen_config(tmp_path, factor_count=1, input_dim=8, factor_tables=tables)
+        out = tmp_path / "data.csv"
+        assert main(["gen-data", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(config) in err and "factor 0" in err
         assert not out.exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
@@ -329,8 +340,10 @@ class TestEval:
             (("embedder", "layers", 1, "weight", 0), 0.5, "embedder.layers[1].weight"),
             (("extractor", "table", 1, 0), None, "table"),
             (("classifier", "weight", 1, 1), 10**400, "classifier.weight"),
+            (("embedder", "layers", 0, "weight", 1), [0.5] * 5, "embedder.layers[0].weight"),
         ],
-        ids=["string-head-row", "true-bias", "number-for-a-row", "null-in-table", "int-too-large"],
+        ids=["string-head-row", "true-bias", "number-for-a-row", "null-in-table", "int-too-large",
+             "ragged-weight"],
     )
     def test_non_number_parameters_name_file_and_field(self, tmp_path, blob_file, trained_run, capsys,
                                                        path, value, field):
@@ -592,6 +605,25 @@ class TestCompare:
             run_comparison(load_table(blob_file), config, seeds)
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train", "explain", "compare"])
+def test_manifest_lists_every_file_written(tmp_path, blob_file, trained_run, command):
+    out = tmp_path / "out"
+    config = train_config(tmp_path, epochs=2, train_fraction=0.8)
+    if command == "gen-data":
+        out.mkdir()
+        argv = ["gen-data", "--config", str(gen_config(tmp_path)), "--out", str(out / "data.csv")]
+    elif command == "train":
+        argv = ["train", str(blob_file), "--config", str(config), "--out", str(out)]
+    elif command == "explain":
+        argv = ["explain", str(trained_run / "checkpoint.json"), str(blob_file), "--samples", "0,5", "--out", str(out)]
+    else:
+        argv = ["compare", str(blob_file), "--config", str(config), "--seeds", "0", "--out", str(out)]
+    assert main(argv + ["--quiet"]) == EXIT_OK
+    manifest = out / ("data.csv.manifest.json" if command == "gen-data" else "manifest.json")
+    outputs = json.loads(manifest.read_text())["outputs"]
+    assert sorted(outputs) == sorted(os.listdir(out))
+
+
 MISTYPED_CONFIGS = [
     ("train", {"epochs": 2.5}, "epochs"),
     ("train", {"batch_size": 2.5}, "batch_size"),
@@ -613,12 +645,9 @@ MISTYPED_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "command, overrides, field",
-    MISTYPED_CONFIGS,
-    ids=[f"{command}-{json.dumps(overrides, separators=(',', ':'))}" for command, overrides, _ in MISTYPED_CONFIGS],
-)
-def test_mistyped_config_value_exits_2(tmp_path, blob_file, capsys, command, overrides, field):
+def run_with_config(tmp_path, blob_file, capsys, command, overrides):
+    """Run ``command`` with a small valid config changed by ``overrides``;
+    returns (exit code, config path, stderr, the --out path)."""
     out = tmp_path / "out"
     if command == "gen-data":
         config = gen_config(tmp_path, **overrides)
@@ -627,10 +656,110 @@ def test_mistyped_config_value_exits_2(tmp_path, blob_file, capsys, command, ove
         config = train_config(tmp_path, **{"train_fraction": 0.8, "epochs": 2, **overrides})
         argv = [command, str(blob_file), "--config", str(config), "--out", str(out)]
     capsys.readouterr()
-    assert main(argv + ["--quiet"]) == EXIT_CONFIG
-    err = capsys.readouterr().err
+    code = main(argv + ["--quiet"])
+    return code, config, capsys.readouterr().err, out
+
+
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    MISTYPED_CONFIGS,
+    ids=[f"{command}-{json.dumps(overrides, separators=(',', ':'))}" for command, overrides, _ in MISTYPED_CONFIGS],
+)
+def test_mistyped_config_value_exits_2(tmp_path, blob_file, capsys, command, overrides, field):
+    code, config, err, out = run_with_config(tmp_path, blob_file, capsys, command, overrides)
+    assert code == EXIT_CONFIG
     assert str(config) in err and field in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, field", [("train", "learning_rate"), ("gen-data", "noise_scale")])
+def test_integer_too_large_for_a_float_exits_2(tmp_path, blob_file, capsys, command, field):
+    code, config, err, out = run_with_config(tmp_path, blob_file, capsys, command, {field: 10**400})
+    assert code == EXIT_CONFIG
+    assert str(config) in err and f"field {field!r} must be a finite number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "1.0"])
+def test_schema_version_must_be_the_integer_1(tmp_path, blob_file, capsys, command, version):
+    code, config, err, out = run_with_config(tmp_path, blob_file, capsys, command, {"schema_version": version})
+    assert code == EXIT_CONFIG
+    assert str(config) in err and "schema_version" in err
+    assert not out.exists()
+
+
+class TestNotUtf8:
+    """A file that is not UTF-8 text exits 2 naming the file."""
+
+    def corrupt(self, path):
+        text = path.read_bytes()
+        path.write_bytes(text[:40] + b"\xff" + text[40:])
+
+    def test_data_file(self, tmp_path, blob_file, capsys):
+        self.corrupt(blob_file)
+        out = tmp_path / "run"
+        assert main(["train", str(blob_file), "--config", str(train_config(tmp_path)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert str(blob_file) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config(self, tmp_path, capsys):
+        config = gen_config(tmp_path)
+        self.corrupt(config)
+        out = tmp_path / "data.csv"
+        assert main(["gen-data", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert str(config) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint(self, tmp_path, blob_file, trained_run, capsys):
+        checkpoint = trained_run / "checkpoint.json"
+        self.corrupt(checkpoint)
+        assert main(["eval", str(checkpoint), str(blob_file)]) == EXIT_CONFIG
+        assert str(checkpoint) in capsys.readouterr().err
+
+
+# One valid document per config kind, every field given, for the property below.
+VALID_CONFIGS = {
+    SynthConfig: {"schema_version": 1, "class_count": 2, "input_dim": 6, "samples_per_class": 4,
+                  "factor_count": 1, "factor_tables": [[[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]]],
+                  "class_separation": 4.0, "noise_scale": 0.3, "seed": 0},
+    TrainConfig: {"schema_version": 1, "epochs": 2, "batch_size": 16, "learning_rate": 0.001,
+                  "optimizer": "adam", "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8,
+                  "mixup_alpha": 0.2, "lambda_p": 0.5, "loss": "proto", "hidden_dims": [16],
+                  "embedding_dim": 8, "train_fraction": 0.8, "seed": 0,
+                  "extractor": {"kind": "class-orthogonal", "seed": 3}},
+}
+
+# Any JSON value, with integers too large for a float and negative ones drawn often.
+ANY_JSON = st.one_of(
+    st.sampled_from([10**400, -10**400, -1]),
+    st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_document_loads_or_names_its_file(tmp_path, data):
+    """A config with one or two fields replaced by any JSON value loads, or
+    raises ConfigError naming the file; nothing else escapes."""
+    config_class = data.draw(st.sampled_from(sorted(VALID_CONFIGS, key=lambda c: c.__name__)))
+    doc = dict(VALID_CONFIGS[config_class])
+    for key in data.draw(st.lists(st.sampled_from(sorted(doc)), min_size=1, max_size=2, unique=True)):
+        doc[key] = data.draw(ANY_JSON)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    try:
+        config = _load_config(path, config_class)
+    except ConfigError as e:
+        assert str(e).startswith(f"{path}: ")
+    else:
+        assert isinstance(config, config_class)
 
 
 # A checkpoint without its extractor field and two extractor documents (one

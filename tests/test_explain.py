@@ -4,7 +4,7 @@ import pytest
 from fixedproto.explain import explain_sample, explanation_to_csv_text, explanation_to_doc
 from fixedproto.metrics import zero_block_activity
 from fixedproto.model import ClassifierParams, EmbedderParams, Layer, init_classifier, init_embedder
-from fixedproto.prototypes import FactorLayout
+from util import factor_extractor
 
 
 def identity_embedder(dim):
@@ -30,7 +30,7 @@ class TestExplainSample:
         assert expl.top_negative == [[], [], [], []]
 
     def test_figure_layout_has_nine_factor_rows_and_seven_free_rows(self):
-        layout = FactorLayout(names=("alpha_0", "alpha_1", "alpha_2"), embedding_dim=16)
+        layout = factor_extractor(("alpha_0", "alpha_1", "alpha_2"), 16)
         embedder = identity_embedder(16)
         classifier = init_classifier(16, 4, seed=0)
         expl = explain_one(embedder, classifier, np.ones(16), layout=layout)
@@ -100,7 +100,7 @@ class TestExplainSample:
 
 class TestExports:
     def make_explanation(self):
-        layout = FactorLayout(names=("a",), embedding_dim=5)
+        layout = factor_extractor(("a",), 5)
         embedder = identity_embedder(5)
         classifier = ClassifierParams(weight=np.arange(10.0).reshape(5, 2))
         return explain_one(
@@ -133,7 +133,7 @@ class TestDimLabels:
         assert expl.row_labels == ["dim 0", "dim 1", "dim 2"]
 
     def test_layout_mismatch_rejected(self):
-        layout = FactorLayout(names=("a",), embedding_dim=5)
+        layout = factor_extractor(("a",), 5)
         with pytest.raises(ValueError):
             explain_one(identity_embedder(7), ClassifierParams(weight=np.ones((7, 2))), np.ones(7),
                         layout=layout)
@@ -141,7 +141,7 @@ class TestDimLabels:
 
 class TestZeroBlockActivity:
     def layout(self):
-        return FactorLayout(names=("a",), embedding_dim=5)
+        return factor_extractor(("a",), 5)
 
     def test_prototype_exact_embeddings_have_zero_activity(self):
         Z = np.zeros((10, 5))
@@ -160,6 +160,6 @@ class TestZeroBlockActivity:
         assert np.max(np.abs(means - np.sqrt(2.0 / np.pi))) < 0.01
 
     def test_empty_zero_block_rejected(self):
-        layout = FactorLayout(names=("a",), embedding_dim=3)
+        layout = factor_extractor(("a",), 3)
         with pytest.raises(ValueError, match="empty"):
             zero_block_activity(np.zeros((4, 3)), layout)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fixedproto.metrics import accuracy, disentanglement_report, separation_report
-from fixedproto.prototypes import FactorLayout
+from util import factor_extractor
 
 
 class TestAccuracy:
@@ -104,15 +104,15 @@ def prototype_exact_embeddings(n_per_combo=4, m=2, k=8, seed=0):
 class TestDisentanglementReport:
     def test_prototype_exact_embeddings_give_perfect_designated_probes(self):
         Z, levels = prototype_exact_embeddings()
-        layout = FactorLayout(names=("a", "b"), embedding_dim=8)
-        report = disentanglement_report(Z, levels, layout)
+        extractor = factor_extractor(("a", "b"), 8)
+        report = disentanglement_report(Z, levels, extractor)
         for probe in report["factors"]:
             assert probe["designated_accuracy"] == 1.0
 
     def test_constant_zero_block_probes_fall_back_to_majority(self):
         Z, levels = prototype_exact_embeddings(n_per_combo=40)
-        layout = FactorLayout(names=("a", "b"), embedding_dim=8)
-        report = disentanglement_report(Z, levels, layout)
+        extractor = factor_extractor(("a", "b"), 8)
+        report = disentanglement_report(Z, levels, extractor)
         for f, probe in enumerate(report["factors"]):
             train_levels = levels[0::2, f]
             eval_levels = levels[1::2, f]
@@ -125,21 +125,21 @@ class TestDisentanglementReport:
 
     def test_zero_block_mean_abs(self):
         Z, levels = prototype_exact_embeddings()
-        layout = FactorLayout(names=("a", "b"), embedding_dim=8)
-        report = disentanglement_report(Z, levels, layout)
+        extractor = factor_extractor(("a", "b"), 8)
+        report = disentanglement_report(Z, levels, extractor)
         assert report["zero_block_mean_abs"] == 0.0
 
     def test_independent_factors_do_not_leak(self):
         Z, levels = prototype_exact_embeddings(n_per_combo=8)
-        layout = FactorLayout(names=("a", "b"), embedding_dim=8)
-        report = disentanglement_report(Z, levels, layout)
+        extractor = factor_extractor(("a", "b"), 8)
+        report = disentanglement_report(Z, levels, extractor)
         for probe in report["factors"]:
             assert probe["other_factors_accuracy"] < 0.6
 
     def test_empty_zero_block_reports_none(self):
         Z, levels = prototype_exact_embeddings(k=6)
-        layout = FactorLayout(names=("a", "b"), embedding_dim=6)
-        report = disentanglement_report(Z, levels, layout)
+        extractor = factor_extractor(("a", "b"), 6)
+        report = disentanglement_report(Z, levels, extractor)
         assert report["zero_block_mean_abs"] is None
         assert all(p["zero_block_accuracy"] is None for p in report["factors"])
 
@@ -148,14 +148,14 @@ class TestDisentanglementReport:
         # pattern mixes levels across the probe's even/odd split
         levels = np.tile([0, 0, 1, 1], 5)[:, None]
         Z[np.arange(20), levels[:, 0]] = 1.0
-        layout = FactorLayout(names=("solo",), embedding_dim=5)
-        report = disentanglement_report(Z, levels, layout)
+        extractor = factor_extractor(("solo",), 5)
+        report = disentanglement_report(Z, levels, extractor)
         assert report["factors"][0]["other_factors_accuracy"] is None
         assert report["factors"][0]["designated_accuracy"] == 1.0
 
     def test_degenerate_factor_rejected(self):
         Z = np.zeros((10, 5))
         levels = np.zeros((10, 1), dtype=int)
-        layout = FactorLayout(names=("a",), embedding_dim=5)
+        extractor = factor_extractor(("a",), 5)
         with pytest.raises(ValueError, match="distinct levels"):
-            disentanglement_report(Z, levels, layout)
+            disentanglement_report(Z, levels, extractor)

@@ -9,13 +9,13 @@ from fixedproto.prototypes import (
     ClassOrthogonalExtractor,
     FactorCodedExtractor,
     FactorCoder,
-    FactorLayout,
     class_orthogonal_extractor,
     extractor_from_doc,
     extractor_to_doc,
     fit_factor_coder,
 )
 from fixedproto.training import mix_rows
+from util import factor_extractor
 
 # Fixture seeds: the distance bound below holds for these specific draws.
 EXTRACTOR_JL_SEEDS = (0, 2, 3)
@@ -190,7 +190,7 @@ class TestFactorCodedExtractor:
 
     def test_empty_zero_block_boundary(self):
         ex = self.make(m=1, k=3)
-        assert ex.layout.zero_dim == 0
+        assert ex.zero_dim == 0
         assert np.array_equal(ex.extract_batch(ex.targets(None, one_row([2.0]))), [[0, 0, 1]])
 
     def test_zero_block_always_zero(self):
@@ -228,13 +228,24 @@ class TestFactorCodedExtractor:
 
     def test_layout_labels(self):
         ex = self.make(m=3, k=16)
-        labels = ex.layout.dim_labels()
+        labels = ex.dim_labels()
         assert len(labels) == 16
         assert labels[0] == "alpha_0:low"
         assert labels[4] == "alpha_1:medium"
         assert labels[8] == "alpha_2:high"
         assert labels[9] == "other factor 0"
         assert labels[15] == "other factor 6"
+
+    def test_slices(self):
+        layout = factor_extractor(("a", "b"), 10)
+        assert layout.factor_slice(0) == slice(0, 3)
+        assert layout.factor_slice(1) == slice(3, 6)
+        assert layout.zero_slice == slice(6, 10)
+        assert layout.coded_dim == 6 and layout.zero_dim == 4
+
+    def test_too_many_factors_rejected(self):
+        with pytest.raises(ValueError):
+            factor_extractor(("a", "b"), 5)
 
 
 @st.composite
@@ -305,7 +316,7 @@ class TestSerialization:
         assert back.coder.names == ("a", "b")
         assert np.array_equal(back.coder.lower, ex.coder.lower)
         assert np.array_equal(back.coder.upper, ex.coder.upper)
-        assert back.layout.embedding_dim == 10
+        assert back.embedding_dim == 10
 
     def test_extract_does_not_mutate(self):
         ex = class_orthogonal_extractor(4, 6, seed=0)
@@ -318,15 +329,3 @@ class TestSerialization:
         with pytest.raises(ValueError):
             extractor_from_doc({"format": "prototype-extractor", "version": 1, "kind": "nope"})
 
-
-class TestFactorLayout:
-    def test_slices(self):
-        layout = FactorLayout(names=("a", "b"), embedding_dim=10)
-        assert layout.factor_slice(0) == slice(0, 3)
-        assert layout.factor_slice(1) == slice(3, 6)
-        assert layout.zero_slice == slice(6, 10)
-        assert layout.coded_dim == 6 and layout.zero_dim == 4
-
-    def test_too_many_factors_rejected(self):
-        with pytest.raises(ValueError):
-            FactorLayout(names=("a", "b"), embedding_dim=5)

@@ -1,6 +1,9 @@
-"""Shared test helpers: finite-difference oracle and error measures."""
+"""Shared test helpers: finite-difference oracle, error measures and a
+factor-coded extractor for layout tests."""
 
 import numpy as np
+
+from fixedproto.prototypes import FactorCodedExtractor, FactorCoder
 
 
 def central_difference(f, arrays, step=1e-5):
@@ -33,3 +36,9 @@ def max_rel_error(analytic, numeric, floor=1e-10):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+def factor_extractor(names, embedding_dim):
+    """A factor-coded extractor for the named factors; its thresholds do not matter."""
+    zeros = np.zeros(len(names))
+    return FactorCodedExtractor(FactorCoder(names=names, lower=zeros, upper=zeros), embedding_dim)
