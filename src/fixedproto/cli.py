@@ -10,10 +10,11 @@ config snapshot, seeds and the names of every file its command wrote, itself
 included: enough to reproduce the run.
 ``gen-data``, ``train`` and ``compare`` read their config through one loader
 that applies the command-line overrides and names the config file in every
-error.  A checkpoint stands alone: it holds the trained model and
-the frozen prototype extractor it was trained against, so ``eval`` and
-``explain`` read only the checkpoint and the data file, whose factor columns
-(if any) must be the checkpoint's, in its order.
+error.  A checkpoint stands alone: it holds the trained model and the
+frozen prototype extractor it was trained against, in a format that only
+this module writes and reads, so ``eval`` and ``explain`` read only the
+checkpoint and the data file, whose factor columns (if any) must be the
+checkpoint's, in its order.
 Exit codes: 0 success, 2 config/validation error, 3 training divergence,
 4 I/O failure.
 """
@@ -31,17 +32,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .data import (Dataset, SynthConfig, config_from_doc, config_to_doc, generate_synthetic,
-                   joint_probability_table, json_field, load_table, save_dataset, split)
+from .data import (Dataset, SynthConfig, config_from_doc, config_to_doc, generate_synthetic, json_field,
+                   json_numbers, load_table, save_dataset, split)
 from .explain import explain_sample, explanation_to_csv_text, explanation_to_doc
-from .metrics import accuracy, disentanglement_report, separation_report, zero_block_activity
-from .model import (
-    classifier_from_doc,
-    classifier_to_doc,
-    embedder_from_doc,
-    embedder_to_doc,
-    forward,
-)
+from .metrics import (accuracy, disentanglement_report, joint_probability_table, separation_report,
+                      zero_block_activity)
+from .model import ClassifierParams, EmbedderParams, Layer, forward
 from .prototypes import (
     FactorCodedExtractor,
     class_orthogonal_extractor,
@@ -59,9 +55,19 @@ EXIT_IO = 4
 CHECKPOINT_FORMAT = "model-checkpoint"
 CHECKPOINT_VERSION = 2
 
+# The largest model ``train`` and ``compare`` build: 10**8 float64 parameters
+# are 0.8 GB, and training holds six vectors of that size (the parameters, the
+# gradient, Adam's two moments and two scratch vectors).
+MAX_PARAMETERS = 10**8
+
 
 class ConfigError(ValueError):
     pass
+
+
+class DataError(ValueError):
+    """A data file that training cannot use as the config asks; the command
+    that read the file names it."""
 
 
 def _utc_now() -> str:
@@ -173,12 +179,21 @@ def _build_extractor(config: TrainConfig, train_set: Dataset):
         seed = config.extractor.get("seed", config.seed)
         return class_orthogonal_extractor(train_set.class_count, config.embedding_dim, seed)
     if train_set.factors is None:  # factor-coded, the one other kind TrainConfig accepts
-        raise ConfigError("factor-coded extractor needs a dataset with factor columns")
-    coder = fit_factor_coder(
-        [train_set.factors[:, i] for i in range(train_set.factor_count)],
-        names=train_set.factor_names,
-    )
-    return FactorCodedExtractor(coder, config.embedding_dim)
+        raise ValueError("factor-coded extractor needs a dataset with factor columns")
+    return FactorCodedExtractor(fit_factor_coder(train_set.factors, train_set.factor_names),
+                                config.embedding_dim)
+
+
+def _check_model_size(config_path, config: TrainConfig, dataset: Dataset) -> None:
+    """Refuse, naming the config file and its widest field, a model of more
+    than ``MAX_PARAMETERS`` parameters, before any of it is allocated."""
+    widths = [dataset.input_dim, *config.hidden_dims, config.embedding_dim]
+    count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
+    count += config.embedding_dim * dataset.class_count  # the bias-free head
+    if count > MAX_PARAMETERS:
+        field = "hidden_dims" if max(config.hidden_dims, default=0) >= config.embedding_dim else "embedding_dim"
+        raise ConfigError(f"{config_path}: field {field!r} gives a model of {count} parameters on "
+                          f"{dataset.input_dim} features, more than the limit of {MAX_PARAMETERS}")
 
 
 def _checkpoint_doc(embedder, classifier, extractor, dataset, config) -> dict:
@@ -188,14 +203,15 @@ def _checkpoint_doc(embedder, classifier, extractor, dataset, config) -> dict:
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "input_dim": dataset.input_dim,
-        "embedding_dim": config.embedding_dim,
-        "class_count": dataset.class_count,
+        "input_dim": embedder.input_dim,
+        "embedding_dim": embedder.embedding_dim,
+        "class_count": classifier.class_count,
         "class_names": list(dataset.class_names),
         "factor_names": list(dataset.factor_names),
         "seed": config.seed,
-        "embedder": embedder_to_doc(embedder),
-        "classifier": classifier_to_doc(classifier),
+        "embedder": {"layers": [{"weight": layer.weight.tolist(), "bias": layer.bias.tolist(),
+                                 "activation": layer.activation} for layer in embedder.layers]},
+        "classifier": {"weight": classifier.weight.tolist()},
         "extractor": None if extractor is None else extractor_to_doc(extractor),
     }
 
@@ -214,38 +230,42 @@ def _load_checkpoint(path):
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"checkpoint version {version} is not supported, "
                              f"only version {CHECKPOINT_VERSION}; retrain to write one")
-        for key in ("input_dim", "embedding_dim", "class_count", "seed"):
-            json_field(doc, key, int)
+        json_field(doc, "seed", int)
         for key in ("class_names", "factor_names"):
             if not all(type(name) is str for name in json_field(doc, key, list)):
                 raise TypeError(f"field {key!r} must list strings")
-        embedder = embedder_from_doc(json_field(doc, "embedder", dict))
-        classifier = classifier_from_doc(json_field(doc, "classifier", dict))
+        layers = []
+        for i, layer in enumerate(json_field(json_field(doc, "embedder", dict), "layers", list)):
+            name = f"embedder.layers[{i}]"
+            if type(layer) is not dict:
+                raise TypeError(f"field {name!r} must be an object, got {type(layer).__name__}")
+            layers.append(Layer(weight=json_numbers(layer["weight"], f"{name}.weight", 2),
+                                bias=json_numbers(layer["bias"], f"{name}.bias", 1),
+                                activation=layer["activation"]))
+        embedder = EmbedderParams(layers)
+        classifier = ClassifierParams(json_numbers(json_field(doc, "classifier", dict)["weight"],
+                                                   "classifier.weight", 2))
         extractor_doc = json_field(doc, "extractor", dict, type(None))
         extractor = None if extractor_doc is None else extractor_from_doc(extractor_doc)
+        # Each envelope field against every object built from the document that gives it.
+        checks = [("input_dim", embedder.input_dim, "the parameters give"),
+                  ("embedding_dim", embedder.embedding_dim, "the parameters give"),
+                  ("embedding_dim", classifier.embedding_dim, "the rows of 'classifier.weight' give"),
+                  ("class_count", classifier.class_count, "the parameters give"),
+                  ("class_count", len(doc["class_names"]), "field 'class_names' lists")]
+        if extractor is not None:
+            checks.append(("embedding_dim", extractor.embedding_dim, "the extractor gives"))
+            if extractor.kind == "class-orthogonal":
+                checks.append(("class_count", extractor.class_count, "the extractor gives"))
+            else:
+                checks.append(("factor_names", list(extractor.names), "the extractor gives"))
+        for key, value, source in checks:
+            if json_field(doc, key, type(value)) != value:
+                raise ValueError(f"field {key!r} is {doc[key]}, {source} {value}")
     except KeyError as e:
         raise ConfigError(f"{path}: missing field {e}") from None
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from None
-    found = {
-        "input_dim": embedder.input_dim,
-        "embedding_dim": embedder.embedding_dim,
-        "class_count": classifier.class_count,
-    }
-    for key, value in found.items():
-        if doc[key] != value:
-            raise ConfigError(f"{path}: field {key!r} is {doc[key]}, the parameters give {value}")
-    if len(doc["class_names"]) != doc["class_count"]:
-        raise ConfigError(f"{path}: {len(doc['class_names'])} class names for {doc['class_count']} classes")
-    if extractor is not None:
-        found = {"embedding_dim": extractor.embedding_dim}
-        if extractor.kind == "class-orthogonal":
-            found["class_count"] = extractor.class_count
-        else:
-            found["factor_names"] = list(extractor.names)
-        for key, value in found.items():
-            if doc[key] != value:
-                raise ConfigError(f"{path}: field {key!r} is {doc[key]}, the extractor gives {value}")
     return doc, embedder, classifier, extractor
 
 
@@ -258,10 +278,9 @@ def _load_model_and_data(checkpoint_path, data_path):
     """
     doc, embedder, classifier, extractor = _load_checkpoint(checkpoint_path)
     dataset = load_table(data_path, class_names=doc["class_names"])
-    if dataset.input_dim != doc["input_dim"]:
-        raise ConfigError(
-            f"checkpoint expects input_dim {doc['input_dim']}, dataset has {dataset.input_dim}"
-        )
+    if dataset.input_dim != embedder.input_dim:
+        raise ConfigError(f"{data_path}: the data has {dataset.input_dim} features, the checkpoint "
+                          f"{checkpoint_path} expects input_dim {embedder.input_dim}")
     if dataset.factor_names:
         pairs = itertools.zip_longest(dataset.factor_names, doc["factor_names"])
         for i, (found, expected) in enumerate(pairs):
@@ -281,13 +300,17 @@ def _prototypes(extractor, dataset: Dataset):
 def _run_training(dataset: Dataset, config: TrainConfig):
     """Split, fit the coder on the training side, build the extractor, train.
 
-    Returns (embedder, classifier, history, extractor, val_set).
+    Returns (embedder, classifier, history, extractor, val_set).  Raises
+    ``DataError`` for a dataset that cannot be split or coded as the config asks.
     """
-    if config.train_fraction < 1.0:
-        train_set, val_set = split(dataset, config.train_fraction, config.seed)
-    else:
-        train_set, val_set = dataset, None
-    extractor = _build_extractor(config, train_set)
+    try:
+        if config.train_fraction < 1.0:
+            train_set, val_set = split(dataset, config.train_fraction, config.seed)
+        else:
+            train_set, val_set = dataset, None
+        extractor = _build_extractor(config, train_set)
+    except ValueError as e:
+        raise DataError(str(e)) from None
     embedder, classifier, history = train(train_set, extractor, config, val=val_set)
     return embedder, classifier, history, extractor, val_set
 
@@ -295,9 +318,13 @@ def _run_training(dataset: Dataset, config: TrainConfig):
 def cmd_train(args) -> int:
     config = _load_config(args.config, TrainConfig, seed=args.seed, lambda_p=args.lambda_p, loss=args.loss)
     dataset = load_table(args.data)
+    _check_model_size(args.config, config, dataset)
 
     # Validate everything before creating any output.
-    embedder, classifier, history, extractor, _ = _run_training(dataset, config)
+    try:
+        embedder, classifier, history, extractor, _ = _run_training(dataset, config)
+    except DataError as e:
+        raise ConfigError(f"{args.data}: {e}") from None
 
     files = [("checkpoint.json", _checkpoint_doc(embedder, classifier, extractor, dataset, config)),
              ("history.json", history)]
@@ -319,7 +346,7 @@ def _eval_doc(embedder, classifier, extractor, dataset: Dataset) -> dict:
     if isinstance(extractor, FactorCodedExtractor) and dataset.factors is not None:
         levels = extractor.coder.level_indices(dataset.factors)
         disentanglement = disentanglement_report(trace.z, levels, extractor)
-        joint = joint_probability_table(dataset, extractor.coder).tolist()
+        joint = joint_probability_table(levels, dataset.Y).tolist()
         if extractor.zero_dim > 0:
             zero_block = zero_block_activity(trace.z, extractor).tolist()
     return {
@@ -472,14 +499,16 @@ def run_comparison(dataset: Dataset, config: TrainConfig, seeds) -> dict:
 
 def cmd_compare(args) -> int:
     config = _load_config(args.config, TrainConfig, seed=args.seed)
-    if args.seeds is not None:
-        seeds = _parse_ids("--seeds", args.seeds)
-    elif args.num_seeds < 1:
-        raise ConfigError(f"--num-seeds: {args.num_seeds} is less than 1")
+    if args.seeds is None:
+        seeds = [config.seed, config.seed + 1, config.seed + 2]
     else:
-        seeds = [config.seed + i for i in range(args.num_seeds)]
+        seeds = _parse_ids("--seeds", args.seeds)
     dataset = load_table(args.data)
-    comparison = run_comparison(dataset, config, seeds)
+    _check_model_size(args.config, config, dataset)
+    try:
+        comparison = run_comparison(dataset, config, seeds)
+    except DataError as e:
+        raise ConfigError(f"{args.data}: {e}") from None
     _write_run(args.out, [("comparison.json", comparison)], "compare", config_to_doc(config),
                {"seeds": seeds}, {"config": str(args.config), "data": str(args.data)})
     if not args.quiet:
@@ -543,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="training config JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--seeds", default=None, help="comma-separated explicit seed list")
-    p.add_argument("--num-seeds", type=int, default=3, help="number of seeds when --seeds is absent")
+    p.add_argument("--seeds", default=None,
+                   help="comma-separated seed list (default: the config seed and the next two)")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_compare)
 

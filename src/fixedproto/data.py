@@ -315,21 +315,23 @@ def save_dataset(dataset: Dataset, path) -> None:
 
     What would not load back as it is raises ``ValueError`` before the file
     is created: a class or factor name the format cannot carry, a label row
-    that is not one-hot, or classes that :func:`load_table` would put in
-    another order.  A class without rows is not written, so it is not read
-    back either.
+    that is not one-hot, a class without rows (the file names a class only
+    in its rows), or classes that :func:`load_table` would put in another
+    order.
     """
     _check_names(dataset.class_names, "class name")
     _check_names(dataset.factor_names, "factor name", prefix="alpha_")
     soft = np.flatnonzero(((dataset.Y != 0.0) & (dataset.Y != 1.0)).any(axis=1))
     if soft.size:
         raise ValueError(f"label row {soft[0]} is not one-hot; the file format holds hard labels only")
+    empty = np.flatnonzero(dataset.Y.sum(axis=0) == 0.0)
+    if empty.size:
+        raise ValueError(f"class {dataset.class_names[empty[0]]!r} has no rows; the file format "
+                         f"cannot hold a class without rows")
     labels = [dataset.class_names[c] for c in dataset.class_indices().tolist()]
-    written = set(labels)
-    order = tuple(name for name in dataset.class_names if name in written)
     loaded = _ordered_class_names(labels)
-    if loaded != order:
-        raise ValueError(f"classes {order} would load back in the order {loaded}")
+    if loaded != dataset.class_names:
+        raise ValueError(f"classes {dataset.class_names} would load back in the order {loaded}")
     header = [f"f{j}" for j in range(dataset.input_dim)] + ["label"] + list(dataset.factor_names)
     factors = [[]] * dataset.n if dataset.factors is None else dataset.factors.tolist()
     lines = [",".join(header)]
@@ -470,18 +472,3 @@ def split(dataset: Dataset, train_fraction: float, seed) -> tuple:
     val_ids = np.sort(np.asarray(val_ids))
     return dataset.subset(train_ids), dataset.subset(val_ids)
 
-
-def joint_probability_table(dataset: Dataset, coder) -> np.ndarray:
-    """Empirical joint probabilities of (class, factor level), per factor.
-
-    Returns an (m, C, 3) array; each factor's C-by-3 slice sums to 1.
-    """
-    if dataset.factors is None:
-        raise ValueError("dataset has no factor values")
-    levels = coder.level_indices(dataset.factors)  # (n, m)
-    class_idx = dataset.class_indices()
-    m = dataset.factor_count
-    out = np.zeros((m, dataset.class_count, 3))
-    for f in range(m):
-        np.add.at(out[f], (class_idx, levels[:, f]), 1.0)
-    return out / dataset.n

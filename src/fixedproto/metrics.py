@@ -1,5 +1,5 @@
-"""Evaluation metrics: accuracy, inter-class separation of embeddings, and
-factor disentanglement probes.
+"""Evaluation metrics: accuracy, inter-class separation of embeddings,
+factor disentanglement probes, and class/factor-level joint probabilities.
 
 The disentanglement probe is a nearest-level-centroid classifier, fit on the
 even-indexed half of the given embeddings and scored on the odd-indexed
@@ -151,3 +151,19 @@ def zero_block_activity(embeddings, extractor) -> np.ndarray:
     if Z.ndim != 2 or Z.shape[1] != extractor.embedding_dim:
         raise ValueError(f"embeddings have shape {Z.shape}, extractor expects (n, {extractor.embedding_dim})")
     return np.abs(Z[:, extractor.zero_slice]).mean(axis=0)
+
+
+def joint_probability_table(factor_levels, labels) -> np.ndarray:
+    """Empirical joint probabilities of (class, factor level), per factor.
+
+    ``factor_levels`` are the (n, m) level indices 0/1/2 of the rows and
+    ``labels`` their (n, C) label rows.  Returns an (m, C, 3) array; each
+    factor's C-by-3 slice sums to 1.
+    """
+    L = np.asarray(factor_levels, dtype=np.int64)
+    Y = np.asarray(labels, dtype=np.float64)
+    if L.ndim != 2 or Y.ndim != 2 or L.shape[0] != Y.shape[0] or L.shape[0] == 0:
+        raise ValueError("factor_levels and labels must be non-empty 2-D arrays with matching row counts")
+    counts = np.zeros((L.shape[1], Y.shape[1], 3))
+    np.add.at(counts, (np.arange(L.shape[1]), np.argmax(Y, axis=1)[:, None], L), 1.0)
+    return counts / L.shape[0]

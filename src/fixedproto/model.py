@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import json_field, json_numbers
-
 ACTIVATIONS = ("relu", "identity")
 
 
@@ -243,36 +241,3 @@ def relevance(classifier: ClassifierParams, Z) -> np.ndarray:
         raise ValueError(f"embeddings have shape {Z.shape}, expected (n, {classifier.embedding_dim})")
     return classifier.weight[None] * Z[:, :, None]
 
-
-def embedder_to_doc(embedder: EmbedderParams) -> dict:
-    return {
-        "layers": [
-            {
-                "weight": layer.weight.tolist(),
-                "bias": layer.bias.tolist(),
-                "activation": layer.activation,
-            }
-            for layer in embedder.layers
-        ]
-    }
-
-
-def embedder_from_doc(doc: dict) -> EmbedderParams:
-    return EmbedderParams(
-        layers=[
-            Layer(
-                weight=json_numbers(d["weight"], f"embedder.layers[{i}].weight", 2),
-                bias=json_numbers(d["bias"], f"embedder.layers[{i}].bias", 1),
-                activation=d["activation"],
-            )
-            for i, d in enumerate(json_field(doc, "layers", list))
-        ]
-    )
-
-
-def classifier_to_doc(classifier: ClassifierParams) -> dict:
-    return {"weight": classifier.weight.tolist()}
-
-
-def classifier_from_doc(doc: dict) -> ClassifierParams:
-    return ClassifierParams(weight=json_numbers(doc["weight"], "classifier.weight", 2))

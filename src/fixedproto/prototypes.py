@@ -95,35 +95,31 @@ class FactorCoder:
         return np.identity(LEVELS_PER_FACTOR)[idx]
 
 
-def fit_factor_coder(values_per_factor, names=None) -> FactorCoder:
-    """Fit tercile thresholds from per-factor lists of training values.
+def fit_factor_coder(factors, names=None) -> FactorCoder:
+    """Fit tercile thresholds from the (n, m) training factor values.
 
-    Quantiles use the ``interpolated_inverted_cdf`` convention (linear
-    interpolation of the empirical CDF); the convention is recorded in the
-    serialized document since bin boundaries shift between conventions.
-    Raises ``ValueError`` for a degenerate factor with fewer than 3 distinct
-    values.
+    Both terciles of every factor come from one quantile call with the
+    ``interpolated_inverted_cdf`` convention (linear interpolation of the
+    empirical CDF); the convention is recorded in the serialized document
+    since bin boundaries shift between conventions.  Raises ``ValueError``
+    for an array that is not 2-D and non-empty, and for a factor with
+    non-finite values or fewer than 3 distinct values.
     """
-    columns = [np.asarray(col, dtype=np.float64) for col in values_per_factor]
+    F = np.asarray(factors, dtype=np.float64)
+    if F.ndim != 2 or F.size == 0:
+        raise ValueError(f"factor values must be a non-empty (n, m) array, got shape {F.shape}")
     if names is None:
-        names = tuple(f"alpha_{i}" for i in range(len(columns)))
+        names = tuple(f"alpha_{i}" for i in range(F.shape[1]))
     names = tuple(str(n) for n in names)
-    if len(names) != len(columns):
+    if len(names) != F.shape[1]:
         raise ValueError("one name per factor required")
-    lower = np.empty(len(columns))
-    upper = np.empty(len(columns))
-    for i, col in enumerate(columns):
-        if col.ndim != 1 or col.size == 0:
-            raise ValueError(f"factor {names[i]!r}: values must be a non-empty 1-D sequence")
+    for name, col in zip(names, F.T):
         if not np.all(np.isfinite(col)):
-            raise ValueError(f"factor {names[i]!r}: values contain non-finite entries")
+            raise ValueError(f"factor {name!r}: values contain non-finite entries")
         distinct = np.unique(col).size
         if distinct < 3:
-            raise ValueError(
-                f"factor {names[i]!r} is degenerate: needs >= 3 distinct values, got {distinct}"
-            )
-        lower[i] = np.quantile(col, 1.0 / 3.0, method=QUANTILE_METHOD)
-        upper[i] = np.quantile(col, 2.0 / 3.0, method=QUANTILE_METHOD)
+            raise ValueError(f"factor {name!r} is degenerate: needs >= 3 distinct values, got {distinct}")
+    lower, upper = np.quantile(F, [1.0 / 3.0, 2.0 / 3.0], axis=0, method=QUANTILE_METHOD)
     return FactorCoder(names=names, lower=lower, upper=upper)
 
 

@@ -51,8 +51,7 @@ def train_factor_run(dataset, seed, loss_kind):
     tr, va = split(dataset, 0.8, seed=seed)
     extractor = None
     if loss_kind == "proto":
-        coder = fit_factor_coder([tr.factors[:, i] for i in range(3)],
-                                 names=dataset.factor_names)
+        coder = fit_factor_coder(tr.factors, names=dataset.factor_names)
         extractor = FactorCodedExtractor(coder, FACTOR_TRAIN["embedding_dim"])
     config = TrainConfig(**FACTOR_TRAIN, seed=seed, loss=loss_kind)
     embedder, classifier, history = train(tr, extractor, config, val=va)
@@ -101,7 +100,7 @@ def test_criterion_2_multilinearity():
     rng = np.random.default_rng(0)
     C, k, m = 6, 16, 3
     class_ex = class_orthogonal_extractor(C, k, seed=0)
-    coder = fit_factor_coder([rng.standard_normal(50) for _ in range(m)])
+    coder = fit_factor_coder(np.column_stack([rng.standard_normal(50) for _ in range(m)]))
     factor_ex = FactorCodedExtractor(coder, k)
     worst = 0.0
     for _ in range(1000):  # each trial on 1-row batches

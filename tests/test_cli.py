@@ -268,6 +268,17 @@ class TestEval:
         err = capsys.readouterr().err
         assert "6" in err and "2" in err
 
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    def test_input_dim_mismatch_names_data_file_and_checkpoint(self, tmp_path, trained_run, capsys, command):
+        other = tmp_path / "other.csv"
+        other.write_text("f0,f1,label\n1.0,2.0,0\n2.0,1.0,1\n")
+        checkpoint = trained_run / "checkpoint.json"
+        out = tmp_path / "out"
+        assert main([command, str(checkpoint), str(other), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(other) in err and str(checkpoint) in err
+        assert not out.exists()
+
     def test_nan_factor_value_rejected(self, tmp_path, trained_run, capsys):
         data = tmp_path / "nan.csv"
         header = ",".join([f"f{j}" for j in range(6)] + ["label", "alpha_0", "alpha_1"])
@@ -327,6 +338,31 @@ class TestEval:
         doc = json.loads((trained_run / "checkpoint.json").read_text())
         doc["extractor"] = extractor_to_doc(extractor)
         broken = tmp_path / "mismatch.json"
+        write_json(broken, doc)
+        assert main(["eval", str(broken), str(blob_file), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(broken) in err and f"{field!r}" in err
+
+    @pytest.mark.parametrize(
+        "path, change, field",
+        [
+            (("class_names", 0), lambda name: 0, "class_names"),
+            (("input_dim",), lambda dim: 9, "input_dim"),
+            (("class_names",), lambda names: names[:1], "class_names"),
+            (("classifier", "weight"), lambda rows: rows + rows[:1], "classifier.weight"),
+            (("embedder", "layers", 0), lambda layer: 0, "embedder.layers[0]"),
+        ],
+        ids=["class-name-not-a-string", "input_dim", "class-names-for-class-count", "classifier-rows",
+             "layer-not-an-object"],
+    )
+    def test_envelope_mismatch_names_path_and_field(self, tmp_path, blob_file, trained_run, capsys,
+                                                    path, change, field):
+        doc = json.loads((trained_run / "checkpoint.json").read_text())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = change(target[path[-1]])
+        broken = tmp_path / "broken.json"
         write_json(broken, doc)
         assert main(["eval", str(broken), str(blob_file), "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -431,6 +467,20 @@ class TestFactorColumns:
         err = capsys.readouterr().err
         assert str(small) in err and "at least 4 samples" in err
         assert not out.exists()
+
+    def test_summary_tables(self, tmp_path, factor_run, capsys):
+        checkpoint, data = factor_run
+        report_path = tmp_path / "report.json"
+        assert main(["eval", str(checkpoint), str(data), "--out", str(report_path)]) == EXIT_OK
+        report = json.loads(report_path.read_text())
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [row for row in rows if row[:1] == ["accuracy"]] == [["accuracy", f"{report['accuracy']:.4f}"]]
+        factors = report["disentanglement"]["factors"]
+        assert [row for row in rows if row[:1] and row[0].startswith("alpha_")] == [
+            [f["name"], *(f"{f[key]:.4f}" for key in
+                          ("designated_accuracy", "zero_block_accuracy", "other_factors_accuracy"))]
+            for f in factors
+        ]
 
     def test_file_without_factor_columns_accepted(self, tmp_path, factor_run):
         checkpoint, data = factor_run
@@ -575,9 +625,8 @@ class TestCompare:
             (["--seeds", "0,0"], "--seeds: 0 is listed twice"),
             (["--seeds", "a"], "--seeds: 'a' is not an integer"),
             (["--seeds", ","], "--seeds: empty list"),
-            (["--num-seeds", "0"], "--num-seeds: 0 is less than 1"),
         ],
-        ids=["repeated", "not-an-integer", "empty", "no-seeds"],
+        ids=["repeated", "not-an-integer", "empty"],
     )
     def test_bad_seed_list_rejected_before_writing(self, tmp_path, blob_file, capsys, flags, message):
         config = train_config(tmp_path, train_fraction=0.8, epochs=2)
@@ -586,6 +635,18 @@ class TestCompare:
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (out / "comparison.json").exists()
+
+    def test_summary_names_both_systems_with_default_seeds(self, tmp_path, blob_file, capsys):
+        config = train_config(tmp_path, train_fraction=0.8, epochs=2)
+        out = tmp_path / "c"
+        assert main(["compare", str(blob_file), "--config", str(config), "--out", str(out),
+                     "--seed", "5"]) == EXIT_OK
+        doc = json.loads((out / "comparison.json").read_text())
+        assert doc["seeds"] == [5, 6, 7]
+        lines = capsys.readouterr().out.splitlines()
+        for name, system in doc["systems"].items():
+            (line,) = [line for line in lines if line.startswith(f"{name} ")]
+            assert f"{system['accuracy_mean']:.4f} ± {system['accuracy_std']:.4f}" in line
 
     def test_requires_holdout_split(self, tmp_path, blob_file, capsys):
         config = train_config(tmp_path, train_fraction=1.0)
@@ -677,6 +738,49 @@ def test_integer_too_large_for_a_float_exits_2(tmp_path, blob_file, capsys, comm
     code, config, err, out = run_with_config(tmp_path, blob_file, capsys, command, {field: 10**400})
     assert code == EXIT_CONFIG
     assert str(config) in err and f"field {field!r} must be a finite number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize(
+    "overrides, extra_label, message",
+    [
+        ({"extractor": {"kind": "factor-coded"}}, None, "factor-coded extractor needs a dataset with factor columns"),
+        ({}, "2", "class '2' has fewer than 2 samples"),
+    ],
+    ids=["no-factor-columns", "one-row-class"],
+)
+def test_data_file_training_cannot_use_is_named(tmp_path, blob_file, capsys, command, overrides, extra_label,
+                                                message):
+    if extra_label is not None:
+        lines = blob_file.read_text().splitlines()
+        blob_file.write_text("\n".join([*lines, lines[1].rsplit(",", 1)[0] + "," + extra_label]) + "\n")
+    code, _, err, out = run_with_config(tmp_path, blob_file, capsys, command, overrides)
+    assert code == EXIT_CONFIG
+    assert f"{blob_file}: {message}" in err
+    assert not out.exists()
+
+
+# Parameter counts on the 6-feature, 2-class blob file with the test config's
+# hidden_dims [16] and embedding_dim 8: (6 + 1) * h + (h + 1) * 8 + 8 * 2 for
+# one hidden layer of width h, and (6 + 1) * 16 + (16 + 1) * k + k * 2 for an
+# embedding of width k.  The 10**11 case would ask numpy for terabytes if the
+# limit were not checked first.
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize(
+    "field, value, count",
+    [
+        ("hidden_dims", [10**30], 15 * 10**30 + 24),
+        ("hidden_dims", [10**400], 15 * 10**400 + 24),
+        ("hidden_dims", [10**11], 15 * 10**11 + 24),
+        ("embedding_dim", 10**30, 19 * 10**30 + 112),
+    ],
+    ids=["hidden-10**30", "hidden-10**400", "hidden-10**11", "embedding-10**30"],
+)
+def test_model_over_the_parameter_limit_exits_2(tmp_path, blob_file, capsys, command, field, value, count):
+    code, config, err, out = run_with_config(tmp_path, blob_file, capsys, command, {field: value})
+    assert code == EXIT_CONFIG
+    assert str(config) in err and f"field {field!r}" in err and f"{count} parameters" in err
     assert not out.exists()
 
 
@@ -776,7 +880,7 @@ def valid_documents(tmp_path_factory):
                  "--out", str(run), "--quiet"]) == EXIT_OK
     checkpoint = json.loads((run / "checkpoint.json").read_text())
     factors = load_table(data).factors
-    coder = fit_factor_coder([factors[:, 0]], names=("alpha_0",))
+    coder = fit_factor_coder(factors[:, :1], names=("alpha_0",))
     return {
         "data": data,
         "class-orthogonal": checkpoint.pop("extractor"),

@@ -13,12 +13,12 @@ from fixedproto.data import (
     Dataset,
     SynthConfig,
     generate_synthetic,
-    joint_probability_table,
     load_table,
     save_dataset,
     split,
     true_levels,
 )
+from fixedproto.metrics import joint_probability_table
 from fixedproto.prototypes import FactorCoder, fit_factor_coder
 
 
@@ -81,7 +81,7 @@ class TestGenerator:
         config = SynthConfig(class_count=3, input_dim=10, samples_per_class=500,
                              factor_count=2, seed=3)
         ds = generate_synthetic(config)
-        coder = fit_factor_coder([ds.factors[:, i] for i in range(2)])
+        coder = fit_factor_coder(ds.factors)
         coded = coder.level_indices(ds.factors)
         agreement = np.mean(coded == true_levels(ds.factors))
         assert agreement >= 0.95
@@ -295,8 +295,18 @@ class TestFileProperties:
     @given(ds=datasets())
     def test_save_load_round_trip_is_bit_exact(self, tmp_path, ds):
         path = tmp_path / "data.csv"
+        path.unlink(missing_ok=True)
+        present = ds.Y.sum(axis=0) > 0
+        if not present.all():
+            with pytest.raises(ValueError, match=f"class {ds.class_names[np.argmin(present)]!r} has no rows"):
+                save_dataset(ds, path)
+            assert not path.exists()
+            # The same rows without the empty classes round-trip.
+            ds = Dataset(X=ds.X, Y=ds.Y[:, present], factors=ds.factors, factor_names=ds.factor_names,
+                         class_names=tuple(name for name, p in zip(ds.class_names, present) if p))
         save_dataset(ds, path)
         back = load_table(path)
+        assert back.class_names == ds.class_names
         assert back.X.tobytes() == ds.X.tobytes()
         assert (back.factors is None) == (ds.factors is None)
         if ds.factors is not None:
@@ -382,7 +392,7 @@ class TestJointProbabilityTable:
         ds = generate_synthetic(config)
         # coder with thresholds on the generator's band edges
         coder = FactorCoder(names=("alpha_0",), lower=np.array([-0.5]), upper=np.array([0.5]))
-        joint = joint_probability_table(ds, coder)
+        joint = joint_probability_table(coder.level_indices(ds.factors), ds.Y)
         assert joint.shape == (1, 2, 3)
         # class 0 mass sits entirely in the low column
         assert joint[0, 0, 0] == 0.5
@@ -392,8 +402,8 @@ class TestJointProbabilityTable:
         config = SynthConfig(class_count=3, input_dim=8, samples_per_class=40,
                              factor_count=2, seed=4)
         ds = generate_synthetic(config)
-        coder = fit_factor_coder([ds.factors[:, i] for i in range(2)])
-        joint = joint_probability_table(ds, coder)
+        coder = fit_factor_coder(ds.factors)
+        joint = joint_probability_table(coder.level_indices(ds.factors), ds.Y)
         for f in range(2):
             assert abs(joint[f].sum() - 1.0) < 1e-12
 
@@ -404,14 +414,8 @@ class TestJointProbabilityTable:
         config = SynthConfig(class_count=2, input_dim=4, samples_per_class=1500,
                              factor_count=1, factor_tables=tables, seed=5)
         ds = generate_synthetic(config)
-        coder = fit_factor_coder([ds.factors[:, 0]])
-        joint = joint_probability_table(ds, coder)
+        coder = fit_factor_coder(ds.factors)
+        joint = joint_probability_table(coder.level_indices(ds.factors), ds.Y)
         # joint = table * P(class) with uniform classes
         expected = tables[0] / 2.0
         assert np.max(np.abs(joint[0] - expected)) < 0.05
-
-    def test_requires_factors(self):
-        ds = generate_synthetic(blob_config())
-        coder = fit_factor_coder([np.arange(9.0)])
-        with pytest.raises(ValueError):
-            joint_probability_table(ds, coder)

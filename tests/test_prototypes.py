@@ -123,7 +123,7 @@ class TestClassOrthogonalExtractor:
 
 class TestFactorCoder:
     def test_terciles_of_one_to_nine(self):
-        coder = fit_factor_coder([np.arange(1.0, 10.0)])
+        coder = fit_factor_coder(np.arange(1.0, 10.0)[:, None])
         assert coder.lower[0] == type4_quantile(np.arange(1.0, 10.0), 1 / 3) == 3.0
         assert coder.upper[0] == type4_quantile(np.arange(1.0, 10.0), 2 / 3) == 6.0
         levels = coder.level_indices(np.arange(1.0, 10.0)[:, None])
@@ -131,18 +131,18 @@ class TestFactorCoder:
 
     def test_degenerate_factor_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            fit_factor_coder([np.full(10, 2.5)])
+            fit_factor_coder(np.full((10, 1), 2.5))
 
     def test_three_value_bins_are_exact_thirds(self):
         values = np.array([0.0, 0, 0, 1, 1, 1, 2, 2, 2])
-        coder = fit_factor_coder([values])
+        coder = fit_factor_coder(values[:, None])
         levels = coder.level_indices(values[:, None])[:, 0]
         assert np.bincount(levels, minlength=3).tolist() == [3, 3, 3]
 
     def test_quantiles_match_oracle_on_random_data(self):
         rng = np.random.default_rng(0)
         values = rng.standard_normal(101)
-        coder = fit_factor_coder([values])
+        coder = fit_factor_coder(values[:, None])
         assert coder.lower[0] == pytest.approx(type4_quantile(values, 1 / 3), abs=1e-12)
         assert coder.upper[0] == pytest.approx(type4_quantile(values, 2 / 3), abs=1e-12)
 
@@ -151,7 +151,7 @@ class TestFactorCoder:
         # tie-free continuous data: empirical bin masses within 0.05 of 1/3
         rng = np.random.default_rng(n)
         values = rng.standard_normal(n)
-        coder = fit_factor_coder([values])
+        coder = fit_factor_coder(values[:, None])
         levels = coder.level_indices(values[:, None])[:, 0]
         masses = np.bincount(levels, minlength=3) / n
         assert np.max(np.abs(masses - 1.0 / 3.0)) < 0.05
@@ -310,7 +310,7 @@ class TestSerialization:
         assert back.class_count == 7 and back.embedding_dim == 16 and back.seed == 11
 
     def test_factor_coded_round_trip(self):
-        coder = fit_factor_coder([np.arange(9.0), np.arange(0.0, 18, 2)], names=("a", "b"))
+        coder = fit_factor_coder(np.column_stack([np.arange(9.0), np.arange(0.0, 18, 2)]), names=("a", "b"))
         ex = FactorCodedExtractor(coder, 10)
         back = extractor_from_doc(json.loads(json.dumps(extractor_to_doc(ex))))
         assert back.coder.names == ("a", "b")
