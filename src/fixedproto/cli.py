@@ -9,10 +9,11 @@ no manifest, only its report and only with ``--out``.  A manifest holds the
 config snapshot, seeds and the names of every file its command wrote, itself
 included: enough to reproduce the run.
 ``gen-data``, ``train`` and ``compare`` read their config through one loader
-that applies the command-line overrides and names the config file in every
-error.  A checkpoint stands alone: it holds the trained model and the
-frozen prototype extractor it was trained against, in a format that only
-this module writes and reads, so ``eval`` and ``explain`` read only the
+that applies the command-line overrides; an error names the config file or,
+when the file alone is valid, the flag and value of the override at fault.
+A checkpoint stands alone: it holds the trained model and the frozen
+prototype extractor it was trained against, in a format that only this
+module writes and reads, so ``eval`` and ``explain`` read only the
 checkpoint and the data file, whose factor columns (if any) must be the
 checkpoint's, in its order.
 Exit codes: 0 success, 2 config/validation error, 3 training divergence,
@@ -86,18 +87,29 @@ def _load_json(path) -> dict:
 
 def _load_config(path, config_class, **overrides):
     """The ``config_class`` config in the JSON file ``path``, with the
-    command-line overrides that were given (not None) applied."""
+    command-line overrides that were given (not None) applied.  An error names
+    the file or, when the file alone is valid, the flag and value at fault."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     version = doc.get("schema_version", 1)
     if type(version) is not int or version != 1:
         raise ConfigError(f"{path}: unsupported schema_version {version!r}")
-    doc.update({key: value for key, value in overrides.items() if value is not None})
+    given = {key: value for key, value in overrides.items() if value is not None}
+
+    def build(source, **fields):
+        try:
+            return config_from_doc(config_class, {**doc, **fields})
+        except (ValueError, TypeError) as e:
+            raise ConfigError(f"{source}: {e}") from None
+
     try:
-        return config_from_doc(config_class, doc)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{path}: {e}") from None
+        return build(path, **given)
+    except ConfigError:
+        build(path)  # the file alone, then each override alone on it
+        for key, value in given.items():
+            build(f"--{key.replace('_', '-')} {value}", **{key: value})
+        raise
 
 
 def _write(path, content) -> None:
@@ -184,9 +196,10 @@ def _build_extractor(config: TrainConfig, train_set: Dataset):
                                 config.embedding_dim)
 
 
-def _check_model_size(config_path, config: TrainConfig, dataset: Dataset) -> None:
-    """Refuse, naming the config file and its widest field, a model of more
-    than ``MAX_PARAMETERS`` parameters, before any of it is allocated."""
+def _check_model(config_path, config: TrainConfig, data_path, dataset: Dataset) -> None:
+    """Refuse, naming the config file and the field, a model of more than
+    ``MAX_PARAMETERS`` parameters, before any of it is allocated, and a
+    factor-coded ``embedding_dim`` below 3 dimensions per factor of the data."""
     widths = [dataset.input_dim, *config.hidden_dims, config.embedding_dim]
     count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
     count += config.embedding_dim * dataset.class_count  # the bias-free head
@@ -194,6 +207,10 @@ def _check_model_size(config_path, config: TrainConfig, dataset: Dataset) -> Non
         field = "hidden_dims" if max(config.hidden_dims, default=0) >= config.embedding_dim else "embedding_dim"
         raise ConfigError(f"{config_path}: field {field!r} gives a model of {count} parameters on "
                           f"{dataset.input_dim} features, more than the limit of {MAX_PARAMETERS}")
+    need = 3 * dataset.factor_count
+    if config.uses_prototypes and config.extractor["kind"] == "factor-coded" and config.embedding_dim < need:
+        raise ConfigError(f"{config_path}: field 'embedding_dim' is {config.embedding_dim}, too small for the "
+                          f"{dataset.factor_count} factors of {data_path} (needs >= {need})")
 
 
 def _checkpoint_doc(embedder, classifier, extractor, dataset, config) -> dict:
@@ -318,7 +335,7 @@ def _run_training(dataset: Dataset, config: TrainConfig):
 def cmd_train(args) -> int:
     config = _load_config(args.config, TrainConfig, seed=args.seed, lambda_p=args.lambda_p, loss=args.loss)
     dataset = load_table(args.data)
-    _check_model_size(args.config, config, dataset)
+    _check_model(args.config, config, args.data, dataset)
 
     # Validate everything before creating any output.
     try:
@@ -430,7 +447,7 @@ def cmd_explain(args) -> int:
             raise ConfigError(f"--samples: sample {i} out of range [0, {dataset.n})")
     # Explained before the output directory exists: explain_sample raises if
     # the relevance identity fails, and then nothing must have been written.
-    explanations = explain_sample(
+    expl = explain_sample(
         embedder,
         classifier,
         dataset.X[ids],
@@ -439,7 +456,8 @@ def cmd_explain(args) -> int:
         class_names=dataset.class_names,
     )
     # A generator: each file is serialized only as it is written, so all of them are never held at once.
-    files = ((f"sample_{expl.sample_id:05d}{ext}", serialize(expl)) for expl in explanations
+    files = ((f"sample_{sample_id:05d}{ext}", serialize(expl, i))
+             for i, sample_id in enumerate(expl["sample_ids"])
              for ext, serialize in ((".csv", explanation_to_csv_text), (".json", explanation_to_doc)))
     _write_run(args.out, files, "explain", {"samples": args.samples}, {"seed": doc["seed"]},
                {"checkpoint": str(args.checkpoint), "data": str(args.data)})
@@ -499,12 +517,17 @@ def run_comparison(dataset: Dataset, config: TrainConfig, seeds) -> dict:
 
 def cmd_compare(args) -> int:
     config = _load_config(args.config, TrainConfig, seed=args.seed)
+    if config.train_fraction >= 1.0:
+        raise ConfigError(f"{args.config}: field 'train_fraction' must be < 1 for compare's held-out split")
     if args.seeds is None:
         seeds = [config.seed, config.seed + 1, config.seed + 2]
     else:
         seeds = _parse_ids("--seeds", args.seeds)
+        if min(seeds) < 0:
+            raise ConfigError(f"--seeds: seed {min(seeds)} must be >= 0")
     dataset = load_table(args.data)
-    _check_model_size(args.config, config, dataset)
+    # Checked as the proto runs, the ones that build an extractor.
+    _check_model(args.config, dataclasses.replace(config, loss="proto"), args.data, dataset)
     try:
         comparison = run_comparison(dataset, config, seeds)
     except DataError as e:

@@ -10,8 +10,6 @@ prediction where".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import ClassifierParams, EmbedderParams, forward, relevance
@@ -21,26 +19,6 @@ from .model import ClassifierParams, EmbedderParams, forward, relevance
 RELEVANCE_TOL = 1e-9
 
 
-def _top_contributions(column: np.ndarray, count: int = 3):
-    """Strongest positive and negative entries, by absolute value."""
-    order = np.argsort(-np.abs(column), kind="stable")
-    pos = [(int(j), float(column[j])) for j in order if column[j] > 0][:count]
-    neg = [(int(j), float(column[j])) for j in order if column[j] < 0][:count]
-    return pos, neg
-
-
-@dataclass
-class Explanation:
-    sample_id: int
-    class_names: tuple
-    probabilities: np.ndarray  # (C,)
-    gamma: np.ndarray  # (k, C)
-    logits: np.ndarray  # (C,), column sums of gamma
-    row_labels: list
-    top_positive: list  # per class: [(dim, contribution), ...]
-    top_negative: list
-
-
 def explain_sample(
     embedder: EmbedderParams,
     classifier: ClassifierParams,
@@ -48,15 +26,18 @@ def explain_sample(
     sample_ids=None,
     layout=None,
     class_names=None,
-) -> list:
+) -> dict:
     """Explain each row of ``X``: one forward pass, then every logit split by dimension.
 
-    Returns one :class:`Explanation` per row, labelled by ``sample_ids``
-    (default ``0..n-1``).  ``layout``, a factor-coded extractor, names the
-    dimensions by factor slot; without it they are ``dim j``.  Raises
-    ``RuntimeError`` when the relevance sums miss the forward pass's own
-    logits ``z @ W`` by more than ``RELEVANCE_TOL``, so nothing built on a
-    broken decomposition gets out.
+    Returns the batch as one dict: ``sample_ids`` (default ``0..n-1``),
+    ``class_names`` and ``row_labels`` once each, ``probabilities`` and
+    ``logits`` ``(n, C)``, ``gamma`` ``(n, k, C)`` and ``ranking``
+    ``(n, k, C)``, each class's dimensions by descending ``|gamma|``, ties by
+    dimension.  The logits are the column sums of gamma.  ``layout``, a
+    factor-coded extractor, names the dimensions by factor slot; without it
+    they are ``dim j``.  Raises ``RuntimeError`` when the relevance sums miss
+    the forward pass's own logits ``z @ W`` by more than ``RELEVANCE_TOL``, so
+    nothing built on a broken decomposition gets out.
     """
     trace = forward(embedder, classifier, X)
     gamma = relevance(classifier, trace.z)
@@ -68,9 +49,7 @@ def explain_sample(
     sample_ids = range(n) if sample_ids is None else sample_ids
     if len(sample_ids) != n:
         raise ValueError(f"expected {n} sample ids, got {len(sample_ids)}")
-    if class_names is None:
-        class_names = range(C)
-    class_names = tuple(str(c) for c in class_names)
+    class_names = [str(c) for c in (range(C) if class_names is None else class_names)]
     if len(class_names) != C:
         raise ValueError(f"expected {C} class names, got {len(class_names)}")
     if layout is None:
@@ -79,47 +58,43 @@ def explain_sample(
         raise ValueError(f"layout embedding_dim {layout.embedding_dim} does not match {k}")
     else:
         labels = layout.dim_labels()
-    explanations = []
-    for i, sample_id in enumerate(sample_ids):
-        tops = [_top_contributions(gamma[i, :, c]) for c in range(C)]
-        explanations.append(
-            Explanation(
-                sample_id=int(sample_id),
-                class_names=class_names,
-                probabilities=trace.probs[i],
-                gamma=gamma[i],
-                logits=logits[i],
-                row_labels=labels,
-                top_positive=[t[0] for t in tops],
-                top_negative=[t[1] for t in tops],
-            )
-        )
-    return explanations
+    return {
+        "sample_ids": [int(i) for i in sample_ids],
+        "class_names": class_names,
+        "row_labels": labels,
+        "probabilities": trace.probs,
+        "logits": logits,
+        "gamma": gamma,
+        "ranking": np.argsort(-np.abs(gamma), axis=1, kind="stable"),
+    }
 
 
-def explanation_to_csv_text(expl: Explanation) -> str:
-    """Labeled k-row, C-column table of contributions."""
-    lines = ["dimension," + ",".join(expl.class_names)]
-    for j, label in enumerate(expl.row_labels):
-        lines.append(label + "," + ",".join(repr(float(v)) for v in expl.gamma[j]))
+def explanation_to_csv_text(expl: dict, i: int) -> str:
+    """Row ``i`` of the batch as a labeled k-row, C-column table of contributions."""
+    lines = ["dimension," + ",".join(expl["class_names"])]
+    for label, contributions in zip(expl["row_labels"], expl["gamma"][i].tolist()):
+        lines.append(label + "," + ",".join(map(repr, contributions)))
     return "\n".join(lines) + "\n"
 
 
-def explanation_to_doc(expl: Explanation) -> dict:
+def explanation_to_doc(expl: dict, i: int) -> dict:
+    """Row ``i`` of the batch as an ``explanation`` document, with each class's
+    three strongest positive and negative contributions."""
+    # Per class: the contributions by dimension, and the dimensions by |contribution|.
+    columns, ranking, labels = expl["gamma"][i].T.tolist(), expl["ranking"][i].T.tolist(), expl["row_labels"]
+
+    def top(c, sign):
+        dims = [j for j in ranking[c] if sign * columns[c][j] > 0][:3]
+        return [{"dimension": j, "label": labels[j], "contribution": columns[c][j]} for j in dims]
+
     return {
         "format": "explanation",
         "version": 1,
-        "sample_id": expl.sample_id,
-        "class_names": list(expl.class_names),
-        "probabilities": expl.probabilities.tolist(),
-        "logits": expl.logits.tolist(),
-        "row_labels": list(expl.row_labels),
-        "top_positive": {
-            name: [{"dimension": j, "label": expl.row_labels[j], "contribution": v} for j, v in entries]
-            for name, entries in zip(expl.class_names, expl.top_positive)
-        },
-        "top_negative": {
-            name: [{"dimension": j, "label": expl.row_labels[j], "contribution": v} for j, v in entries]
-            for name, entries in zip(expl.class_names, expl.top_negative)
-        },
+        "sample_id": expl["sample_ids"][i],
+        "class_names": list(expl["class_names"]),
+        "probabilities": expl["probabilities"][i].tolist(),
+        "logits": expl["logits"][i].tolist(),
+        "row_labels": list(labels),
+        "top_positive": {name: top(c, 1) for c, name in enumerate(expl["class_names"])},
+        "top_negative": {name: top(c, -1) for c, name in enumerate(expl["class_names"])},
     }

@@ -184,14 +184,13 @@ def test_criterion_7_relevance_identity(factor_runs):
     embedder, classifier, _, extractor, va = factor_runs[("proto", 0)]
     rng = np.random.default_rng(0)
     ids = rng.choice(va.n, size=100, replace=False)
-    explanations = explain_sample(embedder, classifier, va.X[ids], sample_ids=ids,
-                                  layout=extractor, class_names=va.class_names)
-    for i, expl in zip(ids, explanations):
+    expl = explain_sample(embedder, classifier, va.X[ids], sample_ids=ids,
+                          layout=extractor, class_names=va.class_names)
+    for i, gamma in zip(ids, expl["gamma"]):
         reference = forward(embedder, classifier, va.X[i : i + 1]).logits[0]  # a 1-row batch
-        assert np.max(np.abs(expl.gamma.sum(axis=0) - reference)) < 1e-9
-    expl = explanations[0]
-    factor_rows = [l for l in expl.row_labels if not l.startswith("other factor")]
-    free_rows = [l for l in expl.row_labels if l.startswith("other factor")]
+        assert np.max(np.abs(gamma.sum(axis=0) - reference)) < 1e-9
+    factor_rows = [l for l in expl["row_labels"] if not l.startswith("other factor")]
+    free_rows = [l for l in expl["row_labels"] if l.startswith("other factor")]
     assert len(factor_rows) == 9
     assert len(free_rows) == 7
 

@@ -625,8 +625,9 @@ class TestCompare:
             (["--seeds", "0,0"], "--seeds: 0 is listed twice"),
             (["--seeds", "a"], "--seeds: 'a' is not an integer"),
             (["--seeds", ","], "--seeds: empty list"),
+            (["--seeds=-1,2"], "--seeds: seed -1 must be >= 0"),
         ],
-        ids=["repeated", "not-an-integer", "empty"],
+        ids=["repeated", "not-an-integer", "empty", "negative"],
     )
     def test_bad_seed_list_rejected_before_writing(self, tmp_path, blob_file, capsys, flags, message):
         config = train_config(tmp_path, train_fraction=0.8, epochs=2)
@@ -653,7 +654,8 @@ class TestCompare:
         code = main(["compare", str(blob_file), "--config", str(config),
                      "--out", str(tmp_path / "c")])
         assert code == EXIT_CONFIG
-        assert "train_fraction" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(config) in err and "'train_fraction'" in err
 
     @pytest.mark.parametrize(
         "seeds, message",
@@ -758,6 +760,50 @@ def test_data_file_training_cannot_use_is_named(tmp_path, blob_file, capsys, com
     code, _, err, out = run_with_config(tmp_path, blob_file, capsys, command, overrides)
     assert code == EXIT_CONFIG
     assert f"{blob_file}: {message}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("train", ["--seed", "-3"]), ("train", ["--lambda-p", "-1"]), ("train", ["--lambda-p", "nan"]),
+     ("gen-data", ["--seed", "-1"])],
+    ids=["train-seed", "train-lambda-p", "train-lambda-p-nan", "gen-data-seed"],
+)
+def test_bad_override_of_a_valid_config_names_the_flag(tmp_path, blob_file, capsys, command, flags):
+    out = tmp_path / "out"
+    if command == "gen-data":
+        config = gen_config(tmp_path)
+        argv = ["gen-data", "--config", str(config), "--out", str(out)]
+    else:
+        config = train_config(tmp_path, epochs=2)
+        argv = [command, str(blob_file), "--config", str(config), "--out", str(out)]
+    assert main(argv + flags) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {flags[0]} {flags[1]}" in err and str(config) not in err
+    assert not out.exists()
+
+
+def test_override_is_named_only_when_the_file_alone_is_valid(tmp_path, blob_file, capsys):
+    out = tmp_path / "out"
+    bad = train_config(tmp_path, epochs=2, learning_rate=-1.0)
+    assert main(["train", str(blob_file), "--config", str(bad), "--out", str(out), "--seed", "-3"]) == EXIT_CONFIG
+    assert f"{bad}: learning_rate must be > 0" in capsys.readouterr().err
+    mended = train_config(tmp_path, epochs=2, seed=-1)
+    assert main(["train", str(blob_file), "--config", str(mended), "--out", str(out), "--seed", "3",
+                 "--quiet"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_factor_coded_embedding_too_small_names_config_and_data(tmp_path, capsys, command):
+    data = tmp_path / "factors.csv"
+    assert main(["gen-data", "--config", str(gen_config(tmp_path, factor_count=3)), "--out", str(data),
+                 "--quiet"]) == EXIT_OK
+    config = train_config(tmp_path, epochs=2, train_fraction=0.8, embedding_dim=8,
+                          extractor={"kind": "factor-coded"})
+    out = tmp_path / "out"
+    assert main([command, str(data), "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{config}: field 'embedding_dim' is 8" in err and f"3 factors of {data}" in err
     assert not out.exists()
 
 

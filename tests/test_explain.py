@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixedproto.explain import explain_sample, explanation_to_csv_text, explanation_to_doc
 from fixedproto.metrics import zero_block_activity
@@ -15,8 +19,13 @@ def identity_embedder(dim):
 
 def explain_one(embedder, classifier, x, **kwargs):
     """The explanation of one sample, run as a 1-row batch."""
-    (expl,) = explain_sample(embedder, classifier, np.asarray(x, dtype=float)[None], **kwargs)
-    return expl
+    return explain_sample(embedder, classifier, np.asarray(x, dtype=float)[None], **kwargs)
+
+
+def tops(expl, i, key):
+    """Row ``i``'s top list ``key`` of each class, as (dimension, contribution) pairs."""
+    return [[(t["dimension"], t["contribution"]) for t in entries]
+            for entries in explanation_to_doc(expl, i)[key].values()]
 
 
 class TestExplainSample:
@@ -24,21 +33,21 @@ class TestExplainSample:
         embedder = identity_embedder(3)
         classifier = ClassifierParams(weight=np.ones((3, 4)))
         expl = explain_one(embedder, classifier, np.zeros(3))
-        assert np.array_equal(expl.gamma, np.zeros((3, 4)))
-        assert np.allclose(expl.probabilities, 0.25, atol=1e-15)
-        assert expl.top_positive == [[], [], [], []]
-        assert expl.top_negative == [[], [], [], []]
+        assert np.array_equal(expl["gamma"][0], np.zeros((3, 4)))
+        assert np.allclose(expl["probabilities"][0], 0.25, atol=1e-15)
+        assert tops(expl, 0, "top_positive") == [[], [], [], []]
+        assert tops(expl, 0, "top_negative") == [[], [], [], []]
 
     def test_figure_layout_has_nine_factor_rows_and_seven_free_rows(self):
         layout = factor_extractor(("alpha_0", "alpha_1", "alpha_2"), 16)
         embedder = identity_embedder(16)
         classifier = init_classifier(16, 4, seed=0)
         expl = explain_one(embedder, classifier, np.ones(16), layout=layout)
-        factor_rows = [l for l in expl.row_labels if not l.startswith("other factor")]
-        free_rows = [l for l in expl.row_labels if l.startswith("other factor")]
+        factor_rows = [l for l in expl["row_labels"] if not l.startswith("other factor")]
+        free_rows = [l for l in expl["row_labels"] if l.startswith("other factor")]
         assert len(factor_rows) == 9
         assert len(free_rows) == 7
-        assert len(expl.row_labels) == 16
+        assert len(expl["row_labels"]) == 16
 
     def test_top_contribution_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -49,8 +58,8 @@ class TestExplainSample:
         gamma = classifier.weight * x[:, None]
         for c in range(3):
             best = max(range(6), key=lambda j: abs(gamma[j, c]))
-            tops = expl.top_positive[c] + expl.top_negative[c]
-            lead = max(tops, key=lambda t: abs(t[1]))
+            lead = max(tops(expl, 0, "top_positive")[c] + tops(expl, 0, "top_negative")[c],
+                       key=lambda t: abs(t[1]))
             assert lead[0] == best
             assert lead[1] == pytest.approx(gamma[best, c], abs=1e-15)
 
@@ -58,8 +67,8 @@ class TestExplainSample:
         embedder = identity_embedder(5)
         classifier = ClassifierParams(weight=np.ones((5, 1)))
         expl = explain_one(embedder, classifier, np.array([3.0, -4.0, 1.0, 2.0, -0.5]))
-        pos = expl.top_positive[0]
-        neg = expl.top_negative[0]
+        (pos,) = tops(expl, 0, "top_positive")
+        (neg,) = tops(expl, 0, "top_negative")
         assert [v for _, v in pos] == [3.0, 2.0, 1.0]
         assert [v for _, v in neg] == [-4.0, -0.5]
         assert len(pos) <= 3 and len(neg) <= 3
@@ -68,14 +77,15 @@ class TestExplainSample:
         rng = np.random.default_rng(1)
         embedder = init_embedder(4, (6,), 5, seed=0)
         classifier = init_classifier(5, 3, seed=1)
-        for expl in explain_sample(embedder, classifier, rng.standard_normal((10, 4))):
-            assert np.array_equal(expl.gamma.sum(axis=0), expl.logits)
+        expl = explain_sample(embedder, classifier, rng.standard_normal((10, 4)))
+        for i in range(10):
+            assert np.array_equal(expl["gamma"][i].sum(axis=0), expl["logits"][i])
 
     def test_probabilities_sum_to_one(self):
         embedder = init_embedder(4, (6,), 5, seed=0)
         classifier = init_classifier(5, 3, seed=1)
         expl = explain_one(embedder, classifier, np.ones(4))
-        assert abs(expl.probabilities.sum() - 1.0) < 1e-9
+        assert abs(expl["probabilities"][0].sum() - 1.0) < 1e-9
 
     def test_single_vector_input_rejected(self):
         embedder = identity_embedder(3)
@@ -89,13 +99,52 @@ class TestExplainSample:
         classifier = init_classifier(5, 3, seed=1)
         X = rng.standard_normal((7, 4))
         batch = explain_sample(embedder, classifier, X, sample_ids=[10 + i for i in range(7)])
-        for i, expl in enumerate(batch):
+        for i in range(7):
             alone = explain_one(embedder, classifier, X[i], sample_ids=[10 + i])
-            assert expl.sample_id == alone.sample_id == 10 + i
-            assert np.allclose(expl.gamma, alone.gamma, rtol=1e-12, atol=1e-12)
-            dims = lambda tops: [[j for j, _ in per_class] for per_class in tops]
-            assert dims(expl.top_positive) == dims(alone.top_positive)
-            assert dims(expl.top_negative) == dims(alone.top_negative)
+            assert batch["sample_ids"][i] == alone["sample_ids"][0] == 10 + i
+            assert np.allclose(batch["gamma"][i], alone["gamma"][0], rtol=1e-12, atol=1e-12)
+            dims = lambda lists: [[j for j, _ in per_class] for per_class in lists]
+            assert dims(tops(batch, i, "top_positive")) == dims(tops(alone, 0, "top_positive"))
+            assert dims(tops(batch, i, "top_negative")) == dims(tops(alone, 0, "top_negative"))
+
+
+# Few distinct magnitudes, zero among them, so ties and zero contributions are common.
+SMALL_VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_row_renders_as_a_brute_force_reference(data):
+    """Each row's CSV text and document, ties and zeros included, against a
+    reference built per row: top lists by |value| descending, then by
+    dimension, filtered by sign and capped at 3."""
+    n, k, C = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
+    weight = np.array(data.draw(st.lists(SMALL_VALUES, min_size=k * C, max_size=k * C))).reshape(k, C)
+    X = np.array(data.draw(st.lists(SMALL_VALUES, min_size=n * k, max_size=n * k))).reshape(n, k)
+    ids = [3 * i + 1 for i in range(n)]
+    expl = explain_sample(identity_embedder(k), ClassifierParams(weight=weight), X, sample_ids=ids)
+    names, labels = [str(c) for c in range(C)], [f"dim {j}" for j in range(k)]
+    for i in range(n):
+        gamma = weight * X[i][:, None]
+        csv = "".join(f"{label}," + ",".join(repr(float(v)) for v in gamma[j]) + "\n"
+                      for j, label in enumerate(labels))
+        assert explanation_to_csv_text(expl, i) == "dimension," + ",".join(names) + "\n" + csv
+
+        def top(c, keep):
+            order = sorted(range(k), key=lambda j: (-abs(gamma[j, c]), j))
+            return [{"dimension": j, "label": labels[j], "contribution": float(gamma[j, c])}
+                    for j in order if keep(gamma[j, c])][:3]
+
+        doc = explanation_to_doc(expl, i)
+        reference = {
+            "format": "explanation", "version": 1, "sample_id": ids[i], "class_names": names,
+            "probabilities": doc["probabilities"], "logits": gamma.sum(axis=0).tolist(), "row_labels": labels,
+            "top_positive": {name: top(c, lambda v: v > 0) for c, name in enumerate(names)},
+            "top_negative": {name: top(c, lambda v: v < 0) for c, name in enumerate(names)},
+        }
+        assert json.dumps(doc, indent=2) == json.dumps(reference, indent=2)
+        shifted = np.exp(gamma.sum(axis=0) - gamma.sum(axis=0).max())
+        assert np.allclose(doc["probabilities"], shifted / shifted.sum(), rtol=0, atol=1e-15)
 
 
 class TestExports:
@@ -110,7 +159,7 @@ class TestExports:
 
     def test_csv_shape_and_labels(self):
         expl = self.make_explanation()
-        lines = explanation_to_csv_text(expl).strip().splitlines()
+        lines = explanation_to_csv_text(expl, 0).strip().splitlines()
         assert lines[0] == "dimension,neg,pos"
         assert len(lines) == 1 + 5
         assert lines[1].startswith("a:low,")
@@ -118,19 +167,19 @@ class TestExports:
 
     def test_json_doc_fields(self):
         expl = self.make_explanation()
-        doc = explanation_to_doc(expl)
+        doc = explanation_to_doc(expl, 0)
         assert doc["format"] == "explanation"
         assert doc["class_names"] == ["neg", "pos"]
         assert len(doc["row_labels"]) == 5
         assert set(doc["top_positive"]) == {"neg", "pos"}
         total = np.array(doc["logits"])
-        assert np.allclose(total, expl.gamma.sum(axis=0), atol=1e-15)
+        assert np.allclose(total, expl["gamma"][0].sum(axis=0), atol=1e-15)
 
 
 class TestDimLabels:
     def test_generic_labels_without_layout(self):
         expl = explain_one(identity_embedder(3), ClassifierParams(weight=np.ones((3, 2))), np.ones(3))
-        assert expl.row_labels == ["dim 0", "dim 1", "dim 2"]
+        assert expl["row_labels"] == ["dim 0", "dim 1", "dim 2"]
 
     def test_layout_mismatch_rejected(self):
         layout = factor_extractor(("a",), 5)

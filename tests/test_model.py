@@ -257,8 +257,8 @@ class TestRelevance:
         X = rng.standard_normal((20, 4))
         trace = forward(embedder, classifier, X)
         gamma = relevance(classifier, trace.z)
-        # explain_sample stores the column sums as each explanation's logits
-        stored = np.array([expl.logits for expl in explain_sample(embedder, classifier, X)])
+        # explain_sample stores the column sums as the batch's logits
+        stored = explain_sample(embedder, classifier, X)["logits"]
         assert np.array_equal(gamma.sum(axis=1), stored)
         assert np.max(np.abs(stored - trace.logits)) < 1e-12
 
