@@ -247,21 +247,24 @@ def _load_checkpoint(path):
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"checkpoint version {version} is not supported, "
                              f"only version {CHECKPOINT_VERSION}; retrain to write one")
-        json_field(doc, "seed", int)
+        if json_field(doc, "seed", int) < 0:
+            raise ValueError(f"field 'seed' is {doc['seed']}, expected an integer >= 0")
         for key in ("class_names", "factor_names"):
-            if not all(type(name) is str for name in json_field(doc, key, list)):
+            names = json_field(doc, key, list)
+            if not all(type(name) is str for name in names):
                 raise TypeError(f"field {key!r} must list strings")
+            repeated = [name for i, name in enumerate(names) if name in names[:i]]
+            if repeated:
+                raise ValueError(f"field {key!r} lists {repeated[0]!r} more than once")
         layers = []
         for i, layer in enumerate(json_field(json_field(doc, "embedder", dict), "layers", list)):
-            name = f"embedder.layers[{i}]"
-            if type(layer) is not dict:
-                raise TypeError(f"field {name!r} must be an object, got {type(layer).__name__}")
-            layers.append(Layer(weight=json_numbers(layer["weight"], f"{name}.weight", 2),
-                                bias=json_numbers(layer["bias"], f"{name}.bias", 1),
-                                activation=layer["activation"]))
+            at = f"embedder.layers[{i}]"
+            layers.append(Layer(json_numbers(json_field(layer, "weight", list, at=at), f"{at}.weight", 2),
+                                json_numbers(json_field(layer, "bias", list, at=at), f"{at}.bias", 1),
+                                json_field(layer, "activation", str, at=at)))
         embedder = EmbedderParams(layers)
-        classifier = ClassifierParams(json_numbers(json_field(doc, "classifier", dict)["weight"],
-                                                   "classifier.weight", 2))
+        weight = json_field(json_field(doc, "classifier", dict), "weight", list, at="classifier")
+        classifier = ClassifierParams(json_numbers(weight, "classifier.weight", 2))
         extractor_doc = json_field(doc, "extractor", dict, type(None))
         extractor = None if extractor_doc is None else extractor_from_doc(extractor_doc)
         # Each envelope field against every object built from the document that gives it.

@@ -140,25 +140,32 @@ def config_to_doc(config) -> dict:
     return doc
 
 
-def json_field(doc: dict, key: str, *types):
+def json_field(doc: dict, key: str, *types, at: str = ""):
     """``doc[key]``, required to be exactly one of ``types`` (so a bool is no int).
 
-    Raises ``KeyError`` when the field is missing and ``TypeError`` when it
-    has another type.
+    ``at`` is the path of ``doc`` in its document, such as ``factors[0]``, and
+    errors name the field by its path.  Raises ``KeyError`` when the field is
+    missing and ``TypeError`` when it has another type or ``doc`` is no object.
     """
+    name = f"{at}.{key}" if at else key
+    if type(doc) is not dict:
+        raise TypeError(f"field {at!r} must be an object, got {type(doc).__name__}")
+    if key not in doc:
+        raise KeyError(name)
     value = doc[key]
     if type(value) not in types:
         names = " or ".join(t.__name__ for t in types)
-        raise TypeError(f"field {key!r} must be {names}, got {type(value).__name__}")
+        raise TypeError(f"field {name!r} must be {names}, got {type(value).__name__}")
     return value
 
 
-def json_numbers(value, name: str, ndim: int) -> np.ndarray:
+def json_numbers(value, name: str, ndim: int, finite: bool = True) -> np.ndarray:
     """The JSON list ``value``, nested ``ndim`` deep (1, 2 or 3), as float64.
 
     Its entries must be ints or floats, never bools or strings, and fit a
-    float, and the lists at each depth must be of one length; else
-    ``TypeError`` or ``ValueError`` names the field ``name``.
+    float, the lists at each depth must be of one length, and unless
+    ``finite`` is False no entry may be a NaN or an infinity (``json.load``
+    reads both); else ``TypeError`` or ``ValueError`` names the field ``name``.
     """
     def numbers(v, depth):
         if type(v) is not list:
@@ -176,9 +183,12 @@ def json_numbers(value, name: str, ndim: int) -> np.ndarray:
             raise ValueError(f"field {name!r} is ragged: its lists at depth {depth} have lengths {lengths}")
         level = [item for v in level for item in v]
     try:
-        return np.array(value, dtype=np.float64)
+        array = np.array(value, dtype=np.float64)
     except OverflowError:
         raise ValueError(f"field {name!r} holds an integer too large for a float") from None
+    if finite and not np.isfinite(array).all():
+        raise ValueError(f"field {name!r} holds a non-finite number")
+    return array
 
 
 @dataclass
@@ -224,7 +234,7 @@ class SynthConfig:
         if self.factor_tables is not None:
             T = self.factor_tables
             if not (isinstance(T, np.ndarray) and T.dtype.kind in "iuf"):
-                T = json_numbers(T, "factor_tables", 3)
+                T = json_numbers(T, "factor_tables", 3, finite=False)  # refused below, by factor
             T = np.asarray(T, dtype=np.float64)
             if T.shape != (self.factor_count, self.class_count, 3):
                 raise ValueError(

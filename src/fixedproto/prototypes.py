@@ -345,11 +345,11 @@ def extractor_from_doc(doc: dict):
     if kind == "factor-coded":
         if doc.get("quantile_method") != QUANTILE_METHOD:
             raise ValueError(f"unsupported quantile_method {doc.get('quantile_method')!r}")
-        factors = json_field(doc, "factors", list)
+        factors = [(f"factors[{i}]", f) for i, f in enumerate(json_field(doc, "factors", list))]
         coder = FactorCoder(
-            names=tuple(json_field(f, "name", str) for f in factors),
-            lower=json_numbers([json_field(f, "lower", float, int) for f in factors], "lower", 1),
-            upper=json_numbers([json_field(f, "upper", float, int) for f in factors], "upper", 1),
+            names=tuple(json_field(f, "name", str, at=at) for at, f in factors),
+            lower=json_numbers([json_field(f, "lower", float, int, at=at) for at, f in factors], "lower", 1),
+            upper=json_numbers([json_field(f, "upper", float, int, at=at) for at, f in factors], "upper", 1),
         )
         return FactorCodedExtractor(coder, json_field(doc, "embedding_dim", int))
     raise ValueError(f"unknown extractor kind {kind!r}")

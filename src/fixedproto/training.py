@@ -1,11 +1,12 @@
 """Training: the prototype-matching loss, mixup over labels and coded
 factors, SGD/Adam, and the minibatch loop.
 
-The per-sample loss is ``CE(y, softmax(logits)) + lambda_p * ||z - p||^2``
-with ``p`` the fixed prototype for that sample's label/factors and
-``lambda_p`` defaulting to ``1/embedding_dim``.  With ``lambda_p = 0`` the
-prototype machinery is skipped entirely, so such a run executes exactly the
-same arithmetic as the plain cross-entropy baseline and yields bit-identical
+A step minimizes the batch mean of ``CE(y, softmax(logits)) + lambda_p *
+||z - p||^2``, with ``p`` the fixed prototype for a sample's label/factors
+and ``lambda_p`` defaulting to ``1/embedding_dim``; ``loss`` hands
+``backward`` that mean's partials.  With ``lambda_p = 0`` the prototype
+machinery is skipped entirely, so such a run executes exactly the same
+arithmetic as the plain cross-entropy baseline and yields bit-identical
 parameters for the same seed.
 
 ``train`` returns the ``train-history`` document, the one record of a run's
@@ -30,8 +31,8 @@ EXTRACTOR_KEYS = {"class-orthogonal": ("kind", "seed"), "factor-coded": ("kind",
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a batch loss, or the parameters after an epoch's last step,
-    stop being finite; ``value`` is the loss, or None for the parameters."""
+    """Raised when a batch-mean loss, or the parameters after an epoch's last
+    step, stop being finite; ``value`` is the loss, or None for the parameters."""
 
     def __init__(self, epoch: int, batch: int, value: float | None):
         what = "the parameters went non-finite" if value is None else f"non-finite loss {value!r}"
@@ -113,48 +114,28 @@ class TrainConfig:
         return self.loss == "proto" and self.effective_lambda() != 0.0
 
 
-@dataclass
-class LossResult:
-    """Loss values and the partials the backward pass needs.
-
-    One entry (or row) per sample of the batch.  ``grad_z_extra`` is None
-    when there is no prototype term.
-    """
-
-    total: np.ndarray
-    ce: np.ndarray
-    proto_sq: np.ndarray
-    grad_logits: np.ndarray
-    grad_z_extra: np.ndarray | None
-
-
-def loss(y, trace, prototype, lambda_p: float) -> LossResult:
-    """Cross-entropy plus the prototype-matching penalty.
+def loss(y, trace, prototype, lambda_p: float):
+    """Cross-entropy plus the prototype-matching penalty on a batch, as
+    ``(ce, proto_sq, grad_logits, grad_z)``: the batch's sums of the two terms
+    and the partials of its mean ``(ce + lambda_p * proto_sq) / n``.
 
     ``prototype=None`` is allowed only with ``lambda_p == 0`` and drops the
-    penalty term (and its gradient) entirely.  Cross-entropy is computed from
-    the trace's log-probabilities, so it stays finite for logits up to very
-    large magnitudes.
+    penalty term: ``proto_sq`` is 0.0 and ``grad_z`` None.  Cross-entropy is
+    computed from the trace's log-probabilities, so it stays finite for logits
+    up to very large magnitudes.
     """
     y = np.asarray(y, dtype=np.float64)
-    ce = -(y * trace.log_probs).sum(axis=-1)
-    grad_logits = trace.probs - y
+    ce = float(np.sum(-(y * trace.log_probs).sum(axis=-1)))
+    scale = 1.0 / trace.probs.shape[0]
+    grad_logits = (trace.probs - y) * scale
     if prototype is None:
         if lambda_p != 0.0:
             raise ValueError("a prototype is required when lambda_p != 0")
-        return LossResult(
-            total=ce, ce=ce, proto_sq=np.zeros_like(ce), grad_logits=grad_logits, grad_z_extra=None
-        )
+        return ce, 0.0, grad_logits, None
     p = np.asarray(prototype, dtype=np.float64)
     diff = trace.z - p
-    proto_sq = (diff * diff).sum(axis=-1)
-    return LossResult(
-        total=ce + lambda_p * proto_sq,
-        ce=ce,
-        proto_sq=proto_sq,
-        grad_logits=grad_logits,
-        grad_z_extra=(2.0 * lambda_p) * diff,
-    )
+    proto_sq = float(np.sum((diff * diff).sum(axis=-1)))
+    return ce, proto_sq, grad_logits, (2.0 * lambda_p) * diff * scale
 
 
 def mix_rows(a: np.ndarray, lam: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -287,15 +268,13 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
                     tb = mix_rows(tb, lam, perm)
             trace = forward(embedder, classifier, xb, into=trace)
             proto = None if tb is None else extractor.extract_batch(tb)
-            res = loss(yb, trace, proto, lambda_p)
-            batch_mean = float(np.mean(res.total))
-            if not np.isfinite(batch_mean):
-                raise DivergenceError(epoch, batch_i, batch_mean)
-            ce_sum += float(np.sum(res.ce))
-            proto_sum += float(np.sum(res.proto_sq))
-            scale = 1.0 / size
-            extra = None if res.grad_z_extra is None else res.grad_z_extra * scale
-            opt.step(params, backward(trace, res.grad_logits * scale, extra))
+            ce, proto_sq, grad_logits, grad_z = loss(yb, trace, proto, lambda_p)
+            batch_loss = (ce + lambda_p * proto_sq) / size
+            if not np.isfinite(batch_loss):
+                raise DivergenceError(epoch, batch_i, batch_loss)
+            ce_sum += ce
+            proto_sum += proto_sq
+            opt.step(params, backward(trace, grad_logits, grad_z))
         if not np.isfinite(params).all():  # the last step's loss was finite, its update need not be
             raise DivergenceError(epoch, batch_i, None)
         ce_mean = ce_sum / n

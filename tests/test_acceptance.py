@@ -83,12 +83,13 @@ def test_criterion_1_gradient_correctness():
 
     def scalar_loss():
         trace = forward(embedder, classifier, X)
-        return float(np.mean(loss(Y, trace, P, lambda_p).total))
+        ce, proto_sq, _, _ = loss(Y, trace, P, lambda_p)
+        return (ce + lambda_p * proto_sq) / len(Y)
 
     numeric = central_difference(scalar_loss, [params], step=1e-5)
     trace = forward(embedder, classifier, X)
-    res = loss(Y, trace, P, lambda_p)
-    analytic = backward(trace, res.grad_logits / 8.0, res.grad_z_extra / 8.0)
+    _, _, grad_logits, grad_z = loss(Y, trace, P, lambda_p)
+    analytic = backward(trace, grad_logits, grad_z)
     worst = max_rel_error([analytic], numeric)
     assert worst < 1e-5, f"worst relative error {worst:.3e}"
     assert time.time() - start < 5.0

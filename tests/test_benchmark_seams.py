@@ -38,7 +38,8 @@ def test_training_forward_passes_are_traced_by_role(kind):
     # The benchmark tells a full-set forward pass from a minibatch one by the
     # row count of the third positional argument; a refactor that passed X
     # another way, or dropped a pass, would move or lose model.forward_full.
-    # Prototypes are looked up once per step, and coded once per run.
+    # The loss is taken and prototypes are looked up once per step, and coded
+    # once per run; inlining ``loss`` would silently drop training.loss.s.
     spans = load_spans()
     factor_count = 1 if kind == "factor-coded" else 0
     ds = generate_synthetic(SynthConfig(class_count=2, input_dim=4, samples_per_class=20,
@@ -60,5 +61,6 @@ def test_training_forward_passes_are_traced_by_role(kind):
     assert metrics["model.forward_batch.calls"] == steps
     assert metrics["training.optimizer.calls"] == steps
     assert metrics["prototypes.extract_batch.calls"] == steps
+    assert sum(1 for span in tracer.spans if span[0] == "training.loss") == steps
     codes = sum(1 for span in tracer.spans if span[0] == "prototypes.code")
     assert codes == (1 if kind == "factor-coded" else 0)

@@ -23,6 +23,9 @@ from fixedproto.prototypes import (
 from fixedproto.training import TrainConfig
 
 
+DROP = object()  # a test value meaning "delete this entry"
+
+
 def write_json(path, doc):
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -404,6 +407,19 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(old) in err and "version 1" in err
 
+    @pytest.mark.parametrize("field, value", [("class_names", ["0", "0"]),
+                                              ("factor_names", ["alpha_0", "alpha_0"]),
+                                              ("seed", -5)], ids=["class_names", "factor_names", "seed"])
+    def test_repeated_names_and_negative_seed_blamed_on_checkpoint(self, tmp_path, blob_file, trained_run,
+                                                                   capsys, field, value):
+        doc = json.loads((trained_run / "checkpoint.json").read_text())
+        doc[field] = value
+        broken = tmp_path / "broken.json"
+        write_json(broken, doc)
+        assert main(["eval", str(broken), str(blob_file), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(broken) in err and f"field {field!r}" in err and str(blob_file) not in err
+
     def test_ce_retrain_into_same_directory_has_no_prototypes(self, tmp_path, blob_file, trained_run):
         config = train_config(tmp_path, epochs=5)
         assert main(["train", str(blob_file), "--config", str(config), "--out", str(trained_run),
@@ -447,6 +463,32 @@ class TestFactorColumns:
         err = capsys.readouterr().err
         assert str(swapped) in err and "'alpha_1'" in err and "'alpha_0'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("extractor", "factors", 0), 3, "factors[0]"),
+            (("embedder", "layers", 1, "weight"), DROP, "embedder.layers[1].weight"),
+            (("extractor", "factors", 0, "name"), DROP, "factors[0].name"),
+            (("embedder", "layers", 1, "weight", 0, 0), float("nan"), "embedder.layers[1].weight"),
+        ],
+        ids=["factor-not-an-object", "missing-layer-weight", "missing-factor-name", "nan-in-layer-weight"],
+    )
+    def test_bad_checkpoint_entry_named_by_path(self, tmp_path, factor_run, capsys, path, value, field):
+        checkpoint, data = factor_run
+        doc = json.loads(checkpoint.read_text())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value is DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        broken = tmp_path / "broken.json"
+        write_json(broken, doc)
+        assert main(["eval", str(broken), str(data), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(broken) in err and f"{field!r}" in err
 
     def test_missing_factor_column_rejected(self, tmp_path, factor_run, capsys):
         checkpoint, data = factor_run

@@ -28,7 +28,7 @@ from util import central_difference
 
 
 def fake_trace(logits, z):
-    """A trace of one sample, as a 1-row batch."""
+    """A trace of a batch of logits and embeddings; one sample is a 1-row batch."""
     logits = np.atleast_2d(np.asarray(logits, dtype=float))
     probs, log_probs = softmax(logits)
     return SimpleNamespace(logits=logits, probs=probs, log_probs=log_probs,
@@ -44,11 +44,11 @@ def blob_dataset(seed=0, samples_per_class=100, noise=0.4, classes=2, dim=2):
 class TestLoss:
     def test_hand_computed_example(self):
         trace = fake_trace(logits=[0.0, 0.0], z=[1.0, 0.0])
-        res = loss(np.array([1.0, 0.0]), trace, np.zeros(2), lambda_p=0.5)
-        assert res.total == pytest.approx(np.log(2.0) + 0.5, abs=1e-12)
-        assert res.total == pytest.approx(1.19315, abs=1e-5)
-        assert res.ce == pytest.approx(np.log(2.0), abs=1e-12)
-        assert res.proto_sq == pytest.approx(1.0, abs=1e-15)
+        ce, proto_sq, _, _ = loss(np.array([1.0, 0.0]), trace, np.zeros(2), lambda_p=0.5)
+        assert ce + 0.5 * proto_sq == pytest.approx(np.log(2.0) + 0.5, abs=1e-12)
+        assert ce + 0.5 * proto_sq == pytest.approx(1.19315, abs=1e-5)
+        assert ce == pytest.approx(np.log(2.0), abs=1e-12)
+        assert proto_sq == pytest.approx(1.0, abs=1e-15)
 
     def test_uniform_prediction_on_prototype(self):
         for C in (2, 4, 7):
@@ -56,38 +56,44 @@ class TestLoss:
             trace = fake_trace(logits=np.zeros(C), z=z)
             y = np.zeros(C)
             y[1] = 1.0
-            res = loss(y, trace, z.copy(), lambda_p=0.25)
-            assert res.total == pytest.approx(np.log(C), abs=1e-12)
-            assert res.proto_sq == 0.0
+            ce, proto_sq, _, _ = loss(y, trace, z.copy(), lambda_p=0.25)
+            assert ce + 0.25 * proto_sq == pytest.approx(np.log(C), abs=1e-12)
+            assert proto_sq == 0.0
 
     def test_confident_correct_prediction_vanishes(self):
         trace = fake_trace(logits=[200.0, 0.0], z=[1.0, 2.0])
-        res = loss(np.array([1.0, 0.0]), trace, np.array([1.0, 2.0]), lambda_p=0.5)
-        assert res.total == pytest.approx(0.0, abs=1e-12)
+        ce, proto_sq, _, _ = loss(np.array([1.0, 0.0]), trace, np.array([1.0, 2.0]), lambda_p=0.5)
+        assert ce + 0.5 * proto_sq == pytest.approx(0.0, abs=1e-12)
 
     def test_stable_for_huge_logits(self):
         trace = fake_trace(logits=[1e3, -1e3], z=[0.0, 0.0])
-        res = loss(np.array([0.0, 1.0]), trace, np.zeros(2), lambda_p=0.5)
-        assert np.isfinite(res.total)
+        ce, proto_sq, _, _ = loss(np.array([0.0, 1.0]), trace, np.zeros(2), lambda_p=0.5)
+        assert np.isfinite(ce + 0.5 * proto_sq)
 
-    def test_gradient_matches_finite_differences(self):
+    @pytest.mark.parametrize("rows, lambda_p", [(1, 0.25), (5, 0.25), (5, 0.0)],
+                             ids=["1-row", "5-rows", "5-rows-without-prototype"])
+    def test_gradient_matches_finite_differences(self, rows, lambda_p):
+        # the partials are those of the batch mean, soft labels included
         rng = np.random.default_rng(0)
-        logits = rng.standard_normal(3)
-        z = rng.standard_normal(4)
-        p = rng.standard_normal(4)
-        y = rng.dirichlet(np.ones(3))
-        lambda_p = 0.25
+        logits = rng.standard_normal((rows, 3))
+        z = rng.standard_normal((rows, 4))
+        p = rng.standard_normal((rows, 4)) if lambda_p else None
+        y = rng.dirichlet(np.ones(3), size=rows)
 
         holder = {"logits": logits.copy(), "z": z.copy()}
 
         def scalar():
-            trace = fake_trace(holder["logits"], holder["z"])
-            return float(loss(y, trace, p, lambda_p).total[0])
+            ce, proto_sq, _, _ = loss(y, fake_trace(holder["logits"], holder["z"]), p, lambda_p)
+            return (ce + lambda_p * proto_sq) / rows
 
         num = central_difference(scalar, [holder["logits"], holder["z"]], step=1e-6)
-        res = loss(y, fake_trace(logits, z), p, lambda_p)
-        assert np.allclose(res.grad_logits[0], num[0], atol=1e-8)
-        assert np.allclose(res.grad_z_extra[0], num[1], atol=1e-8)
+        _, proto_sq, grad_logits, grad_z = loss(y, fake_trace(logits, z), p, lambda_p)
+        assert np.allclose(grad_logits, num[0], atol=1e-8)
+        if p is None:
+            assert proto_sq == 0.0 and grad_z is None
+            assert not num[1].any()
+        else:
+            assert np.allclose(grad_z, num[1], atol=1e-8)
 
     def test_prototype_requires_lambda(self):
         trace = fake_trace([0.0, 0.0], [0.0, 0.0])
