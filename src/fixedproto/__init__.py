@@ -11,6 +11,6 @@ __version__ = "0.1.0"
 from .data import SynthConfig, generate_synthetic, split
 from .explain import explain_sample
 from .metrics import disentanglement_report, separation_report
-from .model import backward, flat_params, forward, relevance
+from .model import backward, forward, param_views, relevance
 from .prototypes import FactorCodedExtractor, FactorCoder, class_orthogonal_extractor, fit_factor_coder
 from .training import SGD, Adam, TrainConfig, mix_rows, train

@@ -38,7 +38,7 @@ from .data import (Dataset, SynthConfig, config_from_doc, config_to_doc, generat
 from .explain import explain_sample, explanation_to_csv_text, explanation_to_doc
 from .metrics import (accuracy, disentanglement_report, joint_probability_table, separation_report,
                       zero_block_activity)
-from .model import ClassifierParams, EmbedderParams, Layer, forward
+from .model import forward, param_count, param_views
 from .prototypes import (
     FactorCodedExtractor,
     class_orthogonal_extractor,
@@ -200,9 +200,7 @@ def _check_model(config_path, config: TrainConfig, data_path, dataset: Dataset) 
     """Refuse, naming the config file and the field, a model of more than
     ``MAX_PARAMETERS`` parameters, before any of it is allocated, and a
     factor-coded ``embedding_dim`` below 3 dimensions per factor of the data."""
-    widths = [dataset.input_dim, *config.hidden_dims, config.embedding_dim]
-    count = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
-    count += config.embedding_dim * dataset.class_count  # the bias-free head
+    count = param_count((dataset.input_dim, *config.hidden_dims, config.embedding_dim, dataset.class_count))
     if count > MAX_PARAMETERS:
         field = "hidden_dims" if max(config.hidden_dims, default=0) >= config.embedding_dim else "embedding_dim"
         raise ConfigError(f"{config_path}: field {field!r} gives a model of {count} parameters on "
@@ -213,31 +211,46 @@ def _check_model(config_path, config: TrainConfig, data_path, dataset: Dataset) 
                           f"{dataset.factor_count} factors of {data_path} (needs >= {need})")
 
 
-def _checkpoint_doc(embedder, classifier, extractor, dataset, config) -> dict:
+def _activation(i: int, layer_count: int) -> str:
+    """The activation of embedder layer ``i``, which its position decides."""
+    return "relu" if i < layer_count - 1 else "identity"
+
+
+def _checkpoint_doc(widths, params, extractor, dataset, config) -> dict:
     # The trained predictor and the frozen extractor it was trained against
     # (null when training used no prototypes); the loss settings live in
     # manifest.json alongside it.
+    layers, head = param_views(widths, params)
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "input_dim": embedder.input_dim,
-        "embedding_dim": embedder.embedding_dim,
-        "class_count": classifier.class_count,
+        "input_dim": widths[0],
+        "embedding_dim": widths[-2],
+        "class_count": widths[-1],
         "class_names": list(dataset.class_names),
         "factor_names": list(dataset.factor_names),
         "seed": config.seed,
-        "embedder": {"layers": [{"weight": layer.weight.tolist(), "bias": layer.bias.tolist(),
-                                 "activation": layer.activation} for layer in embedder.layers]},
-        "classifier": {"weight": classifier.weight.tolist()},
+        "embedder": {"layers": [{"weight": weight.tolist(), "bias": bias.tolist(),
+                                 "activation": _activation(i, len(layers))}
+                                for i, (weight, bias) in enumerate(layers)]},
+        "classifier": {"weight": head.tolist()},
         "extractor": None if extractor is None else extractor_to_doc(extractor),
     }
+
+
+def _matrix(value, name: str) -> np.ndarray:
+    """The JSON list ``value`` as a float64 matrix with at least one entry."""
+    array = json_numbers(value, name, 2)
+    if array.ndim != 2 or array.size == 0:
+        raise ValueError(f"field {name!r} must be a non-empty list of lists of numbers")
+    return array
 
 
 def _load_checkpoint(path):
     """The checkpoint document, its model and its extractor, every field checked.
 
-    Returns (doc, embedder, classifier, extractor); the extractor is None
-    for a model trained without prototypes.
+    Returns (doc, widths, params, extractor); the extractor is None for a
+    model trained without prototypes.
     """
     doc = _load_json(path)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
@@ -256,22 +269,35 @@ def _load_checkpoint(path):
             repeated = [name for i, name in enumerate(names) if name in names[:i]]
             if repeated:
                 raise ValueError(f"field {key!r} lists {repeated[0]!r} more than once")
-        layers = []
-        for i, layer in enumerate(json_field(json_field(doc, "embedder", dict), "layers", list)):
+        entries = json_field(json_field(doc, "embedder", dict), "layers", list)
+        if not entries:
+            raise ValueError("field 'embedder.layers' lists no layer")
+        layers = []  # (weight, bias) pairs
+        for i, entry in enumerate(entries):
             at = f"embedder.layers[{i}]"
-            layers.append(Layer(json_numbers(json_field(layer, "weight", list, at=at), f"{at}.weight", 2),
-                                json_numbers(json_field(layer, "bias", list, at=at), f"{at}.bias", 1),
-                                json_field(layer, "activation", str, at=at)))
-        embedder = EmbedderParams(layers)
+            weight = _matrix(json_field(entry, "weight", list, at=at), f"{at}.weight")
+            bias = json_numbers(json_field(entry, "bias", list, at=at), f"{at}.bias", 1)
+            if layers and weight.shape[1] != len(layers[-1][1]):
+                raise ValueError(f"field '{at}.weight' has {weight.shape[1]} columns, "
+                                 f"expected the {len(layers[-1][1])} outputs of layer {i - 1}")
+            if bias.shape != weight.shape[:1]:
+                raise ValueError(f"field '{at}.bias' has {bias.size} entries, "
+                                 f"expected the {weight.shape[0]} rows of its weight")
+            activation, expected = json_field(entry, "activation", str, at=at), _activation(i, len(entries))
+            if activation != expected:
+                raise ValueError(f"field '{at}.activation' is {activation!r}, "
+                                 f"expected {expected!r} at layer {i} of {len(entries)}")
+            layers.append((weight, bias))
         weight = json_field(json_field(doc, "classifier", dict), "weight", list, at="classifier")
-        classifier = ClassifierParams(json_numbers(weight, "classifier.weight", 2))
+        head = _matrix(weight, "classifier.weight")
         extractor_doc = json_field(doc, "extractor", dict, type(None))
         extractor = None if extractor_doc is None else extractor_from_doc(extractor_doc)
-        # Each envelope field against every object built from the document that gives it.
-        checks = [("input_dim", embedder.input_dim, "the parameters give"),
-                  ("embedding_dim", embedder.embedding_dim, "the parameters give"),
-                  ("embedding_dim", classifier.embedding_dim, "the rows of 'classifier.weight' give"),
-                  ("class_count", classifier.class_count, "the parameters give"),
+        widths = (layers[0][0].shape[1], *[len(bias) for _, bias in layers], head.shape[1])
+        # Each envelope field against every array or object of the document that gives it.
+        checks = [("input_dim", widths[0], "the parameters give"),
+                  ("embedding_dim", widths[-2], "the parameters give"),
+                  ("embedding_dim", head.shape[0], "the rows of 'classifier.weight' give"),
+                  ("class_count", widths[-1], "the parameters give"),
                   ("class_count", len(doc["class_names"]), "field 'class_names' lists")]
         if extractor is not None:
             checks.append(("embedding_dim", extractor.embedding_dim, "the extractor gives"))
@@ -286,7 +312,8 @@ def _load_checkpoint(path):
         raise ConfigError(f"{path}: missing field {e}") from None
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from None
-    return doc, embedder, classifier, extractor
+    params = np.concatenate([a.ravel() for layer in layers for a in layer] + [head.ravel()])
+    return doc, widths, params, extractor
 
 
 def _load_model_and_data(checkpoint_path, data_path):
@@ -294,20 +321,20 @@ def _load_model_and_data(checkpoint_path, data_path):
 
     A data file with factor columns must name the checkpoint's factors in the
     checkpoint's order; one without factor columns is read without factors.
-    Returns (doc, embedder, classifier, extractor, dataset).
+    Returns (doc, widths, params, extractor, dataset).
     """
-    doc, embedder, classifier, extractor = _load_checkpoint(checkpoint_path)
+    doc, widths, params, extractor = _load_checkpoint(checkpoint_path)
     dataset = load_table(data_path, class_names=doc["class_names"])
-    if dataset.input_dim != embedder.input_dim:
+    if dataset.input_dim != widths[0]:
         raise ConfigError(f"{data_path}: the data has {dataset.input_dim} features, the checkpoint "
-                          f"{checkpoint_path} expects input_dim {embedder.input_dim}")
+                          f"{checkpoint_path} expects input_dim {widths[0]}")
     if dataset.factor_names:
         pairs = itertools.zip_longest(dataset.factor_names, doc["factor_names"])
         for i, (found, expected) in enumerate(pairs):
             if found != expected:
                 raise ConfigError(f"{data_path}: factor column {i} is {found!r}, "
                                   f"the checkpoint's is {expected!r}")
-    return doc, embedder, classifier, extractor, dataset
+    return doc, widths, params, extractor, dataset
 
 
 def _prototypes(extractor, dataset: Dataset):
@@ -320,7 +347,7 @@ def _prototypes(extractor, dataset: Dataset):
 def _run_training(dataset: Dataset, config: TrainConfig):
     """Split, fit the coder on the training side, build the extractor, train.
 
-    Returns (embedder, classifier, history, extractor, val_set).  Raises
+    Returns (widths, params, history, extractor, val_set).  Raises
     ``DataError`` for a dataset that cannot be split or coded as the config asks.
     """
     try:
@@ -331,8 +358,8 @@ def _run_training(dataset: Dataset, config: TrainConfig):
         extractor = _build_extractor(config, train_set)
     except ValueError as e:
         raise DataError(str(e)) from None
-    embedder, classifier, history = train(train_set, extractor, config, val=val_set)
-    return embedder, classifier, history, extractor, val_set
+    widths, params, history = train(train_set, extractor, config, val=val_set)
+    return widths, params, history, extractor, val_set
 
 
 def cmd_train(args) -> int:
@@ -342,11 +369,11 @@ def cmd_train(args) -> int:
 
     # Validate everything before creating any output.
     try:
-        embedder, classifier, history, extractor, _ = _run_training(dataset, config)
+        widths, params, history, extractor, _ = _run_training(dataset, config)
     except DataError as e:
         raise ConfigError(f"{args.data}: {e}") from None
 
-    files = [("checkpoint.json", _checkpoint_doc(embedder, classifier, extractor, dataset, config)),
+    files = [("checkpoint.json", _checkpoint_doc(widths, params, extractor, dataset, config)),
              ("history.json", history)]
     _write_run(args.out, files, "train", config_to_doc(config), {"seed": config.seed},
                {"config": str(args.config), "data": str(args.data)})
@@ -358,8 +385,8 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_doc(embedder, classifier, extractor, dataset: Dataset) -> dict:
-    trace = forward(embedder, classifier, dataset.X)
+def _eval_doc(widths, params, extractor, dataset: Dataset) -> dict:
+    trace = forward(widths, params, dataset.X)
     disentanglement = None
     joint = None
     zero_block = None
@@ -408,13 +435,13 @@ def _print_eval(args, report: dict) -> None:
 
 
 def cmd_eval(args) -> int:
-    _, embedder, classifier, extractor, dataset = _load_model_and_data(args.checkpoint, args.data)
+    _, widths, params, extractor, dataset = _load_model_and_data(args.checkpoint, args.data)
     for name, count in zip(dataset.class_names, dataset.Y.sum(axis=0)):
         if count == 0:
             raise ConfigError(f"{args.data}: class {name!r} has no rows; eval needs every class "
                               f"of the checkpoint")
     try:
-        report = _eval_doc(embedder, classifier, extractor, dataset)
+        report = _eval_doc(widths, params, extractor, dataset)
     except ValueError as e:  # a data file the metrics cannot score, such as one too small to probe
         raise ConfigError(f"{args.data}: {e}") from None
     _print_eval(args, report)
@@ -443,7 +470,7 @@ def _parse_ids(flag: str, text: str) -> list:
 
 
 def cmd_explain(args) -> int:
-    doc, embedder, classifier, extractor, dataset = _load_model_and_data(args.checkpoint, args.data)
+    doc, widths, params, extractor, dataset = _load_model_and_data(args.checkpoint, args.data)
     ids = list(range(dataset.n)) if args.samples == "all" else _parse_ids("--samples", args.samples)
     for i in ids:
         if not 0 <= i < dataset.n:
@@ -451,8 +478,8 @@ def cmd_explain(args) -> int:
     # Explained before the output directory exists: explain_sample raises if
     # the relevance identity fails, and then nothing must have been written.
     expl = explain_sample(
-        embedder,
-        classifier,
+        widths,
+        params,
         dataset.X[ids],
         sample_ids=ids,
         layout=extractor if isinstance(extractor, FactorCodedExtractor) else None,
@@ -470,8 +497,8 @@ def cmd_explain(args) -> int:
 
 def _comparison_run(dataset: Dataset, config: TrainConfig) -> dict:
     """One training run scored on its held-out split."""
-    embedder, classifier, history, extractor, val_set = _run_training(dataset, config)
-    trace = forward(embedder, classifier, val_set.X)
+    widths, params, history, extractor, val_set = _run_training(dataset, config)
+    trace = forward(widths, params, val_set.X)
     sep = separation_report(trace.z, val_set.Y, _prototypes(extractor, val_set))
     return {
         "seed": config.seed,

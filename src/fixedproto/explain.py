@@ -12,22 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ClassifierParams, EmbedderParams, forward, relevance
+from .model import forward, param_views, relevance
 
 # Largest gap allowed between relevance sums and the forward pass's logits
 # (acceptance criterion 7).
 RELEVANCE_TOL = 1e-9
 
 
-def explain_sample(
-    embedder: EmbedderParams,
-    classifier: ClassifierParams,
-    X,
-    sample_ids=None,
-    layout=None,
-    class_names=None,
-) -> dict:
-    """Explain each row of ``X``: one forward pass, then every logit split by dimension.
+def explain_sample(widths, params, X, sample_ids=None, layout=None, class_names=None) -> dict:
+    """Explain each row of ``X`` under the model ``(widths, params)``: one
+    forward pass, then every logit split by dimension.
 
     Returns the batch as one dict: ``sample_ids`` (default ``0..n-1``),
     ``class_names`` and ``row_labels`` once each, ``probabilities`` and
@@ -39,8 +33,8 @@ def explain_sample(
     the forward pass's own logits ``z @ W`` by more than ``RELEVANCE_TOL``, so
     nothing built on a broken decomposition gets out.
     """
-    trace = forward(embedder, classifier, X)
-    gamma = relevance(classifier, trace.z)
+    trace = forward(widths, params, X)
+    gamma = relevance(param_views(widths, params)[1], trace.z)
     n, k, C = gamma.shape
     logits = gamma.sum(axis=1)
     worst = float(np.max(np.abs(logits - trace.logits), initial=0.0))

@@ -346,10 +346,12 @@ def extractor_from_doc(doc: dict):
         if doc.get("quantile_method") != QUANTILE_METHOD:
             raise ValueError(f"unsupported quantile_method {doc.get('quantile_method')!r}")
         factors = [(f"factors[{i}]", f) for i, f in enumerate(json_field(doc, "factors", list))]
-        coder = FactorCoder(
-            names=tuple(json_field(f, "name", str, at=at) for at, f in factors),
-            lower=json_numbers([json_field(f, "lower", float, int, at=at) for at, f in factors], "lower", 1),
-            upper=json_numbers([json_field(f, "upper", float, int, at=at) for at, f in factors], "upper", 1),
-        )
+
+        def thresholds(key):  # each factor's, checked and named at its own path
+            return np.array([json_numbers([json_field(f, key, float, int, at=at)], f"{at}.{key}", 1)[0]
+                             for at, f in factors])
+
+        coder = FactorCoder(names=tuple(json_field(f, "name", str, at=at) for at, f in factors),
+                            lower=thresholds("lower"), upper=thresholds("upper"))
         return FactorCodedExtractor(coder, json_field(doc, "embedding_dim", int))
     raise ValueError(f"unknown extractor kind {kind!r}")

@@ -9,8 +9,9 @@ machinery is skipped entirely, so such a run executes exactly the same
 arithmetic as the plain cross-entropy baseline and yields bit-identical
 parameters for the same seed.
 
-``train`` returns the ``train-history`` document, the one record of a run's
-epochs.  ``TrainConfig`` checks every field's type (an integer field takes
+``train`` returns the model, its widths and its one parameter vector (see
+``fixedproto.model``), and the ``train-history`` document, the one record
+of a run's epochs.  ``TrainConfig`` checks every field's type (an integer field takes
 no bool or float), so a mistyped config fails naming the field before
 anything runs.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, check_types, is_integer
 from .metrics import accuracy
-from .model import backward, flat_params, forward, init_classifier, init_embedder
+from .model import backward, forward, init_params
 
 OPTIMIZERS = ("adam", "sgd")
 LOSS_KINDS = ("proto", "ce")
@@ -204,7 +205,7 @@ def make_optimizer(config: TrainConfig):
 
 
 def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None = None):
-    """Minibatch training; returns (embedder, classifier, history).
+    """Minibatch training; returns the model and its record, (widths, params, history).
 
     ``history`` is the ``train-history`` document, one row per epoch; a
     non-finite row raises ``ValueError``.
@@ -214,9 +215,9 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
     batch is a slice of them.  Per batch: mix the rows (with mixup), forward
     all samples, look up their fixed prototypes, average the per-sample
     losses, and take one optimizer step on the exact batch gradient.  The
-    optimizer steps the one parameter vector from ``flat_params``, which the
-    returned embedder and classifier view.  The minibatch, full-set and
-    validation passes each reuse their previous trace (``forward(into=)``).
+    optimizer steps the model's one parameter vector in place, the vector
+    returned.  The minibatch, full-set and validation passes each reuse
+    their previous trace (``forward(into=)``).
     The extractor is read-only throughout.  Runs are deterministic for a
     fixed config seed: initialization, shuffling and mixup draw from
     independent child streams of it, in a fixed order.
@@ -238,11 +239,10 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
             raise ValueError(f"{extractor.kind} extractor needs a dataset with factor values")
 
     emb_seed, clf_seed, shuffle_seed, mix_seed = np.random.SeedSequence(config.seed).spawn(4)
-    embedder = init_embedder(dataset.input_dim, config.hidden_dims, config.embedding_dim, emb_seed)
-    classifier = init_classifier(config.embedding_dim, dataset.class_count, clf_seed)
+    widths = (dataset.input_dim, *config.hidden_dims, config.embedding_dim, dataset.class_count)
+    params = init_params(widths, emb_seed, clf_seed)
     rng_shuffle = np.random.default_rng(shuffle_seed)
     rng_mix = np.random.default_rng(mix_seed)
-    params = flat_params(embedder, classifier)
     opt = make_optimizer(config)
 
     X, Y = dataset.X, dataset.Y
@@ -266,7 +266,7 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
                 xb, yb = mix_rows(xb, lam, perm), mix_rows(yb, lam, perm)
                 if tb is not None:
                     tb = mix_rows(tb, lam, perm)
-            trace = forward(embedder, classifier, xb, into=trace)
+            trace = forward(widths, params, xb, into=trace)
             proto = None if tb is None else extractor.extract_batch(tb)
             ce, proto_sq, grad_logits, grad_z = loss(yb, trace, proto, lambda_p)
             batch_loss = (ce + lambda_p * proto_sq) / size
@@ -279,11 +279,11 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
             raise DivergenceError(epoch, batch_i, None)
         ce_mean = ce_sum / n
         proto_mean = proto_sum / n
-        full_trace = forward(embedder, classifier, X, into=full_trace)
+        full_trace = forward(widths, params, X, into=full_trace)
         train_acc = accuracy(full_trace.probs, Y)
         val_acc = None
         if val is not None:
-            val_trace = forward(embedder, classifier, val.X, into=val_trace)
+            val_trace = forward(widths, params, val.X, into=val_trace)
             val_acc = accuracy(val_trace.probs, val.Y)
         row = {
             "epoch": epoch,
@@ -296,7 +296,7 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
         if not np.all(np.isfinite([v for v in row.values() if v is not None])):
             raise ValueError(f"non-finite history entry at epoch {epoch}")
         rows.append(row)
-    return embedder, classifier, {
+    return widths, params, {
         "format": "train-history",
         "version": 1,
         "rows": rows,

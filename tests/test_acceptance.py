@@ -16,7 +16,7 @@ from fixedproto.cli import main, run_comparison
 from fixedproto.data import SynthConfig, generate_synthetic, save_dataset, split, true_levels
 from fixedproto.explain import explain_sample
 from fixedproto.metrics import disentanglement_report
-from fixedproto.model import backward, flat_params, forward, init_classifier, init_embedder
+from fixedproto.model import backward, forward, init_params
 from fixedproto.prototypes import (
     FactorCodedExtractor,
     class_orthogonal_extractor,
@@ -54,8 +54,8 @@ def train_factor_run(dataset, seed, loss_kind):
         coder = fit_factor_coder(tr.factors, names=dataset.factor_names)
         extractor = FactorCodedExtractor(coder, FACTOR_TRAIN["embedding_dim"])
     config = TrainConfig(**FACTOR_TRAIN, seed=seed, loss=loss_kind)
-    embedder, classifier, history = train(tr, extractor, config, val=va)
-    return embedder, classifier, history, extractor, va
+    widths, params, history = train(tr, extractor, config, val=va)
+    return widths, params, history, extractor, va
 
 
 @pytest.fixture(scope="module")
@@ -73,21 +73,20 @@ def test_criterion_1_gradient_correctness():
     p, hidden, k, C = 6, (8,), 5, 3
     lambda_p = 1.0 / k
     rng = np.random.default_rng(12)
-    embedder = init_embedder(p, hidden, k, seed=1)
-    classifier = init_classifier(k, C, seed=2)
+    widths = (p, *hidden, k, C)
+    params = init_params(widths, 1, 2)
     extractor = class_orthogonal_extractor(C, k, seed=3)
     X = rng.standard_normal((8, p))
     Y = np.identity(C)[rng.integers(0, C, size=8)]
     P = extractor.extract_batch(Y)
-    params = flat_params(embedder, classifier)
 
     def scalar_loss():
-        trace = forward(embedder, classifier, X)
+        trace = forward(widths, params, X)
         ce, proto_sq, _, _ = loss(Y, trace, P, lambda_p)
         return (ce + lambda_p * proto_sq) / len(Y)
 
     numeric = central_difference(scalar_loss, [params], step=1e-5)
-    trace = forward(embedder, classifier, X)
+    trace = forward(widths, params, X)
     _, _, grad_logits, grad_z = loss(Y, trace, P, lambda_p)
     analytic = backward(trace, grad_logits, grad_z)
     worst = max_rel_error([analytic], numeric)
@@ -158,8 +157,8 @@ def test_criterion_4_separation_claim():
 def test_criterion_5_disentanglement_claim(factor_runs):
     """Factor levels are readable from their designated dims after training."""
     start = time.time()
-    embedder, classifier, _, extractor, va = factor_runs[("proto", 0)]
-    trace = forward(embedder, classifier, va.X)
+    widths, params, _, extractor, va = factor_runs[("proto", 0)]
+    trace = forward(widths, params, va.X)
     report = disentanglement_report(trace.z, true_levels(va.factors), extractor)
     for probe in report["factors"]:
         assert probe["designated_accuracy"] >= 0.90, (
@@ -182,13 +181,13 @@ def test_criterion_6_accuracy_parity(factor_runs):
 
 def test_criterion_7_relevance_identity(factor_runs):
     """Logits decompose exactly; the export layout has 9 + 7 labeled rows."""
-    embedder, classifier, _, extractor, va = factor_runs[("proto", 0)]
+    widths, params, _, extractor, va = factor_runs[("proto", 0)]
     rng = np.random.default_rng(0)
     ids = rng.choice(va.n, size=100, replace=False)
-    expl = explain_sample(embedder, classifier, va.X[ids], sample_ids=ids,
+    expl = explain_sample(widths, params, va.X[ids], sample_ids=ids,
                           layout=extractor, class_names=va.class_names)
     for i, gamma in zip(ids, expl["gamma"]):
-        reference = forward(embedder, classifier, va.X[i : i + 1]).logits[0]  # a 1-row batch
+        reference = forward(widths, params, va.X[i : i + 1]).logits[0]  # a 1-row batch
         assert np.max(np.abs(gamma.sum(axis=0) - reference)) < 1e-9
     factor_rows = [l for l in expl["row_labels"] if not l.startswith("other factor")]
     free_rows = [l for l in expl["row_labels"] if l.startswith("other factor")]

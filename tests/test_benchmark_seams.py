@@ -2,11 +2,13 @@
 that renames or removes one would silently drop per-layer metrics."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
 import pytest
 
+from fixedproto.cli import main
 from fixedproto.data import SynthConfig, generate_synthetic
 from fixedproto.prototypes import FactorCodedExtractor, class_orthogonal_extractor, fit_factor_coder
 from fixedproto.training import TrainConfig, train
@@ -64,3 +66,33 @@ def test_training_forward_passes_are_traced_by_role(kind):
     assert sum(1 for span in tracer.spans if span[0] == "training.loss") == steps
     codes = sum(1 for span in tracer.spans if span[0] == "prototypes.code")
     assert codes == (1 if kind == "factor-coded" else 0)
+
+
+def test_cli_forward_and_explain_spans_count_their_calls(tmp_path):
+    # eval's one full-set pass and explain's one batch are found through the
+    # names cli binds; a cli that called them by another name would silently
+    # drop the table-io workload's model and explain metrics.
+    spans = load_spans()
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"class_count": 2, "input_dim": 4, "samples_per_class": 20, "seed": 0}))
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"epochs": 2, "embedding_dim": 4, "hidden_dims": [4], "seed": 0}))
+    data, run = str(tmp_path / "data.csv"), tmp_path / "run"
+    assert main(["gen-data", "--config", str(gen), "--out", data, "--quiet"]) == 0
+    assert main(["train", data, "--config", str(config), "--out", str(run), "--quiet"]) == 0
+    checkpoint = str(run / "checkpoint.json")
+
+    def traced(argv):
+        tracer = spans.Tracer(32)
+        tracer.install()
+        try:
+            assert main(argv) == 0
+        finally:
+            tracer.uninstall()
+        return spans.summarize(tracer.spans)
+
+    metrics = traced(["eval", checkpoint, data, "--quiet"])
+    assert metrics["model.forward_full.calls"] == 1
+    assert metrics["explain.explain_sample.calls"] == 0
+    metrics = traced(["explain", checkpoint, data, "--samples", "0,3", "--out", str(tmp_path / "ex"), "--quiet"])
+    assert metrics["explain.explain_sample.calls"] == 1

@@ -9,10 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fixedproto
-from fixedproto.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, ConfigError, _load_checkpoint,
-                            _load_config, main, run_comparison)
-from fixedproto.data import SynthConfig, load_table
-from fixedproto.model import forward
+from fixedproto.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, ConfigError, _checkpoint_doc,
+                            _load_checkpoint, _load_config, _write, main, run_comparison)
+from fixedproto.data import SynthConfig, generate_synthetic, load_table
+from fixedproto.model import forward, param_count
 from fixedproto.prototypes import (
     FactorCodedExtractor,
     FactorCoder,
@@ -397,6 +397,16 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(broken) in err and f"field {field!r}" in err
 
+    def test_round_trip_gives_back_the_model_to_the_bit(self, tmp_path):
+        dataset = generate_synthetic(SynthConfig(class_count=3, input_dim=5, samples_per_class=4, seed=0))
+        widths = (5, 6, 4, 3)
+        params = np.random.default_rng(0).standard_normal(param_count(widths))  # biases nonzero too
+        path = tmp_path / "checkpoint.json"
+        _write(path, _checkpoint_doc(widths, params, None, dataset, TrainConfig(embedding_dim=4)))
+        _, loaded_widths, loaded_params, extractor = _load_checkpoint(path)
+        assert loaded_widths == widths and extractor is None
+        assert loaded_params.tobytes() == params.tobytes()
+
     def test_version_1_checkpoint_rejected(self, tmp_path, blob_file, trained_run, capsys):
         doc = json.loads((trained_run / "checkpoint.json").read_text())
         doc["version"] = 1
@@ -471,8 +481,19 @@ class TestFactorColumns:
             (("embedder", "layers", 1, "weight"), DROP, "embedder.layers[1].weight"),
             (("extractor", "factors", 0, "name"), DROP, "factors[0].name"),
             (("embedder", "layers", 1, "weight", 0, 0), float("nan"), "embedder.layers[1].weight"),
+            (("embedder", "layers", 0, "activation"), "tanh", "embedder.layers[0].activation"),
+            (("embedder", "layers", 0, "activation"), "identity", "embedder.layers[0].activation"),
+            (("embedder", "layers", 1, "activation"), "relu", "embedder.layers[1].activation"),
+            # The model is 6 -> 16 -> 8 -> 2: layer 1 has 8 rows and takes 16 columns.
+            (("embedder", "layers", 1, "bias"), [0.0] * 7, "embedder.layers[1].bias"),
+            (("embedder", "layers", 1, "weight"), [[0.0] * 15] * 8, "embedder.layers[1].weight"),
+            (("embedder", "layers"), [], "embedder.layers"),
+            (("embedder", "layers", 1, "weight"), [], "embedder.layers[1].weight"),
+            (("extractor", "factors", 0, "lower"), float("inf"), "factors[0].lower"),
         ],
-        ids=["factor-not-an-object", "missing-layer-weight", "missing-factor-name", "nan-in-layer-weight"],
+        ids=["factor-not-an-object", "missing-layer-weight", "missing-factor-name", "nan-in-layer-weight",
+             "unknown-activation", "linear-hidden-layer", "relu-last-layer", "short-bias",
+             "weight-columns-do-not-chain", "no-layers", "empty-weight", "infinite-threshold"],
     )
     def test_bad_checkpoint_entry_named_by_path(self, tmp_path, factor_run, capsys, path, value, field):
         checkpoint, data = factor_run
@@ -607,12 +628,12 @@ class TestExplain:
         out = tmp_path / "expl0"
         main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
               "--samples", "0,3", "--out", str(out), "--quiet"])
-        doc, embedder, classifier, _ = _load_checkpoint(trained_run / "checkpoint.json")
+        doc, widths, params, _ = _load_checkpoint(trained_run / "checkpoint.json")
         dataset = load_table(blob_file, class_names=doc["class_names"])
         for i in (0, 3):
             lines = (out / f"sample_{i:05d}.csv").read_text().strip().splitlines()[1:]
             gamma = np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
-            logits = forward(embedder, classifier, dataset.X[i : i + 1]).logits[0]
+            logits = forward(widths, params, dataset.X[i : i + 1]).logits[0]
             assert np.max(np.abs(gamma.sum(axis=0) - logits)) < 1e-9
 
     def test_broken_relevance_fails_before_writing(self, tmp_path, blob_file, trained_run,
@@ -621,8 +642,8 @@ class TestExplain:
 
         original = explain_module.relevance
 
-        def off_by_a_little(classifier, Z):
-            return original(classifier, Z) + 1e-6
+        def off_by_a_little(head, Z):
+            return original(head, Z) + 1e-6
 
         monkeypatch.setattr(explain_module, "relevance", off_by_a_little)
         out = tmp_path / "expl"

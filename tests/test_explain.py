@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 
 from fixedproto.explain import explain_sample, explanation_to_csv_text, explanation_to_doc
 from fixedproto.metrics import zero_block_activity
-from fixedproto.model import ClassifierParams, EmbedderParams, Layer, init_classifier, init_embedder
-from util import factor_extractor
+from fixedproto.model import init_params
+from util import factor_extractor, pack
 
 
-def identity_embedder(dim):
-    return EmbedderParams(
-        layers=[Layer(weight=np.eye(dim), bias=np.zeros(dim), activation="identity")]
-    )
+def identity_model(head):
+    """An identity embedder (one linear layer, z = x) under the head ``(k, C)``."""
+    dim = head.shape[0]
+    return pack([(np.eye(dim), np.zeros(dim))], head)
 
 
-def explain_one(embedder, classifier, x, **kwargs):
+def explain_one(model, x, **kwargs):
     """The explanation of one sample, run as a 1-row batch."""
-    return explain_sample(embedder, classifier, np.asarray(x, dtype=float)[None], **kwargs)
+    return explain_sample(*model, np.asarray(x, dtype=float)[None], **kwargs)
 
 
 def tops(expl, i, key):
@@ -30,9 +30,7 @@ def tops(expl, i, key):
 
 class TestExplainSample:
     def test_zero_embedding_gives_zero_contributions_and_uniform_prediction(self):
-        embedder = identity_embedder(3)
-        classifier = ClassifierParams(weight=np.ones((3, 4)))
-        expl = explain_one(embedder, classifier, np.zeros(3))
+        expl = explain_one(identity_model(np.ones((3, 4))), np.zeros(3))
         assert np.array_equal(expl["gamma"][0], np.zeros((3, 4)))
         assert np.allclose(expl["probabilities"][0], 0.25, atol=1e-15)
         assert tops(expl, 0, "top_positive") == [[], [], [], []]
@@ -40,9 +38,8 @@ class TestExplainSample:
 
     def test_figure_layout_has_nine_factor_rows_and_seven_free_rows(self):
         layout = factor_extractor(("alpha_0", "alpha_1", "alpha_2"), 16)
-        embedder = identity_embedder(16)
-        classifier = init_classifier(16, 4, seed=0)
-        expl = explain_one(embedder, classifier, np.ones(16), layout=layout)
+        head = np.random.default_rng(0).uniform(-np.sqrt(6 / 16), np.sqrt(6 / 16), size=(16, 4))
+        expl = explain_one(identity_model(head), np.ones(16), layout=layout)
         factor_rows = [l for l in expl["row_labels"] if not l.startswith("other factor")]
         free_rows = [l for l in expl["row_labels"] if l.startswith("other factor")]
         assert len(factor_rows) == 9
@@ -51,11 +48,10 @@ class TestExplainSample:
 
     def test_top_contribution_matches_brute_force(self):
         rng = np.random.default_rng(0)
-        embedder = identity_embedder(6)
-        classifier = ClassifierParams(weight=rng.standard_normal((6, 3)))
+        head = rng.standard_normal((6, 3))
         x = rng.standard_normal(6)
-        expl = explain_one(embedder, classifier, x)
-        gamma = classifier.weight * x[:, None]
+        expl = explain_one(identity_model(head), x)
+        gamma = head * x[:, None]
         for c in range(3):
             best = max(range(6), key=lambda j: abs(gamma[j, c]))
             lead = max(tops(expl, 0, "top_positive")[c] + tops(expl, 0, "top_negative")[c],
@@ -64,9 +60,7 @@ class TestExplainSample:
             assert lead[1] == pytest.approx(gamma[best, c], abs=1e-15)
 
     def test_top_lists_sorted_and_capped(self):
-        embedder = identity_embedder(5)
-        classifier = ClassifierParams(weight=np.ones((5, 1)))
-        expl = explain_one(embedder, classifier, np.array([3.0, -4.0, 1.0, 2.0, -0.5]))
+        expl = explain_one(identity_model(np.ones((5, 1))), np.array([3.0, -4.0, 1.0, 2.0, -0.5]))
         (pos,) = tops(expl, 0, "top_positive")
         (neg,) = tops(expl, 0, "top_negative")
         assert [v for _, v in pos] == [3.0, 2.0, 1.0]
@@ -75,32 +69,27 @@ class TestExplainSample:
 
     def test_column_sums_equal_logits(self):
         rng = np.random.default_rng(1)
-        embedder = init_embedder(4, (6,), 5, seed=0)
-        classifier = init_classifier(5, 3, seed=1)
-        expl = explain_sample(embedder, classifier, rng.standard_normal((10, 4)))
+        model = (4, 6, 5, 3), init_params((4, 6, 5, 3), 0, 1)
+        expl = explain_sample(*model, rng.standard_normal((10, 4)))
         for i in range(10):
             assert np.array_equal(expl["gamma"][i].sum(axis=0), expl["logits"][i])
 
     def test_probabilities_sum_to_one(self):
-        embedder = init_embedder(4, (6,), 5, seed=0)
-        classifier = init_classifier(5, 3, seed=1)
-        expl = explain_one(embedder, classifier, np.ones(4))
+        model = (4, 6, 5, 3), init_params((4, 6, 5, 3), 0, 1)
+        expl = explain_one(model, np.ones(4))
         assert abs(expl["probabilities"][0].sum() - 1.0) < 1e-9
 
     def test_single_vector_input_rejected(self):
-        embedder = identity_embedder(3)
-        classifier = ClassifierParams(weight=np.ones((3, 2)))
         with pytest.raises(ValueError):
-            explain_sample(embedder, classifier, np.ones(3))
+            explain_sample(*identity_model(np.ones((3, 2))), np.ones(3))
 
     def test_batch_matches_one_row_batches(self):
         rng = np.random.default_rng(2)
-        embedder = init_embedder(4, (6,), 5, seed=0)
-        classifier = init_classifier(5, 3, seed=1)
+        model = (4, 6, 5, 3), init_params((4, 6, 5, 3), 0, 1)
         X = rng.standard_normal((7, 4))
-        batch = explain_sample(embedder, classifier, X, sample_ids=[10 + i for i in range(7)])
+        batch = explain_sample(*model, X, sample_ids=[10 + i for i in range(7)])
         for i in range(7):
-            alone = explain_one(embedder, classifier, X[i], sample_ids=[10 + i])
+            alone = explain_one(model, X[i], sample_ids=[10 + i])
             assert batch["sample_ids"][i] == alone["sample_ids"][0] == 10 + i
             assert np.allclose(batch["gamma"][i], alone["gamma"][0], rtol=1e-12, atol=1e-12)
             dims = lambda lists: [[j for j, _ in per_class] for per_class in lists]
@@ -122,7 +111,7 @@ def test_every_row_renders_as_a_brute_force_reference(data):
     weight = np.array(data.draw(st.lists(SMALL_VALUES, min_size=k * C, max_size=k * C))).reshape(k, C)
     X = np.array(data.draw(st.lists(SMALL_VALUES, min_size=n * k, max_size=n * k))).reshape(n, k)
     ids = [3 * i + 1 for i in range(n)]
-    expl = explain_sample(identity_embedder(k), ClassifierParams(weight=weight), X, sample_ids=ids)
+    expl = explain_sample(*identity_model(weight), X, sample_ids=ids)
     names, labels = [str(c) for c in range(C)], [f"dim {j}" for j in range(k)]
     for i in range(n):
         gamma = weight * X[i][:, None]
@@ -150,10 +139,8 @@ def test_every_row_renders_as_a_brute_force_reference(data):
 class TestExports:
     def make_explanation(self):
         layout = factor_extractor(("a",), 5)
-        embedder = identity_embedder(5)
-        classifier = ClassifierParams(weight=np.arange(10.0).reshape(5, 2))
         return explain_one(
-            embedder, classifier, np.array([1.0, 0.0, 0.0, 2.0, -1.0]),
+            identity_model(np.arange(10.0).reshape(5, 2)), np.array([1.0, 0.0, 0.0, 2.0, -1.0]),
             layout=layout, class_names=("neg", "pos"),
         )
 
@@ -178,14 +165,13 @@ class TestExports:
 
 class TestDimLabels:
     def test_generic_labels_without_layout(self):
-        expl = explain_one(identity_embedder(3), ClassifierParams(weight=np.ones((3, 2))), np.ones(3))
+        expl = explain_one(identity_model(np.ones((3, 2))), np.ones(3))
         assert expl["row_labels"] == ["dim 0", "dim 1", "dim 2"]
 
     def test_layout_mismatch_rejected(self):
         layout = factor_extractor(("a",), 5)
         with pytest.raises(ValueError):
-            explain_one(identity_embedder(7), ClassifierParams(weight=np.ones((7, 2))), np.ones(7),
-                        layout=layout)
+            explain_one(identity_model(np.ones((7, 2))), np.ones(7), layout=layout)
 
 
 class TestZeroBlockActivity:

@@ -1,85 +1,113 @@
 import numpy as np
 import pytest
 
-from fixedproto.model import (
-    ClassifierParams,
-    EmbedderParams,
-    Layer,
-    backward,
-    flat_params,
-    forward,
-    init_classifier,
-    init_embedder,
-    relevance,
-    softmax,
-)
+from fixedproto.model import backward, forward, init_params, param_count, param_views, relevance, softmax
 from fixedproto.explain import explain_sample
 from fixedproto.training import loss
 
-from util import central_difference, max_rel_error
+from util import central_difference, max_rel_error, pack
 
 
 def tiny_model(seed=0, p=4, hidden=(6,), k=3, C=2):
-    embedder = init_embedder(p, hidden, k, seed=seed)
-    classifier = init_classifier(k, C, seed=seed + 1)
-    return embedder, classifier
+    widths = (p, *hidden, k, C)
+    return widths, init_params(widths, seed, seed + 1)
 
 
 class TestInit:
     def test_shapes(self):
-        embedder = init_embedder(20, (64, 64), 16, seed=0)
-        shapes = [layer.weight.shape for layer in embedder.layers]
-        assert shapes == [(64, 20), (64, 64), (16, 64)]
-        assert [l.activation for l in embedder.layers] == ["relu", "relu", "identity"]
-        assert embedder.input_dim == 20 and embedder.embedding_dim == 16
+        widths, params = tiny_model(p=20, hidden=(64, 64), k=16, C=4)
+        layers, head = param_views(widths, params)
+        assert [weight.shape for weight, _ in layers] == [(64, 20), (64, 64), (16, 64)]
+        assert [bias.shape for _, bias in layers] == [(64,), (64,), (16,)]
+        assert head.shape == (16, 4)
+        assert params.shape == (param_count(widths),) == (21 * 64 + 65 * 64 + 65 * 16 + 16 * 4,)
 
     def test_no_hidden_layers(self):
-        embedder = init_embedder(5, (), 3, seed=0)
-        assert len(embedder.layers) == 1
-        assert embedder.layers[0].activation == "identity"
+        widths, params = tiny_model(p=5, hidden=(), k=3)
+        layers, _ = param_views(widths, params)
+        assert len(layers) == 1
+        # The only embedder layer is the last one, so it is linear: negative entries stay.
+        X = np.random.default_rng(0).standard_normal((6, 5))
+        z = forward(widths, params, X).z
+        assert np.any(z < 0) and np.array_equal(z, X @ layers[0][0].T + layers[0][1])
 
     def test_deterministic(self):
-        a = init_embedder(7, (5,), 4, seed=9)
-        b = init_embedder(7, (5,), 4, seed=9)
-        for la, lb in zip(a.layers, b.layers):
-            assert np.array_equal(la.weight, lb.weight)
-            assert np.array_equal(la.bias, lb.bias)
+        widths = (7, 5, 4, 3)
+        assert init_params(widths, 9, 1).tobytes() == init_params(widths, 9, 1).tobytes()
 
     def test_seeds_differ(self):
-        a = init_embedder(7, (5,), 4, seed=9)
-        b = init_embedder(7, (5,), 4, seed=10)
-        assert not np.array_equal(a.layers[0].weight, b.layers[0].weight)
+        widths = (7, 5, 4, 3)
+        (a, _), head_a = param_views(widths, init_params(widths, 9, 1))
+        (b, _), head_b = param_views(widths, init_params(widths, 10, 1))
+        assert not np.array_equal(a[0], b[0])
+        assert np.array_equal(head_a, head_b)  # the head draws from its own seed
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ValueError):
-            init_embedder(0, (5,), 4, seed=0)
+            init_params((0, 5, 4, 2), 0, 1)
+        with pytest.raises(ValueError):
+            init_params((4, 2), 0, 1)  # no embedder layer
+
+    def test_draws_in_the_documented_order(self):
+        # The layers one by one from the first seed, then the head from the
+        # second; each weight U(-sqrt(6/fan_in), sqrt(6/fan_in)), biases zero.
+        rng = np.random.default_rng(11)
+        w0 = rng.uniform(-np.sqrt(6.0 / 3), np.sqrt(6.0 / 3), size=(4, 3))
+        w1 = rng.uniform(-np.sqrt(6.0 / 4), np.sqrt(6.0 / 4), size=(2, 4))
+        head = np.random.default_rng(12).uniform(-np.sqrt(6.0 / 2), np.sqrt(6.0 / 2), size=(2, 5))
+        expected = np.concatenate([w0.ravel(), np.zeros(4), w1.ravel(), np.zeros(2), head.ravel()])
+        assert init_params((3, 4, 2, 5), 11, 12).tobytes() == expected.tobytes()
+
+
+class TestParamViews:
+    def test_views_of_the_vector_in_the_layout(self):
+        rng = np.random.default_rng(3)
+        arrays = [rng.standard_normal(shape) for shape in [(6, 4), (6,), (3, 6), (3,), (3, 2)]]
+        widths, params = pack([(arrays[0], arrays[1]), (arrays[2], arrays[3])], arrays[4])
+        assert widths == (4, 6, 3, 2)
+        layers, head = param_views(widths, params)
+        for view, array in zip([a for layer in layers for a in layer] + [head], arrays):
+            assert view.tobytes() == array.tobytes()
+            assert np.shares_memory(view, params)
+        params[:] = 0.5
+        assert np.all(layers[1][1] == 0.5) and np.all(head == 0.5)
+
+    def test_wrong_length_rejected(self):
+        widths, params = tiny_model()
+        with pytest.raises(ValueError, match="parameter vector"):
+            param_views(widths, params[:-1])
+        with pytest.raises(ValueError, match="parameter vector"):
+            forward((4, 6, 3, 3), params, np.ones((1, 4)))
 
 
 class TestForward:
     def test_zero_weights_give_uniform_softmax(self):
-        embedder = EmbedderParams(
-            layers=[Layer(weight=np.zeros((3, 4)), bias=np.zeros(3), activation="identity")]
-        )
-        classifier = ClassifierParams(weight=np.zeros((3, 5)))
-        trace = forward(embedder, classifier, np.ones((1, 4)))
+        widths, params = pack([(np.zeros((3, 4)), np.zeros(3))], np.zeros((3, 5)))
+        trace = forward(widths, params, np.ones((1, 4)))
         assert np.array_equal(trace.logits, np.zeros((1, 5)))
         assert np.allclose(trace.probs, np.full((1, 5), 0.2), atol=1e-15)
 
     def test_hand_computed_single_layer(self):
         # z = W x with W = [[1, 2], [3, 4]], x = (1, 1) -> z = (3, 7)
-        embedder = EmbedderParams(
-            layers=[Layer(weight=np.array([[1.0, 2.0], [3.0, 4.0]]), bias=np.zeros(2),
-                          activation="identity")]
-        )
-        classifier = ClassifierParams(weight=np.eye(2))
-        trace = forward(embedder, classifier, np.array([[1.0, 1.0]]))
+        widths, params = pack([(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2))], np.eye(2))
+        trace = forward(widths, params, np.array([[1.0, 1.0]]))
         assert np.array_equal(trace.z, [[3.0, 7.0]])
         assert np.array_equal(trace.logits, [[3.0, 7.0]])
 
+    def test_hidden_layers_relu_last_layer_linear(self):
+        # x = 2: the hidden layer gives (2, -2), which its ReLU clips to (2, 0);
+        # the last layer gives -2 and keeps it.
+        widths, params = pack([(np.array([[1.0], [-1.0]]), np.zeros(2)),
+                               (np.array([[-1.0, 1.0]]), np.zeros(1))], np.ones((1, 1)))
+        trace = forward(widths, params, np.array([[2.0]]))
+        assert np.array_equal(trace.pre_activations[0], [[2.0, -2.0]])
+        assert np.array_equal(trace.inputs[1], [[2.0, 0.0]])
+        assert np.array_equal(trace.z, [[-2.0]])
+
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(0)
-        embedder, classifier = tiny_model()
-        trace = forward(embedder, classifier, rng.standard_normal((10, 4)))
+        widths, params = tiny_model()
+        trace = forward(widths, params, rng.standard_normal((10, 4)))
         assert np.max(np.abs(trace.probs.sum(axis=1) - 1.0)) < 1e-12
         assert np.all(trace.probs >= 0)
 
@@ -91,26 +119,26 @@ class TestForward:
 
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(1)
-        embedder, classifier = tiny_model()
+        widths, params = tiny_model()
         X = rng.standard_normal((5, 4))
-        batch = forward(embedder, classifier, X)
+        batch = forward(widths, params, X)
         for i in range(5):
-            single = forward(embedder, classifier, X[i : i + 1])  # a 1-row batch
+            single = forward(widths, params, X[i : i + 1])  # a 1-row batch
             assert np.allclose(single.z[0], batch.z[i], atol=1e-12)
             assert np.allclose(single.probs[0], batch.probs[i], atol=1e-12)
 
     def test_dimension_mismatch(self):
-        embedder, classifier = tiny_model()
+        widths, params = tiny_model()
         with pytest.raises(ValueError):
-            forward(embedder, classifier, np.zeros((1, 5)))
+            forward(widths, params, np.zeros((1, 5)))
         with pytest.raises(ValueError):
-            forward(embedder, classifier, np.zeros(4))  # a vector, not a batch
+            forward(widths, params, np.zeros(4))  # a vector, not a batch
 
     def test_no_parameter_side_effects(self):
-        embedder, classifier = tiny_model()
-        before = flat_params(embedder, classifier).copy()
-        forward(embedder, classifier, np.ones((1, 4)))
-        assert np.array_equal(flat_params(embedder, classifier), before)
+        widths, params = tiny_model()
+        before = params.copy()
+        forward(widths, params, np.ones((1, 4)))
+        assert np.array_equal(params, before)
 
 
 def owned_arrays(trace):
@@ -121,22 +149,20 @@ def owned_arrays(trace):
 class TestForwardInto:
     OUTPUTS = ("z", "logits", "probs", "log_probs")
 
-    @pytest.fixture(params=["identity", "relu"], ids=["identity-output", "relu-output"])
+    @pytest.fixture(params=[(6, 5)], ids=["identity-output"])
     def model(self, request):
-        # Two ReLU hidden layers; the output layer's activation varies, so that
-        # z is either the last pre-activation or an array of its own.
-        embedder, classifier = tiny_model(hidden=(6, 5))
-        embedder.layers[-1].activation = request.param
-        return embedder, classifier
+        # ReLU hidden layers and the linear output layer, so z is the last
+        # pre-activation.
+        return tiny_model(hidden=request.param)
 
     def test_reused_trace_equals_fresh_and_shares_memory(self, model):
-        embedder, classifier = model
+        widths, params = model
         rng = np.random.default_rng(7)
         X, X_next = rng.standard_normal((9, 4)), rng.standard_normal((9, 4))
-        earlier = forward(embedder, classifier, X)
+        earlier = forward(widths, params, X)
         earlier_arrays = owned_arrays(earlier)
-        reused = forward(embedder, classifier, X_next, into=earlier)
-        fresh = forward(embedder, classifier, X_next)
+        reused = forward(widths, params, X_next, into=earlier)
+        fresh = forward(widths, params, X_next)
         for name in self.OUTPUTS:
             assert getattr(reused, name).tobytes() == getattr(fresh, name).tobytes(), name
         for a, b in zip(owned_arrays(reused), earlier_arrays):
@@ -145,62 +171,50 @@ class TestForwardInto:
         assert backward(reused, grad_logits).tobytes() == backward(fresh, grad_logits).tobytes()
 
     def test_other_row_count_allocates(self, model):
-        embedder, classifier = model
+        widths, params = model
         X = np.random.default_rng(8).standard_normal((9, 4))
-        earlier = forward(embedder, classifier, X[:4])
+        earlier = forward(widths, params, X[:4])
         earlier_bytes = [a.tobytes() for a in owned_arrays(earlier)]
-        reused = forward(embedder, classifier, X, into=earlier)
-        fresh = forward(embedder, classifier, X)
+        reused = forward(widths, params, X, into=earlier)
+        fresh = forward(widths, params, X)
         for name in self.OUTPUTS:
             assert getattr(reused, name).tobytes() == getattr(fresh, name).tobytes(), name
         assert not any(np.shares_memory(a, b) for a in owned_arrays(reused) for b in owned_arrays(earlier))
         assert [a.tobytes() for a in owned_arrays(earlier)] == earlier_bytes
 
     def test_trace_of_another_model_is_not_overwritten(self, model):
-        embedder, classifier = model
-        other_embedder, other_classifier = tiny_model(hidden=(6, 5))
+        widths, params = model
+        other_widths, other_params = tiny_model(hidden=(6, 5))  # equal values, another vector
         X = np.random.default_rng(9).standard_normal((9, 4))
-        other = forward(other_embedder, other_classifier, X)
+        other = forward(other_widths, other_params, X)
         other_bytes = [a.tobytes() for a in owned_arrays(other)]
-        reused = forward(embedder, classifier, X, into=other)
-        assert reused.logits.tobytes() == forward(embedder, classifier, X).logits.tobytes()
+        reused = forward(widths, params, X, into=other)
+        assert reused.logits.tobytes() == forward(widths, params, X).logits.tobytes()
         assert [a.tobytes() for a in owned_arrays(other)] == other_bytes
 
-
-class TestFlatParams:
-    def test_layout_and_values(self):
-        embedder, classifier = tiny_model()
-        arrays = [embedder.layers[0].weight, embedder.layers[0].bias,
-                  embedder.layers[1].weight, embedder.layers[1].bias, classifier.weight]
-        expected = np.concatenate([a.ravel() for a in arrays])
-        flat = flat_params(embedder, classifier)
-        assert flat.dtype == np.float64 and flat.flags.c_contiguous
-        assert np.array_equal(flat, expected)
-
-    def test_model_arrays_are_views(self):
-        embedder, classifier = tiny_model()
-        X = np.random.default_rng(3).standard_normal((5, 4))
-        flat = flat_params(embedder, classifier)
-        before = forward(embedder, classifier, X).logits
-        flat[:] = 0.0
-        assert np.array_equal(forward(embedder, classifier, X).logits, np.zeros((5, 2)))
-        flat += 0.5
-        assert np.all(embedder.layers[1].bias == 0.5) and np.all(classifier.weight == 0.5)
-        assert not np.array_equal(forward(embedder, classifier, X).logits, before)
+    def test_trace_of_other_widths_on_the_same_vector_is_not_overwritten(self):
+        # Widths (4, 2, 3) and (4, 1, 11) both take 16 parameters.
+        params = np.random.default_rng(10).standard_normal(16)
+        X = np.random.default_rng(11).standard_normal((9, 4))
+        other = forward((4, 2, 3), params, X)
+        other_bytes = [a.tobytes() for a in owned_arrays(other)]
+        reused = forward((4, 1, 11), params, X, into=other)
+        assert reused.logits.tobytes() == forward((4, 1, 11), params, X).logits.tobytes()
+        assert [a.tobytes() for a in owned_arrays(other)] == other_bytes
 
 
 class TestBackward:
     def test_zero_grads_in_zero_grads_out(self):
-        embedder, classifier = tiny_model()
-        trace = forward(embedder, classifier, np.ones((1, 4)))
+        widths, params = tiny_model()
+        trace = forward(widths, params, np.ones((1, 4)))
         grad = backward(trace, np.zeros((1, 2)), np.zeros((1, 3)))
-        assert grad.shape == flat_params(embedder, classifier).shape
+        assert grad.shape == params.shape
         assert np.array_equal(grad, np.zeros_like(grad))
 
     def test_classifier_column_gradient_is_z(self):
         # d logits_c / d W[:, c] = z when grad_logits = e_c
-        embedder, classifier = tiny_model(seed=3)
-        trace = forward(embedder, classifier, np.array([[0.5, -1.0, 2.0, 0.1]]))
+        widths, params = tiny_model(seed=3)
+        trace = forward(widths, params, np.array([[0.5, -1.0, 2.0, 0.1]]))
         for c in range(2):
             e_c = np.zeros((1, 2))
             e_c[0, c] = 1.0
@@ -212,27 +226,47 @@ class TestBackward:
     def test_gradients_match_finite_differences(self):
         # full loss (cross-entropy plus prototype penalty) on a small batch
         rng = np.random.default_rng(7)
-        embedder, classifier = tiny_model(seed=5, p=4, hidden=(6,), k=3, C=2)
+        widths, params = tiny_model(seed=5, p=4, hidden=(6,), k=3, C=2)
         X = rng.standard_normal((4, 4))
         Y = np.identity(2)[rng.integers(0, 2, size=4)]
         P = rng.standard_normal((4, 3))
         lambda_p = 1.0 / 3.0
-        params = flat_params(embedder, classifier)
 
         def scalar_loss():
-            trace = forward(embedder, classifier, X)
+            trace = forward(widths, params, X)
             ce, proto_sq, _, _ = loss(Y, trace, P, lambda_p)
             return (ce + lambda_p * proto_sq) / len(Y)
 
         numeric = central_difference(scalar_loss, [params], step=1e-5)
-        trace = forward(embedder, classifier, X)
+        trace = forward(widths, params, X)
         _, _, grad_logits, grad_z = loss(Y, trace, P, lambda_p)
         analytic = backward(trace, grad_logits, grad_z)
         assert max_rel_error([analytic], numeric) < 1e-5
 
+    @pytest.mark.parametrize("hidden", [(), (6,), (6, 5)], ids=["no-hidden", "one-hidden", "two-hidden"])
+    def test_vector_is_the_allocating_expressions_in_the_layout(self, hidden):
+        rng = np.random.default_rng(11)
+        widths, params = tiny_model(seed=2, hidden=hidden)
+        layers, head = param_views(widths, params)
+        X = rng.standard_normal((7, 4))
+        gL, gE = rng.standard_normal((7, 2)), rng.standard_normal((7, 3))
+        inputs, pres, A = [], [], X
+        for i, (weight, bias) in enumerate(layers):
+            inputs.append(A)
+            pres.append(A @ weight.T + bias)
+            A = np.maximum(pres[-1], 0.0) if i < len(layers) - 1 else pres[-1]
+        grads = [None] * len(layers)
+        gA = gL @ head.T + gE
+        for i in reversed(range(len(layers))):
+            gS = gA * (pres[i] > 0) if i < len(layers) - 1 else gA
+            grads[i] = (gS.T @ inputs[i], gS.sum(axis=0))
+            gA = gS @ layers[i][0]
+        reference = np.concatenate([g.ravel() for pair in grads for g in pair] + [(A.T @ gL).ravel()])
+        assert backward(forward(widths, params, X), gL, gE).tobytes() == reference.tobytes()
+
     def test_shape_mismatch_rejected(self):
-        embedder, classifier = tiny_model()
-        trace = forward(embedder, classifier, np.ones((1, 4)))
+        widths, params = tiny_model()
+        trace = forward(widths, params, np.ones((1, 4)))
         with pytest.raises(ValueError):
             backward(trace, np.zeros((1, 3)))
         with pytest.raises(ValueError):
@@ -241,31 +275,29 @@ class TestBackward:
 
 class TestRelevance:
     def test_zero_embedding(self):
-        classifier = ClassifierParams(weight=np.array([[1.0, 2.0], [3.0, 4.0]]))
-        gamma = relevance(classifier, np.zeros((1, 2)))
+        gamma = relevance(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros((1, 2)))
         assert np.array_equal(gamma, np.zeros((1, 2, 2)))
         assert np.array_equal(gamma.sum(axis=1), np.zeros((1, 2)))
 
     def test_hand_example(self):
-        classifier = ClassifierParams(weight=np.array([[1.0, 2.0], [3.0, 4.0]]))
-        gamma = relevance(classifier, np.array([[1.0, 1.0], [2.0, 0.0]]))
+        gamma = relevance(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0, 1.0], [2.0, 0.0]]))
         assert np.array_equal(gamma, [[[1.0, 2.0], [3.0, 4.0]], [[2.0, 4.0], [0.0, 0.0]]])
         assert np.array_equal(gamma.sum(axis=1), [[4.0, 6.0], [2.0, 4.0]])
 
     def test_column_sums_equal_stored_logits_exactly(self):
         rng = np.random.default_rng(4)
-        embedder, classifier = tiny_model(seed=8)
+        widths, params = tiny_model(seed=8)
         X = rng.standard_normal((20, 4))
-        trace = forward(embedder, classifier, X)
-        gamma = relevance(classifier, trace.z)
+        trace = forward(widths, params, X)
+        gamma = relevance(param_views(widths, params)[1], trace.z)
         # explain_sample stores the column sums as the batch's logits
-        stored = explain_sample(embedder, classifier, X)["logits"]
+        stored = explain_sample(widths, params, X)["logits"]
         assert np.array_equal(gamma.sum(axis=1), stored)
         assert np.max(np.abs(stored - trace.logits)) < 1e-12
 
     def test_wrong_length_rejected(self):
-        classifier = ClassifierParams(weight=np.zeros((3, 2)))
+        head = np.zeros((3, 2))
         with pytest.raises(ValueError):
-            relevance(classifier, np.zeros((1, 2)))
+            relevance(head, np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            relevance(classifier, np.zeros(3))  # a vector, not a batch
+            relevance(head, np.zeros(3))  # a vector, not a batch

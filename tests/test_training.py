@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fixedproto.data import SynthConfig, config_from_doc, config_to_doc, generate_synthetic
-from fixedproto.model import backward, flat_params, forward, init_classifier, init_embedder, softmax
+from fixedproto.model import backward, forward, init_params, param_views, softmax
 from fixedproto.prototypes import (
     FactorCodedExtractor,
     FactorCoder,
@@ -201,16 +201,15 @@ class TestOptimizers:
     def test_flat_step_matches_per_array_loop(self, flat_opt, reference):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((6, 5))
-        embedder, classifier = init_embedder(5, (7,), 3, seed=0), init_classifier(3, 2, seed=1)
-        ref_embedder, ref_classifier = init_embedder(5, (7,), 3, seed=0), init_classifier(3, 2, seed=1)
-        ref_arrays = [a for layer in ref_embedder.layers for a in (layer.weight, layer.bias)]
-        ref_arrays.append(ref_classifier.weight)
+        widths = (5, 7, 3, 2)
+        params, ref_params = init_params(widths, 0, 1), init_params(widths, 0, 1)
+        ref_layers, ref_head = param_views(widths, ref_params)  # the reference steps each array alone
+        ref_arrays = [a for layer in ref_layers for a in layer] + [ref_head]
         ends = np.cumsum([a.size for a in ref_arrays])
-        params = flat_params(embedder, classifier)
         for _ in range(3):
             grad_logits = rng.standard_normal((6, 2))
-            flat_opt.step(params, backward(forward(embedder, classifier, X), grad_logits))
-            ref_grad = backward(forward(ref_embedder, ref_classifier, X), grad_logits)
+            flat_opt.step(params, backward(forward(widths, params, X), grad_logits))
+            ref_grad = backward(forward(widths, ref_params, X), grad_logits)
             ref_grads = [g.reshape(a.shape) for g, a in zip(np.split(ref_grad, ends[:-1]), ref_arrays)]
             reference.step(ref_arrays, ref_grads)
         assert params.tobytes() == np.concatenate([a.ravel() for a in ref_arrays]).tobytes()
@@ -268,9 +267,9 @@ class TestTrain:
         ds = blob_dataset(samples_per_class=40)
         config = TrainConfig(epochs=3, embedding_dim=8, hidden_dims=(8,), seed=7)
         ex = class_orthogonal_extractor(2, 8, seed=1)
-        e1, c1, h1 = train(ds, ex, config)
-        e2, c2, h2 = train(ds, ex, config)
-        assert flat_params(e1, c1).tobytes() == flat_params(e2, c2).tobytes()
+        w1, p1, h1 = train(ds, ex, config)
+        w2, p2, h2 = train(ds, ex, config)
+        assert w1 == w2 and p1.tobytes() == p2.tobytes()
         assert json.dumps(h1) == json.dumps(h2)
 
     def test_lambda_zero_matches_ce_baseline_bitwise(self):
@@ -279,9 +278,9 @@ class TestTrain:
         proto_cfg = TrainConfig(epochs=4, embedding_dim=8, hidden_dims=(8,), seed=3,
                                 lambda_p=0.0, loss="proto")
         ce_cfg = TrainConfig(epochs=4, embedding_dim=8, hidden_dims=(8,), seed=3, loss="ce")
-        e1, c1, _ = train(ds, ex, proto_cfg)
-        e2, c2, _ = train(ds, None, ce_cfg)
-        assert flat_params(e1, c1).tobytes() == flat_params(e2, c2).tobytes()
+        w1, p1, _ = train(ds, ex, proto_cfg)
+        w2, p2, _ = train(ds, None, ce_cfg)
+        assert w1 == w2 and p1.tobytes() == p2.tobytes()
 
     def test_loss_decomposition_identity(self):
         ds = blob_dataset(samples_per_class=30)
@@ -350,10 +349,9 @@ def reference_train(dataset, extractor, config, val=None):
     lambda_p = config.effective_lambda() if config.uses_prototypes else 0.0
     targets = extractor.targets(dataset.Y, dataset.factors) if config.uses_prototypes else None
     emb_seed, clf_seed, shuffle_seed, mix_seed = np.random.SeedSequence(config.seed).spawn(4)
-    embedder = init_embedder(dataset.input_dim, config.hidden_dims, config.embedding_dim, emb_seed)
-    classifier = init_classifier(config.embedding_dim, dataset.class_count, clf_seed)
+    widths = (dataset.input_dim, *config.hidden_dims, config.embedding_dim, dataset.class_count)
+    params = init_params(widths, emb_seed, clf_seed)
     rng_shuffle, rng_mix = np.random.default_rng(shuffle_seed), np.random.default_rng(mix_seed)
-    params = flat_params(embedder, classifier)
     opt = make_optimizer(config)
     X, Y, n = dataset.X, dataset.Y, dataset.n
     rows = []
@@ -370,7 +368,7 @@ def reference_train(dataset, extractor, config, val=None):
                 xb, yb = mix_rows(xb, lam, perm), mix_rows(yb, lam, perm)
                 if tb is not None:
                     tb = mix_rows(tb, lam, perm)
-            trace = forward(embedder, classifier, xb)
+            trace = forward(widths, params, xb)
             shifted = trace.logits - trace.logits.max(axis=-1, keepdims=True)
             logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
             ce = -(yb * logp).sum(axis=-1)
@@ -383,10 +381,10 @@ def reference_train(dataset, extractor, config, val=None):
             ce_sum += float(np.sum(ce))
             opt.step(params, backward(trace, (trace.probs - yb) * scale, extra))
         ce_mean, proto_mean = ce_sum / n, proto_sum / n
-        val_accuracy = None if val is None else accuracy(forward(embedder, classifier, val.X).probs, val.Y)
+        val_accuracy = None if val is None else accuracy(forward(widths, params, val.X).probs, val.Y)
         rows.append({"epoch": epoch, "total_loss": ce_mean + lambda_p * proto_mean,
                      "ce_loss": ce_mean, "prototype_loss": proto_mean,
-                     "train_accuracy": accuracy(forward(embedder, classifier, X).probs, Y),
+                     "train_accuracy": accuracy(forward(widths, params, X).probs, Y),
                      "val_accuracy": val_accuracy})
     return params, {"format": "train-history", "version": 1, "rows": rows}
 
@@ -406,9 +404,9 @@ def test_train_matches_reference_loop(kind, mixup_alpha):
     # 90 rows in batches of 16: the last batch is short.
     config = TrainConfig(epochs=3, batch_size=16, learning_rate=1e-2, embedding_dim=8, hidden_dims=(8,),
                          mixup_alpha=mixup_alpha, seed=5, extractor={"kind": kind})
-    embedder, classifier, history = train(ds, ex, config, val=val)
+    widths, params, history = train(ds, ex, config, val=val)
     ref_params, ref_history = reference_train(ds, ex, config, val=val)
-    assert flat_params(embedder, classifier).tobytes() == ref_params.tobytes()
+    assert params.tobytes() == ref_params.tobytes()
     assert all(row["val_accuracy"] is not None for row in history["rows"])
     assert json.dumps(history) == json.dumps(ref_history)
 

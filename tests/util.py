@@ -1,5 +1,5 @@
-"""Shared test helpers: finite-difference oracle, error measures and a
-factor-coded extractor for layout tests."""
+"""Shared test helpers: finite-difference oracle, error measures, hand-made
+models and a factor-coded extractor for layout tests."""
 
 import numpy as np
 
@@ -42,3 +42,12 @@ def factor_extractor(names, embedding_dim):
     """A factor-coded extractor for the named factors; its thresholds do not matter."""
     zeros = np.zeros(len(names))
     return FactorCodedExtractor(FactorCoder(names=names, lower=zeros, upper=zeros), embedding_dim)
+
+
+def pack(layers, head):
+    """The model ``(widths, params)`` with the given ``[(weight, bias), ...]``
+    embedder layers and head weight, concatenated in the documented layout:
+    each layer's weight then its bias, then the head, each row-major."""
+    widths = (np.shape(layers[0][0])[1], *[np.shape(weight)[0] for weight, _ in layers], np.shape(head)[1])
+    arrays = [a for layer in layers for a in layer] + [head]
+    return widths, np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
