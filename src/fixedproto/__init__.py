@@ -13,4 +13,4 @@ from .explain import explain_sample
 from .metrics import disentanglement_report, separation_report
 from .model import backward, forward, param_views, relevance
 from .prototypes import FactorCodedExtractor, FactorCoder, class_orthogonal_extractor, fit_factor_coder
-from .training import SGD, Adam, TrainConfig, mix_rows, train
+from .training import SGD, Adam, TrainConfig, mix_rows, train, train_runs

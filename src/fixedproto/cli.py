@@ -46,7 +46,7 @@ from .prototypes import (
     extractor_to_doc,
     fit_factor_coder,
 )
-from .training import DivergenceError, TrainConfig, train
+from .training import DivergenceError, TrainConfig, train, train_runs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,8 +58,15 @@ CHECKPOINT_VERSION = 2
 
 # The largest model ``train`` and ``compare`` build: 10**8 float64 parameters
 # are 0.8 GB, and training holds six vectors of that size (the parameters, the
-# gradient, Adam's two moments and two scratch vectors).
+# gradient, Adam's two moments and two scratch vectors).  A stack of R runs
+# holds six of R times that size (and one of one run's size for the per-run
+# accuracy passes), so ``compare`` stacks at most ``MAX_PARAMETERS``
+# parameters.
 MAX_PARAMETERS = 10**8
+
+# The most runs ``compare`` trains as one stack: 3 runs sharing each step's
+# dispatch cost measured fastest on a 2-core host, and 6 no faster.
+MAX_STACK = 3
 
 
 class ConfigError(ValueError):
@@ -344,22 +351,21 @@ def _prototypes(extractor, dataset: Dataset):
     return None if targets is None else extractor.extract_batch(targets)
 
 
-def _run_training(dataset: Dataset, config: TrainConfig):
-    """Split, fit the coder on the training side, build the extractor, train.
+def _training_run(dataset: Dataset, config: TrainConfig) -> tuple:
+    """Split and build the extractor (fitting the coder on the training side):
+    the run ``(train_set, extractor, config, val_set)`` that training takes.
 
-    Returns (widths, params, history, extractor, val_set).  Raises
-    ``DataError`` for a dataset that cannot be split or coded as the config asks.
+    Raises ``DataError`` for a dataset that cannot be split or coded as the
+    config asks.
     """
     try:
         if config.train_fraction < 1.0:
             train_set, val_set = split(dataset, config.train_fraction, config.seed)
         else:
             train_set, val_set = dataset, None
-        extractor = _build_extractor(config, train_set)
+        return train_set, _build_extractor(config, train_set), config, val_set
     except ValueError as e:
         raise DataError(str(e)) from None
-    widths, params, history = train(train_set, extractor, config, val=val_set)
-    return widths, params, history, extractor, val_set
 
 
 def cmd_train(args) -> int:
@@ -369,9 +375,10 @@ def cmd_train(args) -> int:
 
     # Validate everything before creating any output.
     try:
-        widths, params, history, extractor, _ = _run_training(dataset, config)
+        train_set, extractor, _, val_set = _training_run(dataset, config)
     except DataError as e:
         raise ConfigError(f"{args.data}: {e}") from None
+    widths, params, history = train(train_set, extractor, config, val=val_set)
 
     files = [("checkpoint.json", _checkpoint_doc(widths, params, extractor, dataset, config)),
              ("history.json", history)]
@@ -495,24 +502,44 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _comparison_run(dataset: Dataset, config: TrainConfig) -> dict:
-    """One training run scored on its held-out split."""
-    widths, params, history, extractor, val_set = _run_training(dataset, config)
-    trace = forward(widths, params, val_set.X)
-    sep = separation_report(trace.z, val_set.Y, _prototypes(extractor, val_set))
-    return {
-        "seed": config.seed,
-        "accuracy": accuracy(trace.probs, val_set.Y),
-        "mean_abs_cos": sep["mean_abs_cos"],
-        "mean_prototype_dist": sep["mean_prototype_dist"],
-        "final_train_accuracy": history["rows"][-1]["train_accuracy"],
-    }
+def _comparison_runs(dataset: Dataset, configs) -> list:
+    """Train the configs' runs as one stack; score each on its held-out split.
+
+    A run that cannot be set up stops the stack there, after the runs
+    before it are trained, as training them one by one would.
+    """
+    runs, error = [], None
+    for config in configs:
+        try:
+            runs.append(_training_run(dataset, config))
+        except DataError as e:
+            error = e
+            break
+    results = train_runs(runs) if runs else []
+    records = []
+    for (_, extractor, config, val_set), (widths, params, history) in zip(runs, results):
+        trace = forward(widths, params, val_set.X)
+        sep = separation_report(trace.z, val_set.Y, _prototypes(extractor, val_set))
+        records.append({
+            "seed": config.seed,
+            "accuracy": accuracy(trace.probs, val_set.Y),
+            "mean_abs_cos": sep["mean_abs_cos"],
+            "mean_prototype_dist": sep["mean_prototype_dist"],
+            "final_train_accuracy": history["rows"][-1]["train_accuracy"],
+        })
+    if error is not None:
+        raise error
+    return records
 
 
 def run_comparison(dataset: Dataset, config: TrainConfig, seeds) -> dict:
     """Train the prototype loss and the CE baseline over the given seeds.
 
-    Each (loss, seed) run is independent and internally deterministic.
+    Each (loss, seed) run is independent and internally deterministic.  Each
+    loss's seeds train in order as stacks of up to ``MAX_STACK`` runs
+    (``training.train_runs``), fewer where a stack would hold more than
+    ``MAX_PARAMETERS`` parameters; the two losses never share a stack.  The
+    results, and any error, are those of training each run alone in turn.
     Raises ``ValueError`` for an empty seed list or a repeated seed.
     """
     if config.train_fraction >= 1.0:
@@ -522,10 +549,13 @@ def run_comparison(dataset: Dataset, config: TrainConfig, seeds) -> dict:
     for i, seed in enumerate(seeds):
         if seed in seeds[:i]:
             raise ValueError(f"seed {seed} is listed twice")
+    count = param_count((dataset.input_dim, *config.hidden_dims, config.embedding_dim, dataset.class_count))
+    stack = max(1, min(MAX_STACK, MAX_PARAMETERS // count))
     systems = {}
     for loss_kind, name in (("proto", "predefined-prototype"), ("ce", "cross-entropy")):
-        runs = [_comparison_run(dataset, dataclasses.replace(config, loss=loss_kind, seed=seed))
-                for seed in seeds]
+        configs = [dataclasses.replace(config, loss=loss_kind, seed=seed) for seed in seeds]
+        runs = [record for start in range(0, len(configs), stack)
+                for record in _comparison_runs(dataset, configs[start:start + stack])]
         acc = np.array([r["accuracy"] for r in runs])
         cos = np.array([r["mean_abs_cos"] for r in runs])
         ddof = 1 if len(runs) > 1 else 0

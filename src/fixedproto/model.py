@@ -10,6 +10,14 @@ layers use ReLU and the last embedder layer is linear, by position.
 ``backward`` returns the batch-summed gradient as one vector in the same
 layout, so an optimizer step is a few whole-vector operations.
 
+R models of equal widths stack as one ``(R, P)`` array, one parameter
+vector per row.  ``param_views``, ``forward`` and ``backward`` take that
+leading run axis as it is: the views are ``(R, fan_out, fan_in)`` weights,
+``(R, fan_out)`` biases and an ``(R, k, C)`` head, the input is ``(R, n,
+input_dim)``, and each run's slice of every result has the bits the run's
+own 2-D call gives (each product is the same matrix product per run, and
+each sum runs over the same rows in the same order).
+
 The head has no bias on purpose: every class logit then decomposes exactly
 into per-dimension contributions (the relevance matrix), with nothing left
 over.  Forward, backward and relevance work on batches, one row per sample
@@ -17,7 +25,9 @@ over.  Forward, backward and relevance work on batches, one row per sample
 and log-probabilities once, from the same max-shifted exponentials
 (``softmax`` returns both), and the loss reads them from the trace.
 ``forward(..., into=trace)`` overwrites an earlier trace's arrays when the
-input shape matches, so a loop allocates them once.
+input shape matches, so a loop allocates them once, and hands on the
+gradient vector that ``backward`` writes, so a loop allocates it once per
+model.
 """
 
 from __future__ import annotations
@@ -35,16 +45,22 @@ def param_count(widths) -> int:
 
 def param_views(widths, params) -> tuple:
     """``([(weight, bias), ...], head)``: the embedder layers and the head weight
-    of the model ``(widths, params)``, as views of ``params``."""
-    if np.shape(params) != (param_count(widths),):
-        raise ValueError(f"parameter vector has shape {np.shape(params)}, "
-                         f"widths {tuple(widths)} need ({param_count(widths)},)")
+    of the model ``(widths, params)``, as views of ``params``.
+
+    ``params`` is one vector ``(P,)`` or a stack ``(R, P)``; the views of a
+    stack carry its run axis first."""
+    count = param_count(widths)
+    shape = np.shape(params)
+    if len(shape) not in (1, 2) or shape[-1] != count:
+        raise ValueError(f"parameter vector has shape {shape}, widths {tuple(widths)} "
+                         f"need ({count},) or (runs, {count})")
+    runs = shape[:-1]
     layers = []
     end = 0
     for fan_in, fan_out in zip(widths[:-2], widths[1:-1]):
         start, mid, end = end, end + fan_out * fan_in, end + (fan_in + 1) * fan_out
-        layers.append((params[start:mid].reshape(fan_out, fan_in), params[mid:end]))
-    return layers, params[end:].reshape(widths[-2], widths[-1])
+        layers.append((params[..., start:mid].reshape(*runs, fan_out, fan_in), params[..., mid:end]))
+    return layers, params[..., end:].reshape(*runs, widths[-2], widths[-1])
 
 
 def init_params(widths, emb_seed, clf_seed) -> np.ndarray:
@@ -86,7 +102,10 @@ class ForwardTrace:
     """Everything the backward pass needs, plus the public outputs.
 
     ``z`` is (n, embedding_dim); ``logits``, ``probs`` and ``log_probs``
-    are (n, class_count), one row per input row.
+    are (n, class_count), one row per input row (each with the run axis
+    first for a stack).  ``grad`` is ``None`` until ``backward`` writes the
+    gradient: then the vector and its views, which a trace that reuses this
+    one keeps, so the next ``backward`` overwrites them.
     """
 
     widths: tuple
@@ -98,23 +117,29 @@ class ForwardTrace:
     logits: np.ndarray
     probs: np.ndarray
     log_probs: np.ndarray
+    grad: tuple | None = None  # (vector, param_views(widths, vector))
 
 
 def forward(widths, params, X, into=None) -> ForwardTrace:
     """Run the embedder and head on a batch (n, input_dim), caching what backward needs.
 
-    If ``into`` is an earlier trace of this parameter vector and these widths
-    on an input of this shape, the layer arrays, ``z`` and ``logits`` are
-    written into its arrays (same values as fresh ones; ``into`` is stale
-    afterwards); else they are new.
+    For a stack of parameter vectors ``(R, P)`` the batch is ``(R, n,
+    input_dim)``, one per run.  If ``into`` is an earlier trace of this
+    parameter array and these widths on an input of this shape, the layer
+    arrays, ``z`` and ``logits`` are written into its arrays (same values as
+    fresh ones; ``into`` is stale afterwards); else they are new.  A trace of
+    this parameter array and these widths hands on its gradient vector
+    either way.
     """
     widths = tuple(widths)
     same_model = into is not None and into.params is params and into.widths == widths
     views = into.views if same_model else param_views(widths, params)
     layers, head = views
     A = np.asarray(X, dtype=np.float64)
-    if A.ndim != 2 or A.shape[1] != widths[0]:
-        raise ValueError(f"input has shape {A.shape}, embedder expects (n, {widths[0]})")
+    runs = np.shape(params)[:-1]
+    if A.ndim != len(runs) + 2 or A.shape[:-2] != runs or A.shape[-1] != widths[0]:
+        raise ValueError(f"input has shape {A.shape}, embedder expects "
+                         f"({', '.join([*map(str, runs), 'n', str(widths[0])])})")
     reuse = same_model and into.inputs[0].shape == A.shape
     pre_out = into.pre_activations if reuse else [None] * len(layers)
     act_out = [*into.inputs[1:], into.z] if reuse else pre_out
@@ -122,13 +147,14 @@ def forward(widths, params, X, into=None) -> ForwardTrace:
     pres = []
     for i, ((weight, bias), S_out, A_out) in enumerate(zip(layers, pre_out, act_out)):
         inputs.append(A)
-        S = np.matmul(A, weight.T, out=S_out)
-        S += bias
+        S = np.matmul(A, weight.swapaxes(-1, -2), out=S_out)
+        S += bias[..., None, :]
         pres.append(S)
         A = np.maximum(S, 0.0, out=A_out) if i < len(layers) - 1 else S
     logits = np.matmul(A, head, out=into.logits if reuse else None)
     probs, log_probs = softmax(logits)
-    return ForwardTrace(widths, params, views, inputs, pres, A, logits, probs, log_probs)
+    return ForwardTrace(widths, params, views, inputs, pres, A, logits, probs, log_probs,
+                        into.grad if same_model else None)
 
 
 def backward(trace: ForwardTrace, grad_logits, grad_z_extra=None) -> np.ndarray:
@@ -136,27 +162,31 @@ def backward(trace: ForwardTrace, grad_logits, grad_z_extra=None) -> np.ndarray:
 
     ``grad_logits`` and ``grad_z_extra`` are the partials of a scalar loss
     with respect to the logits and (directly) the embedding, one row per
-    sample; the returned gradient is the sum over the batch.
-    ``grad_z_extra=None`` means the loss has no direct embedding term.
+    sample; the returned gradient is the sum over the batch (per run, for
+    a stack).  ``grad_z_extra=None`` means the loss has no direct embedding
+    term.  The gradient is written into the trace's ``grad`` vector,
+    allocated at the first call for this model.
     """
     layers, head = trace.views
     gL = np.asarray(grad_logits, dtype=np.float64)
     if gL.shape != trace.logits.shape:
         raise ValueError(f"grad_logits has shape {gL.shape}, expected {trace.logits.shape}")
-    gZ = gL @ head.T
+    gZ = gL @ head.swapaxes(-1, -2)
     if grad_z_extra is not None:
         gE = np.asarray(grad_z_extra, dtype=np.float64)
         if gE.shape != trace.z.shape:
             raise ValueError(f"grad_z_extra has shape {gE.shape}, expected {trace.z.shape}")
         gZ = gZ + gE
-    grad = np.empty_like(trace.params)
-    grad_layers, grad_head = param_views(trace.widths, grad)
-    np.matmul(trace.z.T, gL, out=grad_head)
+    if trace.grad is None:
+        vector = np.empty_like(trace.params)
+        trace.grad = (vector, param_views(trace.widths, vector))
+    grad, (grad_layers, grad_head) = trace.grad
+    np.matmul(trace.z.swapaxes(-1, -2), gL, out=grad_head)
     gA = gZ
     for i in reversed(range(len(layers))):
         gS = gA * (trace.pre_activations[i] > 0) if i < len(layers) - 1 else gA
-        gS.sum(axis=0, out=grad_layers[i][1])
-        np.matmul(gS.T, trace.inputs[i], out=grad_layers[i][0])
+        gS.sum(axis=-2, out=grad_layers[i][1])
+        np.matmul(gS.swapaxes(-1, -2), trace.inputs[i], out=grad_layers[i][0])
         if i > 0:  # the input gradient of the first layer is not needed
             gA = gS @ layers[i][0]
     return grad

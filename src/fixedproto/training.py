@@ -11,14 +11,16 @@ parameters for the same seed.
 
 ``train`` returns the model, its widths and its one parameter vector (see
 ``fixedproto.model``), and the ``train-history`` document, the one record
-of a run's epochs.  ``TrainConfig`` checks every field's type (an integer field takes
-no bool or float), so a mistyped config fails naming the field before
-anything runs.
+of a run's epochs.  It is the one-run case of ``train_runs``, the one
+minibatch loop, which trains R runs of equal shapes as one stack of
+parameter vectors with each run's bits unchanged.  ``TrainConfig`` checks
+every field's type (an integer field takes no bool or float), so a
+mistyped config fails naming the field before anything runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -120,14 +122,16 @@ def loss(y, trace, prototype, lambda_p: float):
     ``(ce, proto_sq, grad_logits, grad_z)``: the batch's sums of the two terms
     and the partials of its mean ``(ce + lambda_p * proto_sq) / n``.
 
-    ``prototype=None`` is allowed only with ``lambda_p == 0`` and drops the
-    penalty term: ``proto_sq`` is 0.0 and ``grad_z`` None.  Cross-entropy is
-    computed from the trace's log-probabilities, so it stays finite for logits
-    up to very large magnitudes.
+    On a stacked trace (see ``fixedproto.model``) ``y`` and ``prototype``
+    carry the run axis too, and ``ce`` and ``proto_sq`` are per-run sums
+    ``(R,)``.  ``prototype=None`` is allowed only with ``lambda_p == 0`` and
+    drops the penalty term: ``proto_sq`` is 0.0 and ``grad_z`` None.
+    Cross-entropy is computed from the trace's log-probabilities, so it stays
+    finite for logits up to very large magnitudes.
     """
     y = np.asarray(y, dtype=np.float64)
-    ce = float(np.sum(-(y * trace.log_probs).sum(axis=-1)))
-    scale = 1.0 / trace.probs.shape[0]
+    ce = (-(y * trace.log_probs).sum(axis=-1)).sum(axis=-1)
+    scale = 1.0 / trace.probs.shape[-2]
     grad_logits = (trace.probs - y) * scale
     if prototype is None:
         if lambda_p != 0.0:
@@ -135,20 +139,34 @@ def loss(y, trace, prototype, lambda_p: float):
         return ce, 0.0, grad_logits, None
     p = np.asarray(prototype, dtype=np.float64)
     diff = trace.z - p
-    proto_sq = float(np.sum((diff * diff).sum(axis=-1)))
+    proto_sq = (diff * diff).sum(axis=-1).sum(axis=-1)
     return ce, proto_sq, grad_logits, (2.0 * lambda_p) * diff * scale
+
+
+def _mixer(lam: np.ndarray, perm: np.ndarray):
+    """``mix_rows`` with one batch's draws bound, for every array that batch
+    mixes; ``1 - lam`` and the partner index are computed once."""
+    rest = 1.0 - lam
+    partner = (perm,) if perm.ndim == 1 else (np.arange(len(perm))[:, None], perm)
+
+    def mix(a: np.ndarray) -> np.ndarray:
+        shape = lam.shape + (1,) * (a.ndim - lam.ndim)
+        return lam.reshape(shape) * a + rest.reshape(shape) * a[partner]
+
+    return mix
 
 
 def mix_rows(a: np.ndarray, lam: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Mixup of a batch with itself.
 
-    Row ``i`` becomes ``lam[i] * a[i] + (1 - lam[i]) * a[perm[i]]``.  Works
-    on inputs, labels and (soft) level codes alike.  Factors must be coded
+    Row ``i`` becomes ``lam[i] * a[i] + (1 - lam[i]) * a[perm[i]]``.  For a
+    stack ``(R, n, ...)``, ``lam`` and ``perm`` are ``(R, n)`` and row ``i``
+    of run ``r`` mixes with row ``perm[r, i]`` of the same run.  Works on
+    inputs, labels and (soft) level codes alike.  Factors must be coded
     before mixing: mixing raw values and re-discretizing would break the
     linearity of the prototypes.
     """
-    lam = lam.reshape((-1,) + (1,) * (a.ndim - 1))
-    return lam * a + (1.0 - lam) * a[perm]
+    return _mixer(lam, perm)(a)
 
 
 class SGD:
@@ -205,99 +223,174 @@ def make_optimizer(config: TrainConfig):
 
 
 def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None = None):
-    """Minibatch training; returns the model and its record, (widths, params, history).
+    """Minibatch training of one run; returns the model and its record,
+    ``(widths, params, history)``: the one run of ``train_runs``.
 
     ``history`` is the ``train-history`` document, one row per epoch; a
-    non-finite row raises ``ValueError``.
-
-    The extractor's ``targets`` are looked up and checked once.  Each epoch
-    gathers the inputs, labels and targets once in shuffled order, and each
-    batch is a slice of them.  Per batch: mix the rows (with mixup), forward
-    all samples, look up their fixed prototypes, average the per-sample
-    losses, and take one optimizer step on the exact batch gradient.  The
-    optimizer steps the model's one parameter vector in place, the vector
-    returned.  The minibatch, full-set and validation passes each reuse
-    their previous trace (``forward(into=)``).
-    The extractor is read-only throughout.  Runs are deterministic for a
-    fixed config seed: initialization, shuffling and mixup draw from
-    independent child streams of it, in a fixed order.
+    non-finite row raises ``ValueError``, and a non-finite loss or parameter
+    vector ``DivergenceError``.  Runs are deterministic for a fixed config
+    seed: initialization, shuffling and mixup draw from independent child
+    streams of it, in a fixed order.
     """
+    return train_runs([(dataset, extractor, config, val)])[0]
+
+
+def _prototype_targets(dataset: Dataset, extractor, config: TrainConfig):
+    """The rows the run's extractor takes for its dataset, looked up and
+    checked once; None without a prototype term."""
     if dataset.n == 0:
         raise ValueError("dataset is empty")
-    lambda_p = config.effective_lambda() if config.uses_prototypes else 0.0
-    targets = None
-    if config.uses_prototypes:
-        if extractor is None:
-            raise ValueError("prototype loss requires an extractor")
-        if extractor.embedding_dim != config.embedding_dim:
-            raise ValueError(
-                f"extractor embedding_dim {extractor.embedding_dim} "
-                f"does not match config embedding_dim {config.embedding_dim}"
-            )
-        targets = extractor.targets(dataset.Y, dataset.factors)
-        if targets is None:
-            raise ValueError(f"{extractor.kind} extractor needs a dataset with factor values")
+    if not config.uses_prototypes:
+        return None
+    if extractor is None:
+        raise ValueError("prototype loss requires an extractor")
+    if extractor.embedding_dim != config.embedding_dim:
+        raise ValueError(
+            f"extractor embedding_dim {extractor.embedding_dim} "
+            f"does not match config embedding_dim {config.embedding_dim}"
+        )
+    targets = extractor.targets(dataset.Y, dataset.factors)
+    if targets is None:
+        raise ValueError(f"{extractor.kind} extractor needs a dataset with factor values")
+    return targets
 
-    emb_seed, clf_seed, shuffle_seed, mix_seed = np.random.SeedSequence(config.seed).spawn(4)
-    widths = (dataset.input_dim, *config.hidden_dims, config.embedding_dim, dataset.class_count)
-    params = init_params(widths, emb_seed, clf_seed)
-    rng_shuffle = np.random.default_rng(shuffle_seed)
-    rng_mix = np.random.default_rng(mix_seed)
+
+def _fail(failed: dict, bad, error) -> None:
+    """Record ``error(r)`` for each run ``r`` flagged in ``bad`` that comes
+    before every run already in ``failed``; raise it at once for run 0."""
+    for r in np.flatnonzero(bad[:min(failed, default=len(bad))]):
+        failed[int(r)] = error(r)
+    if 0 in failed:
+        raise failed[0]
+
+
+def train_runs(runs) -> list:
+    """Train R >= 1 runs ``(dataset, extractor, config, val)`` in one loop;
+    returns ``(widths, params, history)`` per run, each to the bit what
+    training that run alone gives.
+
+    The runs may differ in the config's seed, the dataset's rows, the
+    extractor and ``val``; the rest of the configs, and the shapes of the
+    datasets and of their prototype targets, must be equal (``ValueError``
+    naming the first difference).  The parameters are one ``(R, P)`` array
+    and each run's ``params`` is its row.  Per epoch, each run gathers its
+    inputs, labels and targets once in its own shuffled order, stacked, and
+    each batch is a slice of the stack.  Per batch: mix each run's rows with
+    its own draws (with mixup), forward the stack, look up each run's fixed
+    prototypes, take the per-run losses, and take one optimizer step on the
+    stack; the optimizers are elementwise, so each row steps as it would
+    alone.  The minibatch pass and each run's full-set and validation passes
+    reuse their previous trace (``forward(into=)``).  Extractors are
+    read-only throughout.
+
+    Errors come as training the runs in order would raise them first: a run
+    whose loss or parameters go non-finite is dropped with its
+    ``DivergenceError`` (at its own epoch and batch), the runs after it stop
+    mattering, and the error of the lowest such run is raised once no
+    earlier run is left training.
+    """
+    runs = list(runs)
+    if not runs:
+        raise ValueError("train_runs needs at least one run")
+    datasets, extractors, configs, vals = zip(*runs)
+    config = configs[0]
+    for i, other in enumerate(configs[1:], 1):
+        for f in fields(TrainConfig):
+            if f.name != "seed" and getattr(other, f.name) != getattr(config, f.name):
+                raise ValueError(f"run {i} differs from run 0 in config field {f.name!r}")
+    targets = [_prototype_targets(ds, ex, config) for ds, ex in zip(datasets, extractors)]
+    for i, (ds, t) in enumerate(zip(datasets[1:], targets[1:]), 1):
+        for what, mine, first in (("inputs", ds.X, datasets[0].X), ("labels", ds.Y, datasets[0].Y),
+                                  ("prototype targets", t, targets[0])):
+            if np.shape(mine) != np.shape(first):
+                raise ValueError(f"run {i} has {what} of shape {np.shape(mine)}, run 0 {np.shape(first)}")
+    lambda_p = config.effective_lambda() if config.uses_prototypes else 0.0
+    # A class-orthogonal extractor's targets are the labels themselves:
+    # gathered and mixed once, as labels.
+    targets_are_labels = all(t is ds.Y for t, ds in zip(targets, datasets))
+
+    R = len(runs)
+    seeds = [np.random.SeedSequence(c.seed).spawn(4) for c in configs]
+    widths = (datasets[0].input_dim, *config.hidden_dims, config.embedding_dim, datasets[0].class_count)
+    params = np.stack([init_params(widths, emb_seed, clf_seed) for emb_seed, clf_seed, _, _ in seeds])
+    # Each run's full-set and validation passes are 2-D, on one vector that
+    # holds that run's parameters (a lone run's own row), so one trace each
+    # serves every run and epoch: R of them would hold R times the memory.
+    shown = params[0] if R == 1 else np.empty_like(params[0])
+    rng_shuffle = [np.random.default_rng(s[2]) for s in seeds]
+    rng_mix = [np.random.default_rng(s[3]) for s in seeds]
     opt = make_optimizer(config)
 
-    X, Y = dataset.X, dataset.Y
-    n = dataset.n
-    rows = []
+    n = datasets[0].n
+    # Each epoch's shuffled rows, one block per run, written in place.
+    X_epoch = np.empty((R, *datasets[0].X.shape))
+    Y_epoch = np.empty((R, *datasets[0].Y.shape))
+    T_epoch = None if targets_are_labels or targets[0] is None else np.empty((R, *targets[0].shape))
+    rows = [[] for _ in runs]
+    failed = {}  # run -> the error training it alone raises
     trace = full_trace = val_trace = None
     for epoch in range(config.epochs):
-        order = rng_shuffle.permutation(n)
-        X_epoch, Y_epoch = X[order], Y[order]
-        T_epoch = None if targets is None else targets[order]
-        ce_sum = 0.0
-        proto_sum = 0.0
+        for r, (ds, t, rng) in enumerate(zip(datasets, targets, rng_shuffle)):
+            order = rng.permutation(n)
+            X_epoch[r], Y_epoch[r] = ds.X[order], ds.Y[order]
+            if T_epoch is not None:
+                T_epoch[r] = t[order]
+        ce_sum = np.zeros(R)
+        proto_sum = np.zeros(R)
         for batch_i, start in enumerate(range(0, n, config.batch_size)):
             batch = slice(start, start + config.batch_size)
-            xb, yb = X_epoch[batch], Y_epoch[batch]
-            tb = None if T_epoch is None else T_epoch[batch]
-            size = len(xb)
+            xb, yb = X_epoch[:, batch], Y_epoch[:, batch]
+            tb = None if T_epoch is None else T_epoch[:, batch]
+            size = xb.shape[1]
             if config.mixup_alpha > 0:
-                perm = rng_mix.permutation(size)
-                lam = rng_mix.beta(config.mixup_alpha, config.mixup_alpha, size=size)
-                xb, yb = mix_rows(xb, lam, perm), mix_rows(yb, lam, perm)
+                draws = [(rng.permutation(size), rng.beta(config.mixup_alpha, config.mixup_alpha, size=size))
+                         for rng in rng_mix]
+                mix = _mixer(np.array([lam for _, lam in draws]), np.array([perm for perm, _ in draws]))
+                xb, yb = mix(xb), mix(yb)
                 if tb is not None:
-                    tb = mix_rows(tb, lam, perm)
+                    tb = mix(tb)
+            if targets_are_labels:
+                tb = yb
             trace = forward(widths, params, xb, into=trace)
-            proto = None if tb is None else extractor.extract_batch(tb)
+            proto = None
+            if tb is not None:
+                proto = np.empty_like(trace.z)
+                for r, (ex, t) in enumerate(zip(extractors, tb)):
+                    proto[r] = ex.extract_batch(t)
             ce, proto_sq, grad_logits, grad_z = loss(yb, trace, proto, lambda_p)
             batch_loss = (ce + lambda_p * proto_sq) / size
-            if not np.isfinite(batch_loss):
-                raise DivergenceError(epoch, batch_i, batch_loss)
+            if not np.isfinite(batch_loss).all():
+                _fail(failed, ~np.isfinite(batch_loss),
+                      lambda r: DivergenceError(epoch, batch_i, float(batch_loss[r])))
             ce_sum += ce
             proto_sum += proto_sq
             opt.step(params, backward(trace, grad_logits, grad_z))
-        if not np.isfinite(params).all():  # the last step's loss was finite, its update need not be
-            raise DivergenceError(epoch, batch_i, None)
-        ce_mean = ce_sum / n
-        proto_mean = proto_sum / n
-        full_trace = forward(widths, params, X, into=full_trace)
-        train_acc = accuracy(full_trace.probs, Y)
-        val_acc = None
-        if val is not None:
-            val_trace = forward(widths, params, val.X, into=val_trace)
-            val_acc = accuracy(val_trace.probs, val.Y)
-        row = {
-            "epoch": epoch,
-            "total_loss": ce_mean + lambda_p * proto_mean,
-            "ce_loss": ce_mean,
-            "prototype_loss": proto_mean,
-            "train_accuracy": train_acc,
-            "val_accuracy": val_acc,
-        }
-        if not np.all(np.isfinite([v for v in row.values() if v is not None])):
-            raise ValueError(f"non-finite history entry at epoch {epoch}")
-        rows.append(row)
-    return widths, params, {
-        "format": "train-history",
-        "version": 1,
-        "rows": rows,
-    }
+        # The last step's loss was finite, its update need not be.
+        _fail(failed, ~np.isfinite(params).all(axis=1), lambda r: DivergenceError(epoch, batch_i, None))
+        for r in range(min(failed, default=R)):
+            shown[...] = params[r]
+            full_trace = forward(widths, shown, datasets[r].X, into=full_trace)
+            val_acc = None
+            if vals[r] is not None:
+                val_trace = forward(widths, shown, vals[r].X, into=val_trace)
+                val_acc = accuracy(val_trace.probs, vals[r].Y)
+            ce_mean = float(ce_sum[r]) / n
+            proto_mean = float(proto_sum[r]) / n
+            row = {
+                "epoch": epoch,
+                "total_loss": ce_mean + lambda_p * proto_mean,
+                "ce_loss": ce_mean,
+                "prototype_loss": proto_mean,
+                "train_accuracy": accuracy(full_trace.probs, datasets[r].Y),
+                "val_accuracy": val_acc,
+            }
+            if not np.all(np.isfinite([v for v in row.values() if v is not None])):
+                failed[r] = ValueError(f"non-finite history entry at epoch {epoch}")
+                break
+            rows[r].append(row)
+        if 0 in failed:
+            raise failed[0]
+    if failed:
+        raise failed[min(failed)]
+    return [(widths, params[r], {"format": "train-history", "version": 1, "rows": rows[r]})
+            for r in range(R)]

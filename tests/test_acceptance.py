@@ -22,7 +22,7 @@ from fixedproto.prototypes import (
     class_orthogonal_extractor,
     fit_factor_coder,
 )
-from fixedproto.training import TrainConfig, loss, train
+from fixedproto.training import TrainConfig, loss, train_runs
 
 from util import central_difference, max_rel_error
 
@@ -47,24 +47,26 @@ def factor_dataset():
     return generate_synthetic(SynthConfig(**FACTOR_DATA))
 
 
-def train_factor_run(dataset, seed, loss_kind):
+def factor_run(dataset, seed, loss_kind):
+    """The run ``(train_set, extractor, config, val_set)`` of one seed and loss."""
     tr, va = split(dataset, 0.8, seed=seed)
     extractor = None
     if loss_kind == "proto":
         coder = fit_factor_coder(tr.factors, names=dataset.factor_names)
         extractor = FactorCodedExtractor(coder, FACTOR_TRAIN["embedding_dim"])
-    config = TrainConfig(**FACTOR_TRAIN, seed=seed, loss=loss_kind)
-    widths, params, history = train(tr, extractor, config, val=va)
-    return widths, params, history, extractor, va
+    return tr, extractor, TrainConfig(**FACTOR_TRAIN, seed=seed, loss=loss_kind), va
 
 
 @pytest.fixture(scope="module")
 def factor_runs(factor_dataset):
-    return {
-        (kind, seed): train_factor_run(factor_dataset, seed, kind)
-        for kind in ("proto", "ce")
-        for seed in RUN_SEEDS
-    }
+    """(widths, params, history, extractor, val_set) per (loss, seed); each
+    loss's seeds train as one stack, with each run's bits as trained alone."""
+    results = {}
+    for kind in ("proto", "ce"):
+        runs = [factor_run(factor_dataset, seed, kind) for seed in RUN_SEEDS]
+        for seed, (_, extractor, _, va), (widths, params, history) in zip(RUN_SEEDS, runs, train_runs(runs)):
+            results[(kind, seed)] = widths, params, history, extractor, va
+    return results
 
 
 def test_criterion_1_gradient_correctness():

@@ -11,7 +11,7 @@ import pytest
 from fixedproto.cli import main
 from fixedproto.data import SynthConfig, generate_synthetic
 from fixedproto.prototypes import FactorCodedExtractor, class_orthogonal_extractor, fit_factor_coder
-from fixedproto.training import TrainConfig, train
+from fixedproto.training import TrainConfig, train, train_runs
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -66,6 +66,31 @@ def test_training_forward_passes_are_traced_by_role(kind):
     assert sum(1 for span in tracer.spans if span[0] == "training.loss") == steps
     codes = sum(1 for span in tracer.spans if span[0] == "prototypes.code")
     assert codes == (1 if kind == "factor-coded" else 0)
+
+
+def test_a_stack_is_traced_as_one_batch_pass_per_step_and_full_passes_per_run():
+    # A stack's minibatch forward takes (R, n, input_dim) rows, which the
+    # benchmark reads as R <= batch_size rows: a batch pass, one per step,
+    # with one optimizer step.  Each run's accuracy passes stay 2-D and count
+    # as full passes.
+    spans = load_spans()
+    runs = []
+    for seed in range(3):
+        ds = generate_synthetic(SynthConfig(class_count=2, input_dim=4, samples_per_class=20, seed=seed))
+        val = generate_synthetic(SynthConfig(class_count=2, input_dim=4, samples_per_class=6, seed=10 + seed))
+        config = TrainConfig(epochs=3, batch_size=8, embedding_dim=4, hidden_dims=(4,), seed=seed)
+        runs.append((ds, extractor_for("class-orthogonal", ds, config.embedding_dim), config, val))
+    steps = config.epochs * math.ceil(ds.n / config.batch_size)
+    tracer = spans.Tracer(config.batch_size)
+    tracer.install()
+    try:
+        train_runs(runs)
+    finally:
+        tracer.uninstall()
+    metrics = spans.summarize(tracer.spans)
+    assert metrics["model.forward_full.calls"] == 2 * config.epochs * len(runs)
+    assert metrics["model.forward_batch.calls"] == metrics["training.optimizer.calls"] == steps
+    assert metrics["prototypes.extract_batch.calls"] == steps * len(runs)
 
 
 def test_cli_forward_and_explain_spans_count_their_calls(tmp_path):

@@ -20,7 +20,7 @@ from fixedproto.prototypes import (
     extractor_to_doc,
     fit_factor_coder,
 )
-from fixedproto.training import TrainConfig
+from fixedproto.training import TrainConfig, train_runs
 
 
 DROP = object()  # a test value meaning "delete this entry"
@@ -719,6 +719,44 @@ class TestCompare:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert str(config) in err and "'train_fraction'" in err
+
+    def test_stacks_fit_the_parameter_limit_and_give_the_same_bytes(self, tmp_path, blob_file, monkeypatch):
+        config = train_config(tmp_path, train_fraction=0.8, epochs=3, optimizer="sgd", learning_rate=0.01,
+                              mixup_alpha=0.3)
+        stacks = []
+
+        def recording(runs):
+            stacks.append(len(runs))
+            return train_runs(runs)
+
+        monkeypatch.setattr(fixedproto.cli, "train_runs", recording)
+        outputs = []
+        for limit in (fixedproto.cli.MAX_PARAMETERS, 2 * param_count((6, 16, 8, 2)) - 1):
+            monkeypatch.setattr(fixedproto.cli, "MAX_PARAMETERS", limit)
+            out = tmp_path / f"c{limit}"
+            assert main(["compare", str(blob_file), "--config", str(config), "--out", str(out),
+                         "--seeds", "0,1,2,3", "--quiet"]) == EXIT_OK
+            outputs.append((out / "comparison.json").read_bytes())
+        assert stacks == [3, 1, 3, 1] + [1] * 8
+        assert outputs[0] == outputs[1]
+
+    def test_divergence_exits_3_with_the_message_of_one_by_one_training(self, tmp_path, blob_file, capsys,
+                                                                       monkeypatch):
+        # At this rate seed 2 diverges at epoch 2 and seed 1 earlier, at
+        # epoch 1: trained in that order, seed 2's error comes first.
+        config = train_config(tmp_path, train_fraction=0.8, epochs=5, optimizer="sgd", learning_rate=1.0)
+        errors = []
+        for stack in (fixedproto.cli.MAX_STACK, 1):
+            monkeypatch.setattr(fixedproto.cli, "MAX_STACK", stack)
+            out = tmp_path / f"c{stack}"
+            with np.errstate(all="ignore"):
+                code = main(["compare", str(blob_file), "--config", str(config), "--out", str(out),
+                             "--seeds", "2,1", "--quiet"])
+            assert code == EXIT_DIVERGENCE
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert "at epoch 2, batch 0" in errors[0]
+        assert errors[0] == errors[1]
 
     @pytest.mark.parametrize(
         "seeds, message",

@@ -203,6 +203,57 @@ class TestForwardInto:
         assert [a.tobytes() for a in owned_arrays(other)] == other_bytes
 
 
+    def test_reused_trace_hands_on_the_gradient_vector(self, model):
+        # The vector backward writes is allocated once per model: a trace
+        # made from an earlier one, even for another row count, writes into it.
+        widths, params = model
+        rng = np.random.default_rng(12)
+        earlier = forward(widths, params, rng.standard_normal((9, 4)))
+        first = backward(earlier, rng.standard_normal((9, 2)))
+        X, grad_logits = rng.standard_normal((5, 4)), rng.standard_normal((5, 2))
+        reused = forward(widths, params, X, into=earlier)
+        second = backward(reused, grad_logits)
+        assert second is first
+        assert second.tobytes() == backward(forward(widths, params, X), grad_logits).tobytes()
+
+
+class TestStack:
+    WIDTHS = (4, 6, 5, 3, 2)
+
+    def stack(self):
+        params = np.stack([init_params(self.WIDTHS, seed, seed + 10) for seed in range(3)])
+        rng = np.random.default_rng(13)
+        return params, rng.standard_normal((3, 7, 4)), rng.standard_normal((3, 7, 2)), rng.standard_normal((3, 7, 3))
+
+    def test_views_of_a_stack_carry_the_run_axis(self):
+        params = self.stack()[0]
+        layers, head = param_views(self.WIDTHS, params)
+        assert [(w.shape, b.shape) for w, b in layers] == [((3, 6, 4), (3, 6)), ((3, 5, 6), (3, 5)),
+                                                          ((3, 3, 5), (3, 3))]
+        assert head.shape == (3, 3, 2)
+        for r in range(3):
+            alone_layers, alone_head = param_views(self.WIDTHS, params[r])
+            for (w, b), (alone_w, alone_b) in zip(layers, alone_layers):
+                assert np.shares_memory(w, params) and np.shares_memory(b, params)
+                assert w[r].tobytes() == alone_w.tobytes() and b[r].tobytes() == alone_b.tobytes()
+            assert head[r].tobytes() == alone_head.tobytes()
+
+    def test_each_run_of_a_stack_gets_the_bits_of_its_own_pass(self):
+        params, X, grad_logits, grad_z = self.stack()
+        trace = forward(self.WIDTHS, params, X)
+        grad = backward(trace, grad_logits, grad_z)
+        for r in range(3):
+            alone = forward(self.WIDTHS, params[r].copy(), X[r])
+            for name in ("z", "logits", "probs", "log_probs"):
+                assert getattr(trace, name)[r].tobytes() == getattr(alone, name).tobytes(), name
+            assert grad[r].tobytes() == backward(alone, grad_logits[r], grad_z[r]).tobytes()
+
+    def test_input_without_the_run_axis_rejected(self):
+        params, X, _, _ = self.stack()
+        with pytest.raises(ValueError, match=r"embedder expects \(3, n, 4\)"):
+            forward(self.WIDTHS, params, X[0])
+
+
 class TestBackward:
     def test_zero_grads_in_zero_grads_out(self):
         widths, params = tiny_model()

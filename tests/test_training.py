@@ -1,16 +1,20 @@
+import dataclasses
 import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fixedproto.data import SynthConfig, config_from_doc, config_to_doc, generate_synthetic
+from fixedproto.data import SynthConfig, config_from_doc, config_to_doc, generate_synthetic, split
 from fixedproto.model import backward, forward, init_params, param_views, softmax
 from fixedproto.prototypes import (
     FactorCodedExtractor,
     FactorCoder,
     class_orthogonal_extractor,
     extractor_to_doc,
+    fit_factor_coder,
 )
 from fixedproto.metrics import accuracy
 from fixedproto.training import (
@@ -22,6 +26,7 @@ from fixedproto.training import (
     make_optimizer,
     mix_rows,
     train,
+    train_runs,
 )
 
 from util import central_difference
@@ -409,6 +414,110 @@ def test_train_matches_reference_loop(kind, mixup_alpha):
     assert params.tobytes() == ref_params.tobytes()
     assert all(row["val_accuracy"] is not None for row in history["rows"])
     assert json.dumps(history) == json.dumps(ref_history)
+
+
+# 3 classes x 30 rows with 2 factors; a 0.8 split leaves 72 training rows per seed.
+STACK_DATA = generate_synthetic(SynthConfig(class_count=3, input_dim=5, samples_per_class=30,
+                                            factor_count=2, noise_scale=0.5, seed=6))
+
+
+def stack_run(seed, kind, **fields):
+    """One run of a stack: the seed's split of STACK_DATA and its extractor."""
+    tr, va = split(STACK_DATA, 0.8, seed)
+    extractor = None
+    if kind == "class-orthogonal":
+        extractor = class_orthogonal_extractor(3, 6, seed)
+    elif kind == "factor-coded":
+        extractor = FactorCodedExtractor(fit_factor_coder(tr.factors, tr.factor_names), 6)
+    config = TrainConfig(embedding_dim=6, hidden_dims=(5,), seed=seed, loss="ce" if kind == "ce" else "proto",
+                         extractor={"kind": "class-orthogonal" if kind == "ce" else kind}, **fields)
+    return tr, extractor, config, va
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seeds=st.lists(st.integers(0, 50), min_size=1, max_size=3, unique=True),
+       optimizer=st.sampled_from(["adam", "sgd"]),
+       mixup_alpha=st.sampled_from([0.0, 0.3, 1.0]),
+       kind=st.sampled_from(["class-orthogonal", "factor-coded", "ce"]),
+       batch_size=st.sampled_from([5, 7, 16, 50]))
+def test_a_stack_gives_each_run_its_bits_alone(seeds, optimizer, mixup_alpha, kind, batch_size):
+    # 72 rows leave a short last batch at every batch size drawn.
+    runs = [stack_run(seed, kind, epochs=2, batch_size=batch_size, learning_rate=1e-2, optimizer=optimizer,
+                      mixup_alpha=mixup_alpha) for seed in seeds]
+    for run, (widths, params, history) in zip(runs, train_runs(runs)):
+        alone_widths, alone_params, alone_history = train(*run)
+        assert widths == alone_widths
+        assert params.tobytes() == alone_params.tobytes()
+        assert json.dumps(history) == json.dumps(alone_history)
+
+
+@pytest.mark.parametrize("field, value", [("epochs", 3), ("learning_rate", 0.5), ("optimizer", "sgd"),
+                                          ("mixup_alpha", 0.2), ("loss", "ce"), ("lambda_p", 0.5),
+                                          ("hidden_dims", (4,))])
+def test_stack_refuses_runs_that_differ_in_more_than_seed_data_and_extractor(field, value):
+    first = stack_run(0, "class-orthogonal", epochs=2)
+    tr, extractor, config, va = stack_run(1, "class-orthogonal", epochs=2)
+    other = (tr, extractor, dataclasses.replace(config, **{field: value}), va)
+    with pytest.raises(ValueError, match=f"run 1 differs from run 0 in config field '{field}'"):
+        train_runs([first, other])
+
+
+def test_stack_refuses_datasets_of_other_shapes():
+    first = stack_run(0, "class-orthogonal", epochs=2)
+    tr, extractor, config, va = stack_run(1, "class-orthogonal", epochs=2)
+    with pytest.raises(ValueError, match=r"run 1 has inputs of shape \(71, 5\), run 0 \(72, 5\)"):
+        train_runs([first, (tr.subset(np.arange(71)), extractor, config, va)])
+
+
+def divergence(run):
+    """(epoch, batch, value, message) of the run trained alone, or None if it trains through."""
+    with np.errstate(all="ignore"):
+        try:
+            train(*run)
+        except DivergenceError as e:
+            return e.epoch, e.batch, repr(e.value), str(e)
+    return None
+
+
+def stack_divergence(runs):
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+        train_runs(runs)
+    return err.value.epoch, err.value.batch, repr(err.value.value), str(err.value)
+
+
+def test_stack_whose_runs_all_diverge_at_batch_0_raises_the_first_runs_error():
+    # One batch per epoch: the first step overflows every run's parameters.
+    runs = [stack_run(seed, "class-orthogonal", epochs=3, batch_size=100, learning_rate=1e308, optimizer="sgd")
+            for seed in (0, 1, 2)]
+    alone = [divergence(run) for run in runs]
+    assert all(a == (0, 0, "None", "the parameters went non-finite at epoch 0, batch 0") for a in alone)
+    assert stack_divergence(runs) == alone[0]
+
+
+@pytest.fixture(scope="module")
+def borderline_runs():
+    """Runs at a learning rate where some seeds diverge and some do not, by
+    outcome alone: the latest divergence, an earlier one, and none."""
+    runs = {seed: stack_run(seed, "class-orthogonal", epochs=6, batch_size=16, learning_rate=2.0,
+                            optimizer="sgd") for seed in range(12)}
+    outcomes = {seed: divergence(run) for seed, run in runs.items()}
+    diverging = sorted((o[:2], seed) for seed, o in outcomes.items() if o is not None)
+    late, early = diverging[-1][1], diverging[0][1]
+    assert diverging[0][0] < diverging[-1][0], "no two seeds diverge at different steps"
+    ok = [seed for seed, o in outcomes.items() if o is None]
+    assert ok, "every seed diverges"
+    return {"late": runs[late], "early": runs[early], "ok": runs[ok[0]]}, {
+        "late": outcomes[late], "early": outcomes[early]}
+
+
+@pytest.mark.parametrize("order", [("late", "early"), ("ok", "late", "early"), ("ok", "early"),
+                                   ("early", "late")])
+def test_stack_raises_the_error_of_the_first_run_that_diverges_alone(borderline_runs, order):
+    # A later run that diverges first must not stop an earlier run that
+    # diverges later: one-by-one training would raise the earlier run's error.
+    runs, outcomes = borderline_runs
+    expected = outcomes[next(name for name in order if name != "ok")]
+    assert stack_divergence([runs[name] for name in order]) == expected
 
 
 class TestTrainConfig:
