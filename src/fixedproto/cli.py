@@ -505,8 +505,10 @@ def cmd_explain(args) -> int:
 def _comparison_runs(dataset: Dataset, configs) -> list:
     """Train the configs' runs as one stack; score each on its held-out split.
 
-    A run that cannot be set up stops the stack there, after the runs
-    before it are trained, as training them one by one would.
+    Training scores each run once, after its last epoch, and only on its
+    training split: the held-out split is scored here, once.  A run that
+    cannot be set up stops the stack there, after the runs before it are
+    trained, as training them one by one would.
     """
     runs, error = [], None
     for config in configs:
@@ -515,7 +517,8 @@ def _comparison_runs(dataset: Dataset, configs) -> list:
         except DataError as e:
             error = e
             break
-    results = train_runs(runs) if runs else []
+    without_val = [(train_set, extractor, config, None) for train_set, extractor, config, _ in runs]
+    results = train_runs(without_val, score_every_epoch=False) if runs else []
     records = []
     for (_, extractor, config, val_set), (widths, params, history) in zip(runs, results):
         trace = forward(widths, params, val_set.X)
@@ -538,8 +541,10 @@ def run_comparison(dataset: Dataset, config: TrainConfig, seeds) -> dict:
     Each (loss, seed) run is independent and internally deterministic.  Each
     loss's seeds train in order as stacks of up to ``MAX_STACK`` runs
     (``training.train_runs``), fewer where a stack would hold more than
-    ``MAX_PARAMETERS`` parameters; the two losses never share a stack.  The
-    results, and any error, are those of training each run alone in turn.
+    ``MAX_PARAMETERS`` parameters; the two losses never share a stack.  A
+    run is scored once, after its last epoch: its training accuracy, and the
+    accuracy and separation of its held-out split.  The results, and any
+    error, are those of training each run alone in turn.
     Raises ``ValueError`` for an empty seed list or a repeated seed.
     """
     if config.train_fraction >= 1.0:

@@ -226,9 +226,10 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
     """Minibatch training of one run; returns the model and its record,
     ``(widths, params, history)``: the one run of ``train_runs``.
 
-    ``history`` is the ``train-history`` document, one row per epoch; a
-    non-finite row raises ``ValueError``, and a non-finite loss or parameter
-    vector ``DivergenceError``.  Runs are deterministic for a fixed config
+    ``history`` is the ``train-history`` document, one row per epoch, each
+    scored on the full training set and on ``val``; a non-finite row raises
+    ``ValueError``, and a non-finite loss or parameter vector
+    ``DivergenceError``.  Runs are deterministic for a fixed config
     seed: initialization, shuffling and mixup draw from independent child
     streams of it, in a fixed order.
     """
@@ -264,7 +265,10 @@ def _fail(failed: dict, bad, error) -> None:
         raise failed[0]
 
 
-def train_runs(runs) -> list:
+# Divergence is caught by the explicit isfinite checks, so the overflow on
+# the way to it is expected, not a warning.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def train_runs(runs, *, score_every_epoch: bool = True) -> list:
     """Train R >= 1 runs ``(dataset, extractor, config, val)`` in one loop;
     returns ``(widths, params, history)`` per run, each to the bit what
     training that run alone gives.
@@ -282,6 +286,11 @@ def train_runs(runs) -> list:
     alone.  The minibatch pass and each run's full-set and validation passes
     reuse their previous trace (``forward(into=)``).  Extractors are
     read-only throughout.
+
+    With ``score_every_epoch=False`` the full-set and validation passes run
+    after the last epoch only: the other rows keep their losses and carry
+    None for ``train_accuracy`` and ``val_accuracy``.  The last row, the
+    parameters and every error are those of the default.
 
     Errors come as training the runs in order would raise them first: a run
     whose loss or parameters go non-finite is dropped with its
@@ -367,13 +376,16 @@ def train_runs(runs) -> list:
             opt.step(params, backward(trace, grad_logits, grad_z))
         # The last step's loss was finite, its update need not be.
         _fail(failed, ~np.isfinite(params).all(axis=1), lambda r: DivergenceError(epoch, batch_i, None))
+        scored = score_every_epoch or epoch == config.epochs - 1
         for r in range(min(failed, default=R)):
-            shown[...] = params[r]
-            full_trace = forward(widths, shown, datasets[r].X, into=full_trace)
-            val_acc = None
-            if vals[r] is not None:
-                val_trace = forward(widths, shown, vals[r].X, into=val_trace)
-                val_acc = accuracy(val_trace.probs, vals[r].Y)
+            train_acc = val_acc = None
+            if scored:
+                shown[...] = params[r]
+                full_trace = forward(widths, shown, datasets[r].X, into=full_trace)
+                train_acc = accuracy(full_trace.probs, datasets[r].Y)
+                if vals[r] is not None:
+                    val_trace = forward(widths, shown, vals[r].X, into=val_trace)
+                    val_acc = accuracy(val_trace.probs, vals[r].Y)
             ce_mean = float(ce_sum[r]) / n
             proto_mean = float(proto_sum[r]) / n
             row = {
@@ -381,7 +393,7 @@ def train_runs(runs) -> list:
                 "total_loss": ce_mean + lambda_p * proto_mean,
                 "ce_loss": ce_mean,
                 "prototype_loss": proto_mean,
-                "train_accuracy": accuracy(full_trace.probs, datasets[r].Y),
+                "train_accuracy": train_acc,
                 "val_accuracy": val_acc,
             }
             if not np.all(np.isfinite([v for v in row.values() if v is not None])):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from fixedproto.cli import main
-from fixedproto.data import SynthConfig, generate_synthetic
+from fixedproto.data import SynthConfig, config_to_doc, generate_synthetic, load_table, split
 from fixedproto.prototypes import FactorCodedExtractor, class_orthogonal_extractor, fit_factor_coder
 from fixedproto.training import TrainConfig, train, train_runs
 
@@ -91,6 +91,37 @@ def test_a_stack_is_traced_as_one_batch_pass_per_step_and_full_passes_per_run():
     assert metrics["model.forward_full.calls"] == 2 * config.epochs * len(runs)
     assert metrics["model.forward_batch.calls"] == metrics["training.optimizer.calls"] == steps
     assert metrics["prototypes.extract_batch.calls"] == steps * len(runs)
+
+
+def test_compare_scores_each_run_once_after_its_last_epoch(tmp_path):
+    # compare reads only each run's last training accuracy and scores the
+    # held-out split itself, so per run there is one full training-set pass
+    # after the last epoch and one held-out pass in cli, at any epoch count.
+    # Per step, each loss's stack of 3 takes one batch pass and one
+    # optimizer step.
+    spans = load_spans()
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"class_count": 2, "input_dim": 4, "samples_per_class": 20, "seed": 0}))
+    config = TrainConfig(epochs=3, batch_size=8, embedding_dim=4, hidden_dims=(4,), train_fraction=0.5)
+    config_file = tmp_path / "compare.json"
+    config_file.write_text(json.dumps(config_to_doc(config)))
+    data = str(tmp_path / "data.csv")
+    assert main(["gen-data", "--config", str(gen), "--out", data, "--quiet"]) == 0
+    train_rows = split(load_table(data), config.train_fraction, 0)[0].n
+    assert train_rows > config.batch_size
+    runs = 3
+    steps = 2 * config.epochs * math.ceil(train_rows / config.batch_size)
+    tracer = spans.Tracer(config.batch_size)
+    tracer.install()
+    try:
+        assert main(["compare", data, "--config", str(config_file), "--out", str(tmp_path / "cmp"),
+                     "--seeds", "0,1,2", "--quiet"]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = spans.summarize(tracer.spans)
+    assert metrics["model.forward_full.calls"] == 4 * runs
+    assert metrics["metrics.accuracy.calls"] == 4 * runs
+    assert metrics["model.forward_batch.calls"] == metrics["training.optimizer.calls"] == steps
 
 
 def test_cli_forward_and_explain_spans_count_their_calls(tmp_path):

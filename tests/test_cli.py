@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -183,9 +184,7 @@ class TestTrain:
     def test_divergence_exit_code(self, tmp_path, blob_file):
         config = train_config(tmp_path, learning_rate=1e30, optimizer="sgd", epochs=40)
         out = tmp_path / "run"
-        with np.errstate(all="ignore"):
-            code = main(["train", str(blob_file), "--config", str(config),
-                         "--out", str(out), "--quiet"])
+        code = main(["train", str(blob_file), "--config", str(config), "--out", str(out), "--quiet"])
         assert code == EXIT_DIVERGENCE
 
     def test_last_step_overflow_exits_3_and_writes_nothing(self, tmp_path, capsys):
@@ -197,8 +196,7 @@ class TestTrain:
         config = train_config(tmp_path, epochs=1, batch_size=64, learning_rate=1e308, optimizer="sgd",
                               hidden_dims=[4], embedding_dim=4)
         out = tmp_path / "run"
-        with np.errstate(all="ignore"):
-            code = main(["train", str(data), "--config", str(config), "--out", str(out), "--quiet"])
+        code = main(["train", str(data), "--config", str(config), "--out", str(out), "--quiet"])
         assert code == EXIT_DIVERGENCE
         err = capsys.readouterr().err
         assert "parameters went non-finite at epoch 0, batch 0" in err
@@ -667,6 +665,22 @@ class TestExplain:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, train_fraction", [("train", 1.0), ("compare", 0.8)])
+def test_divergence_prints_one_error_line_and_no_warning(tmp_path, blob_file, capsys, command, train_fraction):
+    # Training's own finiteness checks report the divergence; the numpy
+    # overflow on the way to it must not print warnings before that line.
+    config = train_config(tmp_path, learning_rate=1e308, optimizer="sgd", train_fraction=train_fraction)
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, str(blob_file), "--config", str(config), "--out", str(out), "--quiet"])
+    assert code == EXIT_DIVERGENCE
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "at epoch 0" in err
+
+
 class TestCompare:
     def test_structure_and_determinism(self, tmp_path, blob_file):
         config = train_config(tmp_path, train_fraction=0.8, epochs=10)
@@ -725,9 +739,9 @@ class TestCompare:
                               mixup_alpha=0.3)
         stacks = []
 
-        def recording(runs):
+        def recording(runs, **kwargs):
             stacks.append(len(runs))
-            return train_runs(runs)
+            return train_runs(runs, **kwargs)
 
         monkeypatch.setattr(fixedproto.cli, "train_runs", recording)
         outputs = []
@@ -749,9 +763,8 @@ class TestCompare:
         for stack in (fixedproto.cli.MAX_STACK, 1):
             monkeypatch.setattr(fixedproto.cli, "MAX_STACK", stack)
             out = tmp_path / f"c{stack}"
-            with np.errstate(all="ignore"):
-                code = main(["compare", str(blob_file), "--config", str(config), "--out", str(out),
-                             "--seeds", "2,1", "--quiet"])
+            code = main(["compare", str(blob_file), "--config", str(config), "--out", str(out),
+                         "--seeds", "2,1", "--quiet"])
             assert code == EXIT_DIVERGENCE
             assert not out.exists()
             errors.append(capsys.readouterr().err)
