@@ -17,7 +17,7 @@ module writes and reads, so ``eval`` and ``explain`` read only the
 checkpoint and the data file, whose factor columns (if any) must be the
 checkpoint's, in its order.
 Exit codes: 0 success, 2 config/validation error, 3 training divergence,
-4 I/O failure.
+4 I/O or memory failure.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .data import (Dataset, SynthConfig, config_from_doc, config_to_doc, generate_synthetic, json_field,
                    json_numbers, load_table, save_dataset, split)
-from .explain import explain_sample, explanation_to_csv_text, explanation_to_doc
+from .explain import check_explainable, explain_sample, explanation_to_csv_text, explanation_to_doc
 from .metrics import (accuracy, disentanglement_report, joint_probability_table, separation_report,
                       zero_block_activity)
 from .model import forward, param_count, param_views
@@ -120,9 +120,14 @@ def _load_config(path, config_class, **overrides):
 
 
 def _write(path, content) -> None:
-    """Write a str as it is, anything else as an indented JSON document."""
+    """Write a str as it is, anything else as an indented JSON document; a
+    document holding NaN or an infinity is refused, naming ``path``, before
+    the file is opened."""
     if not isinstance(content, str):
-        content = json.dumps(content, indent=2) + "\n"
+        try:
+            content = json.dumps(content, indent=2, allow_nan=False) + "\n"
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(content)
 
@@ -393,7 +398,9 @@ def cmd_train(args) -> int:
 
 
 def _eval_doc(widths, params, extractor, dataset: Dataset) -> dict:
-    trace = forward(widths, params, dataset.X)
+    with np.errstate(over="ignore", invalid="ignore"):  # check_explainable reports what overflows
+        trace = forward(widths, params, dataset.X)
+    check_explainable(param_views(widths, params)[1], trace)
     disentanglement = None
     joint = None
     zero_block = None
@@ -483,15 +490,19 @@ def cmd_explain(args) -> int:
         if not 0 <= i < dataset.n:
             raise ConfigError(f"--samples: sample {i} out of range [0, {dataset.n})")
     # Explained before the output directory exists: explain_sample raises if
-    # the relevance identity fails, and then nothing must have been written.
-    expl = explain_sample(
-        widths,
-        params,
-        dataset.X[ids],
-        sample_ids=ids,
-        layout=extractor if isinstance(extractor, FactorCodedExtractor) else None,
-        class_names=dataset.class_names,
-    )
+    # a sample is beyond the model's range or the relevance identity fails,
+    # and then nothing must have been written.
+    try:
+        expl = explain_sample(
+            widths,
+            params,
+            dataset.X[ids],
+            sample_ids=ids,
+            layout=extractor if isinstance(extractor, FactorCodedExtractor) else None,
+            class_names=dataset.class_names,
+        )
+    except ValueError as e:
+        raise ConfigError(f"{args.data}: {e}") from None
     # A generator: each file is serialized only as it is written, so all of them are never held at once.
     files = ((f"sample_{sample_id:05d}{ext}", serialize(expl, i))
              for i, sample_id in enumerate(expl["sample_ids"])
@@ -680,6 +691,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as e:
+        print(f"error: out of memory{f' ({e})' if str(e) else ''}", file=sys.stderr)
         return EXIT_IO
 
 

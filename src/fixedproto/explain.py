@@ -19,6 +19,33 @@ from .model import forward, param_views, relevance
 RELEVANCE_TOL = 1e-9
 
 
+def check_explainable(head, trace, sample_ids=None) -> None:
+    """Raise ``ValueError`` naming the first row of ``trace`` (by
+    ``sample_ids``, default its index) beyond the model's range: its logits
+    or its embedding's squared norm (which the metrics take) are not finite,
+    or its relevance sums miss its logits by more than ``RELEVANCE_TOL``, as
+    they do for an input so large that rounding alone breaks the
+    decomposition.
+
+    The sums add the contributions one dimension at a time, apart from
+    ``relevance`` and without holding the ``(n, k, C)`` gamma.
+    """
+    z = trace.z
+    sums = np.zeros_like(trace.logits)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(head.shape[0]):
+            sums += z[:, j, None] * head[j]
+        gap = np.abs(sums - trace.logits).max(axis=1, initial=0.0)
+        finite = np.isfinite((z * z).sum(axis=1)) & np.isfinite(trace.logits).all(axis=1)
+    bad = np.flatnonzero(~(finite & (gap <= RELEVANCE_TOL)))
+    if bad.size:
+        i = int(bad[0])
+        why = (f"its relevance sums miss its logits by {gap[i]:.3e}, more than {RELEVANCE_TOL}" if finite[i]
+               else "its logits or its embedding's squared norm are not finite")
+        sample = i if sample_ids is None else sample_ids[i]
+        raise ValueError(f"sample {sample} is beyond the model's range: {why}")
+
+
 def explain_sample(widths, params, X, sample_ids=None, layout=None, class_names=None) -> dict:
     """Explain each row of ``X`` under the model ``(widths, params)``: one
     forward pass, then every logit split by dimension.
@@ -29,20 +56,26 @@ def explain_sample(widths, params, X, sample_ids=None, layout=None, class_names=
     ``(n, k, C)``, each class's dimensions by descending ``|gamma|``, ties by
     dimension.  The logits are the column sums of gamma.  ``layout``, a
     factor-coded extractor, names the dimensions by factor slot; without it
-    they are ``dim j``.  Raises ``RuntimeError`` when the relevance sums miss
-    the forward pass's own logits ``z @ W`` by more than ``RELEVANCE_TOL``, so
-    nothing built on a broken decomposition gets out.
+    they are ``dim j``.  Raises ``ValueError`` from ``check_explainable`` for
+    the first row beyond the model's range, and ``RuntimeError`` when the
+    relevance sums miss the forward pass's own logits ``z @ W`` by more than
+    ``RELEVANCE_TOL`` all the same, so nothing built on a broken
+    decomposition gets out.
     """
-    trace = forward(widths, params, X)
-    gamma = relevance(param_views(widths, params)[1], trace.z)
-    n, k, C = gamma.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # check_explainable reports what overflows
+        trace = forward(widths, params, X)
+    n = trace.z.shape[0]
+    sample_ids = range(n) if sample_ids is None else sample_ids
+    if len(sample_ids) != n:
+        raise ValueError(f"expected {n} sample ids, got {len(sample_ids)}")
+    head = param_views(widths, params)[1]
+    check_explainable(head, trace, sample_ids)
+    gamma = relevance(head, trace.z)
+    k, C = head.shape
     logits = gamma.sum(axis=1)
     worst = float(np.max(np.abs(logits - trace.logits), initial=0.0))
     if not worst <= RELEVANCE_TOL:
         raise RuntimeError(f"relevance sums are {worst:.3e} away from the forward logits")
-    sample_ids = range(n) if sample_ids is None else sample_ids
-    if len(sample_ids) != n:
-        raise ValueError(f"expected {n} sample ids, got {len(sample_ids)}")
     class_names = [str(c) for c in (range(C) if class_names is None else class_names)]
     if len(class_names) != C:
         raise ValueError(f"expected {C} class names, got {len(class_names)}")

@@ -13,9 +13,12 @@ parameters for the same seed.
 ``fixedproto.model``), and the ``train-history`` document, the one record
 of a run's epochs.  It is the one-run case of ``train_runs``, the one
 minibatch loop, which trains R runs of equal shapes as one stack of
-parameter vectors with each run's bits unchanged.  ``TrainConfig`` checks
-every field's type (an integer field takes no bool or float), so a
-mistyped config fails naming the field before anything runs.
+parameter vectors with each run's bits unchanged.  A row's prototype target
+is one more part of the row: each epoch a run's inputs, labels and targets
+form one block, and each batch is one slice of it, mixed once.
+``TrainConfig`` checks every field's type (an integer field takes no bool
+or float), so a mistyped config fails naming the field before anything
+runs.
 """
 
 from __future__ import annotations
@@ -95,6 +98,11 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if self.adam_eps <= 0:
+            raise ValueError("adam_eps must be > 0")
         if self.mixup_alpha < 0:
             raise ValueError("mixup_alpha must be >= 0")
         if self.lambda_p is not None and self.lambda_p < 0:
@@ -143,19 +151,6 @@ def loss(y, trace, prototype, lambda_p: float):
     return ce, proto_sq, grad_logits, (2.0 * lambda_p) * diff * scale
 
 
-def _mixer(lam: np.ndarray, perm: np.ndarray):
-    """``mix_rows`` with one batch's draws bound, for every array that batch
-    mixes; ``1 - lam`` and the partner index are computed once."""
-    rest = 1.0 - lam
-    partner = (perm,) if perm.ndim == 1 else (np.arange(len(perm))[:, None], perm)
-
-    def mix(a: np.ndarray) -> np.ndarray:
-        shape = lam.shape + (1,) * (a.ndim - lam.ndim)
-        return lam.reshape(shape) * a + rest.reshape(shape) * a[partner]
-
-    return mix
-
-
 def mix_rows(a: np.ndarray, lam: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Mixup of a batch with itself.
 
@@ -166,7 +161,9 @@ def mix_rows(a: np.ndarray, lam: np.ndarray, perm: np.ndarray) -> np.ndarray:
     before mixing: mixing raw values and re-discretizing would break the
     linearity of the prototypes.
     """
-    return _mixer(lam, perm)(a)
+    partner = (perm,) if perm.ndim == 1 else (np.arange(len(perm))[:, None], perm)
+    shape = lam.shape + (1,) * (a.ndim - lam.ndim)
+    return lam.reshape(shape) * a + (1.0 - lam).reshape(shape) * a[partner]
 
 
 class SGD:
@@ -277,15 +274,17 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
     extractor and ``val``; the rest of the configs, and the shapes of the
     datasets and of their prototype targets, must be equal (``ValueError``
     naming the first difference).  The parameters are one ``(R, P)`` array
-    and each run's ``params`` is its row.  Per epoch, each run gathers its
-    inputs, labels and targets once in its own shuffled order, stacked, and
-    each batch is a slice of the stack.  Per batch: mix each run's rows with
-    its own draws (with mixup), forward the stack, look up each run's fixed
-    prototypes, take the per-run losses, and take one optimizer step on the
-    stack; the optimizers are elementwise, so each row steps as it would
-    alone.  The minibatch pass and each run's full-set and validation passes
-    reuse their previous trace (``forward(into=)``).  Extractors are
-    read-only throughout.
+    and each run's ``params`` is its row.  A run's rows are one block per
+    epoch: its inputs, labels and prototype targets side by side as columns,
+    gathered in its own shuffled order (a class-orthogonal run's targets are
+    its labels, again; a run without a prototype term has none), so each
+    batch is one slice of the stacked blocks.  Per batch: mix the slice once,
+    each run's rows with its own draws (with mixup), forward the stack's
+    inputs, look up each run's fixed prototypes from its targets, take the
+    per-run losses, and take one optimizer step on the stack; the optimizers
+    are elementwise, so each row steps as it would alone.  The minibatch
+    pass and each run's full-set and validation passes reuse their previous
+    trace (``forward(into=)``).  Extractors are read-only throughout.
 
     With ``score_every_epoch=False`` the full-set and validation passes run
     after the last epoch only: the other rows keep their losses and carry
@@ -314,55 +313,51 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
             if np.shape(mine) != np.shape(first):
                 raise ValueError(f"run {i} has {what} of shape {np.shape(mine)}, run 0 {np.shape(first)}")
     lambda_p = config.effective_lambda() if config.uses_prototypes else 0.0
-    # A class-orthogonal extractor's targets are the labels themselves:
-    # gathered and mixed once, as labels.
-    targets_are_labels = all(t is ds.Y for t, ds in zip(targets, datasets))
 
     R = len(runs)
     seeds = [np.random.SeedSequence(c.seed).spawn(4) for c in configs]
     widths = (datasets[0].input_dim, *config.hidden_dims, config.embedding_dim, datasets[0].class_count)
     params = np.stack([init_params(widths, emb_seed, clf_seed) for emb_seed, clf_seed, _, _ in seeds])
     # Each run's full-set and validation passes are 2-D, on one vector that
-    # holds that run's parameters (a lone run's own row), so one trace each
-    # serves every run and epoch: R of them would hold R times the memory.
-    shown = params[0] if R == 1 else np.empty_like(params[0])
+    # holds that run's parameters, so one trace each serves every run and
+    # epoch: R of them would hold R times the memory.
+    shown = np.empty_like(params[0])
     rng_shuffle = [np.random.default_rng(s[2]) for s in seeds]
     rng_mix = [np.random.default_rng(s[3]) for s in seeds]
     opt = make_optimizer(config)
 
-    n = datasets[0].n
-    # Each epoch's shuffled rows, one block per run, written in place.
-    X_epoch = np.empty((R, *datasets[0].X.shape))
-    Y_epoch = np.empty((R, *datasets[0].Y.shape))
-    T_epoch = None if targets_are_labels or targets[0] is None else np.empty((R, *targets[0].shape))
+    n, p = datasets[0].X.shape
+    C = datasets[0].class_count
+    d = 0 if targets[0] is None else targets[0][0].size
+    # Each epoch's shuffled rows, one block per run, written in place: the
+    # inputs, the labels, then the prototype targets flattened (none for a
+    # run without a prototype term), so that a batch is one slice.
+    block = np.empty((R, n, p + C + d))
     rows = [[] for _ in runs]
     failed = {}  # run -> the error training it alone raises
     trace = full_trace = val_trace = None
     for epoch in range(config.epochs):
         for r, (ds, t, rng) in enumerate(zip(datasets, targets, rng_shuffle)):
             order = rng.permutation(n)
-            X_epoch[r], Y_epoch[r] = ds.X[order], ds.Y[order]
-            if T_epoch is not None:
-                T_epoch[r] = t[order]
+            block[r, :, :p] = ds.X[order]
+            block[r, :, p:p + C] = ds.Y[order]
+            if d:
+                block[r, :, p + C:] = t[order].reshape(n, d)
         ce_sum = np.zeros(R)
         proto_sum = np.zeros(R)
         for batch_i, start in enumerate(range(0, n, config.batch_size)):
-            batch = slice(start, start + config.batch_size)
-            xb, yb = X_epoch[:, batch], Y_epoch[:, batch]
-            tb = None if T_epoch is None else T_epoch[:, batch]
-            size = xb.shape[1]
+            batch = block[:, start:start + config.batch_size]
+            size = batch.shape[1]
             if config.mixup_alpha > 0:
                 draws = [(rng.permutation(size), rng.beta(config.mixup_alpha, config.mixup_alpha, size=size))
                          for rng in rng_mix]
-                mix = _mixer(np.array([lam for _, lam in draws]), np.array([perm for perm, _ in draws]))
-                xb, yb = mix(xb), mix(yb)
-                if tb is not None:
-                    tb = mix(tb)
-            if targets_are_labels:
-                tb = yb
+                perms, lams = map(np.array, zip(*draws))
+                batch = mix_rows(batch, lams, perms)
+            xb, yb = batch[..., :p], batch[..., p:p + C]
             trace = forward(widths, params, xb, into=trace)
             proto = None
-            if tb is not None:
+            if d:
+                tb = batch[..., p + C:].reshape(R, size, *targets[0].shape[1:])
                 proto = np.empty_like(trace.z)
                 for r, (ex, t) in enumerate(zip(extractors, tb)):
                     proto[r] = ex.extract_batch(t)

@@ -127,6 +127,15 @@ class TestGenData:
         code = main(["gen-data", "--config", str(tmp_path / "nope.json"), "--out", str(out)])
         assert code == EXIT_IO
 
+    def test_impossible_allocation_is_one_out_of_memory_line(self, tmp_path, capsys):
+        # 2 * 10**15 rows fail at their first array, so nothing is allocated.
+        config = gen_config(tmp_path, samples_per_class=10**15)
+        out = tmp_path / "data.csv"
+        assert main(["gen-data", "--config", str(config), "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: out of memory")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_end_to_end_blobs(self, tmp_path, blob_file):
@@ -456,6 +465,38 @@ def factor_run(tmp_path):
     config = train_config(tmp_path, epochs=2, extractor={"kind": "factor-coded"})
     assert main(["train", str(data), "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_OK
     return out / "checkpoint.json", data
+
+
+@pytest.mark.parametrize("value", ["1e300", "1e308"])
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_values_beyond_the_model_name_the_file_and_sample(tmp_path, blob_file, trained_run, capsys, command,
+                                                          value):
+    # Row 5's first feature overflows the model: rounding alone breaks the
+    # relevance identity (1e300), or the embedding's squared norm and the
+    # logits overflow (1e308).
+    lines = blob_file.read_text().splitlines()
+    lines[1 + 5] = value + "," + lines[1 + 5].split(",", 1)[1]
+    blob_file.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = [command, str(trained_run / "checkpoint.json"), str(blob_file), "--out", str(out), "--quiet"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + (["--samples", "2,5,7"] if command == "explain" else []))
+    assert code == EXIT_CONFIG
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {blob_file}: sample 5 is beyond the model's range: ")
+    assert not out.exists()
+
+
+def test_a_document_with_a_non_finite_number_is_refused_naming_the_path(tmp_path):
+    path = tmp_path / "report.json"
+    for number in (float("inf"), float("nan")):
+        with pytest.raises(ValueError) as refused:
+            _write(path, {"mean_within_class_dist": number})
+        assert str(refused.value).startswith(f"{path}: Out of range float values are not JSON compliant")
+        assert not path.exists()
 
 
 class TestFactorColumns:
@@ -809,6 +850,12 @@ MISTYPED_CONFIGS = [
     ("train", {"seed": -1}, "seed"),
     ("train", {"embedding_dim": 4.5}, "embedding_dim"),
     ("train", {"learning_rate": True}, "learning_rate"),
+    ("train", {"adam_beta1": 1.0}, "adam_beta1 must be in [0, 1)"),
+    ("train", {"adam_beta1": 1.5}, "adam_beta1 must be in [0, 1)"),
+    ("train", {"adam_beta1": -3.0}, "adam_beta1 must be in [0, 1)"),
+    ("train", {"adam_beta2": 2.0}, "adam_beta2 must be in [0, 1)"),
+    ("train", {"adam_eps": -1.0}, "adam_eps must be > 0"),
+    ("train", {"adam_eps": 0.0}, "adam_eps must be > 0"),
     ("train", {"hidden_dims": [4.7]}, "hidden_dims"),
     ("train", {"extractor": None}, "extractor"),
     ("train", {"extractor": {"kind": "class-orthogonal", "seed": "a"}}, "extractor"),

@@ -393,21 +393,30 @@ def reference_train(dataset, extractor, config, val=None):
     return params, {"format": "train-history", "version": 1, "rows": rows}
 
 
-@pytest.mark.parametrize("mixup_alpha", [0.0, 0.2], ids=["no-mixup", "mixup"])
-@pytest.mark.parametrize("kind", ["class-orthogonal", "factor-coded"])
-def test_train_matches_reference_loop(kind, mixup_alpha):
+# A "ce" run has no prototype targets; a "-linear" model (no hidden layer)
+# feeds the batch's input columns straight into its one layer.
+@pytest.mark.parametrize("kind, mixup_alpha, hidden_dims", [
+    pytest.param(kind, mixup_alpha, hidden_dims,
+                 id=f"{kind}-{'mixup' if mixup_alpha else 'no-mixup'}{'' if hidden_dims else '-linear'}")
+    for kind in ("class-orthogonal", "factor-coded", "ce") for mixup_alpha in (0.0, 0.2)
+    for hidden_dims in ((8,), ())])
+def test_train_matches_reference_loop(kind, mixup_alpha, hidden_dims):
     ds = generate_synthetic(SynthConfig(class_count=3, input_dim=8, samples_per_class=30,
                                         factor_count=2, noise_scale=0.5, seed=4))
     val = generate_synthetic(SynthConfig(class_count=3, input_dim=8, samples_per_class=10,
                                          factor_count=2, noise_scale=0.5, seed=5))
     if kind == "class-orthogonal":
         ex = class_orthogonal_extractor(3, 8, seed=2)
-    else:
+    elif kind == "factor-coded":
         ex = FactorCodedExtractor(FactorCoder(names=("alpha_0", "alpha_1"), lower=np.array([-0.5, -0.5]),
                                              upper=np.array([0.5, 0.5])), 8)
+    else:
+        ex = None
     # 90 rows in batches of 16: the last batch is short.
-    config = TrainConfig(epochs=3, batch_size=16, learning_rate=1e-2, embedding_dim=8, hidden_dims=(8,),
-                         mixup_alpha=mixup_alpha, seed=5, extractor={"kind": kind})
+    config = TrainConfig(epochs=3, batch_size=16, learning_rate=1e-2, embedding_dim=8,
+                         hidden_dims=hidden_dims, mixup_alpha=mixup_alpha, seed=5,
+                         loss="ce" if kind == "ce" else "proto",
+                         extractor={"kind": "class-orthogonal" if kind == "ce" else kind})
     widths, params, history = train(ds, ex, config, val=val)
     ref_params, ref_history = reference_train(ds, ex, config, val=val)
     assert params.tobytes() == ref_params.tobytes()
