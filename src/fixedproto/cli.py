@@ -514,22 +514,16 @@ def cmd_explain(args) -> int:
 
 
 def _comparison_runs(dataset: Dataset, configs) -> list:
-    """Train the configs' runs as one stack; score each on its held-out split.
+    """Set up the configs' runs, then train them as one stack; score each on
+    its held-out split.
 
-    Training scores each run once, after its last epoch, and only on its
-    training split: the held-out split is scored here, once.  A run that
-    cannot be set up stops the stack there, after the runs before it are
-    trained, as training them one by one would.
+    A run that cannot be set up raises its ``DataError`` before the stack
+    trains.  Training scores each run once, after its last epoch, and only on
+    its training split: the held-out split is scored here, once.
     """
-    runs, error = [], None
-    for config in configs:
-        try:
-            runs.append(_training_run(dataset, config))
-        except DataError as e:
-            error = e
-            break
+    runs = [_training_run(dataset, config) for config in configs]
     without_val = [(train_set, extractor, config, None) for train_set, extractor, config, _ in runs]
-    results = train_runs(without_val, score_every_epoch=False) if runs else []
+    results = train_runs(without_val, score_every_epoch=False)
     records = []
     for (_, extractor, config, val_set), (widths, params, history) in zip(runs, results):
         trace = forward(widths, params, val_set.X)
@@ -541,8 +535,6 @@ def _comparison_runs(dataset: Dataset, configs) -> list:
             "mean_prototype_dist": sep["mean_prototype_dist"],
             "final_train_accuracy": history["rows"][-1]["train_accuracy"],
         })
-    if error is not None:
-        raise error
     return records
 
 
@@ -555,7 +547,8 @@ def run_comparison(dataset: Dataset, config: TrainConfig, seeds) -> dict:
     ``MAX_PARAMETERS`` parameters; the two losses never share a stack.  A
     run is scored once, after its last epoch: its training accuracy, and the
     accuracy and separation of its held-out split.  The results, and any
-    error, are those of training each run alone in turn.
+    divergence, are those of training each run alone in turn; a run that
+    cannot be set up raises ``DataError`` before its own stack trains.
     Raises ``ValueError`` for an empty seed list or a repeated seed.
     """
     if config.train_fraction >= 1.0:

@@ -37,8 +37,9 @@ EXTRACTOR_KEYS = {"class-orthogonal": ("kind", "seed"), "factor-coded": ("kind",
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a batch-mean loss, or the parameters after an epoch's last
-    step, stop being finite; ``value`` is the loss, or None for the parameters."""
+    """Raised when a batch-mean loss, the parameters after an epoch's last
+    step, or an epoch's mean loss stop being finite; ``value`` is the loss,
+    or None for the parameters.  An epoch's loss is placed at its last batch."""
 
     def __init__(self, epoch: int, batch: int, value: float | None):
         what = "the parameters went non-finite" if value is None else f"non-finite loss {value!r}"
@@ -224,11 +225,11 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
     ``(widths, params, history)``: the one run of ``train_runs``.
 
     ``history`` is the ``train-history`` document, one row per epoch, each
-    scored on the full training set and on ``val``; a non-finite row raises
-    ``ValueError``, and a non-finite loss or parameter vector
-    ``DivergenceError``.  Runs are deterministic for a fixed config
-    seed: initialization, shuffling and mixup draw from independent child
-    streams of it, in a fixed order.
+    scored on the full training set and on ``val``.  A batch loss, parameter
+    vector or epoch loss that is not finite raises ``DivergenceError`` (an
+    epoch loss that overflows at the epoch's last batch).  Runs are
+    deterministic for a fixed config seed: initialization, shuffling and
+    mixup draw from independent child streams of it, in a fixed order.
     """
     return train_runs([(dataset, extractor, config, val)])[0]
 
@@ -292,9 +293,9 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
     parameters and every error are those of the default.
 
     Errors come as training the runs in order would raise them first: a run
-    whose loss or parameters go non-finite is dropped with its
-    ``DivergenceError`` (at its own epoch and batch), the runs after it stop
-    mattering, and the error of the lowest such run is raised once no
+    whose batch loss, parameters or epoch loss go non-finite is dropped with
+    its ``DivergenceError`` (at its own epoch and batch), the runs after it
+    stop mattering, and the error of the lowest such run is raised once no
     earlier run is left training.
     """
     runs = list(runs)
@@ -371,6 +372,11 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
             opt.step(params, backward(trace, grad_logits, grad_z))
         # The last step's loss was finite, its update need not be.
         _fail(failed, ~np.isfinite(params).all(axis=1), lambda r: DivergenceError(epoch, batch_i, None))
+        # Each batch's mean was finite, the epoch's sums need not be.
+        ce_mean = ce_sum / n
+        proto_mean = proto_sum / n
+        total = ce_mean + lambda_p * proto_mean
+        _fail(failed, ~np.isfinite(total), lambda r: DivergenceError(epoch, batch_i, float(total[r])))
         scored = score_every_epoch or epoch == config.epochs - 1
         for r in range(min(failed, default=R)):
             train_acc = val_acc = None
@@ -381,22 +387,14 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
                 if vals[r] is not None:
                     val_trace = forward(widths, shown, vals[r].X, into=val_trace)
                     val_acc = accuracy(val_trace.probs, vals[r].Y)
-            ce_mean = float(ce_sum[r]) / n
-            proto_mean = float(proto_sum[r]) / n
-            row = {
+            rows[r].append({
                 "epoch": epoch,
-                "total_loss": ce_mean + lambda_p * proto_mean,
-                "ce_loss": ce_mean,
-                "prototype_loss": proto_mean,
+                "total_loss": float(total[r]),
+                "ce_loss": float(ce_mean[r]),
+                "prototype_loss": float(proto_mean[r]),
                 "train_accuracy": train_acc,
                 "val_accuracy": val_acc,
-            }
-            if not np.all(np.isfinite([v for v in row.values() if v is not None])):
-                failed[r] = ValueError(f"non-finite history entry at epoch {epoch}")
-                break
-            rows[r].append(row)
-        if 0 in failed:
-            raise failed[0]
+            })
     if failed:
         raise failed[min(failed)]
     return [(widths, params[r], {"format": "train-history", "version": 1, "rows": rows[r]})

@@ -23,6 +23,8 @@ from fixedproto.prototypes import (
 )
 from fixedproto.training import TrainConfig, train_runs
 
+from util import overflowing_loss
+
 
 DROP = object()  # a test value meaning "delete this entry"
 
@@ -211,6 +213,17 @@ class TestTrain:
         assert "parameters went non-finite at epoch 0, batch 0" in err
         assert not out.exists()
 
+    def test_overflowing_epoch_loss_exits_3_and_writes_nothing(self, tmp_path, blob_file, capsys,
+                                                               monkeypatch):
+        # 80 rows in batches of 16: each batch mean is finite, the epoch's
+        # sum is not, and it is placed at the last batch, 4.
+        monkeypatch.setattr(fixedproto.training, "loss", overflowing_loss())
+        out = tmp_path / "run"
+        code = main(["train", str(blob_file), "--config", str(train_config(tmp_path)), "--out", str(out)])
+        assert code == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == "error: non-finite loss inf at epoch 0, batch 4\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, message", [
         ("f0,label,alpha_0,alpha_0\n1,a,0,0\n2,b,0,0\n", "column 'alpha_0' is named twice"),
         ("f0,label,label\n1,a,a\n2,b,b\n", "column 'label' is named twice"),
@@ -218,8 +231,12 @@ class TestTrain:
         ("f0,label\n", "no data rows"),
         ("f0,label\n1,\n2,\n3,b\n4,b\n", "row 2: empty label"),
         ("f0,label\n1,a\n1e400,b\n", "row 3, column 'f0': '1e400' is not finite"),
+        ("", "empty file"),
+        ("f0,alpha_0\n1,0\n2,0\n", "header has no 'label' column"),
+        ("f1,f0,label\n1,2,a\n3,4,b\n", "feature columns must be named f0..f{p-1} in order"),
+        ("label,alpha_0\na,0\nb,0\n", "no feature columns found"),
     ], ids=["repeated-factor", "repeated-label", "unknown-column", "header-only", "empty-label",
-            "overflowing-feature"])
+            "overflowing-feature", "empty-file", "no-label", "features-out-of-order", "no-features"])
     def test_malformed_data_file_exits_2(self, tmp_path, capsys, text, message):
         data = tmp_path / "bad.csv"
         data.write_text(text)
@@ -812,13 +829,38 @@ class TestCompare:
         assert "at epoch 2, batch 0" in errors[0]
         assert errors[0] == errors[1]
 
+    def test_seed_that_cannot_be_set_up_exits_2_before_its_stack_trains(self, tmp_path, blob_file, capsys,
+                                                                        monkeypatch):
+        build = fixedproto.cli._build_extractor
+        stacks = []
+
+        def failing_for_seed_1(config, train_set):
+            if config.seed == 1:
+                raise ValueError("no extractor for seed 1")
+            return build(config, train_set)
+
+        def recording(runs, **kwargs):
+            stacks.append(len(runs))
+            return train_runs(runs, **kwargs)
+
+        monkeypatch.setattr(fixedproto.cli, "_build_extractor", failing_for_seed_1)
+        monkeypatch.setattr(fixedproto.cli, "train_runs", recording)
+        out = tmp_path / "c"
+        code = main(["compare", str(blob_file), "--config", str(train_config(tmp_path, train_fraction=0.8)),
+                     "--out", str(out), "--seeds", "0,1", "--quiet"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {blob_file}: no extractor for seed 1\n"
+        assert stacks == []
+        assert not out.exists()
+
     @pytest.mark.parametrize(
-        "seeds, message",
-        [([], "at least one seed"), ([0, 1, 0], "seed 0 is listed twice")],
-        ids=["empty", "repeated"],
+        "seeds, train_fraction, message",
+        [([], 0.8, "at least one seed"), ([0, 1, 0], 0.8, "seed 0 is listed twice"),
+         ([0], 1.0, "compare needs train_fraction < 1 for a held-out split")],
+        ids=["empty", "repeated", "no-held-out-split"],
     )
-    def test_library_rejects_bad_seed_list(self, blob_file, seeds, message):
-        config = TrainConfig(train_fraction=0.8, epochs=1, hidden_dims=(4,), embedding_dim=4)
+    def test_library_rejects_bad_seed_list(self, blob_file, seeds, train_fraction, message):
+        config = TrainConfig(train_fraction=train_fraction, epochs=1, hidden_dims=(4,), embedding_dim=4)
         with pytest.raises(ValueError, match=message):
             run_comparison(load_table(blob_file), config, seeds)
 

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fixedproto import data as data_module
@@ -289,7 +289,62 @@ def load_outcome(path):
     return ds.X.tobytes(), ds.Y.tobytes(), ds.factors.tobytes(), ds.class_names
 
 
+# Header columns for the schema property: features at any index, factors
+# (one with an empty name), and names the format does not know, some of
+# them close to its own.
+FEATURE_NAMES = st.integers(0, 4).map("f{}".format)
+FACTOR_NAMES = st.sampled_from(["a", "b", "0", ""]).map("alpha_{}".format)
+OTHER_NAMES = st.sampled_from(["", "x", "f", "F0", "f01", "feature", "Label", "labels", "alpha", "alpha0"])
+
+
+@st.composite
+def headers(draw):
+    """Column names: f0..f{p-1} in order, or features in any order with gaps
+    and repeats; the label absent, once or twice; factors; other names.  The
+    features keep their order among the other columns.  No column at all is
+    the empty file."""
+    columns = [f"f{j}" for j in range(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        columns = draw(st.lists(FEATURE_NAMES, max_size=4))
+    others = ["label"] * draw(st.sampled_from([1, 1, 0, 2])) + draw(st.lists(FACTOR_NAMES, max_size=2))
+    if draw(st.booleans()):
+        others += draw(st.lists(OTHER_NAMES, max_size=1))
+    for name in others:
+        columns.insert(draw(st.integers(0, len(columns))), name)
+    return columns
+
+
+def is_valid_header(columns) -> bool:
+    """f0..f{p-1} in order with p >= 1, one label, distinct factor names and nothing else."""
+    factors = [c for c in columns if c.startswith("alpha_")]
+    rest = [c for c in columns if c != "label" and not c.startswith("alpha_")]
+    return (columns.count("label") == 1 and len(set(factors)) == len(factors)
+            and len(rest) >= 1 and rest == [f"f{j}" for j in range(len(rest))])
+
+
 class TestFileProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(columns=headers())
+    @example(columns=[])
+    @example(columns=["f0", "alpha_a"])
+    @example(columns=["f1", "f0", "label"])
+    @example(columns=["label", "alpha_a"])
+    def test_header_loads_exactly_when_it_is_a_schema(self, tmp_path, columns):
+        path = tmp_path / "data.csv"
+        rows = [[label if c == "label" else "1" for c in columns] for label in ("a", "b")]
+        path.write_text("".join(",".join(line) + "\n" for line in [columns, *rows] if columns))
+        try:
+            ds = load_table(path)
+        except ValueError as e:
+            assert not is_valid_header(columns), str(e)
+            assert str(e).startswith(f"{path}: ")
+            return
+        assert is_valid_header(columns)
+        assert ds.X.shape == (2, sum(c.startswith("f") for c in columns))
+        assert ds.factor_names == tuple(c for c in columns if c.startswith("alpha_"))
+        assert ds.class_names == ("a", "b")
+
     @settings(max_examples=200, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(ds=datasets())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixedproto import training as training_module
 from fixedproto.data import SynthConfig, config_from_doc, config_to_doc, generate_synthetic, split
 from fixedproto.model import backward, forward, init_params, param_views, softmax
 from fixedproto.prototypes import (
@@ -29,7 +30,7 @@ from fixedproto.training import (
     train_runs,
 )
 
-from util import central_difference
+from util import central_difference, overflowing_loss
 
 
 def fake_trace(logits, z):
@@ -314,6 +315,19 @@ class TestTrain:
         assert err.value.epoch >= 0
         assert err.value.batch >= 0
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda ds, config: train(ds.subset(np.arange(0)), class_orthogonal_extractor(2, 8, seed=0), config),
+         "dataset is empty"),
+        (lambda ds, config: train(ds, None, config), "prototype loss requires an extractor"),
+        (lambda ds, config: train(ds, class_orthogonal_extractor(2, 4, seed=0), config),
+         "extractor embedding_dim 4 does not match config embedding_dim 8"),
+        (lambda ds, config: train_runs([]), "train_runs needs at least one run"),
+    ], ids=["empty-dataset", "no-extractor", "extractor-dim", "no-runs"])
+    def test_library_guards_name_what_is_wrong(self, call, message):
+        config = TrainConfig(epochs=1, embedding_dim=8, hidden_dims=(8,), seed=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(blob_dataset(samples_per_class=10), config)
+
     def test_factor_coded_training_with_mixup_runs(self):
         config = SynthConfig(class_count=2, input_dim=6, samples_per_class=40,
                              factor_count=1, class_separation=4.0, noise_scale=0.3, seed=0)
@@ -535,6 +549,30 @@ def test_stack_raises_the_error_of_the_first_run_that_diverges_alone(borderline_
     expected = outcomes[next(name for name in order if name != "ok")]
     assert stack_divergence([runs[name] for name in order]) == expected
     assert stack_divergence([runs[name] for name in order], score_every_epoch=False) == expected
+
+
+def test_an_overflowing_epoch_loss_diverges_at_its_last_batch(monkeypatch):
+    # 60 rows in batches of 16: every batch mean is finite, the epoch's sum
+    # overflows at batch 1 and is placed at the last batch, 3.
+    monkeypatch.setattr(training_module, "loss", overflowing_loss())
+    config = TrainConfig(epochs=2, batch_size=16, embedding_dim=8, hidden_dims=(8,), seed=0)
+    with pytest.raises(DivergenceError) as err:
+        train(blob_dataset(samples_per_class=30), class_orthogonal_extractor(2, 8, seed=0), config)
+    assert (err.value.epoch, err.value.batch, err.value.value) == (0, 3, np.inf)
+    assert str(err.value) == "non-finite loss inf at epoch 0, batch 3"
+
+
+def test_stack_raises_the_epoch_loss_error_of_the_run_that_overflows_alone(monkeypatch):
+    # Only run 1's inputs start above 500, so only its sums overflow.
+    monkeypatch.setattr(training_module, "loss", overflowing_loss(threshold=500.0))
+    fine = stack_run(0, "class-orthogonal", epochs=2, batch_size=16)
+    tr, extractor, config, va = stack_run(1, "class-orthogonal", epochs=2, batch_size=16)
+    overflowing = (dataclasses.replace(tr, X=tr.X + 1000.0), extractor, config, va)
+    assert divergence(fine) is None
+    alone = divergence(overflowing)
+    assert alone == (0, 4, "inf", "non-finite loss inf at epoch 0, batch 4")
+    assert stack_divergence([fine, overflowing]) == alone
+    assert stack_divergence([fine, overflowing], score_every_epoch=False) == alone
 
 
 class TestTrainConfig:

@@ -1,5 +1,6 @@
 """Shared test helpers: finite-difference oracle, error measures, hand-made
-models and a factor-coded extractor for layout tests."""
+models, a factor-coded extractor for layout tests and a loss whose epoch
+sums overflow."""
 
 import numpy as np
 
@@ -51,3 +52,15 @@ def pack(layers, head):
     widths = (np.shape(layers[0][0])[1], *[np.shape(weight)[0] for weight, _ in layers], np.shape(head)[1])
     arrays = [a for layer in layers for a in layer] + [head]
     return widths, np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+
+
+def overflowing_loss(threshold=-np.inf):
+    """A stand-in for ``training.loss`` with zero gradients, so the
+    parameters never move.  A run whose batch starts with a first input above
+    ``threshold`` gets a batch sum of 1e308, a finite batch mean; the others
+    get 1.0.  Two such batches overflow the epoch's sum."""
+    def fake(y, trace, prototype, lambda_p):
+        marked = trace.inputs[0][:, 0, 0] > threshold
+        grad_z = None if prototype is None else np.zeros_like(trace.z)
+        return np.where(marked, 1e308, 1.0), 0.0, np.zeros_like(trace.probs), grad_z
+    return fake
