@@ -202,10 +202,8 @@ def _build_extractor(config: TrainConfig, train_set: Dataset):
     if config.extractor["kind"] == "class-orthogonal":
         seed = config.extractor.get("seed", config.seed)
         return class_orthogonal_extractor(train_set.class_count, config.embedding_dim, seed)
-    if train_set.factors is None:  # factor-coded, the one other kind TrainConfig accepts
-        raise ValueError("factor-coded extractor needs a dataset with factor columns")
-    return FactorCodedExtractor(fit_factor_coder(train_set.factors, train_set.factor_names),
-                                config.embedding_dim)
+    # factor-coded, the one other kind TrainConfig accepts
+    return FactorCodedExtractor(fit_factor_coder(train_set), config.embedding_dim)
 
 
 def _check_model(config_path, config: TrainConfig, data_path, dataset: Dataset) -> None:
@@ -303,7 +301,7 @@ def _load_checkpoint(path):
         weight = json_field(json_field(doc, "classifier", dict), "weight", list, at="classifier")
         head = _matrix(weight, "classifier.weight")
         extractor_doc = json_field(doc, "extractor", dict, type(None))
-        extractor = None if extractor_doc is None else extractor_from_doc(extractor_doc)
+        extractor = None if extractor_doc is None else extractor_from_doc(extractor_doc, at="extractor")
         widths = (layers[0][0].shape[1], *[len(bias) for _, bias in layers], head.shape[1])
         # Each envelope field against every array or object of the document that gives it.
         checks = [("input_dim", widths[0], "the parameters give"),
@@ -352,7 +350,7 @@ def _load_model_and_data(checkpoint_path, data_path):
 def _prototypes(extractor, dataset: Dataset):
     """The fixed prototypes of the dataset's rows; None without an extractor
     or, for a factor-coded one, without factor values."""
-    targets = None if extractor is None else extractor.targets(dataset.Y, dataset.factors)
+    targets = None if extractor is None else extractor.targets(dataset)
     return None if targets is None else extractor.extract_batch(targets)
 
 
@@ -663,9 +661,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="dataset file")
     p.add_argument("--config", required=True, help="training config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--seeds", default=None,
-                   help="comma-separated seed list (default: the config seed and the next two)")
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, default=None, help="override config seed")
+    seeds.add_argument("--seeds", default=None,
+                       help="comma-separated seed list (default: the config seed and the next two)")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_compare)
 

@@ -297,17 +297,6 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     )
 
 
-def true_levels(factors) -> np.ndarray:
-    """Recover generating levels from generated factor values.
-
-    Inverts the generator's level bands exactly: values below -0.5 were drawn
-    as level 0, values from -0.5 up to (excluding) 0.5 as level 1, the rest
-    as level 2.  Only meaningful for data from :func:`generate_synthetic`.
-    """
-    a = np.asarray(factors, dtype=np.float64)
-    return (a >= LEVEL_BANDS[0][1]).astype(np.int64) + (a >= LEVEL_BANDS[1][1]).astype(np.int64)
-
-
 def _check_names(names, what: str, prefix: str = "") -> None:
     """Refuse names the text format cannot carry as they are."""
     for i, name in enumerate(names):

@@ -2,9 +2,9 @@
 
 A prototype extractor maps rows of (soft) class labels or factor level codes
 to target points in embedding space.  It is frozen at construction and never
-updated by training.  ``targets(Y, factors)`` picks and checks, once per
-dataset, the rows an extractor reads; ``extract_batch`` maps a batch of such
-rows to prototypes.  Both kinds are one fixed linear map, a read-only
+updated by training.  ``targets(dataset)`` picks, once per checked ``Dataset``,
+the rows an extractor reads; ``extract_batch`` maps a batch of such rows to
+prototypes.  Both kinds are one fixed linear map, a read-only
 ``table``: ``extract_batch(rows)`` is ``rows.reshape(n, -1) @ table``.
 
 * class-orthogonal: a C x k table, one prototype row per class.  When the
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LABEL_SUM_TOL, json_field, json_numbers
+from .data import Dataset, json_field, json_numbers
 from .linalg import jlt_create, random_orthonormal_basis
 
 LEVELS_PER_FACTOR = 3
@@ -95,32 +95,27 @@ class FactorCoder:
         return np.identity(LEVELS_PER_FACTOR)[idx]
 
 
-def fit_factor_coder(factors, names=None) -> FactorCoder:
-    """Fit tercile thresholds from the (n, m) training factor values.
+def fit_factor_coder(dataset: Dataset) -> FactorCoder:
+    """Fit tercile thresholds on a dataset's factor columns, named as the columns.
 
     Both terciles of every factor come from one quantile call with the
     ``interpolated_inverted_cdf`` convention (linear interpolation of the
     empirical CDF); the convention is recorded in the serialized document
     since bin boundaries shift between conventions.  Raises ``ValueError``
-    for an array that is not 2-D and non-empty, and for a factor with
-    non-finite values or fewer than 3 distinct values.
+    for a dataset without factor columns or without rows, and for a factor
+    with fewer than 3 distinct values.
     """
-    F = np.asarray(factors, dtype=np.float64)
-    if F.ndim != 2 or F.size == 0:
+    F = dataset.factors
+    if F is None:
+        raise ValueError("factor-coded extractor needs a dataset with factor columns")
+    if F.size == 0:
         raise ValueError(f"factor values must be a non-empty (n, m) array, got shape {F.shape}")
-    if names is None:
-        names = tuple(f"alpha_{i}" for i in range(F.shape[1]))
-    names = tuple(str(n) for n in names)
-    if len(names) != F.shape[1]:
-        raise ValueError("one name per factor required")
-    for name, col in zip(names, F.T):
-        if not np.all(np.isfinite(col)):
-            raise ValueError(f"factor {name!r}: values contain non-finite entries")
+    for name, col in zip(dataset.factor_names, F.T):
         distinct = np.unique(col).size
         if distinct < 3:
             raise ValueError(f"factor {name!r} is degenerate: needs >= 3 distinct values, got {distinct}")
     lower, upper = np.quantile(F, [1.0 / 3.0, 2.0 / 3.0], axis=0, method=QUANTILE_METHOD)
-    return FactorCoder(names=names, lower=lower, upper=upper)
+    return FactorCoder(names=dataset.factor_names, lower=lower, upper=upper)
 
 
 def _table_map(table: np.ndarray, rows, what: str, row_shape: tuple) -> np.ndarray:
@@ -160,26 +155,12 @@ class ClassOrthogonalExtractor:
     def kind(self) -> str:
         return "class-orthogonal"
 
-    def targets(self, Y, factors=None) -> np.ndarray:
-        """The rows :meth:`extract_batch` takes for these samples: the labels.
-
-        Checks that ``Y`` is (n, class_count), finite and nonnegative, with
-        each row summing to 1 within ``LABEL_SUM_TOL``.  ``factors`` is
-        ignored.
-        """
-        Y = np.asarray(Y, dtype=np.float64)
-        if Y.ndim != 2:
-            raise ValueError(f"labels must be 2-D (n, {self.class_count}), got shape {Y.shape}")
-        if Y.shape[1] != self.class_count:
-            raise ValueError(f"extractor has {self.class_count} classes, labels have {Y.shape[1]}")
-        if not np.all(np.isfinite(Y)):
-            raise ValueError("labels contain non-finite entries")
-        if np.any(Y < 0):
-            raise ValueError("labels have negative entries")
-        worst = float(np.max(np.abs(Y.sum(axis=1) - 1.0), initial=0.0))
-        if worst > LABEL_SUM_TOL:
-            raise ValueError(f"label rows must sum to 1 (worst row is off by {worst!r})")
-        return Y
+    def targets(self, dataset: Dataset) -> np.ndarray:
+        """The rows :meth:`extract_batch` takes for the dataset's samples: its
+        labels, after checking their class count."""
+        if dataset.class_count != self.class_count:
+            raise ValueError(f"extractor has {self.class_count} classes, labels have {dataset.class_count}")
+        return dataset.Y
 
     def extract_batch(self, targets) -> np.ndarray:
         """Prototypes for (soft) label rows (n, C): label-weighted mixes of the class rows."""
@@ -245,22 +226,17 @@ class FactorCodedExtractor:
         labels += [f"other factor {j}" for j in range(self.zero_dim)]
         return labels
 
-    def targets(self, Y, factors=None) -> np.ndarray | None:
-        """The rows :meth:`extract_batch` takes: hard level codes (n, m, 3).
-
-        Codes the raw factor values (n, m) after checking their shape and
-        that they are finite.  ``None`` when there are no factor values;
-        ``Y`` is ignored.
+    def targets(self, dataset: Dataset) -> np.ndarray | None:
+        """The rows :meth:`extract_batch` takes: the hard level codes (n, m, 3)
+        of the dataset's factor values, after checking their factor count.
+        ``None`` when the dataset has no factor values; labels are ignored.
         """
-        if factors is None:
+        if dataset.factors is None:
             return None
-        F = np.asarray(factors, dtype=np.float64)
-        m = self.factor_count
-        if F.ndim != 2 or F.shape[1] != m:
-            raise ValueError(f"factor values have shape {F.shape}, extractor expects (n, {m})")
-        if not np.all(np.isfinite(F)):
-            raise ValueError("factor values contain non-finite entries")
-        return self.coder.code(F)
+        if dataset.factor_count != self.factor_count:
+            raise ValueError(f"factor values have shape {dataset.factors.shape}, "
+                             f"extractor expects (n, {self.factor_count})")
+        return self.coder.code(dataset.factors)
 
     def extract_batch(self, targets) -> np.ndarray:
         """Prototypes for (possibly soft) level codes (n, m, 3)."""
@@ -322,36 +298,48 @@ def extractor_to_doc(extractor) -> dict:
     raise TypeError(f"not a prototype extractor: {type(extractor).__name__}")
 
 
-def extractor_from_doc(doc: dict):
+def extractor_from_doc(doc: dict, at: str = ""):
     """Rebuild an extractor from its serialized document.
 
-    Every field is checked: a missing one raises ``KeyError``, one of the
-    wrong type ``TypeError``, and a bad value ``ValueError``.
+    ``at`` is the path of ``doc`` in the document that holds it, such as
+    ``extractor`` in a checkpoint, and errors name each field by its full
+    path.  Every field is checked: a missing one raises ``KeyError``, one of
+    the wrong type ``TypeError``, and a bad value ``ValueError``.
     """
+    def path(key):
+        return f"{at}.{key}" if at else key
+
+    def bad(key, message):
+        return ValueError(f"field {path(key)!r}: {message}")
+
     if not isinstance(doc, dict):
         raise ValueError("an extractor document must be a JSON object")
     if doc.get("format") != EXTRACTOR_FORMAT:
-        raise ValueError(f"not a prototype extractor document: {doc.get('format')!r}")
-    if json_field(doc, "version", int) != EXTRACTOR_VERSION:
-        raise ValueError(f"unsupported extractor document version {doc['version']!r}")
+        raise bad("format", f"not a prototype extractor document: {doc.get('format')!r}")
+    if json_field(doc, "version", int, at=at) != EXTRACTOR_VERSION:
+        raise bad("version", f"unsupported extractor document version {doc['version']!r}")
     kind = doc.get("kind")
     if kind == "class-orthogonal":
         return ClassOrthogonalExtractor(
-            class_count=json_field(doc, "class_count", int),
-            embedding_dim=json_field(doc, "embedding_dim", int),
-            seed=json_field(doc, "seed", int),
-            table=json_numbers(doc["table"], "table", 2),
+            class_count=json_field(doc, "class_count", int, at=at),
+            embedding_dim=json_field(doc, "embedding_dim", int, at=at),
+            seed=json_field(doc, "seed", int, at=at),
+            table=json_numbers(json_field(doc, "table", list, at=at), path("table"), 2),
         )
     if kind == "factor-coded":
         if doc.get("quantile_method") != QUANTILE_METHOD:
-            raise ValueError(f"unsupported quantile_method {doc.get('quantile_method')!r}")
-        factors = [(f"factors[{i}]", f) for i, f in enumerate(json_field(doc, "factors", list))]
+            raise bad("quantile_method", f"unsupported quantile_method {doc.get('quantile_method')!r}")
+        factors = [(path(f"factors[{i}]"), f) for i, f in enumerate(json_field(doc, "factors", list, at=at))]
 
         def thresholds(key):  # each factor's, checked and named at its own path
-            return np.array([json_numbers([json_field(f, key, float, int, at=at)], f"{at}.{key}", 1)[0]
-                             for at, f in factors])
+            return np.array([json_numbers([json_field(f, key, float, int, at=where)], f"{where}.{key}", 1)[0]
+                             for where, f in factors])
 
-        coder = FactorCoder(names=tuple(json_field(f, "name", str, at=at) for at, f in factors),
-                            lower=thresholds("lower"), upper=thresholds("upper"))
-        return FactorCodedExtractor(coder, json_field(doc, "embedding_dim", int))
-    raise ValueError(f"unknown extractor kind {kind!r}")
+        names = tuple(json_field(f, "name", str, at=where) for where, f in factors)
+        lower, upper = thresholds("lower"), thresholds("upper")
+        try:
+            coder = FactorCoder(names=names, lower=lower, upper=upper)
+        except ValueError as e:  # no factor, or a lower threshold above its upper one
+            raise bad("factors", e) from None
+        return FactorCodedExtractor(coder, json_field(doc, "embedding_dim", int, at=at))
+    raise bad("kind", f"unknown extractor kind {kind!r}")

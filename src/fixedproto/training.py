@@ -248,7 +248,7 @@ def _prototype_targets(dataset: Dataset, extractor, config: TrainConfig):
             f"extractor embedding_dim {extractor.embedding_dim} "
             f"does not match config embedding_dim {config.embedding_dim}"
         )
-    targets = extractor.targets(dataset.Y, dataset.factors)
+    targets = extractor.targets(dataset)
     if targets is None:
         raise ValueError(f"{extractor.kind} extractor needs a dataset with factor values")
     return targets
@@ -354,7 +354,9 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
                          for rng in rng_mix]
                 perms, lams = map(np.array, zip(*draws))
                 batch = mix_rows(batch, lams, perms)
-            xb, yb = batch[..., :p], batch[..., p:p + C]
+            # The labels as one contiguous copy: ``loss`` runs two elementwise
+            # passes over them, which are slower on a strided column view.
+            xb, yb = batch[..., :p], batch[..., p:p + C].copy()
             trace = forward(widths, params, xb, into=trace)
             proto = None
             if d:

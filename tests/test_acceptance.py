@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fixedproto.cli import main, run_comparison
-from fixedproto.data import SynthConfig, generate_synthetic, save_dataset, split, true_levels
+from fixedproto.data import SynthConfig, generate_synthetic, save_dataset, split
 from fixedproto.explain import explain_sample
 from fixedproto.metrics import disentanglement_report
 from fixedproto.model import backward, forward, init_params
@@ -24,7 +24,7 @@ from fixedproto.prototypes import (
 )
 from fixedproto.training import TrainConfig, loss, train_runs
 
-from util import central_difference, max_rel_error
+from util import central_difference, max_rel_error, rows_dataset, true_levels
 
 # Criterion 4 fixture: six moderately overlapping classes.
 SEPARATION_DATA = dict(class_count=6, input_dim=20, samples_per_class=300,
@@ -52,7 +52,7 @@ def factor_run(dataset, seed, loss_kind):
     tr, va = split(dataset, 0.8, seed=seed)
     extractor = None
     if loss_kind == "proto":
-        coder = fit_factor_coder(tr.factors, names=dataset.factor_names)
+        coder = fit_factor_coder(tr)
         extractor = FactorCodedExtractor(coder, FACTOR_TRAIN["embedding_dim"])
     return tr, extractor, TrainConfig(**FACTOR_TRAIN, seed=seed, loss=loss_kind), va
 
@@ -104,7 +104,7 @@ def test_criterion_2_multilinearity():
     rng = np.random.default_rng(0)
     C, k, m = 6, 16, 3
     class_ex = class_orthogonal_extractor(C, k, seed=0)
-    coder = fit_factor_coder(np.column_stack([rng.standard_normal(50) for _ in range(m)]))
+    coder = fit_factor_coder(rows_dataset(factors=np.column_stack([rng.standard_normal(50) for _ in range(m)])))
     factor_ex = FactorCodedExtractor(coder, k)
     worst = 0.0
     for _ in range(1000):  # each trial on 1-row batches
@@ -168,7 +168,7 @@ def test_criterion_5_disentanglement_claim(factor_runs):
         assert probe["designated_accuracy"] >= 0.90, (
             f"{probe['name']}: designated probe {probe['designated_accuracy']:.3f}"
         )
-    prototypes = extractor.extract_batch(extractor.targets(va.Y, va.factors))
+    prototypes = extractor.extract_batch(extractor.targets(va))
     coded = extractor.coded_dim
     dist = float(np.mean(np.linalg.norm(trace.z[:, :coded] - prototypes[:, :coded], axis=1)))
     assert dist < 0.5, f"designated-dim prototype distance {dist:.3f}"

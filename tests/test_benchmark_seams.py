@@ -32,7 +32,7 @@ def test_every_wrap_target_exists():
 def extractor_for(kind, ds, embedding_dim):
     if kind == "class-orthogonal":
         return class_orthogonal_extractor(ds.class_count, embedding_dim, seed=0)
-    return FactorCodedExtractor(fit_factor_coder(ds.factors[:, :1], ds.factor_names), embedding_dim)
+    return FactorCodedExtractor(fit_factor_coder(ds), embedding_dim)
 
 
 @pytest.mark.parametrize("kind", ["class-orthogonal", "factor-coded"])

@@ -401,7 +401,7 @@ class TestEval:
             (("classifier", "weight", 0), ["0.12"] * 2, "classifier.weight"),
             (("embedder", "layers", 0, "bias", 3), True, "embedder.layers[0].bias"),
             (("embedder", "layers", 1, "weight", 0), 0.5, "embedder.layers[1].weight"),
-            (("extractor", "table", 1, 0), None, "table"),
+            (("extractor", "table", 1, 0), None, "extractor.table"),
             (("classifier", "weight", 1, 1), 10**400, "classifier.weight"),
             (("embedder", "layers", 0, "weight", 1), [0.5] * 5, "embedder.layers[0].weight"),
         ],
@@ -533,9 +533,9 @@ class TestFactorColumns:
     @pytest.mark.parametrize(
         "path, value, field",
         [
-            (("extractor", "factors", 0), 3, "factors[0]"),
+            (("extractor", "factors", 0), 3, "extractor.factors[0]"),
             (("embedder", "layers", 1, "weight"), DROP, "embedder.layers[1].weight"),
-            (("extractor", "factors", 0, "name"), DROP, "factors[0].name"),
+            (("extractor", "factors", 0, "name"), DROP, "extractor.factors[0].name"),
             (("embedder", "layers", 1, "weight", 0, 0), float("nan"), "embedder.layers[1].weight"),
             (("embedder", "layers", 0, "activation"), "tanh", "embedder.layers[0].activation"),
             (("embedder", "layers", 0, "activation"), "identity", "embedder.layers[0].activation"),
@@ -545,11 +545,19 @@ class TestFactorColumns:
             (("embedder", "layers", 1, "weight"), [[0.0] * 15] * 8, "embedder.layers[1].weight"),
             (("embedder", "layers"), [], "embedder.layers"),
             (("embedder", "layers", 1, "weight"), [], "embedder.layers[1].weight"),
-            (("extractor", "factors", 0, "lower"), float("inf"), "factors[0].lower"),
+            (("extractor", "factors", 0, "lower"), float("inf"), "extractor.factors[0].lower"),
+            (("extractor", "factors", 0, "lower"), 1e9, "extractor.factors"),
+            (("extractor",), [1], "extractor"),
+            (("extractor", "format"), "prototype-extractors", "extractor.format"),
+            (("extractor", "version"), 2, "extractor.version"),
+            (("extractor", "kind"), [1], "extractor.kind"),
+            (("extractor", "quantile_method"), "linear", "extractor.quantile_method"),
         ],
         ids=["factor-not-an-object", "missing-layer-weight", "missing-factor-name", "nan-in-layer-weight",
              "unknown-activation", "linear-hidden-layer", "relu-last-layer", "short-bias",
-             "weight-columns-do-not-chain", "no-layers", "empty-weight", "infinite-threshold"],
+             "weight-columns-do-not-chain", "no-layers", "empty-weight", "infinite-threshold",
+             "lower-above-upper", "extractor-not-an-object", "wrong-format", "wrong-version", "unknown-kind",
+             "unknown-quantile-method"],
     )
     def test_bad_checkpoint_entry_named_by_path(self, tmp_path, factor_run, capsys, path, value, field):
         checkpoint, data = factor_run
@@ -771,6 +779,17 @@ class TestCompare:
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (out / "comparison.json").exists()
+
+    def test_seed_and_seeds_together_refused_before_writing(self, tmp_path, blob_file, capsys):
+        # The seed list alone decides what trains, so --seed beside it would only be recorded.
+        config = train_config(tmp_path, train_fraction=0.8, epochs=2)
+        out = tmp_path / "c"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compare", str(blob_file), "--config", str(config), "--out", str(out),
+                  "--seeds", "0", "--seed", "5"])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "argument --seed: not allowed with argument --seeds" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_summary_names_both_systems_with_default_seeds(self, tmp_path, blob_file, capsys):
         config = train_config(tmp_path, train_fraction=0.8, epochs=2)
@@ -1128,8 +1147,7 @@ def valid_documents(tmp_path_factory):
     assert main(["train", str(data), "--config", str(train_config(root, epochs=2)),
                  "--out", str(run), "--quiet"]) == EXIT_OK
     checkpoint = json.loads((run / "checkpoint.json").read_text())
-    factors = load_table(data).factors
-    coder = fit_factor_coder(factors[:, :1], names=("alpha_0",))
+    coder = fit_factor_coder(load_table(data))
     return {
         "data": data,
         "class-orthogonal": checkpoint.pop("extractor"),
@@ -1139,12 +1157,13 @@ def valid_documents(tmp_path_factory):
 
 
 def eval_with(documents, tmp_dir, checkpoint=None, extractor=None):
-    """Exit code of eval on ``checkpoint`` with ``extractor`` embedded in it."""
+    """Exit code of eval on ``checkpoint`` with ``extractor`` embedded in it,
+    and the checkpoint's path."""
     doc = dict(documents["checkpoint"] if checkpoint is None else checkpoint)
     doc["extractor"] = documents["class-orthogonal"] if extractor is None else extractor
     ckpt = tmp_dir / "checkpoint.json"
     ckpt.write_text(json.dumps(doc))
-    return main(["eval", str(ckpt), str(documents["data"]), "--quiet"])
+    return main(["eval", str(ckpt), str(documents["data"]), "--quiet"]), ckpt
 
 
 JSON_VALUES = st.one_of(
@@ -1155,29 +1174,34 @@ JSON_VALUES = st.one_of(
 
 @st.composite
 def broken_copies(draw, doc):
-    """``doc`` with one top-level key dropped or given a value of another type."""
+    """``(copy, key)``: ``doc`` with one top-level key dropped or given a
+    value of another type."""
     key = draw(st.sampled_from(sorted(doc)))
     broken = dict(doc)
     if draw(st.booleans()):
         del broken[key]
     else:
         broken[key] = draw(JSON_VALUES.filter(lambda v: type(v) is not type(doc[key])))
-    return broken
+    return broken, key
 
 
 class TestMalformedDocuments:
     def test_valid_documents_accepted(self, valid_documents, tmp_path):
-        assert eval_with(valid_documents, tmp_path) == EXIT_OK
-        assert eval_with(valid_documents, tmp_path, extractor=valid_documents["factor-coded"]) == EXIT_OK
+        assert eval_with(valid_documents, tmp_path)[0] == EXIT_OK
+        assert eval_with(valid_documents, tmp_path, extractor=valid_documents["factor-coded"])[0] == EXIT_OK
 
     @settings(max_examples=30, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_broken_document_exits_2(self, valid_documents, tmp_path, data):
+    def test_broken_document_exits_2(self, valid_documents, tmp_path, capsys, data):
         which = data.draw(st.sampled_from(["checkpoint", "class-orthogonal", "factor-coded"]))
-        broken = data.draw(broken_copies(valid_documents[which]))
+        broken, key = data.draw(broken_copies(valid_documents[which]))
         if which == "checkpoint":
-            code = eval_with(valid_documents, tmp_path, checkpoint=broken)
+            code, ckpt = eval_with(valid_documents, tmp_path, checkpoint=broken)
         else:
-            code = eval_with(valid_documents, tmp_path, extractor=broken)
+            code, ckpt = eval_with(valid_documents, tmp_path, extractor=broken)
         assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(ckpt) in err
+        if which != "checkpoint":  # an extractor's entries are named at their full path
+            assert f"'extractor.{key}" in err, err

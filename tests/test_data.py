@@ -16,10 +16,10 @@ from fixedproto.data import (
     load_table,
     save_dataset,
     split,
-    true_levels,
 )
 from fixedproto.metrics import joint_probability_table
 from fixedproto.prototypes import FactorCoder, fit_factor_coder
+from util import true_levels
 
 
 def blob_config(**overrides):
@@ -81,7 +81,7 @@ class TestGenerator:
         config = SynthConfig(class_count=3, input_dim=10, samples_per_class=500,
                              factor_count=2, seed=3)
         ds = generate_synthetic(config)
-        coder = fit_factor_coder(ds.factors)
+        coder = fit_factor_coder(ds)
         coded = coder.level_indices(ds.factors)
         agreement = np.mean(coded == true_levels(ds.factors))
         assert agreement >= 0.95
@@ -457,7 +457,7 @@ class TestJointProbabilityTable:
         config = SynthConfig(class_count=3, input_dim=8, samples_per_class=40,
                              factor_count=2, seed=4)
         ds = generate_synthetic(config)
-        coder = fit_factor_coder(ds.factors)
+        coder = fit_factor_coder(ds)
         joint = joint_probability_table(coder.level_indices(ds.factors), ds.Y)
         for f in range(2):
             assert abs(joint[f].sum() - 1.0) < 1e-12
@@ -469,7 +469,7 @@ class TestJointProbabilityTable:
         config = SynthConfig(class_count=2, input_dim=4, samples_per_class=1500,
                              factor_count=1, factor_tables=tables, seed=5)
         ds = generate_synthetic(config)
-        coder = fit_factor_coder(ds.factors)
+        coder = fit_factor_coder(ds)
         joint = joint_probability_table(coder.level_indices(ds.factors), ds.Y)
         # joint = table * P(class) with uniform classes
         expected = tables[0] / 2.0

@@ -15,7 +15,7 @@ from fixedproto.prototypes import (
     fit_factor_coder,
 )
 from fixedproto.training import mix_rows
-from util import factor_extractor
+from util import factor_extractor, rows_dataset
 
 # Fixture seeds: the distance bound below holds for these specific draws.
 EXTRACTOR_JL_SEEDS = (0, 2, 3)
@@ -50,14 +50,14 @@ class TestClassOrthogonalExtractor:
         for j in range(4):
             label = np.zeros(4)
             label[j] = 1.0
-            proto = ex.extract_batch(ex.targets(one_row(label)))
+            proto = ex.extract_batch(ex.targets(rows_dataset(one_row(label))))
             assert np.allclose(proto[0], ex.table[j], atol=1e-15)
 
     def test_soft_label_mixes_rows(self):
         ex = class_orthogonal_extractor(4, 16, seed=1)
         label = np.array([0.5, 0.5, 0.0, 0.0])
         expected = 0.5 * ex.table[0] + 0.5 * ex.table[1]
-        assert np.max(np.abs(ex.extract_batch(ex.targets(one_row(label)))[0] - expected)) < 1e-12
+        assert np.max(np.abs(ex.extract_batch(ex.targets(rows_dataset(one_row(label))))[0] - expected)) < 1e-12
 
     @pytest.mark.parametrize("seed", EXTRACTOR_JL_SEEDS)
     def test_jlt_path_distance_distortion(self, seed):
@@ -84,20 +84,22 @@ class TestClassOrthogonalExtractor:
     def test_factors_are_ignored(self):
         ex = class_orthogonal_extractor(3, 8, seed=0)
         labels = one_row([0.2, 0.3, 0.5])
-        assert np.array_equal(ex.targets(labels), ex.targets(labels, factors=one_row([1.0, 2.0])))
+        assert np.array_equal(ex.targets(rows_dataset(labels)),
+                              ex.targets(rows_dataset(labels, factors=one_row([1.0, 2.0]))))
 
     def test_label_validation(self):
         ex = class_orthogonal_extractor(3, 8, seed=0)
-        with pytest.raises(ValueError):
-            ex.targets(one_row([0.5, 0.5]))  # wrong length
-        with pytest.raises(ValueError):
-            ex.targets(one_row([0.7, 0.6, -0.3]))  # negative entry
-        with pytest.raises(ValueError):
-            ex.targets(one_row([0.5, 0.4, 0.2]))  # sums to 1.1
-        with pytest.raises(ValueError):
-            ex.targets(one_row([0.5, np.nan, 0.5]))  # non-finite entry
-        with pytest.raises(ValueError):
-            ex.targets(np.array([1.0, 0.0, 0.0]))  # not a batch
+        with pytest.raises(ValueError, match="extractor has 3 classes, labels have 2"):
+            ex.targets(rows_dataset(one_row([0.5, 0.5])))  # wrong length
+        # The other bad label rows never reach targets: the Dataset refuses them.
+        with pytest.raises(ValueError, match="nonnegative"):
+            rows_dataset(one_row([0.7, 0.6, -0.3]))  # negative entry
+        with pytest.raises(ValueError, match="sum to 1"):
+            rows_dataset(one_row([0.5, 0.4, 0.2]))  # sums to 1.1
+        with pytest.raises(ValueError, match="non-finite"):
+            rows_dataset(one_row([0.5, np.nan, 0.5]))  # non-finite entry
+        with pytest.raises(ValueError, match="2-D"):
+            rows_dataset(np.array([1.0, 0.0, 0.0]))  # not a batch
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -123,7 +125,7 @@ class TestClassOrthogonalExtractor:
 
 class TestFactorCoder:
     def test_terciles_of_one_to_nine(self):
-        coder = fit_factor_coder(np.arange(1.0, 10.0)[:, None])
+        coder = fit_factor_coder(rows_dataset(factors=np.arange(1.0, 10.0)[:, None]))
         assert coder.lower[0] == type4_quantile(np.arange(1.0, 10.0), 1 / 3) == 3.0
         assert coder.upper[0] == type4_quantile(np.arange(1.0, 10.0), 2 / 3) == 6.0
         levels = coder.level_indices(np.arange(1.0, 10.0)[:, None])
@@ -131,18 +133,24 @@ class TestFactorCoder:
 
     def test_degenerate_factor_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            fit_factor_coder(np.full((10, 1), 2.5))
+            fit_factor_coder(rows_dataset(factors=np.full((10, 1), 2.5)))
+
+    def test_fit_needs_factor_values_and_rows(self):
+        with pytest.raises(ValueError, match="needs a dataset with factor columns"):
+            fit_factor_coder(rows_dataset(one_row([1.0])))
+        with pytest.raises(ValueError, match="non-empty"):
+            fit_factor_coder(rows_dataset(factors=np.empty((0, 2))))
 
     def test_three_value_bins_are_exact_thirds(self):
         values = np.array([0.0, 0, 0, 1, 1, 1, 2, 2, 2])
-        coder = fit_factor_coder(values[:, None])
+        coder = fit_factor_coder(rows_dataset(factors=values[:, None]))
         levels = coder.level_indices(values[:, None])[:, 0]
         assert np.bincount(levels, minlength=3).tolist() == [3, 3, 3]
 
     def test_quantiles_match_oracle_on_random_data(self):
         rng = np.random.default_rng(0)
         values = rng.standard_normal(101)
-        coder = fit_factor_coder(values[:, None])
+        coder = fit_factor_coder(rows_dataset(factors=values[:, None]))
         assert coder.lower[0] == pytest.approx(type4_quantile(values, 1 / 3), abs=1e-12)
         assert coder.upper[0] == pytest.approx(type4_quantile(values, 2 / 3), abs=1e-12)
 
@@ -151,7 +159,7 @@ class TestFactorCoder:
         # tie-free continuous data: empirical bin masses within 0.05 of 1/3
         rng = np.random.default_rng(n)
         values = rng.standard_normal(n)
-        coder = fit_factor_coder(values[:, None])
+        coder = fit_factor_coder(rows_dataset(factors=values[:, None]))
         levels = coder.level_indices(values[:, None])[:, 0]
         masses = np.bincount(levels, minlength=3) / n
         assert np.max(np.abs(masses - 1.0 / 3.0)) < 0.05
@@ -183,7 +191,7 @@ class TestFactorCodedExtractor:
 
     def test_low_medium_high_prototype_layout(self):
         ex = self.make(m=3, k=16)
-        proto = ex.extract_batch(ex.targets(None, one_row([-1.0, 0.0, 1.0])))  # low, medium, high
+        proto = ex.extract_batch(ex.targets(rows_dataset(factors=one_row([-1.0, 0.0, 1.0]))))  # low, medium, high
         expected = np.zeros(16)
         expected[:9] = [1, 0, 0, 0, 1, 0, 0, 0, 1]
         assert np.array_equal(proto, [expected])
@@ -191,12 +199,12 @@ class TestFactorCodedExtractor:
     def test_empty_zero_block_boundary(self):
         ex = self.make(m=1, k=3)
         assert ex.zero_dim == 0
-        assert np.array_equal(ex.extract_batch(ex.targets(None, one_row([2.0]))), [[0, 0, 1]])
+        assert np.array_equal(ex.extract_batch(ex.targets(rows_dataset(factors=one_row([2.0])))), [[0, 0, 1]])
 
     def test_zero_block_always_zero(self):
         ex = self.make(m=2, k=8)
         rng = np.random.default_rng(0)
-        proto = ex.extract_batch(ex.targets(None, rng.standard_normal((20, 2))))
+        proto = ex.extract_batch(ex.targets(rows_dataset(factors=rng.standard_normal((20, 2)))))
         assert np.array_equal(proto[:, 6:], np.zeros((20, 2)))
 
     def test_rejects_too_small_embedding(self):
@@ -211,19 +219,19 @@ class TestFactorCodedExtractor:
 
     def test_missing_factors_rejected(self):
         ex = self.make()
-        assert ex.targets(one_row([1.0, 0.0]), None) is None
+        assert ex.targets(rows_dataset(one_row([1.0, 0.0]))) is None
         with pytest.raises(ValueError, match="factor"):
-            ex.targets(None, one_row([0.0, 1.0]))  # two factor values, three expected
+            ex.targets(rows_dataset(factors=one_row([0.0, 1.0])))  # two factor values, three expected
         with pytest.raises(ValueError, match="factor"):
-            ex.targets(None, one_row([0.0, np.nan, 1.0]))
+            rows_dataset(factors=one_row([0.0, np.nan, 1.0]))  # the Dataset refuses it
         with pytest.raises(ValueError, match="codes"):
             ex.extract_batch(one_row([0.0, 0.0, 1.0]))  # raw values, not level codes
 
     def test_label_ignored(self):
         ex = self.make(m=2, k=6)
         f = one_row([0.0, 1.0])
-        a = ex.targets(one_row([1.0, 0.0]), f)
-        b = ex.targets(one_row([0.0, 1.0]), f)
+        a = ex.targets(rows_dataset(one_row([1.0, 0.0]), f))
+        b = ex.targets(rows_dataset(one_row([0.0, 1.0]), f))
         assert np.array_equal(a, b)
 
     def test_layout_labels(self):
@@ -267,7 +275,7 @@ class TestFactorCodedTable:
         m, k, levels, lam, perm = case
         coder = FactorCoder(names=tuple(f"f{i}" for i in range(m)), lower=np.full(m, 0.5), upper=np.full(m, 1.5))
         ex = FactorCodedExtractor(coder, k)
-        codes = mix_rows(ex.targets(None, levels), lam, perm)  # soft codes, as training mixes them
+        codes = mix_rows(ex.targets(rows_dataset(factors=levels)), lam, perm)  # soft codes, as training mixes them
         expected = np.zeros((len(codes), k))
         expected[:, : 3 * m] = codes.reshape(len(codes), -1)
         assert ex.extract_batch(codes).tobytes() == expected.tobytes()
@@ -310,7 +318,8 @@ class TestSerialization:
         assert back.class_count == 7 and back.embedding_dim == 16 and back.seed == 11
 
     def test_factor_coded_round_trip(self):
-        coder = fit_factor_coder(np.column_stack([np.arange(9.0), np.arange(0.0, 18, 2)]), names=("a", "b"))
+        coder = fit_factor_coder(rows_dataset(factors=np.column_stack([np.arange(9.0), np.arange(0.0, 18, 2)]),
+                                             factor_names=("a", "b")))
         ex = FactorCodedExtractor(coder, 10)
         back = extractor_from_doc(json.loads(json.dumps(extractor_to_doc(ex))))
         assert back.coder.names == ("a", "b")
@@ -322,7 +331,7 @@ class TestSerialization:
         ex = class_orthogonal_extractor(4, 6, seed=0)
         before = extractor_to_doc(ex)
         rng = np.random.default_rng(2)
-        ex.extract_batch(ex.targets(rng.dirichlet(np.ones(4), size=50)))
+        ex.extract_batch(ex.targets(rows_dataset(rng.dirichlet(np.ones(4), size=50))))
         assert extractor_to_doc(ex) == before
 
     def test_rejects_unknown_kind(self):

@@ -30,7 +30,7 @@ from fixedproto.training import (
     train_runs,
 )
 
-from util import central_difference, overflowing_loss
+from util import central_difference, overflowing_loss, rows_dataset
 
 
 def fake_trace(logits, z):
@@ -136,7 +136,7 @@ class TestMixup:
     def test_coded_factor_mixing(self):
         coder = FactorCoder(names=("a",), lower=np.array([-0.5]), upper=np.array([0.5]))
         ex = FactorCodedExtractor(coder, 5)
-        codes = ex.targets(None, np.array([[-1.0], [1.0]]))  # low, high
+        codes = ex.targets(rows_dataset(factors=np.array([[-1.0], [1.0]])))  # low, high
         lam, perm = np.array([0.25, 0.6]), np.array([1, 0])
         lhs = ex.extract_batch(mix_rows(codes, lam, perm))
         P = ex.extract_batch(codes)
@@ -365,7 +365,7 @@ def reference_train(dataset, extractor, config, val=None):
     forward pass, and a fresh forward pass (no ``into``) for every batch and
     accuracy.  Returns (parameter vector, history)."""
     lambda_p = config.effective_lambda() if config.uses_prototypes else 0.0
-    targets = extractor.targets(dataset.Y, dataset.factors) if config.uses_prototypes else None
+    targets = extractor.targets(dataset) if config.uses_prototypes else None
     emb_seed, clf_seed, shuffle_seed, mix_seed = np.random.SeedSequence(config.seed).spawn(4)
     widths = (dataset.input_dim, *config.hidden_dims, config.embedding_dim, dataset.class_count)
     params = init_params(widths, emb_seed, clf_seed)
@@ -450,7 +450,7 @@ def stack_run(seed, kind, **fields):
     if kind == "class-orthogonal":
         extractor = class_orthogonal_extractor(3, 6, seed)
     elif kind == "factor-coded":
-        extractor = FactorCodedExtractor(fit_factor_coder(tr.factors, tr.factor_names), 6)
+        extractor = FactorCodedExtractor(fit_factor_coder(tr), 6)
     config = TrainConfig(embedding_dim=6, hidden_dims=(5,), seed=seed, loss="ce" if kind == "ce" else "proto",
                          extractor={"kind": "class-orthogonal" if kind == "ce" else kind}, **fields)
     return tr, extractor, config, va

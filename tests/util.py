@@ -1,9 +1,11 @@
 """Shared test helpers: finite-difference oracle, error measures, hand-made
-models, a factor-coded extractor for layout tests and a loss whose epoch
+models and datasets, a factor-coded extractor for layout tests, the
+generator's levels read back from its factor values, and a loss whose epoch
 sums overflow."""
 
 import numpy as np
 
+from fixedproto.data import LEVEL_BANDS, Dataset
 from fixedproto.prototypes import FactorCodedExtractor, FactorCoder
 
 
@@ -43,6 +45,30 @@ def factor_extractor(names, embedding_dim):
     """A factor-coded extractor for the named factors; its thresholds do not matter."""
     zeros = np.zeros(len(names))
     return FactorCodedExtractor(FactorCoder(names=names, lower=zeros, upper=zeros), embedding_dim)
+
+
+def rows_dataset(labels=None, factors=None, factor_names=None):
+    """A ``Dataset`` of the given label rows ``(n, C)`` and raw factor values
+    ``(n, m)``, either of which may be left out, with one zero feature per row.
+    Without labels every row is of the one class "0"; the factors are named
+    ``alpha_i`` unless ``factor_names`` names them.  The constructor checks
+    the rows as it checks every dataset's."""
+    labels = np.ones((len(factors), 1)) if labels is None else np.asarray(labels, dtype=np.float64)
+    if factor_names is None:
+        factor_names = () if factors is None else tuple(f"alpha_{i}" for i in range(np.shape(factors)[-1]))
+    return Dataset(X=np.zeros((len(labels), 1)), Y=labels, factors=factors,
+                   class_names=tuple(str(c) for c in range(labels.shape[-1])), factor_names=factor_names)
+
+
+def true_levels(factors) -> np.ndarray:
+    """Recover generating levels from generated factor values.
+
+    Inverts the generator's level bands exactly: values below -0.5 were drawn
+    as level 0, values from -0.5 up to (excluding) 0.5 as level 1, the rest
+    as level 2.  Only meaningful for data from ``generate_synthetic``.
+    """
+    a = np.asarray(factors, dtype=np.float64)
+    return (a >= LEVEL_BANDS[0][1]).astype(np.int64) + (a >= LEVEL_BANDS[1][1]).astype(np.int64)
 
 
 def pack(layers, head):
