@@ -2,7 +2,7 @@
 
 ``gen-data`` writes ``<out>`` and ``<out>.manifest.json``.  ``train`` writes
 ``checkpoint.json``, ``history.json`` and ``manifest.json`` into ``--out``,
-``explain`` a CSV and a JSON file per sample and ``manifest.json``, and
+``explain`` a CSV per sample, ``explanations.json`` and ``manifest.json``, and
 ``compare`` ``comparison.json`` and ``manifest.json``; one writer creates
 each ``--out`` directory and writes its files and manifest.  ``eval`` writes
 no manifest, only its report and only with ``--out``.  A manifest holds the
@@ -119,13 +119,15 @@ def _load_config(path, config_class, **overrides):
         raise
 
 
-def _write(path, content) -> None:
-    """Write a str as it is, anything else as an indented JSON document; a
-    document holding NaN or an infinity is refused, naming ``path``, before
-    the file is opened."""
+def _write(path, content, indent=2) -> None:
+    """Write a str as it is, anything else as a JSON document, indented by
+    ``indent`` or, with None, on one line without spaces (which CPython
+    encodes in C, about three times faster); a document holding NaN or an
+    infinity is refused, naming ``path``, before the file is opened."""
     if not isinstance(content, str):
+        separators = None if indent is not None else (",", ":")
         try:
-            content = json.dumps(content, indent=2, allow_nan=False) + "\n"
+            content = json.dumps(content, indent=indent, separators=separators, allow_nan=False) + "\n"
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
     with open(path, "w", encoding="utf-8") as fh:
@@ -148,12 +150,13 @@ def _manifest(command: str, config_doc, seeds: dict, inputs: dict, outputs: list
 
 def _write_run(out, files, command: str, config_doc, seeds: dict, inputs: dict) -> None:
     """Create the directory ``out`` and write each ``(name, JSON document or
-    text)`` of ``files`` into it, then ``manifest.json``, whose ``outputs``
-    are the names written and its own."""
+    text)`` of ``files`` into it, or ``(name, document, indent)`` for one
+    written with that ``indent`` of ``_write``, then ``manifest.json``, whose
+    ``outputs`` are the names written and its own."""
     os.makedirs(out, exist_ok=True)
     outputs = []
-    for name, content in files:
-        _write(os.path.join(out, name), content)
+    for name, content, *indent in files:
+        _write(os.path.join(out, name), content, *indent)
         outputs.append(name)
     outputs.append("manifest.json")
     _write(os.path.join(out, "manifest.json"), _manifest(command, config_doc, seeds, inputs, outputs))
@@ -263,8 +266,10 @@ def _load_checkpoint(path):
     model trained without prototypes.
     """
     doc = _load_json(path)
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict):
         raise ConfigError(f"{path}: not a {CHECKPOINT_FORMAT} document")
+    if doc.get("format") != CHECKPOINT_FORMAT:
+        raise ConfigError(f"{path}: field 'format': not a {CHECKPOINT_FORMAT} document: {doc.get('format')!r}")
     try:
         version = json_field(doc, "version", int)
         if version != CHECKPOINT_VERSION:
@@ -464,11 +469,14 @@ def cmd_eval(args) -> int:
 
 
 def _parse_ids(flag: str, text: str) -> list:
-    """The comma-separated integer ids given to ``flag``: at least one, none twice."""
+    """The comma-separated integer ids given to ``flag``: at least one, none
+    twice, and no empty cell."""
+    if text.replace(",", "").strip() == "":
+        raise ConfigError(f"{flag}: empty list")
     ids = {}
-    for cell in text.split(","):
+    for position, cell in enumerate(text.split(",")):
         if cell.strip() == "":
-            continue
+            raise ConfigError(f"{flag}: cell {position} of {text!r} is empty")
         try:
             i = int(cell)
         except ValueError:
@@ -476,8 +484,6 @@ def _parse_ids(flag: str, text: str) -> list:
         if i in ids:
             raise ConfigError(f"{flag}: {i} is listed twice")
         ids[i] = None
-    if not ids:
-        raise ConfigError(f"{flag}: empty list")
     return list(ids)
 
 
@@ -501,11 +507,13 @@ def cmd_explain(args) -> int:
         )
     except ValueError as e:
         raise ConfigError(f"{args.data}: {e}") from None
-    # A generator: each file is serialized only as it is written, so all of them are never held at once.
-    files = ((f"sample_{sample_id:05d}{ext}", serialize(expl, i))
-             for i, sample_id in enumerate(expl["sample_ids"])
-             for ext, serialize in ((".csv", explanation_to_csv_text), (".json", explanation_to_doc)))
-    _write_run(args.out, files, "explain", {"samples": args.samples}, {"seed": doc["seed"]},
+    def files():  # each serialized only as it is written, so all of them are never held at once
+        for i, sample_id in enumerate(expl["sample_ids"]):
+            yield f"sample_{sample_id:05d}.csv", explanation_to_csv_text(expl, i)
+        # Compact, which CPython encodes in C: this one document is most of what explain writes.
+        yield "explanations.json", explanation_to_doc(expl), None
+
+    _write_run(args.out, files(), "explain", {"samples": args.samples}, {"seed": doc["seed"]},
                {"checkpoint": str(args.checkpoint), "data": str(args.data)})
     _say(args, f"wrote {len(ids)} explanation(s) to {args.out}")
     return EXIT_OK

@@ -104,24 +104,35 @@ def explanation_to_csv_text(expl: dict, i: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def explanation_to_doc(expl: dict, i: int) -> dict:
-    """Row ``i`` of the batch as an ``explanation`` document, with each class's
-    three strongest positive and negative contributions."""
-    # Per class: the contributions by dimension, and the dimensions by |contribution|.
-    columns, ranking, labels = expl["gamma"][i].T.tolist(), expl["ranking"][i].T.tolist(), expl["row_labels"]
+def explanation_to_doc(expl: dict) -> dict:
+    """The batch as one ``explanations`` document: ``class_names`` and
+    ``row_labels`` once, then per row its ``sample_id``, ``probabilities``,
+    ``logits`` and ``k x C`` ``gamma``, and per class (in ``class_names``
+    order) its three strongest positive and negative contributions as
+    ``{"dimension", "contribution"}``, labeled by ``row_labels[dimension]``."""
 
-    def top(c, sign):
-        dims = [j for j in ranking[c] if sign * columns[c][j] > 0][:3]
-        return [{"dimension": j, "label": labels[j], "contribution": columns[c][j]} for j in dims]
+    def top(column, order, sign):
+        dims = [j for j in order if sign * column[j] > 0][:3]
+        return [{"dimension": j, "contribution": column[j]} for j in dims]
 
+    rows = []
+    for sample_id, probabilities, logits, gamma, ranking in zip(
+            expl["sample_ids"], expl["probabilities"].tolist(), expl["logits"].tolist(), expl["gamma"].tolist(),
+            expl["ranking"].transpose(0, 2, 1)):
+        # Per class: the contributions by dimension, and the dimensions by |contribution|.
+        classes = list(zip(zip(*gamma), ranking.tolist()))
+        rows.append({
+            "sample_id": sample_id,
+            "probabilities": probabilities,
+            "logits": logits,
+            "gamma": gamma,
+            "top_positive": [top(column, order, 1) for column, order in classes],
+            "top_negative": [top(column, order, -1) for column, order in classes],
+        })
     return {
-        "format": "explanation",
+        "format": "explanations",
         "version": 1,
-        "sample_id": expl["sample_ids"][i],
         "class_names": list(expl["class_names"]),
-        "probabilities": expl["probabilities"][i].tolist(),
-        "logits": expl["logits"][i].tolist(),
-        "row_labels": list(labels),
-        "top_positive": {name: top(c, 1) for c, name in enumerate(expl["class_names"])},
-        "top_negative": {name: top(c, -1) for c, name in enumerate(expl["class_names"])},
+        "row_labels": list(expl["row_labels"]),
+        "rows": rows,
     }

@@ -320,12 +320,14 @@ def extractor_from_doc(doc: dict, at: str = ""):
         raise bad("version", f"unsupported extractor document version {doc['version']!r}")
     kind = doc.get("kind")
     if kind == "class-orthogonal":
-        return ClassOrthogonalExtractor(
-            class_count=json_field(doc, "class_count", int, at=at),
-            embedding_dim=json_field(doc, "embedding_dim", int, at=at),
-            seed=json_field(doc, "seed", int, at=at),
-            table=json_numbers(json_field(doc, "table", list, at=at), path("table"), 2),
-        )
+        fields = {"class_count": json_field(doc, "class_count", int, at=at),
+                  "embedding_dim": json_field(doc, "embedding_dim", int, at=at),
+                  "seed": json_field(doc, "seed", int, at=at),
+                  "table": json_numbers(json_field(doc, "table", list, at=at), path("table"), 2)}
+        try:
+            return ClassOrthogonalExtractor(**fields)
+        except ValueError as e:  # the table's shape, finiteness or orthonormality
+            raise bad("table", e) from None
     if kind == "factor-coded":
         if doc.get("quantile_method") != QUANTILE_METHOD:
             raise bad("quantile_method", f"unsupported quantile_method {doc.get('quantile_method')!r}")
@@ -341,5 +343,8 @@ def extractor_from_doc(doc: dict, at: str = ""):
             coder = FactorCoder(names=names, lower=lower, upper=upper)
         except ValueError as e:  # no factor, or a lower threshold above its upper one
             raise bad("factors", e) from None
-        return FactorCodedExtractor(coder, json_field(doc, "embedding_dim", int, at=at))
+        try:
+            return FactorCodedExtractor(coder, json_field(doc, "embedding_dim", int, at=at))
+        except ValueError as e:  # too few dimensions for the factors
+            raise bad("embedding_dim", e) from None
     raise bad("kind", f"unknown extractor kind {kind!r}")

@@ -145,10 +145,13 @@ def test_cli_forward_and_explain_spans_count_their_calls(tmp_path):
             assert main(argv) == 0
         finally:
             tracer.uninstall()
-        return spans.summarize(tracer.spans)
+        return tracer.spans
 
-    metrics = traced(["eval", checkpoint, data, "--quiet"])
+    metrics = spans.summarize(traced(["eval", checkpoint, data, "--quiet"]))
     assert metrics["model.forward_full.calls"] == 1
     assert metrics["explain.explain_sample.calls"] == 0
-    metrics = traced(["explain", checkpoint, data, "--samples", "0,3", "--out", str(tmp_path / "ex"), "--quiet"])
-    assert metrics["explain.explain_sample.calls"] == 1
+    recorded = traced(["explain", checkpoint, data, "--samples", "0,3,5", "--out", str(tmp_path / "ex"),
+                       "--quiet"])
+    assert spans.summarize(recorded)["explain.explain_sample.calls"] == 1
+    # One CSV per sample, then the one document of the batch.
+    assert sum(1 for span in recorded if span[0] == "explain.serialize") == 3 + 1

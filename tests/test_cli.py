@@ -510,10 +510,11 @@ def test_values_beyond_the_model_name_the_file_and_sample(tmp_path, blob_file, t
 def test_a_document_with_a_non_finite_number_is_refused_naming_the_path(tmp_path):
     path = tmp_path / "report.json"
     for number in (float("inf"), float("nan")):
-        with pytest.raises(ValueError) as refused:
-            _write(path, {"mean_within_class_dist": number})
-        assert str(refused.value).startswith(f"{path}: Out of range float values are not JSON compliant")
-        assert not path.exists()
+        for indent in (2, None):  # indented, and compact as explain writes explanations.json
+            with pytest.raises(ValueError) as refused:
+                _write(path, {"mean_within_class_dist": number}, indent)
+            assert str(refused.value).startswith(f"{path}: Out of range float values are not JSON compliant")
+            assert not path.exists()
 
 
 class TestFactorColumns:
@@ -552,12 +553,13 @@ class TestFactorColumns:
             (("extractor", "version"), 2, "extractor.version"),
             (("extractor", "kind"), [1], "extractor.kind"),
             (("extractor", "quantile_method"), "linear", "extractor.quantile_method"),
+            (("format",), "model-checkpoints", "format"),
         ],
         ids=["factor-not-an-object", "missing-layer-weight", "missing-factor-name", "nan-in-layer-weight",
              "unknown-activation", "linear-hidden-layer", "relu-last-layer", "short-bias",
              "weight-columns-do-not-chain", "no-layers", "empty-weight", "infinite-threshold",
              "lower-above-upper", "extractor-not-an-object", "wrong-format", "wrong-version", "unknown-kind",
-             "unknown-quantile-method"],
+             "unknown-quantile-method", "wrong-checkpoint-format"],
     )
     def test_bad_checkpoint_entry_named_by_path(self, tmp_path, factor_run, capsys, path, value, field):
         checkpoint, data = factor_run
@@ -574,6 +576,38 @@ class TestFactorColumns:
         assert main(["eval", str(broken), str(data), "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert str(broken) in err and f"{field!r}" in err
+
+    @pytest.mark.parametrize(
+        "run, key, edit, field, message",
+        [
+            # The class-orthogonal table is 2 x 8; an edited count gives another shape.
+            ("trained_run", "class_count", 3, "extractor.table", "table shape (2, 8) does not match (3, 8)"),
+            ("trained_run", "embedding_dim", 9, "extractor.table", "table shape (2, 8) does not match (2, 9)"),
+            ("trained_run", "table", "skew", "extractor.table",
+             "prototype table rows must be orthonormal when k >= C"),
+            # Two factors need 6 coded dimensions.
+            ("factor_run", "embedding_dim", 5, "extractor.embedding_dim",
+             "embedding_dim 5 is too small for 2 factors (needs >= 6)"),
+        ],
+        ids=["class-count", "embedding-dim", "not-orthonormal", "factor-coded-embedding-dim"],
+    )
+    def test_extractor_that_cannot_be_built_named_by_path(self, tmp_path, request, capsys, run, key, edit,
+                                                         field, message):
+        if run == "factor_run":
+            checkpoint, data = request.getfixturevalue("factor_run")
+        else:
+            checkpoint = request.getfixturevalue("trained_run") / "checkpoint.json"
+            data = request.getfixturevalue("blob_file")
+        doc = json.loads(checkpoint.read_text())
+        if edit == "skew":
+            doc["extractor"]["table"][0][0] += 0.5
+        else:
+            doc["extractor"][key] = edit
+        broken = tmp_path / "broken.json"
+        write_json(broken, doc)
+        assert main(["eval", str(broken), str(data), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: {broken}: field {field!r}: {message}\n"
 
     def test_missing_factor_column_rejected(self, tmp_path, factor_run, capsys):
         checkpoint, data = factor_run
@@ -700,6 +734,40 @@ class TestExplain:
             logits = forward(widths, params, dataset.X[i : i + 1]).logits[0]
             assert np.max(np.abs(gamma.sum(axis=0) - logits)) < 1e-9
 
+    def test_writes_one_csv_per_sample_the_document_and_the_manifest(self, tmp_path, blob_file, trained_run):
+        out = tmp_path / "expl"
+        assert main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
+                     "--samples", "0,3", "--out", str(out), "--quiet"]) == EXIT_OK
+        written = ["sample_00000.csv", "sample_00003.csv", "explanations.json", "manifest.json"]
+        assert sorted(os.listdir(out)) == sorted(written)
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == written
+
+    def test_document_gamma_sums_to_reference_logits_and_equals_the_csv(self, tmp_path, blob_file, trained_run):
+        # Criterion 7 on the document: the reference logits are z @ W from the
+        # checkpoint's own weights, computed as the benchmark does, apart from
+        # the package's forward pass.
+        out = tmp_path / "expl"
+        assert main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
+                     "--samples", "3,0,41", "--out", str(out), "--quiet"]) == EXIT_OK
+        checkpoint = json.loads((trained_run / "checkpoint.json").read_text())
+        doc = json.loads((out / "explanations.json").read_text())
+        ids = [row["sample_id"] for row in doc["rows"]]
+        assert ids == [3, 0, 41]
+        z = load_table(blob_file, class_names=checkpoint["class_names"]).X[ids]
+        for layer in checkpoint["embedder"]["layers"]:
+            z = z @ np.asarray(layer["weight"]).T + np.asarray(layer["bias"])
+            if layer["activation"] == "relu":
+                z = np.maximum(z, 0.0)
+        logits = z @ np.asarray(checkpoint["classifier"]["weight"])
+        gamma = np.array([row["gamma"] for row in doc["rows"]])
+        assert gamma.shape == (3, 8, 2)
+        assert np.max(np.abs(gamma.sum(axis=1) - logits)) <= 1e-9
+        for row in doc["rows"]:  # the CSV's repr text parses back to the document's numbers
+            lines = (out / f"sample_{row['sample_id']:05d}.csv").read_text().splitlines()
+            assert lines[0] == "dimension," + ",".join(doc["class_names"])
+            assert [line.split(",")[0] for line in lines[1:]] == doc["row_labels"]
+            assert [[float(v) for v in line.split(",")[1:]] for line in lines[1:]] == row["gamma"]
+
     def test_broken_relevance_fails_before_writing(self, tmp_path, blob_file, trained_run,
                                                    monkeypatch):
         import fixedproto.explain as explain_module
@@ -721,6 +789,14 @@ class TestExplain:
                      "--samples", "999", "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
         assert "out of range" in capsys.readouterr().err
+
+    def test_empty_sample_cell_rejected_before_writing(self, tmp_path, blob_file, trained_run, capsys):
+        out = tmp_path / "x"
+        code = main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
+                     "--samples", "1,,2", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --samples: cell 1 of '1,,2' is empty\n"
+        assert not out.exists()
 
     def test_repeated_sample_rejected_before_writing(self, tmp_path, blob_file, trained_run, capsys):
         out = tmp_path / "x"
@@ -769,8 +845,9 @@ class TestCompare:
             (["--seeds", "a"], "--seeds: 'a' is not an integer"),
             (["--seeds", ","], "--seeds: empty list"),
             (["--seeds=-1,2"], "--seeds: seed -1 must be >= 0"),
+            (["--seeds", "0,1,"], "--seeds: cell 2 of '0,1,' is empty"),
         ],
-        ids=["repeated", "not-an-integer", "empty", "negative"],
+        ids=["repeated", "not-an-integer", "empty", "negative", "empty-cell"],
     )
     def test_bad_seed_list_rejected_before_writing(self, tmp_path, blob_file, capsys, flags, message):
         config = train_config(tmp_path, train_fraction=0.8, epochs=2)

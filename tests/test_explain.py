@@ -25,7 +25,7 @@ def explain_one(model, x, **kwargs):
 def tops(expl, i, key):
     """Row ``i``'s top list ``key`` of each class, as (dimension, contribution) pairs."""
     return [[(t["dimension"], t["contribution"]) for t in entries]
-            for entries in explanation_to_doc(expl, i)[key].values()]
+            for entries in explanation_to_doc(expl)["rows"][i][key]]
 
 
 class TestExplainSample:
@@ -104,15 +104,20 @@ SMALL_VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_every_row_renders_as_a_brute_force_reference(data):
-    """Each row's CSV text and document, ties and zeros included, against a
-    reference built per row: top lists by |value| descending, then by
-    dimension, filtered by sign and capped at 3."""
+    """Each row's CSV text and the batch document, ties and zeros included,
+    against a reference built per row: top lists by |value| descending, then
+    by dimension, filtered by sign and capped at 3."""
     n, k, C = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
     weight = np.array(data.draw(st.lists(SMALL_VALUES, min_size=k * C, max_size=k * C))).reshape(k, C)
     X = np.array(data.draw(st.lists(SMALL_VALUES, min_size=n * k, max_size=n * k))).reshape(n, k)
     ids = [3 * i + 1 for i in range(n)]
     expl = explain_sample(*identity_model(weight), X, sample_ids=ids)
     names, labels = [str(c) for c in range(C)], [f"dim {j}" for j in range(k)]
+    doc = explanation_to_doc(expl)
+    assert list(doc) == ["format", "version", "class_names", "row_labels", "rows"]
+    assert (doc["format"], doc["version"], doc["class_names"], doc["row_labels"]) == (
+        "explanations", 1, names, labels)
+    assert len(doc["rows"]) == n
     for i in range(n):
         gamma = weight * X[i][:, None]
         csv = "".join(f"{label}," + ",".join(repr(float(v)) for v in gamma[j]) + "\n"
@@ -121,19 +126,19 @@ def test_every_row_renders_as_a_brute_force_reference(data):
 
         def top(c, keep):
             order = sorted(range(k), key=lambda j: (-abs(gamma[j, c]), j))
-            return [{"dimension": j, "label": labels[j], "contribution": float(gamma[j, c])}
+            return [{"dimension": j, "contribution": float(gamma[j, c])}
                     for j in order if keep(gamma[j, c])][:3]
 
-        doc = explanation_to_doc(expl, i)
+        row = doc["rows"][i]
         reference = {
-            "format": "explanation", "version": 1, "sample_id": ids[i], "class_names": names,
-            "probabilities": doc["probabilities"], "logits": gamma.sum(axis=0).tolist(), "row_labels": labels,
-            "top_positive": {name: top(c, lambda v: v > 0) for c, name in enumerate(names)},
-            "top_negative": {name: top(c, lambda v: v < 0) for c, name in enumerate(names)},
+            "sample_id": ids[i], "probabilities": row["probabilities"], "logits": gamma.sum(axis=0).tolist(),
+            "gamma": gamma.tolist(),
+            "top_positive": [top(c, lambda v: v > 0) for c in range(C)],
+            "top_negative": [top(c, lambda v: v < 0) for c in range(C)],
         }
-        assert json.dumps(doc, indent=2) == json.dumps(reference, indent=2)
+        assert json.dumps(row, indent=2) == json.dumps(reference, indent=2)
         shifted = np.exp(gamma.sum(axis=0) - gamma.sum(axis=0).max())
-        assert np.allclose(doc["probabilities"], shifted / shifted.sum(), rtol=0, atol=1e-15)
+        assert np.allclose(row["probabilities"], shifted / shifted.sum(), rtol=0, atol=1e-15)
 
 
 class TestExports:
@@ -154,12 +159,14 @@ class TestExports:
 
     def test_json_doc_fields(self):
         expl = self.make_explanation()
-        doc = explanation_to_doc(expl, 0)
-        assert doc["format"] == "explanation"
+        doc = explanation_to_doc(expl)
+        assert doc["format"] == "explanations"
         assert doc["class_names"] == ["neg", "pos"]
-        assert len(doc["row_labels"]) == 5
-        assert set(doc["top_positive"]) == {"neg", "pos"}
-        total = np.array(doc["logits"])
+        assert doc["row_labels"][0] == "a:low" and len(doc["row_labels"]) == 5
+        (row,) = doc["rows"]
+        assert len(row["top_positive"]) == len(row["top_negative"]) == 2
+        assert np.array(row["gamma"]).shape == (5, 2)
+        total = np.array(row["logits"])
         assert np.allclose(total, expl["gamma"][0].sum(axis=0), atol=1e-15)
 
 

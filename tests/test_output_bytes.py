@@ -23,13 +23,11 @@ EXPECTED = {
     "compare-sep/manifest.json": "d813fdc9c6f38375c4b7d14099849105baad49ee5702d3dad8b713d4d78d0b1c",
     "compare-sgd/comparison.json": "199a796fb614196a772c04d7f4caf666453d4d778b34f95d2de26216f72f66e7",
     "compare-sgd/manifest.json": "f2b97580b049a9fc3c75a23656342c4c88ba924023b4604045a4869be4016c71",
-    "explain/manifest.json": "d1a2c4ebdb878d39fdaaab057d69aa82b58362db538416f9d3d80171a68a6e5b",
+    "explain/explanations.json": "e5a26a0bb84a89d7d74715a65cce429c70c759122106053b7f98a4f07a4f8f1b",
+    "explain/manifest.json": "48e44f9d30e529eb7478b8b609fc35bca93387b54e8ee24663e5547ad7ae2684",
     "explain/sample_00000.csv": "c02f86b99bfac60279b293fa4c94c53f5705efb689c92cc6bb511c4c129c7d1b",
-    "explain/sample_00000.json": "f170470284ae18a8b8a68a5df67ac1b2188c3964e4ff2c9536759fff8af9ca5e",
     "explain/sample_00007.csv": "cea691a86928e14e836995662834f46b3d8111c424b8d48490d55fdd55ff87b0",
-    "explain/sample_00007.json": "1b14671ecc4efdbf5661565da710f87f50d15bdcbc6c2bb00cd6725e5fc9efed",
     "explain/sample_00500.csv": "4c5c0c6b7339890bd12abb280026865f23d6b2fa94afb2702e552276d5ba1bf9",
-    "explain/sample_00500.json": "5c4e4e0e4bb2a7786f39a619cdc6eb8d5e81e178130a13cd4ada6f166ea2213b",
     "factor.csv": "d96dd310e462f36f3c9b954b90b46d58f0bce4594ff138a0ab133339ddf6a6ad",
     "factor.csv.manifest.json": "b81737150f903062d6cbceeace8d2b0d31f9d2f6f3ec7e1ca48e5cf03a3f79ee",
     "report.json": "949a348d81a2f479fa3811df50d4790314ceb72a0ee7050c4f908853fc075406",
