@@ -28,13 +28,14 @@ import datetime
 import itertools
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import __version__
-from .data import (Dataset, SynthConfig, config_from_doc, config_to_doc, generate_synthetic, json_field,
-                   json_numbers, load_table, save_dataset, split)
+from .data import (Dataset, SynthConfig, _check_names, config_from_doc, config_to_doc, generate_synthetic,
+                   json_field, json_numbers, load_table, save_dataset, split)
 from .explain import check_explainable, explain_sample, explanation_to_csv_text, explanation_to_doc
 from .metrics import (accuracy, disentanglement_report, joint_probability_table, separation_report,
                       zero_block_activity)
@@ -273,18 +274,19 @@ def _load_checkpoint(path):
     try:
         version = json_field(doc, "version", int)
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"checkpoint version {version} is not supported, "
+            raise ValueError(f"field 'version': checkpoint version {version} is not supported, "
                              f"only version {CHECKPOINT_VERSION}; retrain to write one")
         if json_field(doc, "seed", int) < 0:
             raise ValueError(f"field 'seed' is {doc['seed']}, expected an integer >= 0")
-        for key in ("class_names", "factor_names"):
+        for key, what, prefix in (("class_names", "class name", ""), ("factor_names", "factor name", "alpha_")):
             names = json_field(doc, key, list)
             if not all(type(name) is str for name in names):
                 raise TypeError(f"field {key!r} must list strings")
             repeated = [name for i, name in enumerate(names) if name in names[:i]]
             if repeated:
                 raise ValueError(f"field {key!r} lists {repeated[0]!r} more than once")
-        entries = json_field(json_field(doc, "embedder", dict), "layers", list)
+            _check_names(names, f"field {key!r}: {what}", prefix)  # as the data file and explain's CSVs carry them
+        entries = json_field(json_field(doc, "embedder", dict), "layers", list, at="embedder")
         if not entries:
             raise ValueError("field 'embedder.layers' lists no layer")
         layers = []  # (weight, bias) pairs
@@ -470,7 +472,7 @@ def cmd_eval(args) -> int:
 
 def _parse_ids(flag: str, text: str) -> list:
     """The comma-separated integer ids given to ``flag``: at least one, none
-    twice, and no empty cell."""
+    twice, and each cell ASCII digits with an optional sign, spaces around."""
     if text.replace(",", "").strip() == "":
         raise ConfigError(f"{flag}: empty list")
     ids = {}
@@ -478,8 +480,10 @@ def _parse_ids(flag: str, text: str) -> list:
         if cell.strip() == "":
             raise ConfigError(f"{flag}: cell {position} of {text!r} is empty")
         try:
+            if not re.fullmatch(r"[+-]?[0-9]+", cell.strip()):  # int() also reads '1_0' and other scripts' digits
+                raise ValueError
             i = int(cell)
-        except ValueError:
+        except ValueError:  # or more digits than int() reads
             raise ConfigError(f"{flag}: {cell.strip()!r} is not an integer") from None
         if i in ids:
             raise ConfigError(f"{flag}: {i} is listed twice")

@@ -19,24 +19,22 @@ from .model import forward, param_views, relevance
 RELEVANCE_TOL = 1e-9
 
 
-def check_explainable(head, trace, sample_ids=None) -> None:
-    """Raise ``ValueError`` naming the first row of ``trace`` (by
-    ``sample_ids``, default its index) beyond the model's range: its logits
-    or its embedding's squared norm (which the metrics take) are not finite,
-    or its relevance sums miss its logits by more than ``RELEVANCE_TOL``, as
-    they do for an input so large that rounding alone breaks the
-    decomposition.
+def check_explainable(head, trace, sample_ids=None) -> tuple:
+    """The relevance ``gamma`` ``(n, k, C)`` of ``trace``'s rows under ``head``
+    and its sums over the dimensions ``(n, C)``, checked against the forward
+    pass's own logits ``z @ W``.
 
-    The sums add the contributions one dimension at a time, apart from
-    ``relevance`` and without holding the ``(n, k, C)`` gamma.
+    Raises ``ValueError`` naming the first row (by ``sample_ids``, default its
+    index) beyond the model's range: its logits or its embedding's squared
+    norm (which the metrics take) are not finite, or its relevance sums miss
+    its logits by more than ``RELEVANCE_TOL``, as they do for an input so
+    large that rounding alone breaks the decomposition.
     """
-    z = trace.z
-    sums = np.zeros_like(trace.logits)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(head.shape[0]):
-            sums += z[:, j, None] * head[j]
+        gamma = relevance(head, trace.z)
+        sums = gamma.sum(axis=1)
         gap = np.abs(sums - trace.logits).max(axis=1, initial=0.0)
-        finite = np.isfinite((z * z).sum(axis=1)) & np.isfinite(trace.logits).all(axis=1)
+        finite = np.isfinite((trace.z * trace.z).sum(axis=1)) & np.isfinite(trace.logits).all(axis=1)
     bad = np.flatnonzero(~(finite & (gap <= RELEVANCE_TOL)))
     if bad.size:
         i = int(bad[0])
@@ -44,6 +42,7 @@ def check_explainable(head, trace, sample_ids=None) -> None:
                else "its logits or its embedding's squared norm are not finite")
         sample = i if sample_ids is None else sample_ids[i]
         raise ValueError(f"sample {sample} is beyond the model's range: {why}")
+    return gamma, sums
 
 
 def explain_sample(widths, params, X, sample_ids=None, layout=None, class_names=None) -> dict:
@@ -52,15 +51,12 @@ def explain_sample(widths, params, X, sample_ids=None, layout=None, class_names=
 
     Returns the batch as one dict: ``sample_ids`` (default ``0..n-1``),
     ``class_names`` and ``row_labels`` once each, ``probabilities`` and
-    ``logits`` ``(n, C)``, ``gamma`` ``(n, k, C)`` and ``ranking``
-    ``(n, k, C)``, each class's dimensions by descending ``|gamma|``, ties by
-    dimension.  The logits are the column sums of gamma.  ``layout``, a
-    factor-coded extractor, names the dimensions by factor slot; without it
-    they are ``dim j``.  Raises ``ValueError`` from ``check_explainable`` for
-    the first row beyond the model's range, and ``RuntimeError`` when the
-    relevance sums miss the forward pass's own logits ``z @ W`` by more than
-    ``RELEVANCE_TOL`` all the same, so nothing built on a broken
-    decomposition gets out.
+    ``logits`` ``(n, C)`` and ``gamma`` ``(n, k, C)``, where the logits are
+    the column sums of gamma that ``check_explainable`` compared with the
+    forward pass's own.  ``layout``, a factor-coded extractor, names the
+    dimensions by factor slot; without it they are ``dim j``.  Raises
+    ``ValueError`` from ``check_explainable`` for the first row beyond the
+    model's range, so nothing built on a broken decomposition gets out.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # check_explainable reports what overflows
         trace = forward(widths, params, X)
@@ -69,13 +65,8 @@ def explain_sample(widths, params, X, sample_ids=None, layout=None, class_names=
     if len(sample_ids) != n:
         raise ValueError(f"expected {n} sample ids, got {len(sample_ids)}")
     head = param_views(widths, params)[1]
-    check_explainable(head, trace, sample_ids)
-    gamma = relevance(head, trace.z)
+    gamma, logits = check_explainable(head, trace, sample_ids)
     k, C = head.shape
-    logits = gamma.sum(axis=1)
-    worst = float(np.max(np.abs(logits - trace.logits), initial=0.0))
-    if not worst <= RELEVANCE_TOL:
-        raise RuntimeError(f"relevance sums are {worst:.3e} away from the forward logits")
     class_names = [str(c) for c in (range(C) if class_names is None else class_names)]
     if len(class_names) != C:
         raise ValueError(f"expected {C} class names, got {len(class_names)}")
@@ -92,7 +83,6 @@ def explain_sample(widths, params, X, sample_ids=None, layout=None, class_names=
         "probabilities": trace.probs,
         "logits": logits,
         "gamma": gamma,
-        "ranking": np.argsort(-np.abs(gamma), axis=1, kind="stable"),
     }
 
 
@@ -109,25 +99,28 @@ def explanation_to_doc(expl: dict) -> dict:
     ``row_labels`` once, then per row its ``sample_id``, ``probabilities``,
     ``logits`` and ``k x C`` ``gamma``, and per class (in ``class_names``
     order) its three strongest positive and negative contributions as
-    ``{"dimension", "contribution"}``, labeled by ``row_labels[dimension]``."""
+    ``{"dimension", "contribution"}``, strongest first and ties by
+    dimension, labeled by ``row_labels[dimension]``."""
 
     def top(column, order, sign):
-        dims = [j for j in order if sign * column[j] > 0][:3]
-        return [{"dimension": j, "contribution": column[j]} for j in dims]
+        return [{"dimension": j, "contribution": column[j]} for j in order if sign * column[j] > 0]
 
+    # Per row and class, the first 3 dimensions from the largest contribution
+    # down and from the smallest up, ties by dimension.
+    gamma = expl["gamma"]
+    down = np.argsort(-gamma, axis=1, kind="stable")[:, :3].transpose(0, 2, 1).tolist()
+    up = np.argsort(gamma, axis=1, kind="stable")[:, :3].transpose(0, 2, 1).tolist()
     rows = []
-    for sample_id, probabilities, logits, gamma, ranking in zip(
-            expl["sample_ids"], expl["probabilities"].tolist(), expl["logits"].tolist(), expl["gamma"].tolist(),
-            expl["ranking"].transpose(0, 2, 1)):
-        # Per class: the contributions by dimension, and the dimensions by |contribution|.
-        classes = list(zip(zip(*gamma), ranking.tolist()))
+    for sample_id, probabilities, logits, row, row_down, row_up in zip(
+            expl["sample_ids"], expl["probabilities"].tolist(), expl["logits"].tolist(), gamma.tolist(), down, up):
+        columns = list(zip(*row))
         rows.append({
             "sample_id": sample_id,
             "probabilities": probabilities,
             "logits": logits,
-            "gamma": gamma,
-            "top_positive": [top(column, order, 1) for column, order in classes],
-            "top_negative": [top(column, order, -1) for column, order in classes],
+            "gamma": row,
+            "top_positive": [top(column, order, 1) for column, order in zip(columns, row_down)],
+            "top_negative": [top(column, order, -1) for column, order in zip(columns, row_up)],
         })
     return {
         "format": "explanations",

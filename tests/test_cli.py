@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -484,13 +485,17 @@ def factor_run(tmp_path):
     return out / "checkpoint.json", data
 
 
-@pytest.mark.parametrize("value", ["1e300", "1e308"])
+@pytest.mark.parametrize("value, reason", [
+    ("1e150", "its relevance sums miss its logits by "),
+    ("1e300", "its logits or its embedding's squared norm are not finite"),
+    ("1e308", "its logits or its embedding's squared norm are not finite"),
+], ids=["1e150", "1e300", "1e308"])
 @pytest.mark.parametrize("command", ["eval", "explain"])
 def test_values_beyond_the_model_name_the_file_and_sample(tmp_path, blob_file, trained_run, capsys, command,
-                                                          value):
-    # Row 5's first feature overflows the model: rounding alone breaks the
-    # relevance identity (1e300), or the embedding's squared norm and the
-    # logits overflow (1e308).
+                                                          value, reason):
+    # Row 5's first feature is beyond this model: rounding alone breaks the
+    # relevance identity (1e150), or the embedding's squared norm and the
+    # logits overflow (1e300, 1e308).
     lines = blob_file.read_text().splitlines()
     lines[1 + 5] = value + "," + lines[1 + 5].split(",", 1)[1]
     blob_file.write_text("\n".join(lines) + "\n")
@@ -503,7 +508,7 @@ def test_values_beyond_the_model_name_the_file_and_sample(tmp_path, blob_file, t
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert err.startswith(f"error: {blob_file}: sample 5 is beyond the model's range: ")
+    assert err.startswith(f"error: {blob_file}: sample 5 is beyond the model's range: {reason}")
     assert not out.exists()
 
 
@@ -554,12 +559,16 @@ class TestFactorColumns:
             (("extractor", "kind"), [1], "extractor.kind"),
             (("extractor", "quantile_method"), "linear", "extractor.quantile_method"),
             (("format",), "model-checkpoints", "format"),
+            (("version",), 1, "version"),
+            (("embedder", "layers"), DROP, "embedder.layers"),
+            (("embedder", "layers"), None, "embedder.layers"),
         ],
         ids=["factor-not-an-object", "missing-layer-weight", "missing-factor-name", "nan-in-layer-weight",
              "unknown-activation", "linear-hidden-layer", "relu-last-layer", "short-bias",
              "weight-columns-do-not-chain", "no-layers", "empty-weight", "infinite-threshold",
              "lower-above-upper", "extractor-not-an-object", "wrong-format", "wrong-version", "unknown-kind",
-             "unknown-quantile-method", "wrong-checkpoint-format"],
+             "unknown-quantile-method", "wrong-checkpoint-format", "wrong-checkpoint-version", "missing-layers",
+             "layers-not-a-list"],
     )
     def test_bad_checkpoint_entry_named_by_path(self, tmp_path, factor_run, capsys, path, value, field):
         checkpoint, data = factor_run
@@ -608,6 +617,27 @@ class TestFactorColumns:
         assert main(["eval", str(broken), str(data), "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"error: {broken}: field {field!r}: {message}\n"
+
+    @pytest.mark.parametrize("name", ["1,x", "1\nx", "1 ", ""],
+                             ids=["comma", "line-break", "trailing-whitespace", "empty"])
+    @pytest.mark.parametrize("key, what, prefix", [("class_names", "class name", ""),
+                                                   ("factor_names", "factor name", "alpha_")],
+                             ids=["class", "factor"])
+    def test_checkpoint_name_the_text_formats_cannot_carry_refused(self, tmp_path, factor_run, capsys, key, what,
+                                                                    prefix, name):
+        # explain writes the class names as its CSV header; a comma or a line
+        # break there would give rows of another width.
+        checkpoint, data = factor_run
+        doc = json.loads(checkpoint.read_text())
+        doc[key][1] = prefix + name if name else name
+        broken = tmp_path / "broken.json"
+        write_json(broken, doc)
+        out = tmp_path / "out"
+        assert main(["explain", str(broken), str(data), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {broken}: field {key!r}: {what} {doc[key][1]!r} cannot be written: it is empty, holds a comma "
+            f"or a line break, or has leading or trailing whitespace\n")
+        assert not out.exists()
 
     def test_missing_factor_column_rejected(self, tmp_path, factor_run, capsys):
         checkpoint, data = factor_run
@@ -769,7 +799,7 @@ class TestExplain:
             assert [[float(v) for v in line.split(",")[1:]] for line in lines[1:]] == row["gamma"]
 
     def test_broken_relevance_fails_before_writing(self, tmp_path, blob_file, trained_run,
-                                                   monkeypatch):
+                                                   monkeypatch, capsys):
         import fixedproto.explain as explain_module
 
         original = explain_module.relevance
@@ -779,10 +809,13 @@ class TestExplain:
 
         monkeypatch.setattr(explain_module, "relevance", off_by_a_little)
         out = tmp_path / "expl"
-        with pytest.raises(RuntimeError):
-            main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
-                  "--samples", "0,3", "--out", str(out), "--quiet"])
-        assert not out.exists() or not [f for f in os.listdir(out) if f.startswith("sample_")]
+        code = main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
+                     "--samples", "0,3", "--out", str(out), "--quiet"])
+        assert code == EXIT_CONFIG
+        # Each of the 8 dimensions adds 1e-6 to the sums the check compares.
+        assert capsys.readouterr().err == (f"error: {blob_file}: sample 0 is beyond the model's range: its relevance "
+                                           f"sums miss its logits by 8.000e-06, more than 1e-09\n")
+        assert not out.exists()
 
     def test_selector_out_of_range(self, tmp_path, blob_file, trained_run, capsys):
         code = main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
@@ -797,6 +830,23 @@ class TestExplain:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == "error: --samples: cell 1 of '1,,2' is empty\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663", "\uff13", "0x1", "1.0", "+ 1"],
+                             ids=["underscore", "arabic-indic-digit", "fullwidth-digit", "hex", "float", "split-sign"])
+    def test_sample_not_in_ascii_digits_rejected_before_writing(self, tmp_path, blob_file, trained_run, capsys,
+                                                                 cell):
+        out = tmp_path / "x"
+        code = main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
+                     "--samples", f"2,{cell}", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --samples: {cell!r} is not an integer\n"
+        assert not out.exists()
+
+    def test_sample_ids_with_a_sign_and_spaces_accepted(self, tmp_path, blob_file, trained_run):
+        out = tmp_path / "x"
+        assert main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
+                     "--samples", " 2, +07 ", "--out", str(out), "--quiet"]) == EXIT_OK
+        assert [row["sample_id"] for row in json.loads((out / "explanations.json").read_text())["rows"]] == [2, 7]
 
     def test_repeated_sample_rejected_before_writing(self, tmp_path, blob_file, trained_run, capsys):
         out = tmp_path / "x"
@@ -846,8 +896,10 @@ class TestCompare:
             (["--seeds", ","], "--seeds: empty list"),
             (["--seeds=-1,2"], "--seeds: seed -1 must be >= 0"),
             (["--seeds", "0,1,"], "--seeds: cell 2 of '0,1,' is empty"),
+            (["--seeds", "1_0"], "--seeds: '1_0' is not an integer"),
+            (["--seeds", "0,\u0663"], "--seeds: '\u0663' is not an integer"),
         ],
-        ids=["repeated", "not-an-integer", "empty", "negative", "empty-cell"],
+        ids=["repeated", "not-an-integer", "empty", "negative", "empty-cell", "underscore", "arabic-indic-digit"],
     )
     def test_bad_seed_list_rejected_before_writing(self, tmp_path, blob_file, capsys, flags, message):
         config = train_config(tmp_path, train_fraction=0.8, epochs=2)
@@ -1282,3 +1334,72 @@ class TestMalformedDocuments:
         assert str(ckpt) in err
         if which != "checkpoint":  # an extractor's entries are named at their full path
             assert f"'extractor.{key}" in err, err
+
+
+@st.composite
+def entry_paths(draw, doc):
+    """An entry of a JSON document at any depth, as a tuple of keys and
+    indices: a walk from the top that stops at each level with even odds, so
+    the few top-level entries are drawn as often as the many matrix cells."""
+    path, value = (), doc
+    while True:
+        key = draw(st.sampled_from(list(value) if isinstance(value, dict) else range(len(value))))
+        path, value = path + (key,), value[key]
+        if not isinstance(value, (dict, list)) or not value or draw(st.booleans()):
+            return path
+
+
+def dotted(path):
+    """A path tuple as the messages name it, such as ``embedder.layers[1].weight``."""
+    return "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path).lstrip(".")
+
+
+# One value of each JSON type; lists and objects hold numbers and nested lists.
+JSON_BY_TYPE = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    float: st.integers(-10**6, 10**6) | st.floats(allow_nan=False, allow_infinity=False),
+    str: st.text(max_size=4),
+    list: st.lists(st.integers() | st.lists(st.floats(allow_nan=False), max_size=2), max_size=3),
+    dict: st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+}
+INF_1E400 = "1e400 written as text"  # json.dumps would write Infinity
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_checkpoint_entry_broken_exits_2_naming_its_path(tmp_path, blob_file, trained_run, factor_run, capsys,
+                                                            data):
+    """Any entry of a checkpoint of either extractor kind, dropped or given a
+    value of another JSON type (or, at a number, NaN or 1e400): eval exits 2
+    with one line naming the checkpoint and a field that is the entry, one
+    of its ancestors or one of its descendants.  Only ``"extractor": null``,
+    a model trained without prototypes, is valid."""
+    checkpoint, data_file = data.draw(st.sampled_from([(trained_run / "checkpoint.json", blob_file), factor_run]))
+    doc = json.loads(checkpoint.read_text())
+    path = data.draw(entry_paths(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = float if type(parent[path[-1]]) is int else type(parent[path[-1]])
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        others = [strategy for json_type, strategy in JSON_BY_TYPE.items() if json_type is not kind]
+        if kind is float:
+            others.append(st.sampled_from([float("nan"), INF_1E400]))
+        parent[path[-1]] = data.draw(st.one_of(others))
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc).replace(json.dumps(INF_1E400), "1e400"))
+    code = main(["eval", str(broken), str(data_file), "--quiet"])
+    err = capsys.readouterr().err
+    if path == ("extractor",) and doc.get("extractor", ...) is None:
+        assert (code, err) == (EXIT_OK, "")
+        return
+    assert code == EXIT_CONFIG
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {broken}: "), err
+    entry = dotted(path)
+    fields = re.findall(r"field '([^']*)'", err)
+    assert any(field == entry or entry.startswith((field + ".", field + "[")) or
+               field.startswith((entry + ".", entry + "[")) for field in fields), (entry, err)
