@@ -30,13 +30,15 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
 from . import __version__
 from .data import (Dataset, SynthConfig, _check_names, config_from_doc, config_to_doc, generate_synthetic,
                    json_field, json_numbers, load_table, save_dataset, split)
-from .explain import check_explainable, explain_sample, explanation_to_csv_text, explanation_to_doc
+from .explain import (check_explainable, explain_sample, explanation_slices, explanation_to_csv_text,
+                      explanation_to_doc)
 from .metrics import (accuracy, disentanglement_report, joint_probability_table, separation_report,
                       zero_block_activity)
 from .model import forward, param_count, param_views
@@ -120,19 +122,26 @@ def _load_config(path, config_class, **overrides):
         raise
 
 
-def _write(path, content, indent=2) -> None:
-    """Write a str as it is, anything else as a JSON document, indented by
-    ``indent`` or, with None, on one line without spaces (which CPython
-    encodes in C, about three times faster); a document holding NaN or an
-    infinity is refused, naming ``path``, before the file is opened."""
-    if not isinstance(content, str):
-        separators = None if indent is not None else (",", ":")
+def _write(path, content) -> None:
+    """Write a str as it is, an iterator's str pieces one at a time, and
+    anything else as an indented JSON document.  A document holding NaN or an
+    infinity is refused, naming ``path``, before the file is opened; a
+    ``ValueError`` from an iterator's piece is raised naming ``path``, and
+    the part written is removed."""
+    if isinstance(content, str):
+        content = [content]
+    elif not isinstance(content, Iterator):
         try:
-            content = json.dumps(content, indent=indent, separators=separators, allow_nan=False) + "\n"
+            content = [json.dumps(content, indent=2, allow_nan=False) + "\n"]
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(content)
+    except ValueError as e:
+        os.remove(path)
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _manifest(command: str, config_doc, seeds: dict, inputs: dict, outputs: list) -> dict:
@@ -150,14 +159,13 @@ def _manifest(command: str, config_doc, seeds: dict, inputs: dict, outputs: list
 
 
 def _write_run(out, files, command: str, config_doc, seeds: dict, inputs: dict) -> None:
-    """Create the directory ``out`` and write each ``(name, JSON document or
-    text)`` of ``files`` into it, or ``(name, document, indent)`` for one
-    written with that ``indent`` of ``_write``, then ``manifest.json``, whose
+    """Create the directory ``out`` and write each ``(name, content)`` of
+    ``files`` into it through ``_write``, then ``manifest.json``, whose
     ``outputs`` are the names written and its own."""
     os.makedirs(out, exist_ok=True)
     outputs = []
-    for name, content, *indent in files:
-        _write(os.path.join(out, name), content, *indent)
+    for name, content in files:
+        _write(os.path.join(out, name), content)
         outputs.append(name)
     outputs.append("manifest.json")
     _write(os.path.join(out, "manifest.json"), _manifest(command, config_doc, seeds, inputs, outputs))
@@ -491,6 +499,22 @@ def _parse_ids(flag: str, text: str) -> list:
     return list(ids)
 
 
+def _explanations_text(expl: dict):
+    """The compact JSON text of ``explanation_to_doc(expl)``, in one piece
+    per slice of ``explanation_slices``, so that the batch is never one
+    Python document.  Compact, which CPython encodes in C: this is most of
+    what explain writes."""
+    def compact(doc):
+        return json.dumps(doc, separators=(",", ":"), allow_nan=False)
+
+    for i, part in enumerate(explanation_slices(expl)):
+        doc = explanation_to_doc(part)
+        text = compact(doc.pop("rows"))[1:-1]  # without its brackets
+        # The envelope with "rows" last and empty, without its closing "]}".
+        yield compact({**doc, "rows": []})[:-2] + text if i == 0 else "," + text
+    yield "]}\n"
+
+
 def cmd_explain(args) -> int:
     doc, widths, params, extractor, dataset = _load_model_and_data(args.checkpoint, args.data)
     ids = list(range(dataset.n)) if args.samples == "all" else _parse_ids("--samples", args.samples)
@@ -514,8 +538,7 @@ def cmd_explain(args) -> int:
     def files():  # each serialized only as it is written, so all of them are never held at once
         for i, sample_id in enumerate(expl["sample_ids"]):
             yield f"sample_{sample_id:05d}.csv", explanation_to_csv_text(expl, i)
-        # Compact, which CPython encodes in C: this one document is most of what explain writes.
-        yield "explanations.json", explanation_to_doc(expl), None
+        yield "explanations.json", _explanations_text(expl)
 
     _write_run(args.out, files(), "explain", {"samples": args.samples}, {"seed": doc["seed"]},
                {"checkpoint": str(args.checkpoint), "data": str(args.data)})

@@ -4,13 +4,17 @@ tabular file ingestion, and deterministic stratified splits.
 The file format is delimiter-separated text with a header row naming the
 columns ``f0..f{p-1}, label, alpha_0..alpha_{m-1}``; factor columns are
 optional.  Floats are written with ``repr`` so save/load round-trips exactly.
-The numeric columns are read with one ``np.loadtxt`` call; when it fails, a
-cell-by-cell ``float`` pass names the first bad cell's line and column.
+Files are written and read a chunk of rows at a time, never as one text.
+``np.loadtxt`` reads the numeric columns from a stream of lines; when it
+fails, a cell-by-cell ``float`` pass over the whole file names the first bad
+cell's line and column.
 """
 
 from __future__ import annotations
 
+import itertools
 import numbers
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -19,6 +23,10 @@ import numpy as np
 from .linalg import random_orthonormal_basis
 
 LABEL_SUM_TOL = 1e-9
+
+# Rows formatted and written at a time by ``save_dataset``, so that no text
+# of the whole table is ever held.
+CHUNK_ROWS = 256
 
 # Per-level value bands used by the generator: one unit wide, centered on
 # -1, 0, +1.  Draws are uniform in [low, high), so a value maps back to its
@@ -317,6 +325,14 @@ def save_dataset(dataset: Dataset, path) -> None:
     that is not one-hot, a class without rows (the file names a class only
     in its rows), or classes that :func:`load_table` would put in another
     order.
+
+    Rows are written ``CHUNK_ROWS`` at a time into a temporary file beside
+    ``path`` (or the file it links to), which then replaces it, so a write
+    that fails or is interrupted leaves the earlier file or none.  The file
+    is not synced to disk, so a crash of the machine itself may still leave
+    a short one.  An existing ``path`` that is not a regular file raises
+    ``OSError`` before anything is written.  Every ``OSError`` names
+    ``path``.
     """
     _check_names(dataset.class_names, "class name")
     _check_names(dataset.factor_names, "factor name", prefix="alpha_")
@@ -332,12 +348,33 @@ def save_dataset(dataset: Dataset, path) -> None:
     if loaded != dataset.class_names:
         raise ValueError(f"classes {dataset.class_names} would load back in the order {loaded}")
     header = [f"f{j}" for j in range(dataset.input_dim)] + ["label"] + list(dataset.factor_names)
-    factors = [[]] * dataset.n if dataset.factors is None else dataset.factors.tolist()
-    lines = [",".join(header)]
-    for x, label, f in zip(dataset.X.tolist(), labels, factors):
-        lines.append(",".join([*map(repr, x), label, *map(repr, f)]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    factors = np.empty((dataset.n, 0)) if dataset.factors is None else dataset.factors
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise OSError(f"{path}: not a regular file, so it is not replaced")
+    temp = f"{target}.{os.urandom(4).hex()}.tmp"
+    try:
+        fh = open(temp, "x", encoding="utf-8")
+    except OSError as e:
+        raise _naming(e, path) from None
+    try:
+        with fh:
+            fh.write(",".join(header) + "\n")
+            for start in range(0, dataset.n, CHUNK_ROWS):
+                rows = slice(start, start + CHUNK_ROWS)
+                fh.write("".join(",".join([*map(repr, x), label, *map(repr, f)]) + "\n" for x, label, f in
+                                 zip(dataset.X[rows].tolist(), labels[rows], factors[rows].tolist())))
+        os.replace(temp, target)
+    except BaseException as e:
+        os.remove(temp)
+        if isinstance(e, OSError):
+            raise _naming(e, path) from None
+        raise
+
+
+def _naming(error: OSError, path) -> OSError:
+    """``error``, raised on the temporary file beside ``path``, naming ``path``."""
+    return type(error)(error.errno, error.strerror, os.fspath(path))
 
 
 def _ordered_class_names(names) -> tuple:
@@ -351,9 +388,10 @@ def _ordered_class_names(names) -> tuple:
 def _parse_cells(path, header, rows, cols) -> np.ndarray:
     """The ``cols`` cells of each ``(lineno, line)`` row through ``float``, naming
     the first cell that is not a number: the fallback when ``np.loadtxt`` fails,
-    which also reads spellings only ``float`` takes (``1_0``, non-ASCII digits)."""
+    which also reads spellings only ``float`` takes (``1_0``, non-ASCII digits).
+    Every row is taken from ``rows``, and so checked, before any cell is read."""
     values = []
-    for lineno, line in rows:
+    for lineno, line in list(rows):
         cells = [c.strip() for c in line.split(",")]
 
         def parse(col):
@@ -369,25 +407,23 @@ def _parse_cells(path, header, rows, cols) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def load_table(path, class_names=None) -> Dataset:
-    """Load a dataset from the documented tabular text format.
+def _load_cells(path, header, rows, cols) -> np.ndarray:
+    """The ``cols`` cells of the ``(lineno, line)`` rows through one ``np.loadtxt``
+    over a stream of their lines."""
+    return np.loadtxt((line for _, line in rows), delimiter=",", usecols=cols, comments=None, ndmin=2,
+                      dtype=np.float64)
 
-    The header determines the schema: ``f*`` columns are features (in file
-    order), ``label`` is the class column, ``alpha_*`` columns are factors;
-    any other name, or a name given twice, is refused.  Row order is
-    preserved; labels become one-hot rows.  When ``class_names`` is given it
-    fixes the class order and unlisted names are rejected.  Blank lines are
-    skipped; an error names the offending row by its line number in the file
-    and, for a cell, its column.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: not UTF-8 text ({e})") from None
-    if not lines:
+
+def _read(path, lines, parse) -> tuple:
+    """The header, the numeric columns (features, then factors), the feature
+    count, each row's label, and ``parse(path, header, rows, cols)`` of the
+    text ``lines``, where ``rows`` yields each data row's ``(lineno, line)``
+    once its cell count and label are checked."""
+    numbered = ((lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip())
+    first = next(numbered, None)
+    if first is None:
         raise ValueError(f"{path}: empty file")
-    header = [c.strip() for c in lines[0][1].split(",")]
+    header = [c.strip() for c in first[1].split(",")]
     for i, name in enumerate(header):
         if name != "label" and not name.startswith(("f", "alpha_")):
             raise ValueError(f"{path}: column {name!r} is not f<j>, 'label' or alpha_<name>")
@@ -403,28 +439,65 @@ def load_table(path, class_names=None) -> Dataset:
         raise ValueError(f"{path}: feature columns must be named f0..f{{p-1}} in order")
     if not feature_cols:
         raise ValueError(f"{path}: no feature columns found")
-    rows = lines[1:]
-    if not rows:
+    # Peeked, so that np.loadtxt never warns of a stream without data.
+    row = next(numbered, None)
+    if row is None:
         raise ValueError(f"{path}: the file has no data rows")
-
     labels = []
-    for lineno, line in rows:
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"{path}: row {lineno}: expected {len(header)} cells, got {len(cells)}")
-        labels.append(cells[label_col].strip())
-        if not labels[-1]:
-            raise ValueError(f"{path}: row {lineno}: empty label")
+
+    def checked():
+        for lineno, line in itertools.chain([row], numbered):
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"{path}: row {lineno}: expected {len(header)} cells, got {len(cells)}")
+            labels.append(cells[label_col].strip())
+            if not labels[-1]:
+                raise ValueError(f"{path}: row {lineno}: empty label")
+            yield lineno, line
+
     cols = feature_cols + factor_cols
+    values = parse(path, header, checked(), cols)
+    return header, cols, len(feature_cols), labels, values
+
+
+def _data_row(path, i) -> tuple:
+    """``(lineno, line)`` of data row ``i`` of ``path``, read again for an error message."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = ((lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip())
+        return next(itertools.islice(rows, i + 1, None))
+
+
+def load_table(path, class_names=None) -> Dataset:
+    """Load a dataset from the documented tabular text format.
+
+    The header determines the schema: ``f*`` columns are features (in file
+    order), ``label`` is the class column, ``alpha_*`` columns are factors;
+    any other name, or a name given twice, is refused.  Row order is
+    preserved; labels become one-hot rows.  When ``class_names`` is given it
+    fixes the class order and unlisted names are rejected.  Blank lines are
+    skipped; an error names the offending row by its line number in the file
+    and, for a cell, its column.  The lines are streamed, never held at
+    once; only when ``np.loadtxt`` fails is the file read whole, to check
+    every row's structure before any cell.
+    """
     try:
-        values = np.loadtxt([line for _, line in rows], delimiter=",", usecols=cols,
-                            comments=None, ndmin=2, dtype=np.float64)
-    except ValueError:
-        values = _parse_cells(path, header, rows, cols)
+        with open(path, "r", encoding="utf-8") as fh:
+            read = _read(path, fh, _load_cells)
+    except ValueError:  # not UTF-8, a bad row or cell, or a spelling only float reads
+        read = None
+    if read is None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = list(fh)
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text ({e})") from None
+        read = _read(path, lines, _parse_cells)
+    header, cols, p, labels, values = read
     if not np.isfinite(values).all():
         i, j = np.argwhere(~np.isfinite(values))[0]
-        cell = rows[i][1].split(",")[cols[j]].strip()
-        raise ValueError(f"{path}: row {rows[i][0]}, column {header[cols[j]]!r}: {cell!r} is not finite")
+        lineno, line = _data_row(path, i)
+        cell = line.split(",")[cols[j]].strip()
+        raise ValueError(f"{path}: row {lineno}, column {header[cols[j]]!r}: {cell!r} is not finite")
 
     if class_names is None:
         class_names = _ordered_class_names(labels)
@@ -434,16 +507,15 @@ def load_table(path, class_names=None) -> Dataset:
     Y = np.zeros((len(labels), len(class_names)))
     for i, name in enumerate(labels):
         if name not in index:
-            raise ValueError(f"{path}: row {rows[i][0]}: unknown class name {name!r}")
+            raise ValueError(f"{path}: row {_data_row(path, i)[0]}: unknown class name {name!r}")
         Y[i, index[name]] = 1.0
 
-    p = len(feature_cols)
     return Dataset(
         X=values[:, :p],
         Y=Y,
-        factors=values[:, p:] if factor_cols else None,
+        factors=values[:, p:] if p < len(cols) else None,
         class_names=class_names,
-        factor_names=tuple(header[i] for i in factor_cols),
+        factor_names=tuple(header[i] for i in cols[p:]),
     )
 
 

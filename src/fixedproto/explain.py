@@ -18,6 +18,10 @@ from .model import forward, param_views, relevance
 # (acceptance criterion 7).
 RELEVANCE_TOL = 1e-9
 
+# Rows of a batch per slice from ``explanation_slices``, so that the
+# ``explanations`` document of a large batch is never built whole.
+SLICE_ROWS = 256
+
 
 def check_explainable(head, trace, sample_ids=None) -> tuple:
     """The relevance ``gamma`` ``(n, k, C)`` of ``trace``'s rows under ``head``
@@ -94,13 +98,25 @@ def explanation_to_csv_text(expl: dict, i: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def explanation_slices(expl: dict):
+    """The batch in consecutive slices of up to ``SLICE_ROWS`` rows, each a
+    batch of the same form (one empty slice for an empty batch): the rows of
+    the whole batch's document are those of its slices' documents, in order."""
+    per_row = ("sample_ids", "probabilities", "logits", "gamma")
+    for start in range(0, max(len(expl["sample_ids"]), 1), SLICE_ROWS):
+        rows = slice(start, start + SLICE_ROWS)
+        yield {**expl, **{key: expl[key][rows] for key in per_row}}
+
+
 def explanation_to_doc(expl: dict) -> dict:
     """The batch as one ``explanations`` document: ``class_names`` and
     ``row_labels`` once, then per row its ``sample_id``, ``probabilities``,
     ``logits`` and ``k x C`` ``gamma``, and per class (in ``class_names``
     order) its three strongest positive and negative contributions as
     ``{"dimension", "contribution"}``, strongest first and ties by
-    dimension, labeled by ``row_labels[dimension]``."""
+    dimension, labeled by ``row_labels[dimension]``.  ``rows`` is the last
+    key, so the document can be written as its envelope and then the rows
+    of each of ``explanation_slices``."""
 
     def top(column, order, sign):
         return [{"dimension": j, "contribution": column[j]} for j in order if sign * column[j] > 0]

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,7 @@ import fixedproto
 from fixedproto.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, ConfigError, _checkpoint_doc,
                             _load_checkpoint, _load_config, _write, main, run_comparison)
 from fixedproto.data import SynthConfig, generate_synthetic, load_table
+from fixedproto.explain import SLICE_ROWS, explain_sample, explanation_to_doc
 from fixedproto.model import forward, param_count
 from fixedproto.prototypes import (
     FactorCodedExtractor,
@@ -94,6 +96,21 @@ class TestGenData:
         main(["gen-data", "--config", str(config), "--out", str(out1), "--quiet"])
         main(["gen-data", "--config", str(config), "--out", str(out2), "--quiet"])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    def test_out_that_is_not_a_regular_file_exits_4_and_is_kept(self, tmp_path, capsys, kind):
+        config = gen_config(tmp_path)
+        out = tmp_path / "target"
+        out.mkdir() if kind == "directory" else os.mkfifo(out)
+        assert main(["gen-data", "--config", str(config), "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {out}: not a regular file, so it is not replaced\n"
+        assert sorted(os.listdir(tmp_path)) == ["gen.json", "target"]
+        assert out.is_dir() if kind == "directory" else stat.S_ISFIFO(out.stat().st_mode)
+
+    def test_out_in_a_missing_directory_exits_4_naming_out_not_its_temporary_file(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "data.csv"
+        assert main(["gen-data", "--config", str(gen_config(tmp_path)), "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
     def test_bad_probability_table_names_factor(self, tmp_path, capsys):
         tables = [[[0.5, 0.5, 0.5], [1.0, 0.0, 0.0]]]
@@ -515,11 +532,10 @@ def test_values_beyond_the_model_name_the_file_and_sample(tmp_path, blob_file, t
 def test_a_document_with_a_non_finite_number_is_refused_naming_the_path(tmp_path):
     path = tmp_path / "report.json"
     for number in (float("inf"), float("nan")):
-        for indent in (2, None):  # indented, and compact as explain writes explanations.json
-            with pytest.raises(ValueError) as refused:
-                _write(path, {"mean_within_class_dist": number}, indent)
-            assert str(refused.value).startswith(f"{path}: Out of range float values are not JSON compliant")
-            assert not path.exists()
+        with pytest.raises(ValueError) as refused:
+            _write(path, {"mean_within_class_dist": number})
+        assert str(refused.value).startswith(f"{path}: Out of range float values are not JSON compliant")
+        assert not path.exists()
 
 
 class TestFactorColumns:
@@ -736,7 +752,45 @@ def test_document_layouts_are_pinned(tmp_path, factor_run):
     ]
 
 
+@pytest.fixture
+def long_file(tmp_path):
+    """A file of ``blob_file``'s schema with more than two of explain's slices of rows."""
+    data = tmp_path / "long.csv"
+    config = gen_config(tmp_path, samples_per_class=SLICE_ROWS + 1, seed=1)
+    assert main(["gen-data", "--config", str(config), "--out", str(data), "--quiet"]) == EXIT_OK
+    return data
+
+
 class TestExplain:
+    def test_document_longer_than_a_slice_has_the_bytes_of_the_whole_batch(self, tmp_path, trained_run,
+                                                                          long_file):
+        out = tmp_path / "expl"
+        assert main(["explain", str(trained_run / "checkpoint.json"), str(long_file), "--samples", "all",
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+        doc, widths, params, _ = _load_checkpoint(trained_run / "checkpoint.json")
+        X = load_table(long_file, class_names=doc["class_names"]).X
+        assert len(X) == 2 * SLICE_ROWS + 2
+        expl = explain_sample(widths, params, X, class_names=doc["class_names"])
+        whole = json.dumps(explanation_to_doc(expl), separators=(",", ":"), allow_nan=False) + "\n"
+        assert (out / "explanations.json").read_text(encoding="utf-8") == whole
+
+    def test_document_that_cannot_be_encoded_exits_2_and_leaves_no_part(self, tmp_path, trained_run, long_file,
+                                                                        capsys, monkeypatch):
+        def with_nan(expl):
+            doc = explanation_to_doc(expl)
+            if doc["rows"][0]["sample_id"] >= SLICE_ROWS:  # a slice after the first, written in part
+                doc["rows"][0]["probabilities"][0] = float("nan")
+            return doc
+
+        monkeypatch.setattr(fixedproto.cli, "explanation_to_doc", with_nan)
+        out = tmp_path / "expl"
+        assert main(["explain", str(trained_run / "checkpoint.json"), str(long_file), "--samples", "all",
+                     "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {out / 'explanations.json'}: Out of range float values are not JSON compliant")
+        assert not (out / "explanations.json").exists() and not (out / "manifest.json").exists()
+
     def test_single_sample_csv_layout(self, tmp_path, blob_file, trained_run):
         out = tmp_path / "expl"
         assert main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),

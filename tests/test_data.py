@@ -1,7 +1,12 @@
+import errno
+import itertools
 import math
+import os
 import re
+import stat
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -384,6 +389,120 @@ class TestFileProperties:
             m.setattr(data_module.np, "loadtxt", fail)
             fallback = load_outcome(path)
         assert bulk == fallback
+
+
+N = data_module.CHUNK_ROWS
+
+
+def long_table(rows, replace=()):
+    """A table of ``rows`` data rows (f0, f1, label and alpha_0) as text, with
+    each ``(lineno, line)`` of ``replace`` put at that line of the file."""
+    lines = ["f0,f1,label,alpha_0"] + [f"{i}.5,-{i},{'ab'[i % 2]},0.25" for i in range(rows)]
+    for lineno, line in replace:
+        lines[lineno - 1] = line
+    return "".join(line + "\n" for line in lines)
+
+
+class TestChunkedFiles:
+    """Files longer than one chunk of rows: the loader streams them and the
+    writer formats them a chunk at a time, with the messages and bytes that a
+    whole-file read and write give."""
+
+    def test_structure_is_checked_before_cells(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(long_table(3 * N, [(3, "1.0,oops,a,0"), (600, "1.0,a,0")]))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: row 600: expected 4 cells, got 3')}$"):
+            load_table(path)
+
+    def test_byte_that_is_not_utf8_past_the_first_chunk(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        text = long_table(2 * N, [(N + 50, "1.0,2.0,\udcff,0.25")])
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: not UTF-8 text (')}"):
+            load_table(path)
+
+    def test_non_finite_cell_deep_in_the_file_is_named_as_written(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(long_table(2 * N, [(10, ""), (N + 40, "1.0,1e400,b,0.25")]))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: row {N + 40}, column ')}'f1': "
+                                             f"'1e400' is not finite$"):
+            load_table(path)
+
+    def test_spelling_only_float_reads_deep_in_the_file_loads(self, tmp_path):
+        path, plain = tmp_path / "data.csv", tmp_path / "plain.csv"
+        path.write_text(long_table(2 * N, [(10, ""), (N + 60, "1_0,2,a,0.25")]))
+        plain.write_text(long_table(2 * N, [(10, ""), (N + 60, "10,2,a,0.25")]))
+        ds, expected = load_table(path), load_table(plain)
+        assert ds.X[N + 57].tolist() == [10.0, 2.0]
+        assert load_outcome(path) == load_outcome(plain)
+        assert ds.n == expected.n == 2 * N - 1
+
+    def test_header_only_file_has_no_data_rows_and_no_warning(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("f0,f1,label,alpha_0\n\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: the file has no data rows')}$"):
+                load_table(path)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.sampled_from([1, N - 1, N, N + 1, 2 * N + 1]), p=st.integers(1, 3), m=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bytes_and_values_across_chunk_boundaries(self, tmp_path, n, p, m, seed):
+        rng = np.random.default_rng(seed)
+        values = np.frombuffer(rng.bytes(8 * n * (p + m)), dtype=np.float64).reshape(n, p + m).copy()
+        values[~np.isfinite(values)] = 0.0
+        values.flat[rng.integers(0, values.size, 3)] = rng.choice(EDGE_FLOATS, 3)
+        C = min(n, 3)
+        classes = rng.permutation(np.arange(n) % C)
+        names = ("a", "b", "c")[:C]
+        ds = Dataset(X=values[:, :p], Y=np.identity(C)[classes], factors=values[:, p:] if m else None,
+                     class_names=names, factor_names=tuple(f"alpha_{i}" for i in range(m)))
+        path = tmp_path / "data.csv"
+        save_dataset(ds, path)
+        # An independent writer: the whole table as one text.
+        header = [f"f{j}" for j in range(p)] + ["label"] + list(ds.factor_names)
+        lines = [",".join(header)] + [",".join([*map(repr, row[:p]), names[c], *map(repr, row[p:])])
+                                      for row, c in zip(values.tolist(), classes)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        assert os.listdir(tmp_path) == ["data.csv"]
+        back = load_table(path)
+        assert back.X.tobytes() == ds.X.tobytes() and back.Y.tobytes() == ds.Y.tobytes()
+        assert (back.factors is None) == (m == 0)
+        if m:
+            assert back.factors.tobytes() == ds.factors.tobytes()
+
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    def test_target_that_is_not_a_regular_file_is_kept(self, tmp_path, kind):
+        path = tmp_path / "data.csv"
+        path.mkdir() if kind == "directory" else os.mkfifo(path)
+        with pytest.raises(OSError, match=f"^{re.escape(f'{path}: not a regular file')}"):
+            save_dataset(generate_synthetic(blob_config()), path)
+        assert path.is_dir() if kind == "directory" else stat.S_ISFIFO(path.stat().st_mode)
+        assert os.listdir(tmp_path) == ["data.csv"]
+
+    @pytest.mark.parametrize("error", [RuntimeError("formatting failed"),
+                                       OSError(errno.ENOSPC, "No space left on device")], ids=["runtime", "os"])
+    def test_failed_write_keeps_the_earlier_file_and_no_temporary_file(self, tmp_path, monkeypatch, error):
+        path = tmp_path / "data.csv"
+        path.write_text("earlier bytes\n")
+        ds = generate_synthetic(blob_config(samples_per_class=N))
+        cells = itertools.count()
+
+        def failing_repr(value):  # fails at the first cell of the second chunk
+            if next(cells) == N * ds.input_dim:
+                assert len(list(tmp_path.glob("data.csv.*.tmp"))) == 1
+                raise error
+            return repr(value)
+
+        monkeypatch.setattr(data_module, "repr", failing_repr, raising=False)
+        with pytest.raises(type(error)) as raised:
+            save_dataset(ds, path)
+        assert path.read_text() == "earlier bytes\n"
+        assert os.listdir(tmp_path) == ["data.csv"]
+        expected = f"[Errno {errno.ENOSPC}] No space left on device: '{path}'" if type(error) is OSError else str(error)
+        assert str(raised.value) == expected
 
 
 class TestDataset:
