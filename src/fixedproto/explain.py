@@ -5,7 +5,10 @@ Each class logit is an exact sum of per-dimension contributions
 ``gamma[j, c] = weight[j, c] * z[j]``.  For factor-coded runs the rows carry
 factor-slot labels (factor name plus level, then "other factor j" for the
 free dimensions), so an explanation reads as "which factor levels pushed the
-prediction where".
+prediction where".  ``check_explainable`` checks the decomposition against
+the forward pass a slice of rows at a time and returns the checked sums, so
+``eval`` never holds the whole ``(n, k, C)`` relevance; ``explain_sample``
+builds it once for the rows it writes.
 """
 
 from __future__ import annotations
@@ -18,15 +21,17 @@ from .model import forward, param_views, relevance
 # (acceptance criterion 7).
 RELEVANCE_TOL = 1e-9
 
-# Rows of a batch per slice from ``explanation_slices``, so that the
-# ``explanations`` document of a large batch is never built whole.
+# Rows of a batch per slice from ``explanation_slices`` and per check in
+# ``check_explainable``, so that neither the ``explanations`` document nor,
+# in ``eval``, the relevance of a large batch is ever built whole.
 SLICE_ROWS = 256
 
 
-def check_explainable(head, trace, sample_ids=None) -> tuple:
-    """The relevance ``gamma`` ``(n, k, C)`` of ``trace``'s rows under ``head``
-    and its sums over the dimensions ``(n, C)``, checked against the forward
-    pass's own logits ``z @ W``.
+def check_explainable(head, trace, sample_ids=None) -> np.ndarray:
+    """The relevance sums ``(n, C)`` of ``trace``'s rows under ``head``: the
+    sums over the dimensions of ``relevance(head, trace.z)``, checked against
+    the forward pass's own logits ``z @ W``.  The relevance is built
+    ``SLICE_ROWS`` rows at a time, so the whole ``(n, k, C)`` array never is.
 
     Raises ``ValueError`` naming the first row (by ``sample_ids``, default its
     index) beyond the model's range: its logits or its embedding's squared
@@ -34,19 +39,22 @@ def check_explainable(head, trace, sample_ids=None) -> tuple:
     its logits by more than ``RELEVANCE_TOL``, as they do for an input so
     large that rounding alone breaks the decomposition.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma = relevance(head, trace.z)
-        sums = gamma.sum(axis=1)
-        gap = np.abs(sums - trace.logits).max(axis=1, initial=0.0)
-        finite = np.isfinite((trace.z * trace.z).sum(axis=1)) & np.isfinite(trace.logits).all(axis=1)
-    bad = np.flatnonzero(~(finite & (gap <= RELEVANCE_TOL)))
-    if bad.size:
-        i = int(bad[0])
-        why = (f"its relevance sums miss its logits by {gap[i]:.3e}, more than {RELEVANCE_TOL}" if finite[i]
-               else "its logits or its embedding's squared norm are not finite")
-        sample = i if sample_ids is None else sample_ids[i]
-        raise ValueError(f"sample {sample} is beyond the model's range: {why}")
-    return gamma, sums
+    sums = np.empty_like(trace.logits)
+    for start in range(0, len(sums), SLICE_ROWS):
+        rows = slice(start, start + SLICE_ROWS)
+        z, logits = trace.z[rows], trace.logits[rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums[rows] = relevance(head, z).sum(axis=1)
+            gap = np.abs(sums[rows] - logits).max(axis=1, initial=0.0)
+            finite = np.isfinite((z * z).sum(axis=1)) & np.isfinite(logits).all(axis=1)
+        bad = np.flatnonzero(~(finite & (gap <= RELEVANCE_TOL)))
+        if bad.size:
+            i = int(bad[0])
+            why = (f"its relevance sums miss its logits by {gap[i]:.3e}, more than {RELEVANCE_TOL}" if finite[i]
+                   else "its logits or its embedding's squared norm are not finite")
+            sample = start + i if sample_ids is None else sample_ids[start + i]
+            raise ValueError(f"sample {sample} is beyond the model's range: {why}")
+    return sums
 
 
 def explain_sample(widths, params, X, sample_ids=None, layout=None, class_names=None) -> dict:
@@ -57,8 +65,9 @@ def explain_sample(widths, params, X, sample_ids=None, layout=None, class_names=
     ``class_names`` and ``row_labels`` once each, ``probabilities`` and
     ``logits`` ``(n, C)`` and ``gamma`` ``(n, k, C)``, where the logits are
     the column sums of gamma that ``check_explainable`` compared with the
-    forward pass's own.  ``layout``, a factor-coded extractor, names the
-    dimensions by factor slot; without it they are ``dim j``.  Raises
+    forward pass's own, and gamma is ``relevance(head, z)`` of the checked
+    rows.  ``layout``, a factor-coded extractor, names the dimensions by
+    factor slot; without it they are ``dim j``.  Raises
     ``ValueError`` from ``check_explainable`` for the first row beyond the
     model's range, so nothing built on a broken decomposition gets out.
     """
@@ -69,7 +78,8 @@ def explain_sample(widths, params, X, sample_ids=None, layout=None, class_names=
     if len(sample_ids) != n:
         raise ValueError(f"expected {n} sample ids, got {len(sample_ids)}")
     head = param_views(widths, params)[1]
-    gamma, logits = check_explainable(head, trace, sample_ids)
+    logits = check_explainable(head, trace, sample_ids)
+    gamma = relevance(head, trace.z)
     k, C = head.shape
     class_names = [str(c) for c in (range(C) if class_names is None else class_names)]
     if len(class_names) != C:

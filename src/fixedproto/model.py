@@ -24,6 +24,9 @@ over.  Forward, backward and relevance work on batches, one row per sample
 (a single sample is a 1-row batch).  ``forward`` computes the probabilities
 and log-probabilities once, from the same max-shifted exponentials
 (``softmax`` returns both), and the loss reads them from the trace.
+``forward`` applies each hidden layer's ReLU in place, so a layer keeps one
+array, its activation, and ``backward`` takes the ReLU mask from it
+(``max(s, 0) > 0`` exactly when ``s > 0``, for every float).
 ``forward(..., into=trace)`` overwrites an earlier trace's arrays when the
 input shape matches, so a loop allocates them once, and hands on the
 gradient vector that ``backward`` writes, so a loop allocates it once per
@@ -112,7 +115,6 @@ class ForwardTrace:
     params: np.ndarray
     views: tuple  # param_views(widths, params)
     inputs: list  # activations entering each layer, batched
-    pre_activations: list  # per layer, batched
     z: np.ndarray
     logits: np.ndarray
     probs: np.ndarray
@@ -141,19 +143,17 @@ def forward(widths, params, X, into=None) -> ForwardTrace:
         raise ValueError(f"input has shape {A.shape}, embedder expects "
                          f"({', '.join([*map(str, runs), 'n', str(widths[0])])})")
     reuse = same_model and into.inputs[0].shape == A.shape
-    pre_out = into.pre_activations if reuse else [None] * len(layers)
-    act_out = [*into.inputs[1:], into.z] if reuse else pre_out
+    out = [*into.inputs[1:], into.z] if reuse else [None] * len(layers)
     inputs = []
-    pres = []
-    for i, ((weight, bias), S_out, A_out) in enumerate(zip(layers, pre_out, act_out)):
+    for i, ((weight, bias), A_out) in enumerate(zip(layers, out)):
         inputs.append(A)
-        S = np.matmul(A, weight.swapaxes(-1, -2), out=S_out)
-        S += bias[..., None, :]
-        pres.append(S)
-        A = np.maximum(S, 0.0, out=A_out) if i < len(layers) - 1 else S
+        A = np.matmul(A, weight.swapaxes(-1, -2), out=A_out)
+        A += bias[..., None, :]
+        if i < len(layers) - 1:
+            np.maximum(A, 0.0, out=A)
     logits = np.matmul(A, head, out=into.logits if reuse else None)
     probs, log_probs = softmax(logits)
-    return ForwardTrace(widths, params, views, inputs, pres, A, logits, probs, log_probs,
+    return ForwardTrace(widths, params, views, inputs, A, logits, probs, log_probs,
                         into.grad if same_model else None)
 
 
@@ -184,7 +184,7 @@ def backward(trace: ForwardTrace, grad_logits, grad_z_extra=None) -> np.ndarray:
     np.matmul(trace.z.swapaxes(-1, -2), gL, out=grad_head)
     gA = gZ
     for i in reversed(range(len(layers))):
-        gS = gA * (trace.pre_activations[i] > 0) if i < len(layers) - 1 else gA
+        gS = gA * (trace.inputs[i + 1] > 0) if i < len(layers) - 1 else gA
         gS.sum(axis=-2, out=grad_layers[i][1])
         np.matmul(gS.swapaxes(-1, -2), trace.inputs[i], out=grad_layers[i][0])
         if i > 0:  # the input gradient of the first layer is not needed

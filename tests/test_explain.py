@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixedproto.explain import explain_sample, explanation_to_csv_text, explanation_to_doc
+from fixedproto.explain import (SLICE_ROWS, check_explainable, explain_sample, explanation_to_csv_text,
+                                explanation_to_doc)
 from fixedproto.metrics import zero_block_activity
-from fixedproto.model import init_params
+from fixedproto.model import forward, init_params, param_views, relevance
 from util import factor_extractor, pack
 
 
@@ -95,6 +96,39 @@ class TestExplainSample:
             dims = lambda lists: [[j for j, _ in per_class] for per_class in lists]
             assert dims(tops(batch, i, "top_positive")) == dims(tops(alone, 0, "top_positive"))
             assert dims(tops(batch, i, "top_negative")) == dims(tops(alone, 0, "top_negative"))
+
+
+class TestCheckExplainable:
+    """``check_explainable`` checks ``SLICE_ROWS`` rows at a time; three full
+    slices and a short fourth show the slices add up to the whole batch."""
+
+    N = 3 * SLICE_ROWS + 5
+    WIDTHS = (4, 6, 5, 3)
+
+    def trace(self, X):
+        params = init_params(self.WIDTHS, 0, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return param_views(self.WIDTHS, params)[1], forward(self.WIDTHS, params, X)
+
+    def test_sums_are_the_whole_batch_relevance_sums(self):
+        head, trace = self.trace(np.random.default_rng(3).standard_normal((self.N, 4)))
+        sums = check_explainable(head, trace)
+        assert sums.tobytes() == relevance(head, trace.z).sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("feature, reason", [
+        (1e300, "its logits or its embedding's squared norm are not finite"),
+        (1e150, "its relevance sums miss its logits by"),
+    ], ids=["overflow", "rounding"])
+    def test_bad_row_in_the_third_slice_is_named_by_its_own_id(self, feature, reason):
+        X = np.random.default_rng(4).standard_normal((self.N, 4))
+        bad = 2 * SLICE_ROWS + 7
+        X[bad, 0] = feature
+        head, trace = self.trace(X)
+        with pytest.raises(ValueError, match=f"^sample {bad} is beyond the model's range: {reason}"):
+            check_explainable(head, trace)
+        ids = [1000 + i for i in range(self.N)]
+        with pytest.raises(ValueError, match=f"^sample {1000 + bad} is beyond the model's range: {reason}"):
+            check_explainable(head, trace, ids)
 
 
 # Few distinct magnitudes, zero among them, so ties and zero contributions are common.

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixedproto.model import backward, forward, init_params, param_count, param_views, relevance, softmax
 from fixedproto.explain import explain_sample
@@ -97,10 +99,12 @@ class TestForward:
     def test_hidden_layers_relu_last_layer_linear(self):
         # x = 2: the hidden layer gives (2, -2), which its ReLU clips to (2, 0);
         # the last layer gives -2 and keeps it.
-        widths, params = pack([(np.array([[1.0], [-1.0]]), np.zeros(2)),
-                               (np.array([[-1.0, 1.0]]), np.zeros(1))], np.ones((1, 1)))
-        trace = forward(widths, params, np.array([[2.0]]))
-        assert np.array_equal(trace.pre_activations[0], [[2.0, -2.0]])
+        weight, bias = np.array([[1.0], [-1.0]]), np.zeros(2)
+        widths, params = pack([(weight, bias), (np.array([[-1.0, 1.0]]), np.zeros(1))], np.ones((1, 1)))
+        x = np.array([[2.0]])
+        trace = forward(widths, params, x)
+        assert np.array_equal(x @ weight.T + bias, [[2.0, -2.0]])
+        assert np.array_equal(trace.inputs[1], np.maximum(x @ weight.T + bias, 0.0))
         assert np.array_equal(trace.inputs[1], [[2.0, 0.0]])
         assert np.array_equal(trace.z, [[-2.0]])
 
@@ -143,7 +147,7 @@ class TestForward:
 
 def owned_arrays(trace):
     """The arrays ``forward`` made for a trace (``inputs[0]`` is the caller's)."""
-    return [*trace.pre_activations, *trace.inputs[1:], trace.z, trace.logits]
+    return [*trace.inputs[1:], trace.z, trace.logits]
 
 
 class TestForwardInto:
@@ -254,6 +258,61 @@ class TestStack:
             forward(self.WIDTHS, params, X[0])
 
 
+def reference_gradient(widths, params, X, gL, gE):
+    """The gradient vector of one run by allocating expressions, with each
+    hidden layer's pre-activation recomputed and its ReLU mask ``pre > 0``."""
+    layers, head = param_views(widths, params)
+    inputs, pres, A = [], [], X
+    for i, (weight, bias) in enumerate(layers):
+        inputs.append(A)
+        pres.append(A @ weight.T + bias)
+        A = np.maximum(pres[-1], 0.0) if i < len(layers) - 1 else pres[-1]
+    grads = [None] * len(layers)
+    gA = gL @ head.T + gE
+    for i in reversed(range(len(layers))):
+        gS = gA * (pres[i] > 0) if i < len(layers) - 1 else gA
+        grads[i] = (gS.T @ inputs[i], gS.sum(axis=0))
+        gA = gS @ layers[i][0]
+    return np.concatenate([g.ravel() for pair in grads for g in pair] + [(A.T @ gL).ravel()])
+
+
+def test_relu_output_is_positive_exactly_where_its_input_is():
+    # The identity that backward's mask rests on, for every kind of float:
+    # zeros of both signs, subnormals, infinities and nan.
+    S = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e300, 1.7e308, np.inf, -np.inf, np.nan, -np.nan])
+    assert np.array_equal(np.maximum(S, 0.0) > 0, S > 0)
+
+
+# Zeros of both signs, so pre-activations of exactly 0.0 are common (the
+# matrix product sums from +0.0, so it gives no -0.0; the test above covers
+# -0.0), and magnitudes whose products and sums reach 1e300 or overflow to
+# inf and nan.
+EDGE_VALUES = st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0, 1e154, -1e300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_backward_masks_relu_as_the_pre_activations_would(data):
+    """``backward`` reads the ReLU mask from the activations; its gradient has
+    the bytes of a reference that masks with the pre-activations, on inputs
+    whose pre-activations are exactly zero, huge, infinite or nan, for one
+    run and for each run of an ``(R, P)`` stack."""
+    widths = (2, *data.draw(st.sampled_from([(3,), (3, 2)])), 2, 2)
+    runs, n = data.draw(st.sampled_from([(), (2,)])), data.draw(st.integers(1, 4))
+    draw = lambda *shape: np.array(data.draw(st.lists(EDGE_VALUES, min_size=int(np.prod(shape)),
+                                                      max_size=int(np.prod(shape))))).reshape(shape)
+    params = draw(*runs, param_count(widths))
+    X, gL, gE = draw(*runs, n, widths[0]), draw(*runs, n, widths[-1]), draw(*runs, n, widths[-2])
+    with np.errstate(all="ignore"):
+        grad = backward(forward(widths, params, X), gL, gE)
+        if runs:
+            reference = np.stack([reference_gradient(widths, params[r], X[r], gL[r], gE[r])
+                                  for r in range(runs[0])])
+        else:
+            reference = reference_gradient(widths, params, X, gL, gE)
+    assert grad.tobytes() == reference.tobytes()
+
+
 class TestBackward:
     def test_zero_grads_in_zero_grads_out(self):
         widths, params = tiny_model()
@@ -298,21 +357,9 @@ class TestBackward:
     def test_vector_is_the_allocating_expressions_in_the_layout(self, hidden):
         rng = np.random.default_rng(11)
         widths, params = tiny_model(seed=2, hidden=hidden)
-        layers, head = param_views(widths, params)
         X = rng.standard_normal((7, 4))
         gL, gE = rng.standard_normal((7, 2)), rng.standard_normal((7, 3))
-        inputs, pres, A = [], [], X
-        for i, (weight, bias) in enumerate(layers):
-            inputs.append(A)
-            pres.append(A @ weight.T + bias)
-            A = np.maximum(pres[-1], 0.0) if i < len(layers) - 1 else pres[-1]
-        grads = [None] * len(layers)
-        gA = gL @ head.T + gE
-        for i in reversed(range(len(layers))):
-            gS = gA * (pres[i] > 0) if i < len(layers) - 1 else gA
-            grads[i] = (gS.T @ inputs[i], gS.sum(axis=0))
-            gA = gS @ layers[i][0]
-        reference = np.concatenate([g.ravel() for pair in grads for g in pair] + [(A.T @ gL).ravel()])
+        reference = reference_gradient(widths, params, X, gL, gE)
         assert backward(forward(widths, params, X), gL, gE).tobytes() == reference.tobytes()
 
     def test_shape_mismatch_rejected(self):
