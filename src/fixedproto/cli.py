@@ -35,8 +35,8 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import __version__
-from .data import (Dataset, SynthConfig, _check_names, config_from_doc, config_to_doc, generate_synthetic,
-                   json_field, json_numbers, load_table, save_dataset, split)
+from .data import (Dataset, RowOutOfRange, SynthConfig, _check_names, config_from_doc, config_to_doc,
+                   generate_synthetic, json_field, json_numbers, load_table, save_dataset, split)
 from .explain import (check_explainable, explain_sample, explanation_slices, explanation_to_csv_text,
                       explanation_to_doc)
 from .metrics import (accuracy, disentanglement_report, joint_probability_table, separation_report,
@@ -341,15 +341,16 @@ def _load_checkpoint(path):
     return doc, widths, params, extractor
 
 
-def _load_model_and_data(checkpoint_path, data_path):
-    """A checked checkpoint and the data file read against it.
+def _load_model_and_data(checkpoint_path, data_path, rows=None):
+    """A checked checkpoint and the data file read against it: only the data
+    rows ``rows`` (a list of indices) when given, else every row.
 
     A data file with factor columns must name the checkpoint's factors in the
     checkpoint's order; one without factor columns is read without factors.
     Returns (doc, widths, params, extractor, dataset).
     """
     doc, widths, params, extractor = _load_checkpoint(checkpoint_path)
-    dataset = load_table(data_path, class_names=doc["class_names"])
+    dataset = load_table(data_path, class_names=doc["class_names"], rows=rows)
     if dataset.input_dim != widths[0]:
         raise ConfigError(f"{data_path}: the data has {dataset.input_dim} features, the checkpoint "
                           f"{checkpoint_path} expects input_dim {widths[0]}")
@@ -516,11 +517,12 @@ def _explanations_text(expl: dict):
 
 
 def cmd_explain(args) -> int:
-    doc, widths, params, extractor, dataset = _load_model_and_data(args.checkpoint, args.data)
-    ids = list(range(dataset.n)) if args.samples == "all" else _parse_ids("--samples", args.samples)
-    for i in ids:
-        if not 0 <= i < dataset.n:
-            raise ConfigError(f"--samples: sample {i} out of range [0, {dataset.n})")
+    ids = None if args.samples == "all" else _parse_ids("--samples", args.samples)
+    try:  # only the listed rows' cells are parsed
+        doc, widths, params, extractor, dataset = _load_model_and_data(args.checkpoint, args.data, rows=ids)
+    except RowOutOfRange as e:
+        raise ConfigError(f"--samples: sample {e.row} out of range [0, {e.n})") from None
+    ids = list(range(dataset.n)) if ids is None else ids
     # Explained before the output directory exists: explain_sample raises if
     # a sample is beyond the model's range or the relevance identity fails,
     # and then nothing must have been written.
@@ -528,7 +530,7 @@ def cmd_explain(args) -> int:
         expl = explain_sample(
             widths,
             params,
-            dataset.X[ids],
+            dataset.X,
             sample_ids=ids,
             layout=extractor if isinstance(extractor, FactorCodedExtractor) else None,
             class_names=dataset.class_names,

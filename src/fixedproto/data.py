@@ -7,7 +7,8 @@ optional.  Floats are written with ``repr`` so save/load round-trips exactly.
 Files are written and read a chunk of rows at a time, never as one text.
 ``np.loadtxt`` reads the numeric columns from a stream of lines; when it
 fails, a cell-by-cell ``float`` pass over the whole file names the first bad
-cell's line and column.
+cell's line and column.  ``load_table(path, rows=...)`` checks every line's
+cell count and label but parses the cells of the listed rows only.
 """
 
 from __future__ import annotations
@@ -414,12 +415,19 @@ def _load_cells(path, header, rows, cols) -> np.ndarray:
                       dtype=np.float64)
 
 
-def _read(path, lines, parse) -> tuple:
+def _numbered(lines):
+    """Each line of ``lines`` that is not blank, with its line number in the file."""
+    return ((lineno, line) for lineno, line in enumerate(lines, start=1) if not line.isspace())
+
+
+def _read(path, lines, parse, wanted=None) -> tuple:
     """The header, the numeric columns (features, then factors), the feature
     count, each row's label, and ``parse(path, header, rows, cols)`` of the
     text ``lines``, where ``rows`` yields each data row's ``(lineno, line)``
-    once its cell count and label are checked."""
-    numbered = ((lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip())
+    once its cell count and label are checked.  With ``wanted``, a set of data
+    row indices, ``rows`` yields only those rows (in file order), but every
+    row is checked; when none of them is in the file, ``parse`` is not called."""
+    numbered = _numbered(lines)
     first = next(numbered, None)
     if first is None:
         raise ValueError(f"{path}: empty file")
@@ -439,35 +447,47 @@ def _read(path, lines, parse) -> tuple:
         raise ValueError(f"{path}: feature columns must be named f0..f{{p-1}} in order")
     if not feature_cols:
         raise ValueError(f"{path}: no feature columns found")
-    # Peeked, so that np.loadtxt never warns of a stream without data.
-    row = next(numbered, None)
-    if row is None:
-        raise ValueError(f"{path}: the file has no data rows")
+    width = len(header)
+    from_left = label_col < width - 1 - label_col
     labels = []
 
     def checked():
-        for lineno, line in itertools.chain([row], numbered):
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise ValueError(f"{path}: row {lineno}: expected {len(header)} cells, got {len(cells)}")
-            labels.append(cells[label_col].strip())
+        for lineno, line in numbered:
+            commas = line.count(",")
+            if commas != width - 1:
+                raise ValueError(f"{path}: row {lineno}: expected {width} cells, got {commas + 1}")
+            # One split, from the end of the line nearer the label.
+            cell = line.split(",", label_col + 1)[label_col] if from_left else line.rsplit(",", width - label_col)[1]
+            labels.append(cell.strip())
             if not labels[-1]:
                 raise ValueError(f"{path}: row {lineno}: empty label")
             yield lineno, line
 
+    rows = checked() if wanted is None else (row for i, row in enumerate(checked()) if i in wanted)
+    # Peeked, so that np.loadtxt never warns of a stream without data.
+    row = next(rows, None)
+    if not labels:
+        raise ValueError(f"{path}: the file has no data rows")
     cols = feature_cols + factor_cols
-    values = parse(path, header, checked(), cols)
+    values = np.empty((0, len(cols))) if row is None else parse(path, header, itertools.chain([row], rows), cols)
     return header, cols, len(feature_cols), labels, values
 
 
 def _data_row(path, i) -> tuple:
     """``(lineno, line)`` of data row ``i`` of ``path``, read again for an error message."""
     with open(path, "r", encoding="utf-8") as fh:
-        rows = ((lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip())
-        return next(itertools.islice(rows, i + 1, None))
+        return next(itertools.islice(_numbered(fh), i + 1, None))
 
 
-def load_table(path, class_names=None) -> Dataset:
+class RowOutOfRange(IndexError):
+    """A row asked of :func:`load_table` that its file does not have."""
+
+    def __init__(self, path, row, n):
+        super().__init__(f"{path}: row {row} out of range [0, {n})")
+        self.row, self.n = row, n
+
+
+def load_table(path, class_names=None, rows=None) -> Dataset:
     """Load a dataset from the documented tabular text format.
 
     The header determines the schema: ``f*`` columns are features (in file
@@ -479,10 +499,19 @@ def load_table(path, class_names=None) -> Dataset:
     and, for a cell, its column.  The lines are streamed, never held at
     once; only when ``np.loadtxt`` fails is the file read whole, to check
     every row's structure before any cell.
+
+    ``rows``, a list of data row indices, gives ``load_table(path).subset(rows)``
+    while parsing the cells of those rows only: every line's cell count and
+    label (and, with ``class_names``, its class) is still checked, and the
+    class order still comes from every row, but a cell of another row that
+    is not a number or not finite is not refused.  A listed row that the
+    file lacks raises :class:`RowOutOfRange` (an ``IndexError``) once every
+    row's structure and the listed rows' cells are checked.
     """
+    wanted = None if rows is None else set(rows)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            read = _read(path, fh, _load_cells)
+            read = _read(path, fh, _load_cells, wanted)
     except ValueError:  # not UTF-8, a bad row or cell, or a spelling only float reads
         read = None
     if read is None:
@@ -491,11 +520,16 @@ def load_table(path, class_names=None) -> Dataset:
                 lines = list(fh)
         except UnicodeDecodeError as e:
             raise ValueError(f"{path}: not UTF-8 text ({e})") from None
-        read = _read(path, lines, _parse_cells)
+        read = _read(path, lines, _parse_cells, wanted)
     header, cols, p, labels, values = read
+    if rows is not None:
+        outside = next((i for i in rows if not 0 <= i < len(labels)), None)
+        if outside is not None:
+            raise RowOutOfRange(path, outside, len(labels))
+    parsed = range(len(labels)) if rows is None else sorted(wanted)  # the data row of each row of values
     if not np.isfinite(values).all():
         i, j = np.argwhere(~np.isfinite(values))[0]
-        lineno, line = _data_row(path, i)
+        lineno, line = _data_row(path, parsed[i])
         cell = line.split(",")[cols[j]].strip()
         raise ValueError(f"{path}: row {lineno}, column {header[cols[j]]!r}: {cell!r} is not finite")
 
@@ -504,10 +538,14 @@ def load_table(path, class_names=None) -> Dataset:
     else:
         class_names = tuple(str(c) for c in class_names)
     index = {name: i for i, name in enumerate(class_names)}
-    Y = np.zeros((len(labels), len(class_names)))
     for i, name in enumerate(labels):
         if name not in index:
             raise ValueError(f"{path}: row {_data_row(path, i)[0]}: unknown class name {name!r}")
+    if rows is not None:
+        values = values[np.searchsorted(parsed, rows)]
+        labels = [labels[i] for i in rows]
+    Y = np.zeros((len(labels), len(class_names)))
+    for i, name in enumerate(labels):
         Y[i, index[name]] = 1.0
 
     return Dataset(

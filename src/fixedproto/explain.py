@@ -35,23 +35,39 @@ def check_explainable(head, trace, sample_ids=None) -> np.ndarray:
 
     Raises ``ValueError`` naming the first row (by ``sample_ids``, default its
     index) beyond the model's range: its logits or its embedding's squared
-    norm (which the metrics take) are not finite, or its relevance sums miss
-    its logits by more than ``RELEVANCE_TOL``, as they do for an input so
-    large that rounding alone breaks the decomposition.
+    norm (which the metrics take) are not finite; or for some class its sum
+    of absolute contributions ``sum_j |gamma[j, c]|`` exceeds
+    ``RELEVANCE_TOL / (2 (k + 1) u)`` (``u = 2**-53``), beyond which rounding
+    alone may move a relevance sum from its logit by more than
+    ``RELEVANCE_TOL``; or its relevance sums do miss its logits by more than
+    ``RELEVANCE_TOL``.
     """
+    # The textbook bound on the rounding of a k-term sum of products,
+    # 2 (k + 1) u sum_j |gamma[j, c]| for two such sums, reaches
+    # RELEVANCE_TOL at this sum of absolute contributions.
+    reach = 2 * (head.shape[0] + 1) * 2.0**-53
+    limit = RELEVANCE_TOL / reach
     sums = np.empty_like(trace.logits)
     for start in range(0, len(sums), SLICE_ROWS):
         rows = slice(start, start + SLICE_ROWS)
         z, logits = trace.z[rows], trace.logits[rows]
         with np.errstate(over="ignore", invalid="ignore"):
-            sums[rows] = relevance(head, z).sum(axis=1)
+            gamma = relevance(head, z)
+            sums[rows] = gamma.sum(axis=1)
             gap = np.abs(sums[rows] - logits).max(axis=1, initial=0.0)
             finite = np.isfinite((z * z).sum(axis=1)) & np.isfinite(logits).all(axis=1)
-        bad = np.flatnonzero(~(finite & (gap <= RELEVANCE_TOL)))
+            size = np.abs(gamma, out=gamma).sum(axis=1).max(axis=1, initial=0.0)
+        bad = np.flatnonzero(~(finite & (size <= limit) & (gap <= RELEVANCE_TOL)))
         if bad.size:
             i = int(bad[0])
-            why = (f"its relevance sums miss its logits by {gap[i]:.3e}, more than {RELEVANCE_TOL}" if finite[i]
-                   else "its logits or its embedding's squared norm are not finite")
+            if not finite[i]:
+                why = "its logits or its embedding's squared norm are not finite"
+            elif size[i] > limit:
+                why = (f"its relevance sums miss its logits by up to {reach * size[i]:.3e}, more than "
+                       f"{RELEVANCE_TOL}: a class's sum of absolute contributions is {size[i]:.3e}, "
+                       f"above {limit:.3e}")
+            else:
+                why = f"its relevance sums miss its logits by {gap[i]:.3e}, more than {RELEVANCE_TOL}"
             sample = start + i if sample_ids is None else sample_ids[start + i]
             raise ValueError(f"sample {sample} is beyond the model's range: {why}")
     return sums

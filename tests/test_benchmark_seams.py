@@ -145,13 +145,17 @@ def test_cli_forward_and_explain_spans_count_their_calls(tmp_path):
             assert main(argv) == 0
         finally:
             tracer.uninstall()
-        return tracer.spans
+        return tracer
 
-    metrics = spans.summarize(traced(["eval", checkpoint, data, "--quiet"]))
+    tracer = traced(["eval", checkpoint, data, "--quiet"])
+    metrics = spans.summarize(tracer.spans)
     assert metrics["model.forward_full.calls"] == 1
     assert metrics["explain.explain_sample.calls"] == 0
-    recorded = traced(["explain", checkpoint, data, "--samples", "0,3,5", "--out", str(tmp_path / "ex"),
-                       "--quiet"])
+    assert tracer.rows_loaded == 40
+    tracer = traced(["explain", checkpoint, data, "--samples", "0,3,5", "--out", str(tmp_path / "ex"), "--quiet"])
+    recorded = tracer.spans
     assert spans.summarize(recorded)["explain.explain_sample.calls"] == 1
+    # explain loads the rows it explains, not the whole file.
+    assert tracer.rows_loaded == 3
     # One CSV per sample, then the one document of the batch.
     assert sum(1 for span in recorded if span[0] == "explain.serialize") == 3 + 1

@@ -502,17 +502,23 @@ def factor_run(tmp_path):
     return out / "checkpoint.json", data
 
 
+BEYOND_ROUNDING = "its relevance sums miss its logits by up to "
+
+
 @pytest.mark.parametrize("value, reason", [
-    ("1e150", "its relevance sums miss its logits by "),
+    ("1e140", BEYOND_ROUNDING),
+    ("1e145", BEYOND_ROUNDING),
+    ("1e150", BEYOND_ROUNDING),
     ("1e300", "its logits or its embedding's squared norm are not finite"),
     ("1e308", "its logits or its embedding's squared norm are not finite"),
-], ids=["1e150", "1e300", "1e308"])
+], ids=["1e140", "1e145", "1e150", "1e300", "1e308"])
 @pytest.mark.parametrize("command", ["eval", "explain"])
 def test_values_beyond_the_model_name_the_file_and_sample(tmp_path, blob_file, trained_run, capsys, command,
                                                           value, reason):
-    # Row 5's first feature is beyond this model: rounding alone breaks the
-    # relevance identity (1e150), or the embedding's squared norm and the
-    # logits overflow (1e300, 1e308).
+    # Row 5's first feature is beyond this model: its contributions are so
+    # large that rounding alone may break the relevance identity (1e140,
+    # 1e145 and 1e150 alike, though only 1e140 and 1e150 break it), or the
+    # embedding's squared norm and the logits overflow (1e300, 1e308).
     lines = blob_file.read_text().splitlines()
     lines[1 + 5] = value + "," + lines[1 + 5].split(",", 1)[1]
     blob_file.write_text("\n".join(lines) + "\n")
@@ -761,6 +767,15 @@ def long_file(tmp_path):
     return data
 
 
+def with_row_7(tmp_path, data, edit):
+    """A copy of ``data`` whose data row 7 (line 9) is ``edit`` of its line."""
+    lines = data.read_text().splitlines(keepends=True)
+    lines[1 + 7] = edit(lines[1 + 7])
+    path = tmp_path / "edited.csv"
+    path.write_text("".join(lines))
+    return path
+
+
 class TestExplain:
     def test_document_longer_than_a_slice_has_the_bytes_of_the_whole_batch(self, tmp_path, trained_run,
                                                                           long_file):
@@ -871,11 +886,54 @@ class TestExplain:
                                            f"sums miss its logits by 8.000e-06, more than 1e-09\n")
         assert not out.exists()
 
-    def test_selector_out_of_range(self, tmp_path, blob_file, trained_run, capsys):
-        code = main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
-                     "--samples", "999", "--out", str(tmp_path / "x")])
+    @pytest.mark.parametrize("samples", ["999", "3,999"])
+    def test_selector_out_of_range(self, tmp_path, blob_file, trained_run, capsys, samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # such as np.loadtxt's on a stream without rows
+            code = main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
+                         "--samples", samples, "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
-        assert "out of range" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --samples: sample 999 out of range [0, 80)\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("cell", ["abc", "nan", "1e400"])
+    def test_bad_cell_in_a_row_not_explained_is_not_read(self, tmp_path, blob_file, trained_run, cell):
+        bad = with_row_7(tmp_path, blob_file, lambda line: cell + "," + line.split(",", 1)[1])
+        written = []
+        for data in (blob_file, bad):
+            out = tmp_path / f"out_{data.stem}"
+            assert main(["explain", str(trained_run / "checkpoint.json"), str(data), "--samples", "0,3",
+                         "--out", str(out), "--quiet"]) == EXIT_OK
+            written.append({name: (out / name).read_bytes() for name in os.listdir(out) if name != "manifest.json"})
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("cell, problem", [
+        ("abc", "could not parse 'abc' as a number"),
+        ("nan", "'nan' is not finite"),
+        ("1e400", "'1e400' is not finite"),
+    ])
+    def test_bad_cell_in_an_explained_row_is_named(self, tmp_path, blob_file, trained_run, capsys, cell, problem):
+        bad = with_row_7(tmp_path, blob_file, lambda line: cell + "," + line.split(",", 1)[1])
+        out = tmp_path / "x"
+        code = main(["explain", str(trained_run / "checkpoint.json"), str(bad), "--samples", "0,7",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {bad}: row 9, column 'f0': {problem}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda line: line.rstrip("\n") + ",1\n", "expected 7 cells, got 8"),
+        (lambda line: line.rsplit(",", 1)[0] + ", \n", "empty label"),
+        (lambda line: line.rsplit(",", 1)[0] + ",z\n", "unknown class name 'z'"),
+    ], ids=["cell-count", "empty-label", "unknown-class"])
+    def test_row_not_explained_is_still_checked(self, tmp_path, blob_file, trained_run, capsys, edit, problem):
+        bad = with_row_7(tmp_path, blob_file, edit)
+        out = tmp_path / "x"
+        code = main(["explain", str(trained_run / "checkpoint.json"), str(bad), "--samples", "0,3",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {bad}: row 9: {problem}\n"
+        assert not out.exists()
 
     def test_empty_sample_cell_rejected_before_writing(self, tmp_path, blob_file, trained_run, capsys):
         out = tmp_path / "x"

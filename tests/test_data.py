@@ -285,10 +285,10 @@ def table_texts(draw):
     return "".join(line + end for line, end in zip([",".join(AGREEMENT_HEADER)] + lines, endings))
 
 
-def load_outcome(path):
-    """What ``load_table`` gives for ``path``: the arrays' bytes, or the error message."""
+def load_outcome(path, load=load_table):
+    """What ``load(path)`` gives: the arrays' bytes, or the error message."""
     try:
-        ds = load_table(path)
+        ds = load(path)
     except ValueError as e:
         return str(e)
     return ds.X.tobytes(), ds.Y.tobytes(), ds.factors.tobytes(), ds.class_names
@@ -389,6 +389,34 @@ class TestFileProperties:
             m.setattr(data_module.np, "loadtxt", fail)
             fallback = load_outcome(path)
         assert bulk == fallback
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=table_texts(), picks=st.lists(st.integers(0, 2), max_size=4))
+    @example(text="f0,f1,label,alpha_0\n1,2, ,3\n1,x,a,3\n1,2,b,3\n", picks=[2])
+    @example(text="f0,f1,label,alpha_0\n1,2,a\n1,x,a,3\n1,2,b,3\n", picks=[2, 2])
+    def test_listed_rows_load_as_their_subset_of_the_file_without_the_other_rows_cells(self, tmp_path, text, picks):
+        # The other rows' cells are not parsed: the listed rows load as the
+        # subset of the same file with every cell but the label of each other
+        # row (that has the header's cell count) made a number.  When the
+        # whole file loads, that is its subset.
+        path, clean = tmp_path / "data.csv", tmp_path / "clean.csv"
+        lines = text.splitlines(keepends=True)
+        data_lines = [i for i, line in enumerate(lines) if not line.isspace()][1:]
+        rows = [pick % len(data_lines) for pick in picks]
+        label = AGREEMENT_HEADER.index("label")
+        for row, i in enumerate(data_lines):
+            cells = lines[i].rstrip("\r\n").split(",")
+            if row not in rows and len(cells) == len(AGREEMENT_HEADER):
+                cells = ["0" if j != label else cell for j, cell in enumerate(cells)]
+                lines[i] = ",".join(cells) + lines[i][len(lines[i].rstrip("\r\n")):]
+        path.write_bytes(text.encode("utf-8"))
+        clean.write_bytes("".join(lines).encode("utf-8"))
+        listed = load_outcome(path, lambda p: load_table(p, rows=rows))
+        expected = load_outcome(clean, lambda p: load_table(p).subset(rows))
+        assert listed == (expected.replace(str(clean), str(path)) if isinstance(expected, str) else expected)
+        if not isinstance(load_outcome(path), str):
+            assert listed == load_outcome(path, lambda p: load_table(p).subset(rows))
 
 
 N = data_module.CHUNK_ROWS

@@ -1,12 +1,13 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixedproto.explain import (SLICE_ROWS, check_explainable, explain_sample, explanation_to_csv_text,
-                                explanation_to_doc)
+from fixedproto.explain import (RELEVANCE_TOL, SLICE_ROWS, check_explainable, explain_sample,
+                                explanation_to_csv_text, explanation_to_doc)
 from fixedproto.metrics import zero_block_activity
 from fixedproto.model import forward, init_params, param_views, relevance
 from util import factor_extractor, pack
@@ -129,6 +130,28 @@ class TestCheckExplainable:
         ids = [1000 + i for i in range(self.N)]
         with pytest.raises(ValueError, match=f"^sample {1000 + bad} is beyond the model's range: {reason}"):
             check_explainable(head, trace, ids)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 64), C=st.integers(2, 10), seed=st.integers(0, 2**32 - 1),
+           scales=st.lists(st.sampled_from([1e-6, 0.5, 0.98, 1.02, 2.0, 1e6]), min_size=1, max_size=5))
+    def test_rows_beyond_the_rounding_bound_are_refused_and_the_others_keep_the_identity(self, k, C, seed,
+                                                                                         scales):
+        # Row i's largest sum of absolute contributions, taken from its
+        # relevance, is put at scales[i] times the bound 1e-9 / (2 (k + 1) u).
+        rng = np.random.default_rng(seed)
+        head = rng.standard_normal((k, C))
+        z = rng.standard_normal((len(scales), k))
+        size = np.abs(relevance(head, z)).sum(axis=1).max(axis=1)
+        z *= (np.array(scales) * RELEVANCE_TOL / (2 * (k + 1) * 2.0**-53) / size)[:, None]
+        trace = SimpleNamespace(z=z, logits=z @ head)
+        beyond = [i for i, scale in enumerate(scales) if scale > 1]
+        if beyond:
+            with pytest.raises(ValueError, match=f"^sample {beyond[0]} is beyond the model's range: its relevance "
+                                                 f"sums miss its logits by up to "):
+                check_explainable(head, trace)
+        within = [i for i, scale in enumerate(scales) if scale < 1]
+        sums = check_explainable(head, SimpleNamespace(z=z[within], logits=trace.logits[within]))
+        assert np.abs(sums - trace.logits[within]).max(initial=0.0) <= RELEVANCE_TOL
 
 
 # Few distinct magnitudes, zero among them, so ties and zero contributions are common.
