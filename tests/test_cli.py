@@ -886,15 +886,16 @@ class TestExplain:
                                            f"sums miss its logits by 8.000e-06, more than 1e-09\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("samples", ["999", "3,999"])
-    def test_selector_out_of_range(self, tmp_path, blob_file, trained_run, capsys, samples):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # such as np.loadtxt's on a stream without rows
-            code = main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
-                         "--samples", samples, "--out", str(tmp_path / "x")])
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: --samples: sample 999 out of range [0, 80)\n"
-        assert not (tmp_path / "x").exists()
+    def test_selector_out_of_range(self, tmp_path, blob_file, trained_run, capsys):
+        # Alone, or after a sample the file has.
+        for samples in ("999", "3,999"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # such as np.loadtxt's on a stream without rows
+                code = main(["explain", str(trained_run / "checkpoint.json"), str(blob_file),
+                             "--samples", samples, "--out", str(tmp_path / "x")])
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err == "error: --samples: sample 999 out of range [0, 80)\n"
+            assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("cell", ["abc", "nan", "1e400"])
     def test_bad_cell_in_a_row_not_explained_is_not_read(self, tmp_path, blob_file, trained_run, cell):
