@@ -448,7 +448,6 @@ def _read(path, lines, parse, wanted=None) -> tuple:
     if not feature_cols:
         raise ValueError(f"{path}: no feature columns found")
     width = len(header)
-    from_left = label_col < width - 1 - label_col
     labels = []
 
     def checked():
@@ -456,9 +455,7 @@ def _read(path, lines, parse, wanted=None) -> tuple:
             commas = line.count(",")
             if commas != width - 1:
                 raise ValueError(f"{path}: row {lineno}: expected {width} cells, got {commas + 1}")
-            # One split, from the end of the line nearer the label.
-            cell = line.split(",", label_col + 1)[label_col] if from_left else line.rsplit(",", width - label_col)[1]
-            labels.append(cell.strip())
+            labels.append(line.rsplit(",", width - label_col)[label_col - width].strip())
             if not labels[-1]:
                 raise ValueError(f"{path}: row {lineno}: empty label")
             yield lineno, line
@@ -506,7 +503,7 @@ def load_table(path, class_names=None, rows=None) -> Dataset:
     class order still comes from every row, but a cell of another row that
     is not a number or not finite is not refused.  A listed row that the
     file lacks raises :class:`RowOutOfRange` (an ``IndexError``) once every
-    row's structure and the listed rows' cells are checked.
+    row's structure and class and the listed rows' cells are checked.
     """
     wanted = None if rows is None else set(rows)
     try:
@@ -522,11 +519,8 @@ def load_table(path, class_names=None, rows=None) -> Dataset:
             raise ValueError(f"{path}: not UTF-8 text ({e})") from None
         read = _read(path, lines, _parse_cells, wanted)
     header, cols, p, labels, values = read
-    if rows is not None:
-        outside = next((i for i in rows if not 0 <= i < len(labels)), None)
-        if outside is not None:
-            raise RowOutOfRange(path, outside, len(labels))
-    parsed = range(len(labels)) if rows is None else sorted(wanted)  # the data row of each row of values
+    # The data row of each row of values.
+    parsed = range(len(labels)) if rows is None else sorted(i for i in wanted if 0 <= i < len(labels))
     if not np.isfinite(values).all():
         i, j = np.argwhere(~np.isfinite(values))[0]
         lineno, line = _data_row(path, parsed[i])
@@ -542,6 +536,9 @@ def load_table(path, class_names=None, rows=None) -> Dataset:
         if name not in index:
             raise ValueError(f"{path}: row {_data_row(path, i)[0]}: unknown class name {name!r}")
     if rows is not None:
+        outside = next((i for i in rows if not 0 <= i < len(labels)), None)
+        if outside is not None:
+            raise RowOutOfRange(path, outside, len(labels))
         values = values[np.searchsorted(parsed, rows)]
         labels = [labels[i] for i in rows]
     Y = np.zeros((len(labels), len(class_names)))

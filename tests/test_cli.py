@@ -916,11 +916,13 @@ class TestExplain:
     def test_bad_cell_in_an_explained_row_is_named(self, tmp_path, blob_file, trained_run, capsys, cell, problem):
         bad = with_row_7(tmp_path, blob_file, lambda line: cell + "," + line.split(",", 1)[1])
         out = tmp_path / "x"
-        code = main(["explain", str(trained_run / "checkpoint.json"), str(bad), "--samples", "0,7",
-                     "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: {bad}: row 9, column 'f0': {problem}\n"
-        assert not out.exists()
+        # The bad cell is named before a listed row the file lacks.
+        for samples in ("0,7", "7,999"):
+            code = main(["explain", str(trained_run / "checkpoint.json"), str(bad), "--samples", samples,
+                         "--out", str(out)])
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: {bad}: row 9, column 'f0': {problem}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("edit, problem", [
         (lambda line: line.rstrip("\n") + ",1\n", "expected 7 cells, got 8"),
@@ -930,11 +932,13 @@ class TestExplain:
     def test_row_not_explained_is_still_checked(self, tmp_path, blob_file, trained_run, capsys, edit, problem):
         bad = with_row_7(tmp_path, blob_file, edit)
         out = tmp_path / "x"
-        code = main(["explain", str(trained_run / "checkpoint.json"), str(bad), "--samples", "0,3",
-                     "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: {bad}: row 9: {problem}\n"
-        assert not out.exists()
+        # Also before a listed row the file lacks.
+        for samples in ("0,3", "0,999"):
+            code = main(["explain", str(trained_run / "checkpoint.json"), str(bad), "--samples", samples,
+                         "--out", str(out)])
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: {bad}: row 9: {problem}\n"
+            assert not out.exists()
 
     def test_empty_sample_cell_rejected_before_writing(self, tmp_path, blob_file, trained_run, capsys):
         out = tmp_path / "x"
