@@ -23,6 +23,7 @@ Exit codes: 0 success, 2 config/validation error, 3 training divergence,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import itertools
@@ -35,7 +36,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import __version__
-from .data import (Dataset, RowOutOfRange, SynthConfig, _check_names, config_from_doc, config_to_doc,
+from .data import (Dataset, RowOutOfRange, SynthConfig, _check_names, _number, config_from_doc, config_to_doc,
                    generate_synthetic, json_field, json_numbers, load_table, save_dataset, split)
 from .explain import (check_explainable, explain_sample, explanation_slices, explanation_to_csv_text,
                       explanation_to_doc)
@@ -479,24 +480,39 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _parse_ids(flag: str, text: str) -> list:
-    """The comma-separated integer ids given to ``flag``: at least one, none
-    twice, and each cell ASCII digits with an optional sign, spaces around."""
-    if text.replace(",", "").strip() == "":
-        raise ConfigError(f"{flag}: empty list")
-    ids = {}
-    for position, cell in enumerate(text.split(",")):
-        if cell.strip() == "":
-            raise ConfigError(f"{flag}: cell {position} of {text!r} is empty")
+def _integer(text: str) -> int:
+    """``text`` as an int: ASCII digits with an optional sign, spaces around."""
+    if re.fullmatch(r"[+-]?[0-9]+", text.strip()):  # int() also reads '1_0' and other scripts' digits
+        with contextlib.suppress(ValueError):  # more digits than int() reads
+            return int(text)
+    raise ValueError(f"{text.strip()!r} is not an integer")
+
+
+def _flag(parse):
+    """``parse`` as an argparse type, so that its ``ValueError`` message follows the flag's name."""
+    def flag(text):
         try:
-            if not re.fullmatch(r"[+-]?[0-9]+", cell.strip()):  # int() also reads '1_0' and other scripts' digits
-                raise ValueError
-            i = int(cell)
-        except ValueError:  # or more digits than int() reads
-            raise ConfigError(f"{flag}: {cell.strip()!r} is not an integer") from None
-        if i in ids:
-            raise ConfigError(f"{flag}: {i} is listed twice")
-        ids[i] = None
+            return parse(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return flag
+
+
+def _parse_ids(flag: str, text: str) -> list:
+    """The comma-separated ``_integer`` ids given to ``flag``: at least one, none twice."""
+    try:
+        if text.replace(",", "").strip() == "":
+            raise ValueError("empty list")
+        ids = {}
+        for position, cell in enumerate(text.split(",")):
+            if cell.strip() == "":
+                raise ValueError(f"cell {position} of {text!r} is empty")
+            i = _integer(cell)
+            if i in ids:
+                raise ValueError(f"{i} is listed twice")
+            ids[i] = None
+    except ValueError as e:
+        raise ConfigError(f"{flag}: {e}") from None
     return list(ids)
 
 
@@ -664,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p.add_argument("--config", required=True, help="generator config JSON")
     p.add_argument("--out", required=True, help="output dataset file")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--seed", type=_flag(_integer), default=None, help="override config seed")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_gen_data)
 
@@ -672,8 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="dataset file")
     p.add_argument("--config", required=True, help="training config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--lambda-p", type=float, default=None, dest="lambda_p",
+    p.add_argument("--seed", type=_flag(_integer), default=None, help="override config seed")
+    p.add_argument("--lambda-p", type=_flag(_number), default=None, dest="lambda_p",
                    help="override the prototype term weight")
     p.add_argument("--loss", choices=("proto", "ce"), default=None, help="override the loss")
     p.add_argument("--quiet", action="store_true")
@@ -699,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="training config JSON")
     p.add_argument("--out", required=True, help="output directory")
     seeds = p.add_mutually_exclusive_group()
-    seeds.add_argument("--seed", type=int, default=None, help="override config seed")
+    seeds.add_argument("--seed", type=_flag(_integer), default=None, help="override config seed")
     seeds.add_argument("--seeds", default=None,
                        help="comma-separated seed list (default: the config seed and the next two)")
     p.add_argument("--quiet", action="store_true")

@@ -5,14 +5,15 @@ The file format is delimiter-separated text with a header row naming the
 columns ``f0..f{p-1}, label, alpha_0..alpha_{m-1}``; factor columns are
 optional.  Floats are written with ``repr`` so save/load round-trips exactly.
 Files are written and read a chunk of rows at a time, never as one text.
-``np.loadtxt`` reads the numeric columns from a stream of lines; when it
-fails, a cell-by-cell ``float`` pass over the whole file names the first bad
-cell's line and column.  ``load_table(path, rows=...)`` checks every line's
-cell count and label but parses the cells of the listed rows only.
+One ``np.loadtxt`` reads the numeric columns from a stream of lines; when it
+refuses a row, that row alone is looked at again to name the bad cell's line
+and column.  ``load_table(path, rows=...)`` checks every line's cell count
+and label but parses the cells of the listed rows only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import numbers
 import os
@@ -386,33 +387,15 @@ def _ordered_class_names(names) -> tuple:
         return tuple(sorted(names))
 
 
-def _parse_cells(path, header, rows, cols) -> np.ndarray:
-    """The ``cols`` cells of each ``(lineno, line)`` row through ``float``, naming
-    the first cell that is not a number: the fallback when ``np.loadtxt`` fails,
-    which also reads spellings only ``float`` takes (``1_0``, non-ASCII digits).
-    Every row is taken from ``rows``, and so checked, before any cell is read."""
-    values = []
-    for lineno, line in list(rows):
-        cells = [c.strip() for c in line.split(",")]
-
-        def parse(col):
-            try:
-                return float(cells[col])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {lineno}, column {header[col]!r}: "
-                    f"could not parse {cells[col]!r} as a number"
-                ) from None
-
-        values.append([parse(c) for c in cols])
-    return np.array(values, dtype=np.float64)
-
-
-def _load_cells(path, header, rows, cols) -> np.ndarray:
-    """The ``cols`` cells of the ``(lineno, line)`` rows through one ``np.loadtxt``
-    over a stream of their lines."""
-    return np.loadtxt((line for _, line in rows), delimiter=",", usecols=cols, comments=None, ndmin=2,
-                      dtype=np.float64)
+def _number(text: str) -> float:
+    """A data cell's text as a float, spelled as ``np.loadtxt`` reads it:
+    spaces around, and within them ASCII without ``_`` (``float`` alone also
+    reads '1_0' and other scripts' digits).  Raises ``ValueError``."""
+    cell = text.strip()
+    if cell.isascii() and "_" not in cell:
+        with contextlib.suppress(ValueError):
+            return float(cell)
+    raise ValueError(f"could not parse {cell!r} as a number")
 
 
 def _numbered(lines):
@@ -420,13 +403,11 @@ def _numbered(lines):
     return ((lineno, line) for lineno, line in enumerate(lines, start=1) if not line.isspace())
 
 
-def _read(path, lines, parse, wanted=None) -> tuple:
+def _read(path, lines, wanted=None) -> tuple:
     """The header, the numeric columns (features, then factors), the feature
-    count, each row's label, and ``parse(path, header, rows, cols)`` of the
-    text ``lines``, where ``rows`` yields each data row's ``(lineno, line)``
-    once its cell count and label are checked.  With ``wanted``, a set of data
-    row indices, ``rows`` yields only those rows (in file order), but every
-    row is checked; when none of them is in the file, ``parse`` is not called."""
+    count, each row's label, and the values of the text ``lines``, parsed by
+    one ``np.loadtxt`` as each row's cell count and label are checked.  With
+    ``wanted``, a set of data row indices, only those rows are parsed."""
     numbered = _numbered(lines)
     first = next(numbered, None)
     if first is None:
@@ -437,10 +418,9 @@ def _read(path, lines, parse, wanted=None) -> tuple:
             raise ValueError(f"{path}: column {name!r} is not f<j>, 'label' or alpha_<name>")
         if name in header[:i]:
             raise ValueError(f"{path}: column {name!r} is named twice in the header")
-    try:
-        label_col = header.index("label")
-    except ValueError:
-        raise ValueError(f"{path}: header has no 'label' column") from None
+    if "label" not in header:
+        raise ValueError(f"{path}: header has no 'label' column")
+    label_col = header.index("label")
     feature_cols = [i for i, name in enumerate(header) if name.startswith("f")]
     factor_cols = [i for i, name in enumerate(header) if name.startswith("alpha_")]
     if [header[i] for i in feature_cols] != [f"f{j}" for j in range(len(feature_cols))]:
@@ -448,9 +428,10 @@ def _read(path, lines, parse, wanted=None) -> tuple:
     if not feature_cols:
         raise ValueError(f"{path}: no feature columns found")
     width = len(header)
-    labels = []
+    labels, row = [], None
 
     def checked():
+        nonlocal row
         for lineno, line in numbered:
             commas = line.count(",")
             if commas != width - 1:
@@ -458,15 +439,31 @@ def _read(path, lines, parse, wanted=None) -> tuple:
             labels.append(line.rsplit(",", width - label_col)[label_col - width].strip())
             if not labels[-1]:
                 raise ValueError(f"{path}: row {lineno}: empty label")
-            yield lineno, line
+            if wanted is None or len(labels) - 1 in wanted:
+                row = lineno, line
+                yield line
 
-    rows = checked() if wanted is None else (row for i, row in enumerate(checked()) if i in wanted)
+    stream = checked()
     # Peeked, so that np.loadtxt never warns of a stream without data.
-    row = next(rows, None)
+    peeked = next(stream, None)
     if not labels:
         raise ValueError(f"{path}: the file has no data rows")
     cols = feature_cols + factor_cols
-    values = np.empty((0, len(cols))) if row is None else parse(path, header, itertools.chain([row], rows), cols)
+    if peeked is None:
+        return header, cols, len(feature_cols), labels, np.empty((0, len(cols)))
+    try:
+        values = np.loadtxt(itertools.chain([peeked], stream), delimiter=",", usecols=cols, comments=None, ndmin=2,
+                            dtype=np.float64)
+    except ValueError:
+        # np.loadtxt reads no line ahead, so ``row`` is the one it refused,
+        # unless the stream itself raised: a row's structure, or not UTF-8.
+        lineno, cells = row[0], row[1].split(",")
+        for j in sorted(cols):
+            try:
+                _number(cells[j])
+            except ValueError as e:
+                raise ValueError(f"{path}: row {lineno}, column {header[j]!r}: {e}") from None
+        raise
     return header, cols, len(feature_cols), labels, values
 
 
@@ -494,8 +491,9 @@ def load_table(path, class_names=None, rows=None) -> Dataset:
     fixes the class order and unlisted names are rejected.  Blank lines are
     skipped; an error names the offending row by its line number in the file
     and, for a cell, its column.  The lines are streamed, never held at
-    once; only when ``np.loadtxt`` fails is the file read whole, to check
-    every row's structure before any cell.
+    once, and the first fault in file order of a row's cell count, label or
+    cells is raised; a cell is read as ``np.loadtxt`` reads it, so '1_0' and
+    '４２' are refused.  Non-finite values and unknown classes come after.
 
     ``rows``, a list of data row indices, gives ``load_table(path).subset(rows)``
     while parsing the cells of those rows only: every line's cell count and
@@ -508,17 +506,9 @@ def load_table(path, class_names=None, rows=None) -> Dataset:
     wanted = None if rows is None else set(rows)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            read = _read(path, fh, _load_cells, wanted)
-    except ValueError:  # not UTF-8, a bad row or cell, or a spelling only float reads
-        read = None
-    if read is None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = list(fh)
-        except UnicodeDecodeError as e:
-            raise ValueError(f"{path}: not UTF-8 text ({e})") from None
-        read = _read(path, lines, _parse_cells, wanted)
-    header, cols, p, labels, values = read
+            header, cols, p, labels, values = _read(path, fh, wanted)
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text ({e})") from None
     # The data row of each row of values.
     parsed = range(len(labels)) if rows is None else sorted(i for i in wanted if 0 <= i < len(labels))
     if not np.isfinite(values).all():
@@ -527,10 +517,7 @@ def load_table(path, class_names=None, rows=None) -> Dataset:
         cell = line.split(",")[cols[j]].strip()
         raise ValueError(f"{path}: row {lineno}, column {header[cols[j]]!r}: {cell!r} is not finite")
 
-    if class_names is None:
-        class_names = _ordered_class_names(labels)
-    else:
-        class_names = tuple(str(c) for c in class_names)
+    class_names = _ordered_class_names(labels) if class_names is None else tuple(str(c) for c in class_names)
     index = {name: i for i, name in enumerate(class_names)}
     for i, name in enumerate(labels):
         if name not in index:
@@ -541,13 +528,9 @@ def load_table(path, class_names=None, rows=None) -> Dataset:
             raise RowOutOfRange(path, outside, len(labels))
         values = values[np.searchsorted(parsed, rows)]
         labels = [labels[i] for i in rows]
-    Y = np.zeros((len(labels), len(class_names)))
-    for i, name in enumerate(labels):
-        Y[i, index[name]] = 1.0
-
     return Dataset(
         X=values[:, :p],
-        Y=Y,
+        Y=np.identity(len(class_names))[[index[name] for name in labels]],
         factors=values[:, p:] if p < len(cols) else None,
         class_names=class_names,
         factor_names=tuple(header[i] for i in cols[p:]),

@@ -924,6 +924,17 @@ class TestExplain:
             assert capsys.readouterr().err == f"error: {bad}: row 9, column 'f0': {problem}\n"
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    def test_cell_only_python_reads_is_named_before_writing(self, tmp_path, blob_file, trained_run, capsys,
+                                                            command):
+        bad = with_row_7(tmp_path, blob_file, lambda line: "1_0," + line.split(",", 1)[1])
+        out = tmp_path / "x"
+        flags = ["--samples", "0,7"] if command == "explain" else []
+        code = main([command, str(trained_run / "checkpoint.json"), str(bad), *flags, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {bad}: row 9, column 'f0': could not parse '1_0' as a number\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit, problem", [
         (lambda line: line.rstrip("\n") + ",1\n", "expected 7 cells, got 8"),
         (lambda line: line.rsplit(",", 1)[0] + ", \n", "empty label"),
@@ -1249,6 +1260,33 @@ def test_bad_override_of_a_valid_config_names_the_flag(tmp_path, blob_file, caps
     err = capsys.readouterr().err
     assert f"error: {flags[0]} {flags[1]}" in err and str(config) not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [("gen-data", ["--seed", "1_0"], "'1_0' is not an integer"),
+     ("gen-data", ["--seed", "４２"], "'４２' is not an integer"),
+     ("train", ["--seed", "1_0"], "'1_0' is not an integer"),
+     ("compare", ["--seed", "٣"], "'٣' is not an integer"),
+     ("train", ["--lambda-p", "1_0"], "could not parse '1_0' as a number"),
+     ("train", ["--lambda-p", "０.５"], "could not parse '０.５' as a number"),
+     ("train", ["--lambda-p", " "], "could not parse '' as a number")],
+    ids=["gen-data-seed-underscore", "gen-data-seed-fullwidth", "train-seed-underscore", "compare-seed-arabic-indic",
+         "lambda-p-underscore", "lambda-p-fullwidth", "lambda-p-blank"],
+)
+def test_override_spelled_as_only_python_reads_it_is_refused(tmp_path, blob_file, capsys, command, flags, message):
+    # --seed takes what --seeds takes, and --lambda-p what a data cell takes.
+    out = tmp_path / "out"
+    if command == "gen-data":
+        argv = ["gen-data", "--config", str(gen_config(tmp_path)), "--out", str(out)]
+    else:
+        argv = [command, str(blob_file), "--config", str(train_config(tmp_path, epochs=2)), "--out", str(out)]
+    before = sorted(os.listdir(tmp_path))
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + flags)
+    assert exit_info.value.code == EXIT_CONFIG
+    assert f"argument {flags[0]}: {message}\n" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_override_is_named_only_when_the_file_alone_is_valid(tmp_path, blob_file, capsys):

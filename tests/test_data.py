@@ -232,9 +232,15 @@ class TestFileRoundTrip:
             load_table(path)
 
     def test_spellings_only_float_reads(self, tmp_path):
+        # Refused as np.loadtxt refuses them, as --samples and --seeds do.
         path = tmp_path / "data.csv"
-        path.write_text("f0,label\n1_0,a\n４２,b\n 1.5 ,a\r\n")
-        assert load_table(path).X.ravel().tolist() == [10.0, 42.0, 1.5]
+        for lines, row, cell in [("1_0,a\n４２,b\n", 2, "1_0"), ("1,a\n４２,b\n", 3, "４２")]:
+            path.write_text(f"f0,label\n{lines}")
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: row {row}, column ')}'f0': "
+                                                 f"could not parse '{cell}' as a number$"):
+                load_table(path)
+        path.write_bytes(b"f0,label\r\n 1.5 ,a\r\n\t-2\t,b\r\n")
+        assert load_table(path).X.ravel().tolist() == [1.5, -2.0]
 
 
 # Finite float64 values by bit pattern, with the edge cases always in reach.
@@ -262,7 +268,7 @@ def datasets(draw):
     )
 
 
-# Cell texts for the bulk/fallback agreement: ordinary numbers, then cells
+# Cell texts for the agreement with a row-by-row reader: ordinary numbers, then cells
 # that parse only with ``float``, are not finite, are not numbers at all, or
 # are empty.
 GOOD_CELLS = ["0.5", " 1.5 ", "-0.0", "5e-324", "1e-400", "\t2\t", "+3", ".5", "1.7976931348623157e+308"]
@@ -292,6 +298,41 @@ def load_outcome(path, load=load_table):
     except ValueError as e:
         return str(e)
     return ds.X.tobytes(), ds.Y.tobytes(), ds.factors.tobytes(), ds.class_names
+
+
+def row_by_row_outcome(path, text):
+    """What ``load_outcome`` should give for a ``table_texts`` file, read
+    independently: row by row in file order, the cell count, then the label,
+    then each number cell, which must be ASCII without '_' and not empty once
+    stripped; then the finiteness of every row's values."""
+    header, *rows = [(lineno, line.split(",")) for lineno, line in
+                     enumerate(text.replace("\r\n", "\n").split("\n"), start=1) if line.strip()]
+    assert header[1] == AGREEMENT_HEADER
+    numbers = [0, 1, 3]
+    values, labels = [], []
+    for lineno, cells in rows:
+        if len(cells) != len(AGREEMENT_HEADER):
+            return f"{path}: row {lineno}: expected {len(AGREEMENT_HEADER)} cells, got {len(cells)}"
+        labels.append(cells[2].strip())
+        if not labels[-1]:
+            return f"{path}: row {lineno}: empty label"
+        for j in numbers:
+            cell = cells[j].strip()
+            try:
+                if not cell or not cell.isascii() or "_" in cell:
+                    raise ValueError
+                values.append(float(cell))
+            except ValueError:
+                return f"{path}: row {lineno}, column {AGREEMENT_HEADER[j]!r}: could not parse {cell!r} as a number"
+    for k, value in enumerate(values):
+        if not math.isfinite(value):
+            lineno, cells = rows[k // len(numbers)]
+            j = numbers[k % len(numbers)]
+            return f"{path}: row {lineno}, column {AGREEMENT_HEADER[j]!r}: {cells[j].strip()!r} is not finite"
+    values = np.array(values).reshape(-1, len(numbers))
+    class_names = tuple(sorted(set(labels)))
+    Y = np.array([[float(name == c) for c in class_names] for name in labels])
+    return values[:, :2].tobytes(), Y.tobytes(), values[:, 2:].tobytes(), class_names
 
 
 # Header columns for the schema property: features at any index, factors
@@ -377,18 +418,13 @@ class TestFileProperties:
     @settings(max_examples=200, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=table_texts())
-    def test_bulk_parse_agrees_with_cell_by_cell_fallback(self, tmp_path, monkeypatch, text):
+    @example(text="f0,f1,label,alpha_0\n1,1_0,a,2\n1,2,a,3,9\n")
+    @example(text="f0,f1,label,alpha_0\n1,2,a,3,9\n1,1_0,a,2\n")
+    @example(text="f0,f1,label,alpha_0\n1,nan,a,2\n1,x,a,3\n")
+    def test_load_agrees_with_a_row_by_row_reader(self, tmp_path, text):
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode("utf-8"))
-        bulk = load_outcome(path)
-
-        def fail(*args, **kwargs):
-            raise ValueError("bulk parse forced to fail")
-
-        with monkeypatch.context() as m:
-            m.setattr(data_module.np, "loadtxt", fail)
-            fallback = load_outcome(path)
-        assert bulk == fallback
+        assert load_outcome(path) == row_by_row_outcome(path, text)
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -436,11 +472,32 @@ class TestChunkedFiles:
     writer formats them a chunk at a time, with the messages and bytes that a
     whole-file read and write give."""
 
-    def test_structure_is_checked_before_cells(self, tmp_path):
+    @pytest.mark.parametrize("cell_line, short_line", [(3, 600), (600, 3)])
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, cell_line, short_line):
         path = tmp_path / "bad.csv"
-        path.write_text(long_table(3 * N, [(3, "1.0,oops,a,0"), (600, "1.0,a,0")]))
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: row 600: expected 4 cells, got 3')}$"):
+        path.write_text(long_table(3 * N, [(cell_line, "1.0,oops,a,0"), (short_line, "1.0,a,0")]))
+        message = (f"row {cell_line}, column 'f1': could not parse 'oops' as a number" if cell_line < short_line
+                   else f"row {short_line}: expected 4 cells, got 3")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_table(path)
+
+    @pytest.mark.parametrize("row", [0, N - 1, N, 2 * N])
+    @pytest.mark.parametrize("column, cell, named", [(1, "abc", "abc"), (0, "", ""), (3, " ", "")],
+                             ids=["text", "empty", "blank"])
+    def test_bad_cell_at_a_chunk_edge_is_named_by_its_own_line(self, tmp_path, row, column, cell, named):
+        # np.loadtxt reads no line ahead of the one it refuses, so the row
+        # named is the one looked at again, in a whole read and a listed one.
+        cells = f"{row}.5,-{row},{'ab'[row % 2]},0.25".split(",")
+        cells[column] = cell
+        path = tmp_path / "bad.csv"
+        path.write_text(long_table(2 * N + 1, [(row + 2, ",".join(cells))]))
+        header = long_table(0).strip().split(",")
+        message = f"{path}: row {row + 2}, column {header[column]!r}: could not parse {named!r} as a number"
+        for rows in (None, [row], [0, row]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    load_table(path, rows=rows)
 
     def test_byte_that_is_not_utf8_past_the_first_chunk(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -456,14 +513,14 @@ class TestChunkedFiles:
                                              f"'1e400' is not finite$"):
             load_table(path)
 
-    def test_spelling_only_float_reads_deep_in_the_file_loads(self, tmp_path):
+    def test_spelling_only_float_reads_deep_in_the_file_is_refused(self, tmp_path):
         path, plain = tmp_path / "data.csv", tmp_path / "plain.csv"
         path.write_text(long_table(2 * N, [(10, ""), (N + 60, "1_0,2,a,0.25")]))
         plain.write_text(long_table(2 * N, [(10, ""), (N + 60, "10,2,a,0.25")]))
-        ds, expected = load_table(path), load_table(plain)
-        assert ds.X[N + 57].tolist() == [10.0, 2.0]
-        assert load_outcome(path) == load_outcome(plain)
-        assert ds.n == expected.n == 2 * N - 1
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: row {N + 60}, column ')}'f0': "
+                                             f"could not parse '1_0' as a number$"):
+            load_table(path)
+        assert load_table(plain).X[N + 57].tolist() == [10.0, 2.0]
 
     def test_header_only_file_has_no_data_rows_and_no_warning(self, tmp_path):
         path = tmp_path / "header.csv"
