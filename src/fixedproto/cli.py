@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .data import (Dataset, RowOutOfRange, SynthConfig, _check_names, _number, config_from_doc, config_to_doc,
-                   generate_synthetic, json_field, json_numbers, load_table, save_dataset, split)
+                   generate_synthetic, json_field, json_numbers, load_table, save_dataset, split, write_text)
 from .explain import (check_explainable, explain_sample, explanation_slices, explanation_to_csv_text,
                       explanation_to_doc)
 from .metrics import (accuracy, disentanglement_report, joint_probability_table, separation_report,
@@ -124,25 +124,14 @@ def _load_config(path, config_class, **overrides):
 
 
 def _write(path, content) -> None:
-    """Write a str as it is, an iterator's str pieces one at a time, and
-    anything else as an indented JSON document.  A document holding NaN or an
-    infinity is refused, naming ``path``, before the file is opened; a
-    ``ValueError`` from an iterator's piece is raised naming ``path``, and
-    the part written is removed."""
+    """Write a str as it is, an iterator's str pieces one at a time, or
+    anything else as an indented JSON document, through ``write_text``.  A
+    document holding NaN or an infinity is refused, naming ``path``."""
     if isinstance(content, str):
         content = [content]
     elif not isinstance(content, Iterator):
-        try:
-            content = [json.dumps(content, indent=2, allow_nan=False) + "\n"]
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
-    fh = open(path, "w", encoding="utf-8")
-    try:
-        with fh:
-            fh.writelines(content)
-    except ValueError as e:
-        os.remove(path)
-        raise ValueError(f"{path}: {e}") from None
+        content = (json.dumps(doc, indent=2, allow_nan=False) + "\n" for doc in [content])  # encoded as it is written
+    write_text(path, content)
 
 
 def _manifest(command: str, config_doc, seeds: dict, inputs: dict, outputs: list) -> dict:
@@ -291,9 +280,6 @@ def _load_checkpoint(path):
             names = json_field(doc, key, list)
             if not all(type(name) is str for name in names):
                 raise TypeError(f"field {key!r} must list strings")
-            repeated = [name for i, name in enumerate(names) if name in names[:i]]
-            if repeated:
-                raise ValueError(f"field {key!r} lists {repeated[0]!r} more than once")
             _check_names(names, f"field {key!r}: {what}", prefix)  # as the data file and explain's CSVs carry them
         entries = json_field(json_field(doc, "embedder", dict), "layers", list, at="embedder")
         if not entries:

@@ -328,13 +328,8 @@ def save_dataset(dataset: Dataset, path) -> None:
     in its rows), or classes that :func:`load_table` would put in another
     order.
 
-    Rows are written ``CHUNK_ROWS`` at a time into a temporary file beside
-    ``path`` (or the file it links to), which then replaces it, so a write
-    that fails or is interrupted leaves the earlier file or none.  The file
-    is not synced to disk, so a crash of the machine itself may still leave
-    a short one.  An existing ``path`` that is not a regular file raises
-    ``OSError`` before anything is written.  Every ``OSError`` names
-    ``path``.
+    Rows are formatted ``CHUNK_ROWS`` at a time and written by
+    :func:`write_text`.
     """
     _check_names(dataset.class_names, "class name")
     _check_names(dataset.factor_names, "factor name", prefix="alpha_")
@@ -351,6 +346,26 @@ def save_dataset(dataset: Dataset, path) -> None:
         raise ValueError(f"classes {dataset.class_names} would load back in the order {loaded}")
     header = [f"f{j}" for j in range(dataset.input_dim)] + ["label"] + list(dataset.factor_names)
     factors = np.empty((dataset.n, 0)) if dataset.factors is None else dataset.factors
+
+    def pieces():
+        yield ",".join(header) + "\n"
+        for start in range(0, dataset.n, CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            yield "".join(",".join([*map(repr, x), label, *map(repr, f)]) + "\n" for x, label, f in
+                          zip(dataset.X[rows].tolist(), labels[rows], factors[rows].tolist()))
+
+    write_text(path, pieces())
+
+
+def write_text(path, pieces) -> None:
+    """Write the str ``pieces`` as the UTF-8 file ``path`` (or the file it
+    links to) through a temporary file beside it, which then replaces it, so
+    a write that fails or is interrupted leaves the earlier file or none.
+    The file is not synced to disk, so a crash of the machine itself may
+    still leave a short one.  An existing ``path`` that is not a regular file
+    raises ``OSError`` before anything is written.  Every ``OSError``, and a
+    ``ValueError`` that a piece raises, names ``path``.
+    """
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         raise OSError(f"{path}: not a regular file, so it is not replaced")
@@ -361,16 +376,14 @@ def save_dataset(dataset: Dataset, path) -> None:
         raise _naming(e, path) from None
     try:
         with fh:
-            fh.write(",".join(header) + "\n")
-            for start in range(0, dataset.n, CHUNK_ROWS):
-                rows = slice(start, start + CHUNK_ROWS)
-                fh.write("".join(",".join([*map(repr, x), label, *map(repr, f)]) + "\n" for x, label, f in
-                                 zip(dataset.X[rows].tolist(), labels[rows], factors[rows].tolist())))
+            fh.writelines(pieces)
         os.replace(temp, target)
     except BaseException as e:
         os.remove(temp)
         if isinstance(e, OSError):
             raise _naming(e, path) from None
+        if isinstance(e, ValueError):
+            raise ValueError(f"{path}: {e}") from None
         raise
 
 
@@ -512,10 +525,11 @@ def load_table(path, class_names=None, rows=None) -> Dataset:
     # The data row of each row of values.
     parsed = range(len(labels)) if rows is None else sorted(i for i in wanted if 0 <= i < len(labels))
     if not np.isfinite(values).all():
-        i, j = np.argwhere(~np.isfinite(values))[0]
+        i = np.flatnonzero(~np.isfinite(values).all(axis=1))[0]
+        col = min(np.compress(~np.isfinite(values[i]), cols))  # the first in the file, as a parse error is
         lineno, line = _data_row(path, parsed[i])
-        cell = line.split(",")[cols[j]].strip()
-        raise ValueError(f"{path}: row {lineno}, column {header[cols[j]]!r}: {cell!r} is not finite")
+        cell = line.split(",")[col].strip()
+        raise ValueError(f"{path}: row {lineno}, column {header[col]!r}: {cell!r} is not finite")
 
     class_names = _ordered_class_names(labels) if class_names is None else tuple(str(c) for c in class_names)
     index = {name: i for i, name in enumerate(class_names)}

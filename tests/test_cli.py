@@ -80,6 +80,12 @@ def blob_file(tmp_path):
     return out
 
 
+def child_env():
+    """The environment of a child that imports the same package as this process, installed or not."""
+    src = os.path.dirname(os.path.dirname(fixedproto.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestGenData:
     def test_writes_header_and_rows(self, tmp_path):
         config = gen_config(tmp_path)
@@ -197,15 +203,12 @@ class TestTrain:
     def test_repeat_run_is_bit_identical_across_processes(self, tmp_path, blob_file):
         config = train_config(tmp_path, epochs=8)
         out1, out2 = tmp_path / "p1", tmp_path / "p2"
-        # The child imports the same package as this process, installed or not.
-        src = os.path.dirname(os.path.dirname(fixedproto.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         for out in (out1, out2):
             proc = subprocess.run(
                 [sys.executable, "-m", "fixedproto.cli", "train", str(blob_file),
                  "--config", str(config), "--out", str(out), "--quiet"],
                 capture_output=True,
-                env=env,
+                env=child_env(),
             )
             assert proc.returncode == EXIT_OK, proc.stderr.decode()
         assert (out1 / "checkpoint.json").read_bytes() == (out2 / "checkpoint.json").read_bytes()
@@ -296,6 +299,22 @@ class TestEval:
         main(["eval", str(trained_run / "checkpoint.json"), str(blob_file), "--out", str(p1), "--quiet"])
         main(["eval", str(trained_run / "checkpoint.json"), str(blob_file), "--out", str(p2), "--quiet"])
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory", "device"])
+    def test_out_that_is_not_a_regular_file_exits_4_and_is_kept(self, tmp_path, blob_file, trained_run, kind):
+        # In a child with a timeout: a FIFO opened for writing waits for a reader.
+        out = "/dev/null" if kind == "device" else tmp_path / "report.json"
+        if kind == "directory":
+            out.mkdir()
+        elif kind == "fifo":
+            os.mkfifo(out)
+        proc = subprocess.run([sys.executable, "-m", "fixedproto.cli", "eval", str(trained_run / "checkpoint.json"),
+                               str(blob_file), "--out", str(out), "--quiet"],
+                              capture_output=True, env=child_env(), timeout=60)
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr.decode() == f"error: {out}: not a regular file, so it is not replaced\n"
+        mode = os.stat(out).st_mode
+        assert {"fifo": stat.S_ISFIFO, "directory": stat.S_ISDIR, "device": stat.S_ISCHR}[kind](mode)
 
     def test_absent_class_names_file_and_class(self, tmp_path, blob_file, trained_run, capsys):
         lines = blob_file.read_text().splitlines()
@@ -459,18 +478,19 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(old) in err and "version 1" in err
 
-    @pytest.mark.parametrize("field, value", [("class_names", ["0", "0"]),
-                                              ("factor_names", ["alpha_0", "alpha_0"]),
-                                              ("seed", -5)], ids=["class_names", "factor_names", "seed"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("class_names", ["0", "0"], "field 'class_names': class name '0' is given twice"),
+        ("factor_names", ["alpha_0", "alpha_0"], "field 'factor_names': factor name 'alpha_0' is given twice"),
+        ("seed", -5, "field 'seed' is -5, expected an integer >= 0"),
+    ], ids=["class_names", "factor_names", "seed"])
     def test_repeated_names_and_negative_seed_blamed_on_checkpoint(self, tmp_path, blob_file, trained_run,
-                                                                   capsys, field, value):
+                                                                   capsys, field, value, message):
         doc = json.loads((trained_run / "checkpoint.json").read_text())
         doc[field] = value
         broken = tmp_path / "broken.json"
         write_json(broken, doc)
         assert main(["eval", str(broken), str(blob_file), "--quiet"]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert str(broken) in err and f"field {field!r}" in err and str(blob_file) not in err
+        assert capsys.readouterr().err == f"error: {broken}: {message}\n"
 
     def test_ce_retrain_into_same_directory_has_no_prototypes(self, tmp_path, blob_file, trained_run):
         config = train_config(tmp_path, epochs=5)

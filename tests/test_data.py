@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fixedproto import data as data_module
+from fixedproto.cli import _write
 from fixedproto.data import (
     Dataset,
     SynthConfig,
@@ -217,6 +218,17 @@ class TestFileRoundTrip:
         f1, alpha = (cell, "0") if column == "f1" else ("2", cell)
         path.write_text(f"f0,f1,label,alpha_0\n1,2,a,0\n\n1,{f1},b,{alpha}\n")
         with pytest.raises(ValueError, match=f"row 4, column '{column}': '{cell}' is not finite"):
+            load_table(path)
+
+    @pytest.mark.parametrize("row, message", [("nan,inf,a", "'nan' is not finite"),
+                                              ("x,y,a", "could not parse 'x' as a number")],
+                             ids=["non-finite", "unparsable"])
+    def test_bad_cell_is_named_in_file_column_order(self, tmp_path, row, message):
+        # A factor before the features: either fault names the first bad cell in the file.
+        path = tmp_path / "bad.csv"
+        path.write_text(f"alpha_a,f0,label\n1,2,a\n{row}\n")
+        expected = f"{path}: row 3, column 'alpha_a': {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             load_table(path)
 
     def test_comment_sign_is_a_bad_cell(self, tmp_path):
@@ -588,6 +600,28 @@ class TestChunkedFiles:
         assert os.listdir(tmp_path) == ["data.csv"]
         expected = f"[Errno {errno.ENOSPC}] No space left on device: '{path}'" if type(error) is OSError else str(error)
         assert str(raised.value) == expected
+
+    @pytest.mark.parametrize("content, error", [
+        ({"accuracy": float("nan")}, ValueError),
+        ("lone surrogate \ud800\n", ValueError),  # UTF-8 cannot encode it
+        ("iterator", ValueError),
+        ("iterator", KeyboardInterrupt),
+    ], ids=["document", "str", "iterator-value-error", "iterator-interrupt"])
+    def test_failed_text_write_keeps_the_earlier_file_and_no_temporary_file(self, tmp_path, content, error):
+        path = tmp_path / "report.json"
+        path.write_text("earlier bytes\n")
+
+        def pieces():  # fails at the second piece, with the first one written
+            yield "new bytes\n"
+            assert len(list(tmp_path.glob("report.json.*.tmp"))) == 1
+            raise error("piece failed")
+
+        with pytest.raises(error) as raised:
+            _write(path, pieces() if content == "iterator" else content)
+        assert path.read_text() == "earlier bytes\n"
+        assert os.listdir(tmp_path) == ["report.json"]
+        if error is ValueError:
+            assert str(raised.value).startswith(f"{path}: ")
 
 
 class TestDataset:
