@@ -474,6 +474,13 @@ def _integer(text: str) -> int:
     raise ValueError(f"{text.strip()!r} is not an integer")
 
 
+def _path(text: str) -> str:
+    """``text`` as an output path, which an empty one is not."""
+    if not text:
+        raise ValueError("an empty path names no file")
+    return text
+
+
 def _flag(parse):
     """``parse`` as an argparse type, so that its ``ValueError`` message follows the flag's name."""
     def flag(text):
@@ -665,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p.add_argument("--config", required=True, help="generator config JSON")
-    p.add_argument("--out", required=True, help="output dataset file")
+    p.add_argument("--out", type=_flag(_path), required=True, help="output dataset file")
     p.add_argument("--seed", type=_flag(_integer), default=None, help="override config seed")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_gen_data)
@@ -673,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a dataset file")
     p.add_argument("data", help="dataset file")
     p.add_argument("--config", required=True, help="training config JSON")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=_flag(_path), required=True, help="output directory")
     p.add_argument("--seed", type=_flag(_integer), default=None, help="override config seed")
     p.add_argument("--lambda-p", type=_flag(_number), default=None, dest="lambda_p",
                    help="override the prototype term weight")
@@ -684,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset file")
     p.add_argument("checkpoint", help="checkpoint.json from train")
     p.add_argument("data", help="dataset file")
-    p.add_argument("--out", default=None, help="write the metrics JSON here")
+    p.add_argument("--out", type=_flag(_path), default=None, help="write the metrics JSON here")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_eval)
 
@@ -692,14 +699,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint", help="checkpoint.json from train")
     p.add_argument("data", help="dataset file")
     p.add_argument("--samples", default="0", help="'all' or comma-separated sample indices")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=_flag(_path), required=True, help="output directory")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("compare", help="prototype loss vs cross-entropy over several seeds")
     p.add_argument("data", help="dataset file")
     p.add_argument("--config", required=True, help="training config JSON")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=_flag(_path), required=True, help="output directory")
     seeds = p.add_mutually_exclusive_group()
     seeds.add_argument("--seed", type=_flag(_integer), default=None, help="override config seed")
     seeds.add_argument("--seeds", default=None,

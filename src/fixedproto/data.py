@@ -369,7 +369,10 @@ def write_text(path, pieces) -> None:
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         raise OSError(f"{path}: not a regular file, so it is not replaced")
-    temp = f"{target}.{os.urandom(4).hex()}.tmp"
+    # At most 45 characters whatever the target's name, so that a name near
+    # the file system's limit can still be written.
+    folder, name = os.path.split(target)
+    temp = os.path.join(folder, f"{name[:32]}.{os.urandom(4).hex()}.tmp")
     try:
         fh = open(temp, "x", encoding="utf-8")
     except OSError as e:

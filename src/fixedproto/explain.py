@@ -8,7 +8,9 @@ free dimensions), so an explanation reads as "which factor levels pushed the
 prediction where".  ``check_explainable`` checks the decomposition against
 the forward pass a slice of rows at a time and returns the checked sums, so
 ``eval`` never holds the whole ``(n, k, C)`` relevance; ``explain_sample``
-builds it once for the rows it writes.
+builds it once for the rows it writes.  ``explanation_to_doc`` writes each
+row's ``gamma`` as it is and no ranking of it: a reader ranks a class's
+dimensions with one ``argsort`` of its column.
 """
 
 from __future__ import annotations
@@ -135,38 +137,17 @@ def explanation_slices(expl: dict):
 
 
 def explanation_to_doc(expl: dict) -> dict:
-    """The batch as one ``explanations`` document: ``class_names`` and
-    ``row_labels`` once, then per row its ``sample_id``, ``probabilities``,
-    ``logits`` and ``k x C`` ``gamma``, and per class (in ``class_names``
-    order) its three strongest positive and negative contributions as
-    ``{"dimension", "contribution"}``, strongest first and ties by
-    dimension, labeled by ``row_labels[dimension]``.  ``rows`` is the last
-    key, so the document can be written as its envelope and then the rows
-    of each of ``explanation_slices``."""
-
-    def top(column, order, sign):
-        return [{"dimension": j, "contribution": column[j]} for j in order if sign * column[j] > 0]
-
-    # Per row and class, the first 3 dimensions from the largest contribution
-    # down and from the smallest up, ties by dimension.
-    gamma = expl["gamma"]
-    down = np.argsort(-gamma, axis=1, kind="stable")[:, :3].transpose(0, 2, 1).tolist()
-    up = np.argsort(gamma, axis=1, kind="stable")[:, :3].transpose(0, 2, 1).tolist()
-    rows = []
-    for sample_id, probabilities, logits, row, row_down, row_up in zip(
-            expl["sample_ids"], expl["probabilities"].tolist(), expl["logits"].tolist(), gamma.tolist(), down, up):
-        columns = list(zip(*row))
-        rows.append({
-            "sample_id": sample_id,
-            "probabilities": probabilities,
-            "logits": logits,
-            "gamma": row,
-            "top_positive": [top(column, order, 1) for column, order in zip(columns, row_down)],
-            "top_negative": [top(column, order, -1) for column, order in zip(columns, row_up)],
-        })
+    """The batch as one ``explanations`` document, version 2: ``class_names``
+    and ``row_labels`` once, then per row its ``sample_id``,
+    ``probabilities``, ``logits`` and ``k x C`` ``gamma``.  ``rows`` is the
+    last key, so the document can be written as its envelope and then the
+    rows of each of ``explanation_slices``."""
+    rows = [{"sample_id": sample_id, "probabilities": probabilities, "logits": logits, "gamma": gamma}
+            for sample_id, probabilities, logits, gamma in zip(
+                expl["sample_ids"], expl["probabilities"].tolist(), expl["logits"].tolist(), expl["gamma"].tolist())]
     return {
         "format": "explanations",
-        "version": 1,
+        "version": 2,
         "class_names": list(expl["class_names"]),
         "row_labels": list(expl["row_labels"]),
         "rows": rows,

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import fixedproto
 from fixedproto.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, ConfigError, _checkpoint_doc,
-                            _load_checkpoint, _load_config, _write, main, run_comparison)
+                            _explanations_text, _load_checkpoint, _load_config, _write, main, run_comparison)
 from fixedproto.data import SynthConfig, generate_synthetic, load_table
 from fixedproto.explain import SLICE_ROWS, explain_sample, explanation_to_doc
-from fixedproto.model import forward, param_count
+from fixedproto.model import forward, init_params, param_count
 from fixedproto.prototypes import (
     FactorCodedExtractor,
     FactorCoder,
@@ -809,6 +809,19 @@ class TestExplain:
         whole = json.dumps(explanation_to_doc(expl), separators=(",", ":"), allow_nan=False) + "\n"
         assert (out / "explanations.json").read_text(encoding="utf-8") == whole
 
+    def test_document_reads_back_as_the_batch(self, tmp_path):
+        widths, n = (4, 6, 5, 3), 2 * SLICE_ROWS + 3
+        ids = list(range(n))[::-1]
+        expl = explain_sample(widths, init_params(widths, 0, 1), np.random.default_rng(5).standard_normal((n, 4)),
+                              sample_ids=ids)
+        path = tmp_path / "explanations.json"
+        _write(path, _explanations_text(expl))
+        rows = [{"sample_id": i, "probabilities": p.tolist(), "logits": l.tolist(), "gamma": g.tolist()}
+                for i, p, l, g in zip(ids, expl["probabilities"], expl["logits"], expl["gamma"])]
+        assert json.loads(path.read_text(encoding="utf-8")) == {
+            "format": "explanations", "version": 2, "class_names": expl["class_names"],
+            "row_labels": expl["row_labels"], "rows": rows}
+
     def test_document_that_cannot_be_encoded_exits_2_and_leaves_no_part(self, tmp_path, trained_run, long_file,
                                                                         capsys, monkeypatch):
         def with_nan(expl):
@@ -1307,6 +1320,24 @@ def test_override_spelled_as_only_python_reads_it_is_refused(tmp_path, blob_file
     assert exit_info.value.code == EXIT_CONFIG
     assert f"argument {flags[0]}: {message}\n" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "explain", "compare"])
+def test_empty_out_is_refused_before_any_work(tmp_path, blob_file, trained_run, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    if command == "gen-data":
+        argv = ["gen-data", "--config", str(gen_config(tmp_path))]
+    elif command in ("eval", "explain"):
+        argv = [command, str(trained_run / "checkpoint.json"), str(blob_file)]
+    else:
+        argv = [command, str(blob_file), "--config", str(train_config(tmp_path, epochs=2))]
+    before = sorted(os.walk(tmp_path))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", ""])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert capsys.readouterr().err.endswith("argument --out: an empty path names no file\n")
+    assert sorted(os.walk(tmp_path)) == before
 
 
 def test_override_is_named_only_when_the_file_alone_is_valid(tmp_path, blob_file, capsys):

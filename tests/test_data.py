@@ -623,6 +623,13 @@ class TestChunkedFiles:
         if error is ValueError:
             assert str(raised.value).startswith(f"{path}: ")
 
+    def test_target_named_near_the_file_name_limit_is_written_and_replaced(self, tmp_path):
+        path = tmp_path / ("n" * 250)
+        for text in ("first\n", "second\n"):
+            _write(path, text)
+            assert path.read_text() == text
+            assert os.listdir(tmp_path) == [path.name]
+
 
 class TestDataset:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -24,19 +24,11 @@ def explain_one(model, x, **kwargs):
     return explain_sample(*model, np.asarray(x, dtype=float)[None], **kwargs)
 
 
-def tops(expl, i, key):
-    """Row ``i``'s top list ``key`` of each class, as (dimension, contribution) pairs."""
-    return [[(t["dimension"], t["contribution"]) for t in entries]
-            for entries in explanation_to_doc(expl)["rows"][i][key]]
-
-
 class TestExplainSample:
     def test_zero_embedding_gives_zero_contributions_and_uniform_prediction(self):
         expl = explain_one(identity_model(np.ones((3, 4))), np.zeros(3))
         assert np.array_equal(expl["gamma"][0], np.zeros((3, 4)))
         assert np.allclose(expl["probabilities"][0], 0.25, atol=1e-15)
-        assert tops(expl, 0, "top_positive") == [[], [], [], []]
-        assert tops(expl, 0, "top_negative") == [[], [], [], []]
 
     def test_figure_layout_has_nine_factor_rows_and_seven_free_rows(self):
         layout = factor_extractor(("alpha_0", "alpha_1", "alpha_2"), 16)
@@ -47,27 +39,6 @@ class TestExplainSample:
         assert len(factor_rows) == 9
         assert len(free_rows) == 7
         assert len(expl["row_labels"]) == 16
-
-    def test_top_contribution_matches_brute_force(self):
-        rng = np.random.default_rng(0)
-        head = rng.standard_normal((6, 3))
-        x = rng.standard_normal(6)
-        expl = explain_one(identity_model(head), x)
-        gamma = head * x[:, None]
-        for c in range(3):
-            best = max(range(6), key=lambda j: abs(gamma[j, c]))
-            lead = max(tops(expl, 0, "top_positive")[c] + tops(expl, 0, "top_negative")[c],
-                       key=lambda t: abs(t[1]))
-            assert lead[0] == best
-            assert lead[1] == pytest.approx(gamma[best, c], abs=1e-15)
-
-    def test_top_lists_sorted_and_capped(self):
-        expl = explain_one(identity_model(np.ones((5, 1))), np.array([3.0, -4.0, 1.0, 2.0, -0.5]))
-        (pos,) = tops(expl, 0, "top_positive")
-        (neg,) = tops(expl, 0, "top_negative")
-        assert [v for _, v in pos] == [3.0, 2.0, 1.0]
-        assert [v for _, v in neg] == [-4.0, -0.5]
-        assert len(pos) <= 3 and len(neg) <= 3
 
     def test_column_sums_equal_logits(self):
         rng = np.random.default_rng(1)
@@ -94,9 +65,6 @@ class TestExplainSample:
             alone = explain_one(model, X[i], sample_ids=[10 + i])
             assert batch["sample_ids"][i] == alone["sample_ids"][0] == 10 + i
             assert np.allclose(batch["gamma"][i], alone["gamma"][0], rtol=1e-12, atol=1e-12)
-            dims = lambda lists: [[j for j, _ in per_class] for per_class in lists]
-            assert dims(tops(batch, i, "top_positive")) == dims(tops(alone, 0, "top_positive"))
-            assert dims(tops(batch, i, "top_negative")) == dims(tops(alone, 0, "top_negative"))
 
 
 class TestCheckExplainable:
@@ -162,8 +130,7 @@ SMALL_VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 @given(st.data())
 def test_every_row_renders_as_a_brute_force_reference(data):
     """Each row's CSV text and the batch document, ties and zeros included,
-    against a reference built per row: top lists by |value| descending, then
-    by dimension, filtered by sign and capped at 3."""
+    against a reference built per row."""
     n, k, C = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
     weight = np.array(data.draw(st.lists(SMALL_VALUES, min_size=k * C, max_size=k * C))).reshape(k, C)
     X = np.array(data.draw(st.lists(SMALL_VALUES, min_size=n * k, max_size=n * k))).reshape(n, k)
@@ -173,25 +140,18 @@ def test_every_row_renders_as_a_brute_force_reference(data):
     doc = explanation_to_doc(expl)
     assert list(doc) == ["format", "version", "class_names", "row_labels", "rows"]
     assert (doc["format"], doc["version"], doc["class_names"], doc["row_labels"]) == (
-        "explanations", 1, names, labels)
+        "explanations", 2, names, labels)
     assert len(doc["rows"]) == n
     for i in range(n):
         gamma = weight * X[i][:, None]
         csv = "".join(f"{label}," + ",".join(repr(float(v)) for v in gamma[j]) + "\n"
                       for j, label in enumerate(labels))
         assert explanation_to_csv_text(expl, i) == "dimension," + ",".join(names) + "\n" + csv
-
-        def top(c, keep):
-            order = sorted(range(k), key=lambda j: (-abs(gamma[j, c]), j))
-            return [{"dimension": j, "contribution": float(gamma[j, c])}
-                    for j in order if keep(gamma[j, c])][:3]
-
         row = doc["rows"][i]
+        assert list(row) == ["sample_id", "probabilities", "logits", "gamma"]
         reference = {
             "sample_id": ids[i], "probabilities": row["probabilities"], "logits": gamma.sum(axis=0).tolist(),
             "gamma": gamma.tolist(),
-            "top_positive": [top(c, lambda v: v > 0) for c in range(C)],
-            "top_negative": [top(c, lambda v: v < 0) for c in range(C)],
         }
         assert json.dumps(row, indent=2) == json.dumps(reference, indent=2)
         shifted = np.exp(gamma.sum(axis=0) - gamma.sum(axis=0).max())
@@ -221,7 +181,7 @@ class TestExports:
         assert doc["class_names"] == ["neg", "pos"]
         assert doc["row_labels"][0] == "a:low" and len(doc["row_labels"]) == 5
         (row,) = doc["rows"]
-        assert len(row["top_positive"]) == len(row["top_negative"]) == 2
+        assert list(row) == ["sample_id", "probabilities", "logits", "gamma"]
         assert np.array(row["gamma"]).shape == (5, 2)
         total = np.array(row["logits"])
         assert np.allclose(total, expl["gamma"][0].sum(axis=0), atol=1e-15)

@@ -9,10 +9,10 @@ The bounds are about twice the peaks measured with numpy 2.4.6 on x86_64
 Linux: for a 10,000-row table of 64 features and 3 factors, ``save_dataset``
 1.0 MB and ``load_table`` 11.0 MB (of which the values and the features'
 contiguous copy are 10.5 MB); for 2,000 explained rows, writing
-``explanations.json`` 6.6 MB, which one slice's document sets; for
+``explanations.json`` 3.3 MB, which one slice's document sets; for
 ``_eval_doc`` of 10,000 rows of 64 features and 16 classes under widths
 ``(64, 32, 16)``, 13.8 MB.  Holding
-everything at once took 39.9, 25.0, 28.0 and 49.0 MB (the last with its 39.1
+everything at once took 39.9, 25.0, 12.8 and 49.0 MB (the last with its 39.1
 MB relevance).  ``forward`` through hidden layers ``(64, 64)`` holds two
 ``(10000, 64)`` arrays of 4.9 MB each and peaks at 10.9 MB; with each
 pre-activation kept it held four and peaked at 20.7 MB, so twice the peak
@@ -101,7 +101,7 @@ def test_explanations_document_is_written_a_slice_of_rows_at_a_time(tmp_path):
     rng = np.random.default_rng(0)
     model = pack([(rng.standard_normal((16, 64)) / 8, np.zeros(16))], rng.standard_normal((16, 4)))
     expl = explain_sample(*model, rng.standard_normal((2_000, 64)))
-    assert traced_peak(lambda: _write(tmp_path / "explanations.json", _explanations_text(expl))) < 13.0
+    assert traced_peak(lambda: _write(tmp_path / "explanations.json", _explanations_text(expl))) < 7.0
 
 
 def test_forward_keeps_one_array_per_hidden_layer():

@@ -23,7 +23,7 @@ EXPECTED = {
     "compare-sep/manifest.json": "d813fdc9c6f38375c4b7d14099849105baad49ee5702d3dad8b713d4d78d0b1c",
     "compare-sgd/comparison.json": "199a796fb614196a772c04d7f4caf666453d4d778b34f95d2de26216f72f66e7",
     "compare-sgd/manifest.json": "f2b97580b049a9fc3c75a23656342c4c88ba924023b4604045a4869be4016c71",
-    "explain/explanations.json": "e5a26a0bb84a89d7d74715a65cce429c70c759122106053b7f98a4f07a4f8f1b",
+    "explain/explanations.json": "2cda30a14adf1d8f0a8f15cd24aef3675061ecdc405ec89c9018a8b4b0815841",
     "explain/manifest.json": "48e44f9d30e529eb7478b8b609fc35bca93387b54e8ee24663e5547ad7ae2684",
     "explain/sample_00000.csv": "c02f86b99bfac60279b293fa4c94c53f5705efb689c92cc6bb511c4c129c7d1b",
     "explain/sample_00007.csv": "cea691a86928e14e836995662834f46b3d8111c424b8d48490d55fdd55ff87b0",
