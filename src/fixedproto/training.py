@@ -23,6 +23,7 @@ runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -136,10 +137,12 @@ def loss(y, trace, prototype, lambda_p: float):
     ``(R,)``.  ``prototype=None`` is allowed only with ``lambda_p == 0`` and
     drops the penalty term: ``proto_sq`` is 0.0 and ``grad_z`` None.
     Cross-entropy is computed from the trace's log-probabilities, so it stays
-    finite for logits up to very large magnitudes.
+    finite for logits up to very large magnitudes.  Each sum is one reduction
+    over a run's rows and columns together, and ``grad_z`` is ``diff`` times
+    one scalar.
     """
     y = np.asarray(y, dtype=np.float64)
-    ce = (-(y * trace.log_probs).sum(axis=-1)).sum(axis=-1)
+    ce = -(y * trace.log_probs).sum(axis=(-2, -1))
     scale = 1.0 / trace.probs.shape[-2]
     grad_logits = (trace.probs - y) * scale
     if prototype is None:
@@ -148,8 +151,8 @@ def loss(y, trace, prototype, lambda_p: float):
         return ce, 0.0, grad_logits, None
     p = np.asarray(prototype, dtype=np.float64)
     diff = trace.z - p
-    proto_sq = (diff * diff).sum(axis=-1).sum(axis=-1)
-    return ce, proto_sq, grad_logits, (2.0 * lambda_p) * diff * scale
+    proto_sq = (diff * diff).sum(axis=(-2, -1))
+    return ce, proto_sq, grad_logits, diff * (2.0 * lambda_p * scale)
 
 
 def mix_rows(a: np.ndarray, lam: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -180,9 +183,14 @@ class SGD:
 class Adam:
     """Adam with bias correction on the parameter vector, in place.
 
-    The first and second moments are one vector each, shaped like the
-    parameters and created at the first step, with two scratch vectors for
-    the step's temporaries (the textbook operation order, so the same bits).
+    The moments are kept rescaled, ``m = m_t / (1 - beta1)`` and ``v = v_t /
+    (1 - beta2)``, so that each step adds the gradient and its square
+    unscaled.  With ``c = sqrt((1 - beta2) / (1 - beta2**t))`` the step is
+    ``p -= lr_t * m / (sqrt(v) + eps / c)`` with ``lr_t = lr * (1 - beta1) /
+    ((1 - beta1**t) * c)``: Kingma & Ba's update, eps included, with the bias
+    corrections folded into the step size.  The moments are one vector each,
+    shaped like the parameters and created at the first step, with two
+    scratch vectors for the step's temporaries.
     """
 
     def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -201,17 +209,15 @@ class Adam:
             self.v = np.zeros_like(params)
             self.scratch = (np.empty_like(params), np.empty_like(params))
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c = math.sqrt((1.0 - self.beta2) / (1.0 - self.beta2**self.t))
+        lr_t = self.learning_rate * (1.0 - self.beta1) / ((1.0 - self.beta1**self.t) * c)
         a, b = self.scratch
         self.m *= self.beta1
-        self.m += np.multiply(grads, 1.0 - self.beta1, out=a)
+        self.m += grads
         self.v *= self.beta2
-        self.v += np.multiply(np.multiply(grads, grads, out=a), 1.0 - self.beta2, out=a)
-        # params -= lr * (m / c1) / (sqrt(v / c2) + eps)
-        a = np.multiply(np.divide(self.m, c1, out=a), self.learning_rate, out=a)
-        b = np.add(np.sqrt(np.divide(self.v, c2, out=b), out=b), self.eps, out=b)
-        params -= np.divide(a, b, out=a)
+        self.v += np.multiply(grads, grads, out=a)
+        np.add(np.sqrt(self.v, out=b), self.eps / c, out=b)
+        params -= np.divide(np.multiply(self.m, lr_t, out=a), b, out=a)
 
 
 def make_optimizer(config: TrainConfig):

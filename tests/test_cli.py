@@ -26,7 +26,7 @@ from fixedproto.prototypes import (
 )
 from fixedproto.training import TrainConfig, train_runs
 
-from util import overflowing_loss
+from util import child_env, overflowing_loss
 
 
 DROP = object()  # a test value meaning "delete this entry"
@@ -78,12 +78,6 @@ def blob_file(tmp_path):
     out = tmp_path / "data.csv"
     assert main(["gen-data", "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_OK
     return out
-
-
-def child_env():
-    """The environment of a child that imports the same package as this process, installed or not."""
-    src = os.path.dirname(os.path.dirname(fixedproto.__file__))
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 class TestGenData:
@@ -476,7 +470,25 @@ class TestEval:
         write_json(old, doc)
         assert main(["eval", str(old), str(blob_file), "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert str(old) in err and "version 1" in err
+        assert str(old) in err and "checkpoint version 1 is not supported, only versions 2 and 3" in err
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_eval_and_explain_read_checkpoint_version(self, tmp_path, blob_file, trained_run, version):
+        # Version 3 moved only the training arithmetic: a version-2 checkpoint
+        # has the same layout and gives the same report and explanations.
+        doc = json.loads((trained_run / "checkpoint.json").read_text())
+        assert doc["version"] == 3
+        doc["version"] = version
+        checkpoint = tmp_path / f"v{version}.json"
+        write_json(checkpoint, doc)
+        for path, name in ((trained_run / "checkpoint.json", "written"), (checkpoint, "edited")):
+            assert main(["eval", str(path), str(blob_file), "--out", str(tmp_path / f"{name}.json"),
+                         "--quiet"]) == EXIT_OK
+            assert main(["explain", str(path), str(blob_file), "--samples", "0,3",
+                         "--out", str(tmp_path / name), "--quiet"]) == EXIT_OK
+        assert (tmp_path / "edited.json").read_bytes() == (tmp_path / "written.json").read_bytes()
+        explanations = [(tmp_path / name / "explanations.json").read_bytes() for name in ("written", "edited")]
+        assert explanations[0] == explanations[1]
 
     @pytest.mark.parametrize("field, value, message", [
         ("class_names", ["0", "0"], "field 'class_names': class name '0' is given twice"),

@@ -3,38 +3,45 @@ benchmark's fixtures, and each output's sha256 against a constant.
 
 The constants were taken with numpy 2.4.6 on OpenBLAS 0.3.31 (DYNAMIC_ARCH,
 Haswell kernels) on x86_64 Linux; the train-factor checkpoint has the same
-bytes at 1, 2 and 4 BLAS threads.  Another numpy, BLAS or CPU may round
-differently, and then this test names each output that moved.  A change that
-moves an output's bytes on purpose updates its constant here and bumps that
-document's format version.  Manifests are hashed without their
-``created_utc`` line.
+bytes at 1, 2 and 4 BLAS threads (1 and 2 are checked below).  Another numpy,
+BLAS or CPU may round differently, and then this test names each output that
+moved.  A change that moves an output's bytes on purpose updates its constant
+here.  The checkpoint's version marks the training arithmetic: a change that
+moves a checkpoint's bytes bumps it.  The documents derived from checkpoints
+and training (history, comparison, report, explanations) keep their versions
+when only their inputs move, and change them only with their own layout.
+Manifests are hashed without their ``created_utc`` line.
 """
 
 import hashlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from fixedproto.cli import main
 
+from util import child_env
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 EXPECTED = {
-    "compare-sep/comparison.json": "0c9f73742f000d1e8b57ca9a750b65e82cae33b274065e0301f9d733a9d4eb47",
+    "compare-sep/comparison.json": "c1f0f23bc114d9dd1ee0b82ecb3eb85cbb918e31cf226f00fc73f0b9d8c14ffe",
     "compare-sep/manifest.json": "d813fdc9c6f38375c4b7d14099849105baad49ee5702d3dad8b713d4d78d0b1c",
     "compare-sgd/comparison.json": "199a796fb614196a772c04d7f4caf666453d4d778b34f95d2de26216f72f66e7",
     "compare-sgd/manifest.json": "f2b97580b049a9fc3c75a23656342c4c88ba924023b4604045a4869be4016c71",
-    "explain/explanations.json": "2cda30a14adf1d8f0a8f15cd24aef3675061ecdc405ec89c9018a8b4b0815841",
+    "explain/explanations.json": "ef5c04f85dc1c23a9d1873927bbaee1426e0ffd721241ffc57585f551c606a61",
     "explain/manifest.json": "48e44f9d30e529eb7478b8b609fc35bca93387b54e8ee24663e5547ad7ae2684",
-    "explain/sample_00000.csv": "c02f86b99bfac60279b293fa4c94c53f5705efb689c92cc6bb511c4c129c7d1b",
-    "explain/sample_00007.csv": "cea691a86928e14e836995662834f46b3d8111c424b8d48490d55fdd55ff87b0",
-    "explain/sample_00500.csv": "4c5c0c6b7339890bd12abb280026865f23d6b2fa94afb2702e552276d5ba1bf9",
+    "explain/sample_00000.csv": "9100acb5683c82fa42fc11c93ffdd2b59fa3e51b8226fdd24c5e2d417b7a1e96",
+    "explain/sample_00007.csv": "14e06a4039c1a1e5354cbc0187f89890da148058da4b9467b4bd3b8b98d16847",
+    "explain/sample_00500.csv": "6b5e1a2cee83ec6788f7b35562205f084971705cbbdde0b85adaf411601527b1",
     "factor.csv": "d96dd310e462f36f3c9b954b90b46d58f0bce4594ff138a0ab133339ddf6a6ad",
     "factor.csv.manifest.json": "b81737150f903062d6cbceeace8d2b0d31f9d2f6f3ec7e1ca48e5cf03a3f79ee",
-    "report.json": "949a348d81a2f479fa3811df50d4790314ceb72a0ee7050c4f908853fc075406",
+    "report.json": "15915af3b9e16e117902f206f423477f1eef0cc98e6157a6b73c469e39a9b028",
     "sep.csv": "2b280ab04bf94cd506c63cddf85e1f7c30f83c41483f4f709eb335c623bc64b2",
     "sep.csv.manifest.json": "c5c20af2eee5758eb05fe93b1cb49471b3523fa41c5338d0ab6158039a8d4941",
-    "train/checkpoint.json": "a7d601cc5bcd309b88491eb2458fdaf007bfc3e2f32d94b6622fbe6571922247",
-    "train/history.json": "ac18429b02a3984085c3564855d8e4b77e9ecf2b744a196c25e1db029e977a6c",
+    "train/checkpoint.json": "19acbc88d68259aa991f6177aec9d56d3840d7135b2a0292e5e7a4409c559b73",
+    "train/history.json": "02bbf96ad34dc790e3e00106bd320316e8b740b4efb192b5d8f5db4ff94c5988",
     "train/manifest.json": "d95addbc164e595cb467e9eb94a02070ad3bcd3fd58e3d8f6110adcbdeefc570",
 }
 
@@ -82,3 +89,21 @@ def test_every_output_keeps_its_bytes(tmp_path, monkeypatch):
     moved = sorted(name for name in EXPECTED.keys() | found.keys() if found.get(name) != EXPECTED.get(name))
     assert not moved, "outputs whose bytes moved: " + ", ".join(
         f"{name} (expected {EXPECTED.get(name)}, got {found.get(name)})" for name in moved)
+
+
+def test_train_checkpoint_is_the_same_at_1_and_2_blas_threads(tmp_path):
+    # Criterion 8 across BLAS thread counts: train-factor's ``train``, each in
+    # a child process that reads OPENBLAS_NUM_THREADS as numpy loads.
+    wl = load_workloads()
+    data = tmp_path / "factor.csv"
+    config = wl.write_json(tmp_path / "factor.gen.json", {**wl.FACTOR_DATA, "seed": 200})
+    assert main(["gen-data", "--config", config, "--out", str(data), "--quiet"]) == 0
+    config = wl.write_json(tmp_path / "train.json", wl.FACTOR_TRAIN)
+    digests = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"train-{threads}"
+        subprocess.run([sys.executable, "-m", "fixedproto.cli", "train", str(data), "--config", config,
+                        "--out", str(out), "--quiet"], env=child_env(OPENBLAS_NUM_THREADS=threads),
+                       check=True, timeout=300)
+        digests[threads] = digest(out / "checkpoint.json")
+    assert digests["1"] == digests["2"], digests

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,6 +102,23 @@ class TestLoss:
         else:
             assert np.allclose(grad_z, num[1], atol=1e-8)
 
+    def test_sums_match_an_exact_sum_over_rows(self):
+        # A stack of three runs and each run alone, against math.fsum of the
+        # same float64 products over every row and column.
+        rng = np.random.default_rng(6)
+        logits = 5.0 * rng.standard_normal((3, 32, 4))
+        z, p = rng.standard_normal((2, 3, 32, 16))
+        y = rng.dirichlet(np.ones(4), size=(3, 32))
+        stacked = loss(y, fake_trace(logits, z), p, lambda_p=0.25)
+        for r in range(3):
+            log_probs = fake_trace(logits[r], z[r]).log_probs
+            exact_ce = -math.fsum((y[r] * log_probs).ravel())
+            exact_sq = math.fsum(((z[r] - p[r]) * (z[r] - p[r])).ravel())
+            alone = loss(y[r], fake_trace(logits[r], z[r]), p[r], lambda_p=0.25)
+            for ce, proto_sq in ((stacked[0][r], stacked[1][r]), alone[:2]):
+                assert abs(ce - exact_ce) <= 1e-12 * abs(exact_ce)
+                assert abs(proto_sq - exact_sq) <= 1e-12 * exact_sq
+
     def test_prototype_requires_lambda(self):
         trace = fake_trace([0.0, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError):
@@ -156,7 +174,8 @@ class PerArraySGD:
 
 
 class PerArrayAdam:
-    """Reference: Adam with per-array moments, updated one array at a time."""
+    """Reference: Adam with per-array moments, updated one array at a time;
+    the moments are kept divided by ``1 - beta``, as ``Adam`` keeps them."""
 
     def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
         self.learning_rate, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
@@ -168,14 +187,14 @@ class PerArrayAdam:
             self.m = [np.zeros_like(p) for p in arrays]
             self.v = [np.zeros_like(p) for p in arrays]
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c = np.sqrt((1.0 - self.beta2) / (1.0 - self.beta2**self.t))
+        lr_t = self.learning_rate * (1.0 - self.beta1) / ((1.0 - self.beta1**self.t) * c)
         for p, g, m, v in zip(arrays, grads, self.m, self.v):
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += g
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            v += g * g
+            p -= lr_t * m / (np.sqrt(v) + self.eps / c)
 
 
 class TestOptimizers:
@@ -231,10 +250,39 @@ class TestOptimizers:
             g = rng.standard_normal(500) * 10.0 ** rng.integers(-3, 3, size=500)
             p = np.zeros(500)
             opt.step(p, g)
-            m = m * b1 + (1.0 - b1) * g
-            v = v * b2 + (1.0 - b2) * (g * g)
-            expect = -(lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps))
+            m = m * b1 + g
+            v = v * b2 + g * g
+            c = np.sqrt((1.0 - b2) / (1.0 - b2**t))
+            expect = -(lr * (1.0 - b1) / ((1.0 - b1**t) * c) * m / (np.sqrt(v) + eps / c))
             assert p.tobytes() == expect.tobytes(), t
+
+    def test_adam_matches_kingma_and_ba_algorithm_1(self):
+        # 2,000 steps, each from zero parameters, against Algorithm 1 of Kingma
+        # & Ba as written: per-element gradient scales from 1e-9 to 1e2, and a
+        # block at scale eps, where sqrt(v_hat) ~ eps.  Where the gradients
+        # cancel in m, both float64 expressions lose the same digits of m, so
+        # the error is taken relative to the update that |g| would give.
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(4)
+        scales = np.concatenate([10.0 ** rng.uniform(-9, 2, size=400), np.full(100, eps)])
+        opt = Adam(lr, b1, b2, eps)
+        m = v = m_abs = np.zeros(500)
+        near_eps = 0
+        for t in range(1, 2001):
+            g = scales * rng.standard_normal(500)
+            p = np.zeros(500)
+            opt.step(p, g)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g**2
+            m_abs = b1 * m_abs + (1 - b1) * np.abs(g)
+            m_hat, v_hat = m / (1 - b1**t), v / (1 - b2**t)
+            denominator = np.sqrt(v_hat) + eps
+            error = np.abs(-p - lr * m_hat / denominator)
+            assert np.all(error <= 1e-12 * lr * m_abs / (1 - b1**t) / denominator), t
+            near_eps += np.count_nonzero(np.abs(np.sqrt(v_hat) / eps - 1) < 0.5)
+        assert near_eps > 100 * 1000
+        assert np.all(np.abs(opt.m * (1 - b1) - m) <= 1e-12 * m_abs)
+        assert np.all(np.abs(opt.v * (1 - b2) - v) <= 1e-12 * v)
 
     def test_adam_matches_hand_rolled_two_steps(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
@@ -389,14 +437,13 @@ def reference_train(dataset, extractor, config, val=None):
             trace = forward(widths, params, xb)
             shifted = trace.logits - trace.logits.max(axis=-1, keepdims=True)
             logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-            ce = -(yb * logp).sum(axis=-1)
             scale = 1.0 / idx.size
             extra = None
             if tb is not None:
                 diff = trace.z - extractor.extract_batch(tb)
-                proto_sum += float(np.sum((diff * diff).sum(axis=-1)))
-                extra = (2.0 * lambda_p) * diff * scale
-            ce_sum += float(np.sum(ce))
+                proto_sum += float(np.sum(diff * diff))
+                extra = diff * (2.0 * lambda_p * scale)
+            ce_sum += float(-np.sum(yb * logp))
             opt.step(params, backward(trace, (trace.probs - yb) * scale, extra))
         ce_mean, proto_mean = ce_sum / n, proto_sum / n
         val_accuracy = None if val is None else accuracy(forward(widths, params, val.X).probs, val.Y)

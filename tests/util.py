@@ -1,10 +1,13 @@
 """Shared test helpers: finite-difference oracle, error measures, hand-made
 models and datasets, a factor-coded extractor for layout tests, the
-generator's levels read back from its factor values, and a loss whose epoch
-sums overflow."""
+generator's levels read back from its factor values, a loss whose epoch
+sums overflow, and the environment of a child process."""
+
+import os
 
 import numpy as np
 
+import fixedproto
 from fixedproto.data import LEVEL_BANDS, Dataset
 from fixedproto.prototypes import FactorCodedExtractor, FactorCoder
 
@@ -90,3 +93,11 @@ def overflowing_loss(threshold=-np.inf):
         grad_z = None if prototype is None else np.zeros_like(trace.z)
         return np.where(marked, 1e308, 1.0), 0.0, np.zeros_like(trace.probs), grad_z
     return fake
+
+
+def child_env(**extra):
+    """The environment of a child that imports the same package as this
+    process, installed or not, with ``extra`` set on top."""
+    src = os.path.dirname(os.path.dirname(fixedproto.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            **extra}
