@@ -58,7 +58,7 @@ EXIT_DIVERGENCE = 3
 EXIT_IO = 4
 
 CHECKPOINT_FORMAT = "model-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # The largest model ``train`` and ``compare`` build: 10**8 float64 parameters
 # are 0.8 GB, and training holds six vectors of that size (the parameters, the
@@ -271,9 +271,9 @@ def _load_checkpoint(path):
         raise ConfigError(f"{path}: field 'format': not a {CHECKPOINT_FORMAT} document: {doc.get('format')!r}")
     try:
         version = json_field(doc, "version", int)
-        if version not in (2, CHECKPOINT_VERSION):  # version 3 moved training's bits, not the layout
+        if version not in (2, 3, CHECKPOINT_VERSION):  # versions 3 and 4 moved training's bits, not the layout
             raise ValueError(f"field 'version': checkpoint version {version} is not supported, "
-                             f"only versions 2 and {CHECKPOINT_VERSION}; retrain to write one")
+                             f"only versions 2, 3 and {CHECKPOINT_VERSION}; retrain to write one")
         if json_field(doc, "seed", int) < 0:
             raise ValueError(f"field 'seed' is {doc['seed']}, expected an integer >= 0")
         for key, what, prefix in (("class_names", "class name", ""), ("factor_names", "factor name", "alpha_")):

@@ -15,7 +15,8 @@ of a run's epochs.  It is the one-run case of ``train_runs``, the one
 minibatch loop, which trains R runs of equal shapes as one stack of
 parameter vectors with each run's bits unchanged.  A row's prototype target
 is one more part of the row: each epoch a run's inputs, labels and targets
-form one block, and each batch is one slice of it, mixed once.
+form one block, and each batch is one slice of it, mixed once with each
+run's mixup draws, which are taken once per epoch.
 ``TrainConfig`` checks every field's type (an integer field takes no bool
 or float), so a mistyped config fails naming the field before anything
 runs.
@@ -160,7 +161,8 @@ def mix_rows(a: np.ndarray, lam: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
     Row ``i`` becomes ``lam[i] * a[i] + (1 - lam[i]) * a[perm[i]]``.  For a
     stack ``(R, n, ...)``, ``lam`` and ``perm`` are ``(R, n)`` and row ``i``
-    of run ``r`` mixes with row ``perm[r, i]`` of the same run.  Works on
+    of run ``r`` mixes with row ``perm[r, i]`` of the same run; training
+    passes a batch's slice of each run's epoch draws.  Works on
     inputs, labels and (soft) level codes alike.  Factors must be coded
     before mixing: mixing raw values and re-discretizing would break the
     linearity of the prototypes.
@@ -285,9 +287,12 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
     epoch: its inputs, labels and prototype targets side by side as columns,
     gathered in its own shuffled order (a class-orthogonal run's targets are
     its labels, again; a run without a prototype term has none), so each
-    batch is one slice of the stacked blocks.  Per batch: mix the slice once,
-    each run's rows with its own draws (with mixup), forward the stack's
-    inputs, look up each run's fixed prototypes from its targets, take the
+    batch is one slice of the stacked blocks.  With mixup, each run draws
+    per epoch each batch's partner permutation (one ``permuted`` over the
+    full batches, one ``permutation`` for a short last one), then one
+    Beta(alpha, alpha) weight per row.  Per batch: mix the slice once, each
+    run's rows with its slice of those draws, forward the stack's inputs,
+    look up each run's fixed prototypes from its targets, take the
     per-run losses, and take one optimizer step on the stack; the optimizers
     are elementwise, so each row steps as it would alone.  The minibatch
     pass and each run's full-set and validation passes reuse their previous
@@ -330,7 +335,7 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
     # epoch: R of them would hold R times the memory.
     shown = np.empty_like(params[0])
     rng_shuffle = [np.random.default_rng(s[2]) for s in seeds]
-    rng_mix = [np.random.default_rng(s[3]) for s in seeds]
+    rng_mix = [np.random.default_rng(s[3]) for s in seeds] if config.mixup_alpha > 0 else []
     opt = make_optimizer(config)
 
     n, p = datasets[0].X.shape
@@ -340,6 +345,12 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
     # inputs, the labels, then the prototype targets flattened (none for a
     # run without a prototype term), so that a batch is one slice.
     block = np.empty((R, n, p + C + d))
+    # Each epoch's mixup draws, one row per run: each batch's partner
+    # permutation, of indices within the batch, then one Beta(alpha, alpha)
+    # weight per row.
+    bs, alpha = config.batch_size, config.mixup_alpha
+    full, tail = divmod(n, bs)
+    perms, lams = np.empty((R, n), dtype=np.intp), np.empty((R, n))
     rows = [[] for _ in runs]
     failed = {}  # run -> the error training it alone raises
     trace = full_trace = val_trace = None
@@ -350,16 +361,20 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
             block[r, :, p:p + C] = ds.Y[order]
             if d:
                 block[r, :, p + C:] = t[order].reshape(n, d)
+        for r, rng in enumerate(rng_mix):
+            if full:
+                rng.permuted(np.broadcast_to(np.arange(bs), (full, bs)), axis=1,
+                             out=perms[r, :n - tail].reshape(full, bs))
+            if tail:
+                perms[r, n - tail:] = rng.permutation(tail)
+            lams[r] = rng.beta(alpha, alpha, size=n)
         ce_sum = np.zeros(R)
         proto_sum = np.zeros(R)
-        for batch_i, start in enumerate(range(0, n, config.batch_size)):
-            batch = block[:, start:start + config.batch_size]
+        for batch_i, start in enumerate(range(0, n, bs)):
+            batch = block[:, start:start + bs]
             size = batch.shape[1]
-            if config.mixup_alpha > 0:
-                draws = [(rng.permutation(size), rng.beta(config.mixup_alpha, config.mixup_alpha, size=size))
-                         for rng in rng_mix]
-                perms, lams = map(np.array, zip(*draws))
-                batch = mix_rows(batch, lams, perms)
+            if alpha > 0:
+                batch = mix_rows(batch, lams[:, start:start + bs], perms[:, start:start + bs])
             # The labels as one contiguous copy: ``loss`` runs two elementwise
             # passes over them, which are slower on a strided column view.
             xb, yb = batch[..., :p], batch[..., p:p + C].copy()

@@ -470,14 +470,29 @@ class TestEval:
         write_json(old, doc)
         assert main(["eval", str(old), str(blob_file), "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert str(old) in err and "checkpoint version 1 is not supported, only versions 2 and 3" in err
+        assert str(old) in err and "checkpoint version 1 is not supported, only versions 2, 3 and 4" in err
 
-    @pytest.mark.parametrize("version", [2, 3])
-    def test_eval_and_explain_read_checkpoint_version(self, tmp_path, blob_file, trained_run, version):
-        # Version 3 moved only the training arithmetic: a version-2 checkpoint
-        # has the same layout and gives the same report and explanations.
+    @pytest.mark.parametrize("version", [0, 1, 5, -1, 2**64], ids=["0", "1", "5", "-1", "2**64"])
+    def test_other_checkpoint_versions_exit_2_naming_file_and_version(self, tmp_path, blob_file, trained_run,
+                                                                      capsys, version):
         doc = json.loads((trained_run / "checkpoint.json").read_text())
-        assert doc["version"] == 3
+        doc["version"] = version
+        other = tmp_path / "other.json"
+        write_json(other, doc)
+        for command in (["eval", str(other), str(blob_file)],
+                        ["explain", str(other), str(blob_file), "--samples", "0", "--out", str(tmp_path / "x")]):
+            assert main([*command, "--quiet"]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith(f"error: {other}: "), err
+            assert f"field 'version': checkpoint version {version} is not supported" in err
+
+    @pytest.mark.parametrize("version", [2, 3, 4])
+    def test_eval_and_explain_read_checkpoint_version(self, tmp_path, blob_file, trained_run, version):
+        # Versions 3 and 4 moved only the training arithmetic: a version-2 or
+        # version-3 checkpoint has the same layout and gives the same report
+        # and explanations.
+        doc = json.loads((trained_run / "checkpoint.json").read_text())
+        assert doc["version"] == 4
         doc["version"] = version
         checkpoint = tmp_path / f"v{version}.json"
         write_json(checkpoint, doc)

@@ -7,9 +7,11 @@ bytes at 1, 2 and 4 BLAS threads (1 and 2 are checked below).  Another numpy,
 BLAS or CPU may round differently, and then this test names each output that
 moved.  A change that moves an output's bytes on purpose updates its constant
 here.  The checkpoint's version marks the training arithmetic: a change that
-moves a checkpoint's bytes bumps it.  The documents derived from checkpoints
-and training (history, comparison, report, explanations) keep their versions
-when only their inputs move, and change them only with their own layout.
+moves a checkpoint's bytes bumps it.  Version 4 marks mixup's draw order, so
+the train-factor checkpoint, trained without mixup, moved by its version
+field alone.  The documents derived from checkpoints and training (history,
+comparison, report, explanations) keep their versions when only their inputs
+move, and change them only with their own layout.
 Manifests are hashed without their ``created_utc`` line.
 """
 
@@ -26,9 +28,9 @@ from util import child_env
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 EXPECTED = {
-    "compare-sep/comparison.json": "c1f0f23bc114d9dd1ee0b82ecb3eb85cbb918e31cf226f00fc73f0b9d8c14ffe",
+    "compare-sep/comparison.json": "13de3671968c98b646e2fcb68f5d02d9bb72ed9c7b00c18742d04b127370ecaa",
     "compare-sep/manifest.json": "d813fdc9c6f38375c4b7d14099849105baad49ee5702d3dad8b713d4d78d0b1c",
-    "compare-sgd/comparison.json": "199a796fb614196a772c04d7f4caf666453d4d778b34f95d2de26216f72f66e7",
+    "compare-sgd/comparison.json": "82952ccf2707fa7912fa903856d260b7e04f964f919995a4fa6ccb86eac173b5",
     "compare-sgd/manifest.json": "f2b97580b049a9fc3c75a23656342c4c88ba924023b4604045a4869be4016c71",
     "explain/explanations.json": "ef5c04f85dc1c23a9d1873927bbaee1426e0ffd721241ffc57585f551c606a61",
     "explain/manifest.json": "48e44f9d30e529eb7478b8b609fc35bca93387b54e8ee24663e5547ad7ae2684",
@@ -40,7 +42,7 @@ EXPECTED = {
     "report.json": "15915af3b9e16e117902f206f423477f1eef0cc98e6157a6b73c469e39a9b028",
     "sep.csv": "2b280ab04bf94cd506c63cddf85e1f7c30f83c41483f4f709eb335c623bc64b2",
     "sep.csv.manifest.json": "c5c20af2eee5758eb05fe93b1cb49471b3523fa41c5338d0ab6158039a8d4941",
-    "train/checkpoint.json": "19acbc88d68259aa991f6177aec9d56d3840d7135b2a0292e5e7a4409c559b73",
+    "train/checkpoint.json": "cd753ac440298b8b82a4c06a506832bf8301ce150adc34b457a27518a88f554b",
     "train/history.json": "02bbf96ad34dc790e3e00106bd320316e8b740b4efb192b5d8f5db4ff94c5988",
     "train/manifest.json": "d95addbc164e595cb467e9eb94a02070ad3bcd3fd58e3d8f6110adcbdeefc570",
 }

@@ -411,7 +411,11 @@ def reference_train(dataset, extractor, config, val=None):
     """Reference: the training loop with per-batch fancy indexing of the
     inputs, labels and targets, a log-softmax computed apart from the
     forward pass, and a fresh forward pass (no ``into``) for every batch and
-    accuracy.  Returns (parameter vector, history)."""
+    accuracy.  With mixup, each epoch draws each batch's partner
+    permutation in turn, then one weight per row (the trainer's one
+    ``permuted`` call over its full batches draws the same stream); a
+    batch's partners are dataset rows reached through ``order``.  Returns
+    (parameter vector, history)."""
     lambda_p = config.effective_lambda() if config.uses_prototypes else 0.0
     targets = extractor.targets(dataset) if config.uses_prototypes else None
     emb_seed, clf_seed, shuffle_seed, mix_seed = np.random.SeedSequence(config.seed).spawn(4)
@@ -423,17 +427,22 @@ def reference_train(dataset, extractor, config, val=None):
     rows = []
     for epoch in range(config.epochs):
         order = rng_shuffle.permutation(n)
+        if config.mixup_alpha > 0:
+            batch_perms = [rng_mix.permutation(min(config.batch_size, n - start))
+                           for start in range(0, n, config.batch_size)]
+            lams = rng_mix.beta(config.mixup_alpha, config.mixup_alpha, size=n)
         ce_sum = proto_sum = 0.0
-        for start in range(0, n, config.batch_size):
+        for batch_i, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
             xb, yb = X[idx], Y[idx]
             tb = None if targets is None else targets[idx]
             if config.mixup_alpha > 0:
-                perm = rng_mix.permutation(idx.size)
-                lam = rng_mix.beta(config.mixup_alpha, config.mixup_alpha, size=idx.size)
-                xb, yb = mix_rows(xb, lam, perm), mix_rows(yb, lam, perm)
+                partner = order[start + batch_perms[batch_i]]
+                w = lams[start : start + idx.size, None]
+                xb, yb = w * xb + (1.0 - w) * X[partner], w * yb + (1.0 - w) * Y[partner]
                 if tb is not None:
-                    tb = mix_rows(tb, lam, perm)
+                    w = w.reshape(-1, *(1,) * (tb.ndim - 1))
+                    tb = w * tb + (1.0 - w) * targets[partner]
             trace = forward(widths, params, xb)
             shifted = trace.logits - trace.logits.max(axis=-1, keepdims=True)
             logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -526,6 +535,39 @@ def test_a_stack_gives_each_run_its_bits_alone(seeds, optimizer, mixup_alpha, ki
             alone_history["rows"] = [{**row, "train_accuracy": None, "val_accuracy": None}
                                      for row in earlier] + [last]
         assert json.dumps(history) == json.dumps(alone_history)
+
+
+def test_mixup_draws_a_fixed_number_of_times_per_epoch(monkeypatch):
+    # Each run's mixing generator is its config seed's fourth child stream.
+    # Its calls per epoch do not grow with the number of batches: 72 rows
+    # make 15, 11 and 2 batches at these sizes, each with a short last one.
+    real_rng = np.random.default_rng
+    made = []
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self.seed, self.rng, self.calls = seed, real_rng(seed), 0
+            made.append(self)
+
+        def __getattr__(self, name):
+            method = getattr(self.rng, name)
+
+            def counted(*args, **kwargs):
+                self.calls += 1
+                return method(*args, **kwargs)
+            return counted
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    epochs, seeds = 3, (0, 1)
+    calls = {}
+    for batch_size in (5, 7, 50):
+        made.clear()
+        train_runs([stack_run(seed, "class-orthogonal", epochs=epochs, batch_size=batch_size,
+                              mixup_alpha=0.3) for seed in seeds])
+        calls[batch_size] = [g.calls / epochs for g in made
+                             if isinstance(g.seed, np.random.SeedSequence) and g.seed.spawn_key == (3,)]
+    assert calls[5] == calls[7] == calls[50] and len(calls[5]) == len(seeds), calls
+    assert all(count <= 3 for count in calls[5]), calls
 
 
 @pytest.mark.parametrize("field, value", [("epochs", 3), ("learning_rate", 0.5), ("optimizer", "sgd"),
