@@ -36,10 +36,11 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import __version__
-from .data import (Dataset, RowOutOfRange, SynthConfig, _check_names, _number, config_from_doc, config_to_doc,
-                   generate_synthetic, json_field, json_numbers, load_table, save_dataset, split, write_text)
-from .explain import (check_explainable, explain_sample, explanation_slices, explanation_to_csv_text,
-                      explanation_to_doc)
+from .data import (Dataset, RowOutOfRange, SynthConfig, _check_names, _number, _split_ids, config_from_doc,
+                   config_to_doc, generate_synthetic, json_field, json_numbers, load_table, save_dataset, split,
+                   write_text)
+from .explain import (NOT_FINITE, check_explainable, explain_sample, explanation_slices, explanation_to_csv_text,
+                      explanation_to_doc, finite_rows)
 from .metrics import (accuracy, disentanglement_report, joint_probability_table, separation_report,
                       zero_block_activity)
 from .model import forward, param_count, param_views
@@ -64,8 +65,10 @@ CHECKPOINT_VERSION = 4
 # are 0.8 GB, and training holds six vectors of that size (the parameters, the
 # gradient, Adam's two moments and two scratch vectors).  A stack of R runs
 # holds six of R times that size (and one of one run's size for the per-run
-# accuracy passes), so ``compare`` stacks at most ``MAX_PARAMETERS``
-# parameters.
+# accuracy passes of the epochs before the last), so ``compare`` stacks at
+# most ``MAX_PARAMETERS`` parameters.  The last epoch's scoring passes, the
+# only ones ``compare`` runs, come after the gradient and Adam's vectors are
+# freed.
 MAX_PARAMETERS = 10**8
 
 # The most runs ``compare`` trains as one stack: 3 runs sharing each step's
@@ -400,7 +403,7 @@ def cmd_train(args) -> int:
 
 def _eval_doc(widths, params, extractor, dataset: Dataset) -> dict:
     with np.errstate(over="ignore", invalid="ignore"):  # check_explainable reports what overflows
-        trace = forward(widths, params, dataset.X)
+        trace = forward(widths, params, dataset.X, keep_inputs=False)
     check_explainable(param_views(widths, params)[1], trace)
     disentanglement = None
     joint = None
@@ -562,7 +565,9 @@ def _comparison_runs(dataset: Dataset, configs) -> list:
     its held-out split.
 
     A run that cannot be set up raises its ``DataError`` before the stack
-    trains.  Training scores each run once, after its last epoch, and only on
+    trains, and so does a held-out row beyond a trained run's range, whose
+    logits or embedding's squared norm are not finite, before any of it is
+    scored.  Training scores each run once, after its last epoch, and only on
     its training split: the held-out split is scored here, once.
     """
     runs = [_training_run(dataset, config) for config in configs]
@@ -570,7 +575,13 @@ def _comparison_runs(dataset: Dataset, configs) -> list:
     results = train_runs(without_val, score_every_epoch=False)
     records = []
     for (_, extractor, config, val_set), (widths, params, history) in zip(runs, results):
-        trace = forward(widths, params, val_set.X)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            trace = forward(widths, params, val_set.X, keep_inputs=False)
+            finite = finite_rows(trace.z, trace.logits)
+        if not finite.all():
+            row = _split_ids(dataset, config.train_fraction, config.seed)[1][np.argmin(finite)]
+            raise DataError(f"sample {row}, held out by seed {config.seed}, is beyond the model's range: "
+                            f"{NOT_FINITE}")
         sep = separation_report(trace.z, val_set.Y, _prototypes(extractor, val_set))
         records.append({
             "seed": config.seed,

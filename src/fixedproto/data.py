@@ -561,6 +561,12 @@ def split(dataset: Dataset, train_fraction: float, seed) -> tuple:
     side, so per-class proportions hold within one sample.  Indices within
     each side stay in original order.
     """
+    train_ids, val_ids = _split_ids(dataset, train_fraction, seed)
+    return dataset.subset(train_ids), dataset.subset(val_ids)
+
+
+def _split_ids(dataset: Dataset, train_fraction: float, seed) -> tuple:
+    """The sorted row indices of ``split``'s two sides."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be strictly between 0 and 1")
     rng = np.random.default_rng(seed)
@@ -574,7 +580,5 @@ def split(dataset: Dataset, train_fraction: float, seed) -> tuple:
         n_train = int(np.clip(round(train_fraction * members.size), 1, members.size - 1))
         train_ids.extend(perm[:n_train])
         val_ids.extend(perm[n_train:])
-    train_ids = np.sort(np.asarray(train_ids))
-    val_ids = np.sort(np.asarray(val_ids))
-    return dataset.subset(train_ids), dataset.subset(val_ids)
+    return np.sort(np.asarray(train_ids)), np.sort(np.asarray(val_ids))
 

@@ -28,6 +28,15 @@ RELEVANCE_TOL = 1e-9
 # in ``eval``, the relevance of a large batch is ever built whole.
 SLICE_ROWS = 256
 
+# Why a row that ``finite_rows`` rejects is beyond the model's range.
+NOT_FINITE = "its logits or its embedding's squared norm are not finite"
+
+
+def finite_rows(z, logits) -> np.ndarray:
+    """Whether each row's logits and embedding's squared norm (which the
+    metrics take) are finite; overflow warns unless ``np.errstate`` holds it."""
+    return np.isfinite((z * z).sum(axis=1)) & np.isfinite(logits).all(axis=1)
+
 
 def check_explainable(head, trace, sample_ids=None) -> np.ndarray:
     """The relevance sums ``(n, C)`` of ``trace``'s rows under ``head``: the
@@ -57,13 +66,13 @@ def check_explainable(head, trace, sample_ids=None) -> np.ndarray:
             gamma = relevance(head, z)
             sums[rows] = gamma.sum(axis=1)
             gap = np.abs(sums[rows] - logits).max(axis=1, initial=0.0)
-            finite = np.isfinite((z * z).sum(axis=1)) & np.isfinite(logits).all(axis=1)
+            finite = finite_rows(z, logits)
             size = np.abs(gamma, out=gamma).sum(axis=1).max(axis=1, initial=0.0)
         bad = np.flatnonzero(~(finite & (size <= limit) & (gap <= RELEVANCE_TOL)))
         if bad.size:
             i = int(bad[0])
             if not finite[i]:
-                why = "its logits or its embedding's squared norm are not finite"
+                why = NOT_FINITE
             elif size[i] > limit:
                 why = (f"its relevance sums miss its logits by up to {reach * size[i]:.3e}, more than "
                        f"{RELEVANCE_TOL}: a class's sum of absolute contributions is {size[i]:.3e}, "
@@ -90,7 +99,7 @@ def explain_sample(widths, params, X, sample_ids=None, layout=None, class_names=
     model's range, so nothing built on a broken decomposition gets out.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # check_explainable reports what overflows
-        trace = forward(widths, params, X)
+        trace = forward(widths, params, X, keep_inputs=False)
     n = trace.z.shape[0]
     sample_ids = range(n) if sample_ids is None else sample_ids
     if len(sample_ids) != n:

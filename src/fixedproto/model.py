@@ -30,7 +30,11 @@ array, its activation, and ``backward`` takes the ReLU mask from it
 ``forward(..., into=trace)`` overwrites an earlier trace's arrays when the
 input shape matches, so a loop allocates them once, and hands on the
 gradient vector that ``backward`` writes, so a loop allocates it once per
-model.
+model.  Only ``backward`` reads the layer inputs: a pass that never calls
+it (``eval``, ``explain`` and ``compare``'s held-out scoring) runs
+``forward(..., keep_inputs=False)``, which keeps none, so each hidden layer
+is freed once the next one is made.  It runs the same operations on the
+same arrays, so its results have the same bits.
 """
 
 from __future__ import annotations
@@ -114,7 +118,7 @@ class ForwardTrace:
     widths: tuple
     params: np.ndarray
     views: tuple  # param_views(widths, params)
-    inputs: list  # activations entering each layer, batched
+    inputs: list  # activations entering each layer, batched; none for inference
     z: np.ndarray
     logits: np.ndarray
     probs: np.ndarray
@@ -122,7 +126,7 @@ class ForwardTrace:
     grad: tuple | None = None  # (vector, param_views(widths, vector))
 
 
-def forward(widths, params, X, into=None) -> ForwardTrace:
+def forward(widths, params, X, into=None, *, keep_inputs=True) -> ForwardTrace:
     """Run the embedder and head on a batch (n, input_dim), caching what backward needs.
 
     For a stack of parameter vectors ``(R, P)`` the batch is ``(R, n,
@@ -131,7 +135,10 @@ def forward(widths, params, X, into=None) -> ForwardTrace:
     arrays, ``z`` and ``logits`` are written into its arrays (same values as
     fresh ones; ``into`` is stale afterwards); else they are new.  A trace of
     this parameter array and these widths hands on its gradient vector
-    either way.
+    either way.  With ``keep_inputs=False`` the pass is for inference: the
+    trace keeps no layer inputs, so each hidden layer is dropped once the
+    next one exists, and ``backward`` refuses it; the results have the same
+    bits.
     """
     widths = tuple(widths)
     same_model = into is not None and into.params is params and into.widths == widths
@@ -142,11 +149,12 @@ def forward(widths, params, X, into=None) -> ForwardTrace:
     if A.ndim != len(runs) + 2 or A.shape[:-2] != runs or A.shape[-1] != widths[0]:
         raise ValueError(f"input has shape {A.shape}, embedder expects "
                          f"({', '.join([*map(str, runs), 'n', str(widths[0])])})")
-    reuse = same_model and into.inputs[0].shape == A.shape
+    reuse = same_model and len(into.inputs) > 0 and into.inputs[0].shape == A.shape
     out = [*into.inputs[1:], into.z] if reuse else [None] * len(layers)
     inputs = []
     for i, ((weight, bias), A_out) in enumerate(zip(layers, out)):
-        inputs.append(A)
+        if keep_inputs:
+            inputs.append(A)
         A = np.matmul(A, weight.swapaxes(-1, -2), out=A_out)
         A += bias[..., None, :]
         if i < len(layers) - 1:
@@ -168,6 +176,9 @@ def backward(trace: ForwardTrace, grad_logits, grad_z_extra=None) -> np.ndarray:
     allocated at the first call for this model.
     """
     layers, head = trace.views
+    if len(trace.inputs) != len(layers):
+        raise ValueError("the trace was made for inference (forward(..., keep_inputs=False)) and "
+                         "keeps no layer inputs to take the gradient from")
     gL = np.asarray(grad_logits, dtype=np.float64)
     if gL.shape != trace.logits.shape:
         raise ValueError(f"grad_logits has shape {gL.shape}, expected {trace.logits.shape}")

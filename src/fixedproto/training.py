@@ -296,7 +296,10 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
     per-run losses, and take one optimizer step on the stack; the optimizers
     are elementwise, so each row steps as it would alone.  The minibatch
     pass and each run's full-set and validation passes reuse their previous
-    trace (``forward(into=)``).  Extractors are read-only throughout.
+    trace (``forward(into=)``).  The last epoch's full-set and validation
+    passes run after the epoch block, the mixup draws, the minibatch trace
+    with its gradient and the optimizer's vectors are freed.  Extractors are
+    read-only throughout.
 
     With ``score_every_epoch=False`` the full-set and validation passes run
     after the last epoch only: the other rows keep their losses and carry
@@ -393,6 +396,11 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
             ce_sum += ce
             proto_sum += proto_sq
             opt.step(params, backward(trace, grad_logits, grad_z))
+        if epoch == config.epochs - 1:
+            # The last scoring passes read only the parameters, so the block
+            # (with the batch views of it), the draws, the minibatch trace
+            # with its gradient and the optimizer's vectors go first.
+            block = batch = xb = tb = t = perms = lams = trace = opt = None
         # The last step's loss was finite, its update need not be.
         _fail(failed, ~np.isfinite(params).all(axis=1), lambda r: DivergenceError(epoch, batch_i, None))
         # Each batch's mean was finite, the epoch's sums need not be.

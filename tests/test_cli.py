@@ -1120,6 +1120,27 @@ class TestCompare:
             (line,) = [line for line in lines if line.startswith(f"{name} ")]
             assert f"{system['accuracy_mean']:.4f} ± {system['accuracy_std']:.4f}" in line
 
+    def test_held_out_row_beyond_the_model_names_the_file_and_row(self, tmp_path, capsys):
+        # Row 1 is in seed 0's held-out split, so training never sees it:
+        # its embedding overflows only when the held-out split is scored.
+        config = gen_config(tmp_path, class_count=3, input_dim=5, samples_per_class=20, seed=1)
+        data = tmp_path / "data.csv"
+        assert main(["gen-data", "--config", str(config), "--out", str(data), "--quiet"]) == EXIT_OK
+        lines = data.read_text().splitlines()
+        lines[1 + 1] = "1e200," + lines[1 + 1].split(",", 1)[1]
+        data.write_text("\n".join(lines) + "\n")
+        config = train_config(tmp_path, epochs=2, batch_size=8, train_fraction=0.8, hidden_dims=[8],
+                              embedding_dim=4)
+        out = tmp_path / "c"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["compare", str(data), "--config", str(config), "--out", str(out), "--seeds", "0"])
+        assert code == EXIT_CONFIG
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err == (f"error: {data}: sample 1, held out by seed 0, is beyond the model's "
+                                           f"range: its logits or its embedding's squared norm are not finite\n")
+        assert not out.exists()
+
     def test_requires_holdout_split(self, tmp_path, blob_file, capsys):
         config = train_config(tmp_path, train_fraction=1.0)
         code = main(["compare", str(blob_file), "--config", str(config),

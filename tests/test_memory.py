@@ -1,9 +1,12 @@
 """Memory bounds of the table writer and reader, of explain's document
-writer, of the forward pass and of eval's relevance check, by tracemalloc's
-peak over the call: each handles a chunk (or slice) of rows at a time, or
-keeps one array per layer, so its peak stays far below that of holding the
-whole table text, its list of lines, the whole document, a hidden layer's
-pre-activation next to its activation, or the whole ``(n, k, C)`` relevance.
+writer, of the forward pass, of eval's forward and relevance check and of a
+training stack's last scoring pass, by tracemalloc's peak over the call: each
+handles a chunk (or slice) of rows at a time, keeps one array per layer (or,
+for inference, at most two), or frees what it no longer reads, so its peak
+stays far below that of holding the whole table text, its list of lines, the
+whole document, a hidden layer's pre-activation next to its activation,
+every hidden layer of an inference pass, the whole ``(n, k, C)`` relevance,
+or the training state next to the full-set pass.
 
 The bounds are about twice the peaks measured with numpy 2.4.6 on x86_64
 Linux: for a 10,000-row table of 64 features and 3 factors, ``save_dataset``
@@ -20,9 +23,19 @@ would not tell them apart, and its bound is three such arrays.  ``load_table``
 of 3 listed rows of the 10,000-row table peaks at 0.13 MB; its bound of 1 MB
 is under a tenth of the whole read's peak.  With a bad cell in listed row 7
 it peaks at 0.05 MB, where a whole-file read of the lines to name the cell
-peaked at 13.2 MB.
+peaked at 13.2 MB.  ``_eval_doc`` through hidden layers ``(64, 64, 64)`` on
+10,000 rows peaks at 9.8 MB, two of those layers at once; with every layer
+kept in the trace it peaked at 23.5 MB, so its bound is three layers.  A
+3-run mixup stack of ``train_runs(..., score_every_epoch=False)`` on 2,000
+rows of 20 features through hidden layers ``(128, 128)`` peaks at 5.4 MB, in
+its full-set pass, with mixup or without; with the epoch block, the mixup
+draws, the minibatch trace and the optimizer's vectors still held through
+that pass it peaked at 9.3 MB, and with only the block held, through a view
+of it that a batch without mixup left behind, at 6.7 MB, so its bound is 6
+MB.
 """
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -34,6 +47,7 @@ from fixedproto.data import Dataset, load_table, save_dataset
 from fixedproto.explain import explain_sample
 from fixedproto.model import forward, init_params
 from fixedproto.prototypes import class_orthogonal_extractor
+from fixedproto.training import TrainConfig, train_runs
 from util import pack
 
 MB = 2**20
@@ -119,3 +133,27 @@ def test_eval_never_holds_the_whole_relevance():
                       class_names=tuple(map(str, range(16))), factor_names=())
     extractor = class_orthogonal_extractor(16, 32, 0)
     assert traced_peak(lambda: _eval_doc(widths, init_params(widths, 0, 1), extractor, dataset)) < 28.0
+
+
+def test_eval_forward_holds_at_most_two_hidden_layers():
+    rng = np.random.default_rng(0)
+    n, widths = 10_000, (64, 64, 64, 64, 16, 16)
+    dataset = Dataset(X=rng.standard_normal((n, 64)), Y=np.identity(16)[np.arange(n) % 16], factors=None,
+                      class_names=tuple(map(str, range(16))), factor_names=())
+    extractor = class_orthogonal_extractor(16, 16, 0)
+    params = init_params(widths, 0, 1)
+    layer_mb = dataset.X.nbytes / MB
+    assert traced_peak(lambda: _eval_doc(widths, params, extractor, dataset)) < 3 * layer_mb
+
+
+@pytest.mark.parametrize("mixup_alpha", [0.2, 0.0], ids=["mixup", "no-mixup"])
+def test_last_scoring_pass_runs_without_the_training_state(mixup_alpha):
+    # Without mixup each batch is a view of the epoch block.
+    rng = np.random.default_rng(0)
+    n = 2_000
+    dataset = Dataset(X=rng.standard_normal((n, 20)), Y=np.identity(4)[np.arange(n) % 4], factors=None,
+                      class_names=("0", "1", "2", "3"), factor_names=())
+    extractor = class_orthogonal_extractor(4, 16, 0)
+    config = TrainConfig(epochs=1, mixup_alpha=mixup_alpha, hidden_dims=(128, 128))
+    runs = [(dataset, extractor, dataclasses.replace(config, seed=seed), None) for seed in range(3)]
+    assert traced_peak(lambda: train_runs(runs, score_every_epoch=False)) < 6.0

@@ -144,6 +144,20 @@ class TestForward:
         forward(widths, params, np.ones((1, 4)))
         assert np.array_equal(params, before)
 
+    @pytest.mark.parametrize("hidden", [(), (6,), (6, 5)], ids=["no-hidden", "one-hidden", "two-hidden"])
+    def test_inference_keeps_no_inputs_and_the_bits(self, hidden):
+        widths, params = tiny_model(seed=4, hidden=hidden)
+        X = np.random.default_rng(2).standard_normal((9, 4))
+        kept = forward(widths, params, X)
+        inference = forward(widths, params, X, keep_inputs=False)
+        assert inference.inputs == []
+        for name in ("z", "logits", "probs", "log_probs"):
+            assert getattr(inference, name).tobytes() == getattr(kept, name).tobytes(), name
+        # An inference trace has no layer arrays to lend a later pass.
+        again = forward(widths, params, X, into=inference)
+        assert again.logits.tobytes() == kept.logits.tobytes()
+        assert not np.shares_memory(again.z, inference.z)
+
 
 def owned_arrays(trace):
     """The arrays ``forward`` made for a trace (``inputs[0]`` is the caller's)."""
@@ -361,6 +375,12 @@ class TestBackward:
         gL, gE = rng.standard_normal((7, 2)), rng.standard_normal((7, 3))
         reference = reference_gradient(widths, params, X, gL, gE)
         assert backward(forward(widths, params, X), gL, gE).tobytes() == reference.tobytes()
+
+    def test_inference_trace_refused(self):
+        widths, params = tiny_model()
+        trace = forward(widths, params, np.ones((1, 4)), keep_inputs=False)
+        with pytest.raises(ValueError, match=r"^the trace was made for inference"):
+            backward(trace, np.zeros((1, 2)))
 
     def test_shape_mismatch_rejected(self):
         widths, params = tiny_model()
