@@ -418,7 +418,7 @@ def _eval_doc(widths, params, extractor, dataset: Dataset) -> dict:
         "format": "eval-report",
         "version": 1,
         "n_samples": dataset.n,
-        "accuracy": accuracy(trace.probs, dataset.Y),
+        "accuracy": accuracy(trace.logits, dataset.Y),
         "separation": separation_report(trace.z, dataset.Y, _prototypes(extractor, dataset)),
         "disentanglement": disentanglement,
         "zero_block_mean_abs_per_dim": zero_block,
@@ -585,7 +585,7 @@ def _comparison_runs(dataset: Dataset, configs) -> list:
         sep = separation_report(trace.z, val_set.Y, _prototypes(extractor, val_set))
         records.append({
             "seed": config.seed,
-            "accuracy": accuracy(trace.probs, val_set.Y),
+            "accuracy": accuracy(trace.logits, val_set.Y),
             "mean_abs_cos": sep["mean_abs_cos"],
             "mean_prototype_dist": sep["mean_prototype_dist"],
             "final_train_accuracy": history["rows"][-1]["train_accuracy"],

@@ -578,7 +578,7 @@ def _split_ids(dataset: Dataset, train_fraction: float, seed) -> tuple:
             raise ValueError(f"class {dataset.class_names[c]!r} has fewer than 2 samples")
         perm = rng.permutation(members)
         n_train = int(np.clip(round(train_fraction * members.size), 1, members.size - 1))
-        train_ids.extend(perm[:n_train])
-        val_ids.extend(perm[n_train:])
-    return np.sort(np.asarray(train_ids)), np.sort(np.asarray(val_ids))
+        train_ids.append(perm[:n_train])
+        val_ids.append(perm[n_train:])
+    return np.sort(np.concatenate(train_ids)), np.sort(np.concatenate(val_ids))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import forward, param_views, relevance
+from .model import forward, param_views, relevance, softmax
 
 # Largest gap allowed between relevance sums and the forward pass's logits
 # (acceptance criterion 7).
@@ -90,8 +90,9 @@ def explain_sample(widths, params, X, sample_ids=None, layout=None, class_names=
 
     Returns the batch as one dict: ``sample_ids`` (default ``0..n-1``),
     ``class_names`` and ``row_labels`` once each, ``probabilities`` and
-    ``logits`` ``(n, C)`` and ``gamma`` ``(n, k, C)``, where the logits are
-    the column sums of gamma that ``check_explainable`` compared with the
+    ``logits`` ``(n, C)`` and ``gamma`` ``(n, k, C)``, where the
+    probabilities are the softmax of the forward pass's logits, the logits
+    are the column sums of gamma that ``check_explainable`` compared with the
     forward pass's own, and gamma is ``relevance(head, z)`` of the checked
     rows.  ``layout``, a factor-coded extractor, names the dimensions by
     factor slot; without it they are ``dim j``.  Raises
@@ -121,7 +122,7 @@ def explain_sample(widths, params, X, sample_ids=None, layout=None, class_names=
         "sample_ids": [int(i) for i in sample_ids],
         "class_names": class_names,
         "row_labels": labels,
-        "probabilities": trace.probs,
+        "probabilities": softmax(trace.logits)[0],
         "logits": logits,
         "gamma": gamma,
     }

@@ -21,12 +21,13 @@ each sum runs over the same rows in the same order).
 The head has no bias on purpose: every class logit then decomposes exactly
 into per-dimension contributions (the relevance matrix), with nothing left
 over.  Forward, backward and relevance work on batches, one row per sample
-(a single sample is a 1-row batch).  ``forward`` computes the probabilities
-and log-probabilities once, from the same max-shifted exponentials
-(``softmax`` returns both), and the loss reads them from the trace.
-``forward`` applies each hidden layer's ReLU in place, so a layer keeps one
-array, its activation, and ``backward`` takes the ReLU mask from it
-(``max(s, 0) > 0`` exactly when ``s > 0``, for every float).
+(a single sample is a 1-row batch).  ``forward`` stops at the logits: a
+reader of probabilities takes ``softmax(trace.logits)``, which gives the
+probabilities and log-probabilities from the same max-shifted exponentials,
+and an accuracy is the argmax of the logits.  ``forward`` applies each
+hidden layer's ReLU in place, so a layer keeps one array, its activation,
+and ``backward`` takes the ReLU mask from it (``max(s, 0) > 0`` exactly
+when ``s > 0``, for every float).
 ``forward(..., into=trace)`` overwrites an earlier trace's arrays when the
 input shape matches, so a loop allocates them once, and hands on the
 gradient vector that ``backward`` writes, so a loop allocates it once per
@@ -108,11 +109,11 @@ def softmax(logits: np.ndarray) -> tuple:
 class ForwardTrace:
     """Everything the backward pass needs, plus the public outputs.
 
-    ``z`` is (n, embedding_dim); ``logits``, ``probs`` and ``log_probs``
-    are (n, class_count), one row per input row (each with the run axis
-    first for a stack).  ``grad`` is ``None`` until ``backward`` writes the
-    gradient: then the vector and its views, which a trace that reuses this
-    one keeps, so the next ``backward`` overwrites them.
+    ``z`` is (n, embedding_dim) and ``logits`` (n, class_count), one row per
+    input row (each with the run axis first for a stack); the probabilities
+    are ``softmax(logits)``.  ``grad`` is ``None`` until ``backward`` writes
+    the gradient: then the vector and its views, which a trace that reuses
+    this one keeps, so the next ``backward`` overwrites them.
     """
 
     widths: tuple
@@ -121,8 +122,6 @@ class ForwardTrace:
     inputs: list  # activations entering each layer, batched; none for inference
     z: np.ndarray
     logits: np.ndarray
-    probs: np.ndarray
-    log_probs: np.ndarray
     grad: tuple | None = None  # (vector, param_views(widths, vector))
 
 
@@ -160,9 +159,7 @@ def forward(widths, params, X, into=None, *, keep_inputs=True) -> ForwardTrace:
         if i < len(layers) - 1:
             np.maximum(A, 0.0, out=A)
     logits = np.matmul(A, head, out=into.logits if reuse else None)
-    probs, log_probs = softmax(logits)
-    return ForwardTrace(widths, params, views, inputs, A, logits, probs, log_probs,
-                        into.grad if same_model else None)
+    return ForwardTrace(widths, params, views, inputs, A, logits, into.grad if same_model else None)
 
 
 def backward(trace: ForwardTrace, grad_logits, grad_z_extra=None) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import Dataset, check_types, is_integer
 from .metrics import accuracy
-from .model import backward, forward, init_params
+from .model import backward, forward, init_params, softmax
 
 OPTIMIZERS = ("adam", "sgd")
 LOSS_KINDS = ("proto", "ce")
@@ -137,15 +137,17 @@ def loss(y, trace, prototype, lambda_p: float):
     carry the run axis too, and ``ce`` and ``proto_sq`` are per-run sums
     ``(R,)``.  ``prototype=None`` is allowed only with ``lambda_p == 0`` and
     drops the penalty term: ``proto_sq`` is 0.0 and ``grad_z`` None.
-    Cross-entropy is computed from the trace's log-probabilities, so it stays
-    finite for logits up to very large magnitudes.  Each sum is one reduction
-    over a run's rows and columns together, and ``grad_z`` is ``diff`` times
-    one scalar.
+    The probabilities and log-probabilities are ``softmax(trace.logits)``,
+    taken here, and cross-entropy is computed from the log-probabilities, so
+    it stays finite for logits up to very large magnitudes.  Each sum is one
+    reduction over a run's rows and columns together, and ``grad_z`` is
+    ``diff`` times one scalar.
     """
     y = np.asarray(y, dtype=np.float64)
-    ce = -(y * trace.log_probs).sum(axis=(-2, -1))
-    scale = 1.0 / trace.probs.shape[-2]
-    grad_logits = (trace.probs - y) * scale
+    probs, log_probs = softmax(trace.logits)
+    ce = -(y * log_probs).sum(axis=(-2, -1))
+    scale = 1.0 / probs.shape[-2]
+    grad_logits = (probs - y) * scale
     if prototype is None:
         if lambda_p != 0.0:
             raise ValueError("a prototype is required when lambda_p != 0")
@@ -233,8 +235,9 @@ def train(dataset: Dataset, extractor, config: TrainConfig, val: Dataset | None 
     ``(widths, params, history)``: the one run of ``train_runs``.
 
     ``history`` is the ``train-history`` document, one row per epoch, each
-    scored on the full training set and on ``val``.  A batch loss, parameter
-    vector or epoch loss that is not finite raises ``DivergenceError`` (an
+    scored on the full training set and on ``val``; each accuracy is the
+    argmax of the logits.  A batch loss, parameter vector or epoch loss that
+    is not finite raises ``DivergenceError`` at the end of its epoch (an
     epoch loss that overflows at the epoch's last batch).  Runs are
     deterministic for a fixed config seed: initialization, shuffling and
     mixup draw from independent child streams of it, in a fixed order.
@@ -293,8 +296,10 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
     Beta(alpha, alpha) weight per row.  Per batch: mix the slice once, each
     run's rows with its slice of those draws, forward the stack's inputs,
     look up each run's fixed prototypes from its targets, take the
-    per-run losses, and take one optimizer step on the stack; the optimizers
-    are elementwise, so each row steps as it would alone.  The minibatch
+    per-run losses, write their sums into the epoch's per-batch rows, and
+    take one optimizer step on the stack; the optimizers are elementwise, so
+    each row steps as it would alone.  The losses are checked and summed once
+    per epoch, after its last step, in batch order.  The minibatch
     pass and each run's full-set and validation passes reuse their previous
     trace (``forward(into=)``).  The last epoch's full-set and validation
     passes run after the epoch block, the mixup draws, the minibatch trace
@@ -308,9 +313,10 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
 
     Errors come as training the runs in order would raise them first: a run
     whose batch loss, parameters or epoch loss go non-finite is dropped with
-    its ``DivergenceError`` (at its own epoch and batch), the runs after it
-    stop mattering, and the error of the lowest such run is raised once no
-    earlier run is left training.
+    its ``DivergenceError`` (at its own epoch and first such batch), the runs
+    after it stop mattering, and the error of the lowest such run is raised
+    once no earlier run is left training.  A run whose batch loss goes
+    non-finite still finishes that epoch before its error is raised.
     """
     runs = list(runs)
     if not runs:
@@ -354,6 +360,11 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
     bs, alpha = config.batch_size, config.mixup_alpha
     full, tail = divmod(n, bs)
     perms, lams = np.empty((R, n), dtype=np.intp), np.empty((R, n))
+    # Each epoch's per-batch loss sums, one column per run, below a row of
+    # zeros: an epoch's sums are the last row of their running sums, taken
+    # in batch order from +0.0 as a running ``+=`` takes them.
+    sizes = np.array([min(bs, n - start) for start in range(0, n, bs)], dtype=np.float64)[:, None]
+    ces, protos = np.zeros((len(sizes) + 1, R)), np.zeros((len(sizes) + 1, R))
     rows = [[] for _ in runs]
     failed = {}  # run -> the error training it alone raises
     trace = full_trace = val_trace = None
@@ -371,8 +382,6 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
             if tail:
                 perms[r, n - tail:] = rng.permutation(tail)
             lams[r] = rng.beta(alpha, alpha, size=n)
-        ce_sum = np.zeros(R)
-        proto_sum = np.zeros(R)
         for batch_i, start in enumerate(range(0, n, bs)):
             batch = block[:, start:start + bs]
             size = batch.shape[1]
@@ -389,23 +398,25 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
                 for r, (ex, t) in enumerate(zip(extractors, tb)):
                     proto[r] = ex.extract_batch(t)
             ce, proto_sq, grad_logits, grad_z = loss(yb, trace, proto, lambda_p)
-            batch_loss = (ce + lambda_p * proto_sq) / size
-            if not np.isfinite(batch_loss).all():
-                _fail(failed, ~np.isfinite(batch_loss),
-                      lambda r: DivergenceError(epoch, batch_i, float(batch_loss[r])))
-            ce_sum += ce
-            proto_sum += proto_sq
+            ces[batch_i + 1] = ce
+            protos[batch_i + 1] = proto_sq
             opt.step(params, backward(trace, grad_logits, grad_z))
         if epoch == config.epochs - 1:
             # The last scoring passes read only the parameters, so the block
             # (with the batch views of it), the draws, the minibatch trace
             # with its gradient and the optimizer's vectors go first.
             block = batch = xb = tb = t = perms = lams = trace = opt = None
+        # A run fails at its first batch whose mean loss is not finite.
+        batch_loss = (ces[1:] + lambda_p * protos[1:]) / sizes
+        bad = ~np.isfinite(batch_loss)
+        first = bad.argmax(axis=0)
+        _fail(failed, bad.any(axis=0),
+              lambda r: DivergenceError(epoch, int(first[r]), float(batch_loss[first[r], r])))
         # The last step's loss was finite, its update need not be.
         _fail(failed, ~np.isfinite(params).all(axis=1), lambda r: DivergenceError(epoch, batch_i, None))
         # Each batch's mean was finite, the epoch's sums need not be.
-        ce_mean = ce_sum / n
-        proto_mean = proto_sum / n
+        ce_mean = np.add.accumulate(ces)[-1] / n
+        proto_mean = np.add.accumulate(protos)[-1] / n
         total = ce_mean + lambda_p * proto_mean
         _fail(failed, ~np.isfinite(total), lambda r: DivergenceError(epoch, batch_i, float(total[r])))
         scored = score_every_epoch or epoch == config.epochs - 1
@@ -414,10 +425,10 @@ def train_runs(runs, *, score_every_epoch: bool = True) -> list:
             if scored:
                 shown[...] = params[r]
                 full_trace = forward(widths, shown, datasets[r].X, into=full_trace)
-                train_acc = accuracy(full_trace.probs, datasets[r].Y)
+                train_acc = accuracy(full_trace.logits, datasets[r].Y)
                 if vals[r] is not None:
                     val_trace = forward(widths, shown, vals[r].X, into=val_trace)
-                    val_acc = accuracy(val_trace.probs, vals[r].Y)
+                    val_acc = accuracy(val_trace.logits, vals[r].Y)
             rows[r].append({
                 "epoch": epoch,
                 "total_loss": float(total[r]),

@@ -87,7 +87,7 @@ class TestForward:
         widths, params = pack([(np.zeros((3, 4)), np.zeros(3))], np.zeros((3, 5)))
         trace = forward(widths, params, np.ones((1, 4)))
         assert np.array_equal(trace.logits, np.zeros((1, 5)))
-        assert np.allclose(trace.probs, np.full((1, 5), 0.2), atol=1e-15)
+        assert np.allclose(softmax(trace.logits)[0], np.full((1, 5), 0.2), atol=1e-15)
 
     def test_hand_computed_single_layer(self):
         # z = W x with W = [[1, 2], [3, 4]], x = (1, 1) -> z = (3, 7)
@@ -112,8 +112,9 @@ class TestForward:
         rng = np.random.default_rng(0)
         widths, params = tiny_model()
         trace = forward(widths, params, rng.standard_normal((10, 4)))
-        assert np.max(np.abs(trace.probs.sum(axis=1) - 1.0)) < 1e-12
-        assert np.all(trace.probs >= 0)
+        probs = softmax(trace.logits)[0]
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
+        assert np.all(probs >= 0)
 
     def test_softmax_extreme_logits(self):
         probs, log_probs = softmax(np.array([1e3, -1e3, 0.0]))
@@ -129,7 +130,7 @@ class TestForward:
         for i in range(5):
             single = forward(widths, params, X[i : i + 1])  # a 1-row batch
             assert np.allclose(single.z[0], batch.z[i], atol=1e-12)
-            assert np.allclose(single.probs[0], batch.probs[i], atol=1e-12)
+            assert np.allclose(softmax(single.logits)[0][0], softmax(batch.logits)[0][i], atol=1e-12)
 
     def test_dimension_mismatch(self):
         widths, params = tiny_model()
@@ -151,7 +152,7 @@ class TestForward:
         kept = forward(widths, params, X)
         inference = forward(widths, params, X, keep_inputs=False)
         assert inference.inputs == []
-        for name in ("z", "logits", "probs", "log_probs"):
+        for name in ("z", "logits"):
             assert getattr(inference, name).tobytes() == getattr(kept, name).tobytes(), name
         # An inference trace has no layer arrays to lend a later pass.
         again = forward(widths, params, X, into=inference)
@@ -165,7 +166,7 @@ def owned_arrays(trace):
 
 
 class TestForwardInto:
-    OUTPUTS = ("z", "logits", "probs", "log_probs")
+    OUTPUTS = ("z", "logits")
 
     @pytest.fixture(params=[(6, 5)], ids=["identity-output"])
     def model(self, request):
@@ -262,8 +263,10 @@ class TestStack:
         grad = backward(trace, grad_logits, grad_z)
         for r in range(3):
             alone = forward(self.WIDTHS, params[r].copy(), X[r])
-            for name in ("z", "logits", "probs", "log_probs"):
+            for name in ("z", "logits"):
                 assert getattr(trace, name)[r].tobytes() == getattr(alone, name).tobytes(), name
+            for stacked, own in zip(softmax(trace.logits), softmax(alone.logits)):
+                assert stacked[r].tobytes() == own.tobytes()
             assert grad[r].tobytes() == backward(alone, grad_logits[r], grad_z[r]).tobytes()
 
     def test_input_without_the_run_axis_rejected(self):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixedproto import training as training_module
-from fixedproto.data import SynthConfig, config_from_doc, config_to_doc, generate_synthetic, split
+from fixedproto.cli import _eval_doc
+from fixedproto.data import Dataset, SynthConfig, config_from_doc, config_to_doc, generate_synthetic, split
 from fixedproto.model import backward, forward, init_params, param_views, softmax
 from fixedproto.prototypes import (
     FactorCodedExtractor,
@@ -31,14 +32,12 @@ from fixedproto.training import (
     train_runs,
 )
 
-from util import central_difference, overflowing_loss, rows_dataset
+from util import central_difference, overflowing_loss, pack, rows_dataset
 
 
 def fake_trace(logits, z):
     """A trace of a batch of logits and embeddings; one sample is a 1-row batch."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=float))
-    probs, log_probs = softmax(logits)
-    return SimpleNamespace(logits=logits, probs=probs, log_probs=log_probs,
+    return SimpleNamespace(logits=np.atleast_2d(np.asarray(logits, dtype=float)),
                            z=np.atleast_2d(np.asarray(z, dtype=float)))
 
 
@@ -111,7 +110,7 @@ class TestLoss:
         y = rng.dirichlet(np.ones(4), size=(3, 32))
         stacked = loss(y, fake_trace(logits, z), p, lambda_p=0.25)
         for r in range(3):
-            log_probs = fake_trace(logits[r], z[r]).log_probs
+            log_probs = softmax(logits[r])[1]
             exact_ce = -math.fsum((y[r] * log_probs).ravel())
             exact_sq = math.fsum(((z[r] - p[r]) * (z[r] - p[r])).ravel())
             alone = loss(y[r], fake_trace(logits[r], z[r]), p[r], lambda_p=0.25)
@@ -453,12 +452,12 @@ def reference_train(dataset, extractor, config, val=None):
                 proto_sum += float(np.sum(diff * diff))
                 extra = diff * (2.0 * lambda_p * scale)
             ce_sum += float(-np.sum(yb * logp))
-            opt.step(params, backward(trace, (trace.probs - yb) * scale, extra))
+            opt.step(params, backward(trace, (softmax(trace.logits)[0] - yb) * scale, extra))
         ce_mean, proto_mean = ce_sum / n, proto_sum / n
-        val_accuracy = None if val is None else accuracy(forward(widths, params, val.X).probs, val.Y)
+        val_accuracy = None if val is None else accuracy(forward(widths, params, val.X).logits, val.Y)
         rows.append({"epoch": epoch, "total_loss": ce_mean + lambda_p * proto_mean,
                      "ce_loss": ce_mean, "prototype_loss": proto_mean,
-                     "train_accuracy": accuracy(forward(widths, params, X).probs, Y),
+                     "train_accuracy": accuracy(forward(widths, params, X).logits, Y),
                      "val_accuracy": val_accuracy})
     return params, {"format": "train-history", "version": 1, "rows": rows}
 
@@ -662,6 +661,43 @@ def test_stack_raises_the_epoch_loss_error_of_the_run_that_overflows_alone(monke
     assert alone == (0, 4, "inf", "non-finite loss inf at epoch 0, batch 4")
     assert stack_divergence([fine, overflowing]) == alone
     assert stack_divergence([fine, overflowing], score_every_epoch=False) == alone
+
+
+def constant_loss(ce):
+    """A stand-in for ``training.loss`` whose batch sums are ``ce`` for every
+    run, with zero gradients, so the parameters never move."""
+    def fake(y, trace, prototype, lambda_p):
+        return np.full(len(y), ce), 0.0, np.zeros_like(trace.logits), None
+    return fake
+
+
+def test_an_epoch_of_negative_zero_batch_sums_has_a_positive_zero_loss(monkeypatch):
+    # Sums start from +0.0, as a running ``+=`` from zeros does, and
+    # +0.0 + -0.0 is +0.0; a running sum of the batch rows alone keeps -0.0.
+    monkeypatch.setattr(training_module, "loss", constant_loss(-0.0))
+    config = TrainConfig(epochs=2, batch_size=16, embedding_dim=8, hidden_dims=(8,), loss="ce", seed=0)
+    _, _, history = train(blob_dataset(samples_per_class=30), None, config)
+    assert [repr(row["ce_loss"]) for row in history["rows"]] == ["0.0", "0.0"]
+    assert [repr(row["total_loss"]) for row in history["rows"]] == ["0.0", "0.0"]
+    assert repr(float(np.add.accumulate(np.full((4, 1), -0.0))[-1, 0])) == "-0.0"
+
+
+def test_accuracy_takes_the_argmax_of_the_logits_where_probabilities_tie(monkeypatch):
+    # Logits 0.1 and the next float up round to equal probabilities, and the
+    # row's label is the second class; the other row's label is the first.
+    widths, params = pack([(np.eye(1), np.zeros(1))], np.array([[0.1, np.nextafter(0.1, 1.0)]]))
+    dataset = Dataset(X=np.array([[1.0], [-1.0]]), Y=np.array([[0.0, 1.0], [1.0, 0.0]]), factors=None,
+                      class_names=("a", "b"), factor_names=())
+    logits = forward(widths, params, dataset.X).logits
+    probs = softmax(logits)[0]
+    assert logits[0, 0] < logits[0, 1] and probs[0, 0] == probs[0, 1]
+    assert _eval_doc(widths, params, None, dataset)["accuracy"] == 1.0
+    monkeypatch.setattr(training_module, "init_params", lambda *_: params.copy())
+    monkeypatch.setattr(training_module, "loss", constant_loss(1.0))
+    config = TrainConfig(epochs=1, optimizer="sgd", hidden_dims=(), embedding_dim=1, loss="ce")
+    _, trained, history = train(dataset, None, config, val=dataset)
+    assert trained.tobytes() == params.tobytes()
+    assert history["rows"][0]["train_accuracy"] == history["rows"][0]["val_accuracy"] == 1.0
 
 
 class TestTrainConfig:

@@ -91,7 +91,7 @@ def overflowing_loss(threshold=-np.inf):
     def fake(y, trace, prototype, lambda_p):
         marked = trace.inputs[0][:, 0, 0] > threshold
         grad_z = None if prototype is None else np.zeros_like(trace.z)
-        return np.where(marked, 1e308, 1.0), 0.0, np.zeros_like(trace.probs), grad_z
+        return np.where(marked, 1e308, 1.0), 0.0, np.zeros_like(trace.logits), grad_z
     return fake
 
 
